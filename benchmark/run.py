@@ -38,8 +38,8 @@ RESULTS = HERE / "results"
 
 EPSILON = 1e-3
 Z_BOUND = 4.0  # standard errors the mean round cost may stray from V*
-CALIBRATION_LOOP = 150_000
-CALIBRATION_REF_S = 0.0125  # the calibration loop's time on a quiet host
+CALIBRATION_LOOP = 50_000
+CALIBRATION_REF_S = 0.004  # the calibration's time on a quiet host
 
 
 def import_program():
@@ -156,11 +156,9 @@ class Evaluation:
         reduction.make_reduction(grounded, delta, self.k)
         return grounded, delta
 
-    def operation(self, state, seed: int):
+    def operation(self, state, seed: int, clock):
         grounded, delta = state
-        _, reports = executor.monte_carlo_evaluate(
-            grounded, delta, self.k, EPSILON, self.rounds, seed)
-        return reports
+        return evaluate(clock, grounded, delta, self.k, self.rounds, seed)
 
     def check(self, reports) -> list[str]:
         return triangle_round_errors(self.n, reports)
@@ -188,16 +186,15 @@ class LearnTransfer:
         target = grounding.ground(tri_schema, tri_target)
         return tri_schema, tri_train, trap_schema, trap_train, target
 
-    def operation(self, state, seed: int):
+    def operation(self, state, seed: int, clock):
         tri_schema, tri_train, trap_schema, trap_train, target = state
-        tri_delta, tri_ranked = learner.learning_det(
+        tri_delta, tri_ranked = clock.time(lambda: learner.learning_det(
             tri_schema, tri_train, k=0, rounds=self.rounds, seed=seed,
-            epsilon=EPSILON)
-        _, trap_ranked = learner.learning_det(
+            epsilon=EPSILON))
+        _, trap_ranked = clock.time(lambda: learner.learning_det(
             trap_schema, trap_train, k=0, rounds=self.rounds, seed=seed,
-            epsilon=EPSILON)
-        _, reports = executor.monte_carlo_evaluate(
-            target, tri_delta, 0, EPSILON, self.rounds, seed)
+            epsilon=EPSILON))
+        reports = evaluate(clock, target, tri_delta, 0, self.rounds, seed)
         return tri_ranked, trap_ranked, reports
 
     def check(self, output) -> list[str]:
@@ -243,25 +240,50 @@ class ScaledClock:
     """Wall times, and wall times scaled to the reference host speed.
 
     On a shared virtual machine the host's speed can drift by a quarter
-    and more over minutes, and sspkit's operations slow down in step with
-    a plain interpreter loop.
-    So every timed call is bracketed by calibrations, and its scaled time
-    is its wall time times ``CALIBRATION_REF_S`` over the mean of the two
-    calibration times: the time the call would take on a host where the
-    loop takes ``CALIBRATION_REF_S``.
+    and more within seconds to minutes, and sspkit's operations slow down
+    in step with a plain interpreter loop. So every timed call is
+    bracketed by calibrations, and its scaled time is its wall time times
+    ``CALIBRATION_REF_S`` over the mean of the two calibration times: the
+    time the call would take on a host where the calibration takes
+    ``CALIBRATION_REF_S``. An operation is timed as several such calls
+    (a session's construction, each round), so that the calibrations
+    follow the host's speed through the operation.
     """
 
     def __init__(self):
         self.calibrations = [calibration_s()]
+        self._wall = self._scaled = 0.0
 
     def time(self, fn):
-        """Return ``fn()``, its wall time and its scaled time."""
+        """Return ``fn()``; add its wall and scaled time to the totals."""
         start = time.perf_counter()
         result = fn()
         wall = time.perf_counter() - start
         self.calibrations.append(calibration_s())
         host_s = (self.calibrations[-2] + self.calibrations[-1]) / 2
-        return result, wall, wall * CALIBRATION_REF_S / host_s
+        self._wall += wall
+        self._scaled += wall * CALIBRATION_REF_S / host_s
+        return result
+
+    def take(self) -> tuple[float, float]:
+        """The (wall, scaled) totals since the last call; then zero them."""
+        totals = (self._wall, self._scaled)
+        self._wall = self._scaled = 0.0
+        return totals
+
+
+def evaluate(clock: ScaledClock, grounded, delta, k: int, rounds: int,
+             seed: int):
+    """A cold seeded evaluation, the rounds ``monte_carlo_evaluate`` runs
+    (fresh session, shared tables, ``round_rng`` per round), with the
+    session's construction and each round timed apart."""
+    session = clock.time(lambda: executor.ReplanSession(
+        grounded, delta, k, EPSILON))
+    reports = []
+    for r in range(rounds):
+        rng, label = executor.round_rng(seed, r)
+        reports.append(clock.time(lambda: session.run_round(rng, label)))
+    return reports
 
 
 def run_workload(name: str, seed: int, seconds: float, traced: bool) -> dict:
@@ -281,8 +303,8 @@ def _run(name, workload, seed, seconds, tracer) -> dict:
     clock = ScaledClock()
     setup_times: list[tuple[float, float]] = []  # (wall, scaled)
     for _ in range(1 if tracer else workload.setup_repeats):
-        state, *times = clock.time(workload.setup)
-        setup_times.append(times)
+        state = clock.time(workload.setup)
+        setup_times.append(clock.take())
     if tracer:
         setup_layers, setup_spans = tracer.take()
 
@@ -297,13 +319,13 @@ def _run(name, workload, seed, seconds, tracer) -> dict:
         nonlocal attempted, failed, wrong, reference, first_op_spans
         attempted += 1
         try:
-            output, *times = clock.time(
-                lambda: workload.operation(state, seed))
+            output = workload.operation(state, seed, clock)
         except sspkit.SspkitError as exc:
             failed += 1
             print(f"operation {attempted} failed: {exc!r}", file=sys.stderr)
             return False
         finally:
+            times = clock.take()
             if tracer:
                 layers, spans = tracer.take()
         errors = workload.check(output)
