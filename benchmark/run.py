@@ -6,9 +6,10 @@ that holds this file:
     python3 benchmark/run.py --workload replan-k2 --seed 1 --seconds 25 --trace 0
 
 A run sets the workload up ``setup_repeats`` times (``--trace 1``: once),
-then runs one warm-up operation, then runs operations until ``--seconds``
-have passed. Set-up and operation times are scaled to a reference host
-speed (``ScaledClock``). Every operation is checked against properties
+then, on a workload that reuses the set-up's grounded problem, runs one
+warm-up operation, then runs operations until ``--seconds`` have passed.
+Set-up and operation times are scaled to a reference host speed
+(``ScaledClock``). Every operation is checked against properties
 derived apart from the program (see README.md). The last line of standard
 output is one JSON object: ``correct``, ``attempted``, ``failed`` and
 ``metrics``, the end-to-end metrics with ``--trace 0`` and the per-layer
@@ -38,8 +39,8 @@ RESULTS = HERE / "results"
 
 EPSILON = 1e-3
 Z_BOUND = 4.0  # standard errors the mean round cost may stray from V*
-CALIBRATION_LOOP = 50_000
-CALIBRATION_REF_S = 0.004  # the calibration's time on a quiet host
+CALIBRATION_LOOP = 150_000
+CALIBRATION_REF_S = 0.0125  # the calibration's time on a quiet host
 
 
 def import_program():
@@ -141,12 +142,18 @@ def ranking_signature(ranked) -> tuple:
 @dataclass(frozen=True)
 class Evaluation:
     """Cold seeded evaluation of the most-likely-outcome determinization
-    (on triangle, always flat) on triangle-n at exception bound k."""
+    (on triangle, always flat) on triangle-n at exception bound k.
+
+    With ``fresh_grounding`` each operation plans on a problem grounded
+    afresh, outside its timed call, as every ``simulate`` does; without
+    it, operations share the set-up's grounded problem and the heuristic
+    cache that hangs off it, and the run starts with a warm-up."""
 
     n: int
     k: int
     rounds: int
     setup_repeats: int
+    fresh_grounding: bool
 
     def setup(self):
         schema, (problem,) = read_inputs("triangle-domain.ppddl",
@@ -154,11 +161,19 @@ class Evaluation:
         grounded = grounding.ground(schema, problem)
         delta = reduction.mlo_determinization(schema)
         reduction.make_reduction(grounded, delta, self.k)
+        return schema, problem, grounded, delta
+
+    def prepare(self, state):
+        schema, problem, grounded, delta = state
+        if self.fresh_grounding:
+            grounded = grounding.ground(schema, problem)
         return grounded, delta
 
-    def operation(self, state, seed: int, clock):
-        grounded, delta = state
-        return evaluate(clock, grounded, delta, self.k, self.rounds, seed)
+    def operation(self, prepared, seed: int):
+        grounded, delta = prepared
+        _, reports = executor.monte_carlo_evaluate(
+            grounded, delta, self.k, EPSILON, self.rounds, seed)
+        return reports
 
     def check(self, reports) -> list[str]:
         return triangle_round_errors(self.n, reports)
@@ -170,12 +185,15 @@ class Evaluation:
 @dataclass(frozen=True)
 class LearnTransfer:
     """Learn at k=0 on triangle-3 and trap-W, then evaluate the learned
-    triangle determinization on triangle-n, as ``simulate --det-learn``."""
+    triangle determinization on triangle-n, as ``simulate --det-learn``.
+    Each operation plans on a target grounded afresh outside its timed
+    call; ``learning_det`` grounds its training problem itself."""
 
     n: int
     trap_walk: int
     rounds: int
     setup_repeats: int
+    fresh_grounding = True
 
     def setup(self):
         tri_schema, (tri_train, tri_target) = read_inputs(
@@ -183,18 +201,25 @@ class LearnTransfer:
             f"triangle-{self.n}-problem.ppddl")
         trap_schema, (trap_train,) = read_inputs(
             "trap-domain.ppddl", f"trap-{self.trap_walk}-problem.ppddl")
+        # timed as a user's command grounds it; operations ground their own
+        grounding.ground(tri_schema, tri_target)
+        return tri_schema, tri_train, tri_target, trap_schema, trap_train
+
+    def prepare(self, state):
+        tri_schema, tri_train, tri_target, trap_schema, trap_train = state
         target = grounding.ground(tri_schema, tri_target)
         return tri_schema, tri_train, trap_schema, trap_train, target
 
-    def operation(self, state, seed: int, clock):
-        tri_schema, tri_train, trap_schema, trap_train, target = state
-        tri_delta, tri_ranked = clock.time(lambda: learner.learning_det(
+    def operation(self, prepared, seed: int):
+        tri_schema, tri_train, trap_schema, trap_train, target = prepared
+        tri_delta, tri_ranked = learner.learning_det(
             tri_schema, tri_train, k=0, rounds=self.rounds, seed=seed,
-            epsilon=EPSILON))
-        _, trap_ranked = clock.time(lambda: learner.learning_det(
+            epsilon=EPSILON)
+        _, trap_ranked = learner.learning_det(
             trap_schema, trap_train, k=0, rounds=self.rounds, seed=seed,
-            epsilon=EPSILON))
-        reports = evaluate(clock, target, tri_delta, 0, self.rounds, seed)
+            epsilon=EPSILON)
+        _, reports = executor.monte_carlo_evaluate(
+            target, tri_delta, 0, EPSILON, self.rounds, seed)
         return tri_ranked, trap_ranked, reports
 
     def check(self, output) -> list[str]:
@@ -211,8 +236,10 @@ class LearnTransfer:
 
 
 WORKLOADS = {
-    "replan-k2": Evaluation(n=4, k=2, rounds=20, setup_repeats=15),
-    "wide-k0": Evaluation(n=10, k=0, rounds=40, setup_repeats=3),
+    "replan-k2": Evaluation(n=4, k=2, rounds=20, setup_repeats=15,
+                            fresh_grounding=True),
+    "wide-k0": Evaluation(n=10, k=0, rounds=40, setup_repeats=3,
+                          fresh_grounding=False),
     "learn-transfer": LearnTransfer(n=5, trap_walk=10, rounds=40,
                                     setup_repeats=10),
 }
@@ -240,50 +267,25 @@ class ScaledClock:
     """Wall times, and wall times scaled to the reference host speed.
 
     On a shared virtual machine the host's speed can drift by a quarter
-    and more within seconds to minutes, and sspkit's operations slow down
-    in step with a plain interpreter loop. So every timed call is
-    bracketed by calibrations, and its scaled time is its wall time times
-    ``CALIBRATION_REF_S`` over the mean of the two calibration times: the
-    time the call would take on a host where the calibration takes
-    ``CALIBRATION_REF_S``. An operation is timed as several such calls
-    (a session's construction, each round), so that the calibrations
-    follow the host's speed through the operation.
+    and more over minutes, and sspkit's operations slow down in step with
+    a plain interpreter loop.
+    So every timed call is bracketed by calibrations, and its scaled time
+    is its wall time times ``CALIBRATION_REF_S`` over the mean of the two
+    calibration times: the time the call would take on a host where the
+    loop takes ``CALIBRATION_REF_S``.
     """
 
     def __init__(self):
         self.calibrations = [calibration_s()]
-        self._wall = self._scaled = 0.0
 
     def time(self, fn):
-        """Return ``fn()``; add its wall and scaled time to the totals."""
+        """Return ``fn()``, its wall time and its scaled time."""
         start = time.perf_counter()
         result = fn()
         wall = time.perf_counter() - start
         self.calibrations.append(calibration_s())
         host_s = (self.calibrations[-2] + self.calibrations[-1]) / 2
-        self._wall += wall
-        self._scaled += wall * CALIBRATION_REF_S / host_s
-        return result
-
-    def take(self) -> tuple[float, float]:
-        """The (wall, scaled) totals since the last call; then zero them."""
-        totals = (self._wall, self._scaled)
-        self._wall = self._scaled = 0.0
-        return totals
-
-
-def evaluate(clock: ScaledClock, grounded, delta, k: int, rounds: int,
-             seed: int):
-    """A cold seeded evaluation, the rounds ``monte_carlo_evaluate`` runs
-    (fresh session, shared tables, ``round_rng`` per round), with the
-    session's construction and each round timed apart."""
-    session = clock.time(lambda: executor.ReplanSession(
-        grounded, delta, k, EPSILON))
-    reports = []
-    for r in range(rounds):
-        rng, label = executor.round_rng(seed, r)
-        reports.append(clock.time(lambda: session.run_round(rng, label)))
-    return reports
+        return result, wall, wall * CALIBRATION_REF_S / host_s
 
 
 def run_workload(name: str, seed: int, seconds: float, traced: bool) -> dict:
@@ -303,8 +305,8 @@ def _run(name, workload, seed, seconds, tracer) -> dict:
     clock = ScaledClock()
     setup_times: list[tuple[float, float]] = []  # (wall, scaled)
     for _ in range(1 if tracer else workload.setup_repeats):
-        state = clock.time(workload.setup)
-        setup_times.append(clock.take())
+        state, *times = clock.time(workload.setup)
+        setup_times.append(times)
     if tracer:
         setup_layers, setup_spans = tracer.take()
 
@@ -318,14 +320,17 @@ def _run(name, workload, seed, seconds, tracer) -> dict:
     def operation() -> bool:
         nonlocal attempted, failed, wrong, reference, first_op_spans
         attempted += 1
+        prepared = workload.prepare(state)
+        if tracer:
+            tracer.take()  # the untimed preparation is no operation's work
         try:
-            output = workload.operation(state, seed, clock)
+            output, *times = clock.time(
+                lambda: workload.operation(prepared, seed))
         except sspkit.SspkitError as exc:
             failed += 1
             print(f"operation {attempted} failed: {exc!r}", file=sys.stderr)
             return False
         finally:
-            times = clock.take()
             if tracer:
                 layers, spans = tracer.take()
         errors = workload.check(output)
@@ -347,7 +352,8 @@ def _run(name, workload, seed, seconds, tracer) -> dict:
                 first_op_spans = spans
         return True
 
-    operation()  # warm-up: checked, not timed
+    if not workload.fresh_grounding:
+        operation()  # warm-up: checked, not timed
     warm_up = len(op_times)
     start = time.perf_counter()
     while True:
@@ -371,7 +377,7 @@ def _run(name, workload, seed, seconds, tracer) -> dict:
                   "setup_times": setup_times, "op_times": op_times,
                   "calibrations": clock.calibrations}
     else:
-        values, counts_ok = _layer_values(setup_layers, op_layers)
+        values, counts_ok = _layer_values(setup_layers, op_layers, warm_up)
         if not counts_ok:
             result["correct"] = False
             print("per-layer counts differ between operations",
@@ -388,13 +394,13 @@ def _run(name, workload, seed, seconds, tracer) -> dict:
     return result
 
 
-def _layer_values(setup_layers: dict, op_layers: list[dict]):
+def _layer_values(setup_layers: dict, op_layers: list[dict], warm_up: int):
     """One set-up plus one operation: counts from the first operation
     (every operation must repeat them), self times the median over the
-    timed operations, which excludes the warm-up."""
+    timed operations, which excludes a warm-up."""
     counts_ok = all(layers[m] == op_layers[0][m] for layers in op_layers
                     for m in tracing.COUNT_METRICS)
-    timed = op_layers[1:] or op_layers
+    timed = op_layers[warm_up:] or op_layers
     values = {}
     for m in tracing.COUNT_METRICS:
         values[m] = setup_layers[m] + op_layers[0][m]

@@ -208,5 +208,6 @@ def install(tracer: Tracer) -> None:
             count_metric="solver.bellman_updates", keep_spans=False)
     t.patch(executor.ReplanSession, "run_round", "executor.round_s",
             count_metric="executor.rounds", after=t.after_round)
-    t.patch(learner, "monte_carlo_evaluate", "executor.round_s")
+    for owner in (executor, learner):
+        t.patch(owner, "monte_carlo_evaluate", "executor.round_s")
     t.patch(learner, "learning_det", "learner.learn_s", after=t.after_learn)
