@@ -30,6 +30,6 @@ from .reduction import (AugmentedState, Determinization, ReducedModel,
                         make_reduction, mlo_determinization)
 from .solver import (NOP, SolveReport, SolverConfig, SolverTables,
                      ff_bellman_update, ff_expand, ff_lao_star,
-                     ff_test_convergence, q_value)
+                     ff_test_convergence, policy_size, q_value)
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ from pathlib import Path
 from . import __version__
 from .detplan import solve_deterministic, solve_with_external
 from .domains import GENERATORS
-from .errors import (CapExceededError, GroundingBlowupError,
-                     IterationLimitError, ParseError, SspkitError,
-                     TypeMismatchError)
+from .errors import (CapExceededError, ExternalPlannerError,
+                     GroundingBlowupError, IterationLimitError, ParseError,
+                     SspkitError, TypeMismatchError)
 from .executor import (DEFAULT_ACTION_CAP, DEFAULT_TIME_BUDGET,
                        monte_carlo_evaluate, serve_rounds)
 from .grounding import GroundedProblem, ground
@@ -34,7 +34,7 @@ from .learner import enumerate_determinizations, learning_det
 from .oracle import enumerate_model, value_iteration
 from .ppddl import DomainSchema, parse_domain, parse_problem
 from .reduction import Determinization, make_reduction, mlo_determinization
-from .solver import SolverConfig, ff_lao_star
+from .solver import SolverConfig, ff_lao_star, policy_size
 
 SCHEMA_VERSION = 1
 
@@ -213,11 +213,7 @@ def cmd_plan(args) -> int:
     model = make_reduction(grounded, delta, args.k)
     cfg = SolverConfig(epsilon=args.epsilon, m_cap=args.m_cap,
                        subplanner_budget=args.subplanner_budget)
-    try:
-        tables, report = ff_lao_star(model, cfg)
-    except IterationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+    tables, report = ff_lao_star(model, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "domain": grounded.domain_name,
@@ -232,7 +228,7 @@ def cmd_plan(args) -> int:
         "subplanner_failures": report.subplanner_failures,
         "subplanner_timeouts": report.subplanner_timeouts,
         "residual_trace": [_finite(r) for r in report.residual_trace],
-        "policy_size": report.policy_size,
+        "policy_size": policy_size(tables, model, model.initial),
     }
     if args.timings:
         payload["wall_time"] = report.wall_time
@@ -274,14 +270,9 @@ def cmd_simulate(args) -> int:
     delta = _resolve_delta(args, grounded.schema)
     cfg = SolverConfig(epsilon=args.epsilon, m_cap=args.m_cap,
                        subplanner_budget=args.subplanner_budget)
-    try:
-        stats, reports = monte_carlo_evaluate(
-            grounded, delta, args.k, args.epsilon, args.rounds, args.seed,
-            max_actions=args.max_actions, time_budget=args.time_budget,
-            cfg=cfg)
-    except IterationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+    stats, reports = monte_carlo_evaluate(
+        grounded, delta, args.k, args.epsilon, args.rounds, args.seed,
+        max_actions=args.max_actions, time_budget=args.time_budget, cfg=cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "domain": grounded.domain_name,
@@ -601,7 +592,7 @@ def main(argv=None) -> int:
     except (GroundingBlowupError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GROUND
-    except IterationLimitError as exc:
+    except (IterationLimitError, ExternalPlannerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     except (ValueError, SspkitError) as exc:

@@ -47,6 +47,11 @@ class DeterministicProblem:
     actions: list[DetAction]
     goal_mask: int
     _relaxed: "RelaxedTask | None" = field(default=None, repr=False)
+    actions_by_id: dict[int, DetAction] = field(init=False, repr=False,
+                                                compare=False)
+
+    def __post_init__(self):
+        self.actions_by_id = {a.id: a for a in self.actions}
 
     def is_goal(self, bits: int) -> bool:
         return bits & self.goal_mask == self.goal_mask
@@ -215,17 +220,17 @@ def task_for(source) -> RelaxedTask:
 
 
 def all_outcomes_relaxed_task(problem: "GroundedProblem") -> RelaxedTask:
-    """All-outcomes delete relaxation of a probabilistic problem (cached)."""
-    cached = getattr(problem, "_relaxed_task", None)
-    if cached is None:
+    """All-outcomes delete relaxation of a probabilistic problem (cached on
+    the problem)."""
+    if problem.relaxed_task is None:
         entries = []
         for a in problem.actions:
             for o in a.outcomes:
                 if o.add_mask:
                     entries.append((a.id, a.cost_f, a.pre_pos_mask, o.add_mask))
-        cached = RelaxedTask(problem.atom_count, entries, problem.goal_mask)
-        problem._relaxed_task = cached
-    return cached
+        problem.relaxed_task = RelaxedTask(problem.atom_count, entries,
+                                           problem.goal_mask)
+    return problem.relaxed_task
 
 
 def _reconstruct(d: DeterministicProblem, parents: dict, goal_bits: int,
@@ -255,8 +260,6 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
     Plans from the default mode are valid but not necessarily optimal;
     ``mode="optimal"`` runs plain uniform-cost search.
     """
-    if not hasattr(d, "actions_by_id"):
-        d.actions_by_id = {a.id: a for a in d.actions}
     bits0 = s.bits
     if d.is_goal(bits0):
         return PlanResult("plan", [], [])
@@ -332,8 +335,6 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
 def validate_plan(d: DeterministicProblem, s: State, result: PlanResult) -> bool:
     """Replay a plan: every action applicable, final state satisfies the goal,
     and suffix costs equal the remaining step-cost sums."""
-    if not hasattr(d, "actions_by_id"):
-        d.actions_by_id = {a.id: a for a in d.actions}
     bits = s.bits
     for i, (state, action_id) in enumerate(result.steps):
         if state.bits != bits:
@@ -422,8 +423,6 @@ def solve_with_external(d: DeterministicProblem, s: State,
     must follow the plan-text format described above. The returned plan is
     validated by replay before being accepted.
     """
-    if not hasattr(d, "actions_by_id"):
-        d.actions_by_id = {a.id: a for a in d.actions}
     domain_text, problem_text = det_to_pddl(d, s.bits)
     with tempfile.TemporaryDirectory(prefix="sspkit-ext-") as tmp:
         domain_path = Path(tmp) / "domain.pddl"

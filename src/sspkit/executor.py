@@ -20,7 +20,7 @@ from .errors import EnvMismatchError, NotApplicableError
 from .grounding import GroundedProblem
 from .model import State, is_goal, successors
 from .reduction import AugmentedState, Determinization, make_reduction
-from .solver import NOP, SolveReport, SolverConfig, SolverTables, ff_lao_star
+from .solver import NOP, SolverConfig, SolverTables, ff_lao_star
 
 OUTCOME_GOAL = "goal"
 OUTCOME_ACTION_CAP = "action_cap"
@@ -93,6 +93,49 @@ class SimulatedEnvironment:
         return dist[-1][0]
 
 
+def play_round(problem: GroundedProblem, choose, rng: random.Random,
+               seed_label: str, *, env: SimulatedEnvironment | None = None,
+               max_actions: int = DEFAULT_ACTION_CAP,
+               time_budget: float | None = None) -> RoundReport:
+    """Play one round from the initial state.
+
+    ``choose(s, step)`` names the next action: an action id, or an
+    outcome string that ends the round. The round also ends on goal
+    entry, on the action cap, on the wall-time budget, or when the
+    environment rejects the action.
+    """
+    env = env if env is not None else SimulatedEnvironment(problem)
+    deadline = (time.monotonic() + time_budget
+                if time_budget is not None else None)
+    start = time.monotonic()
+    s = env.reset()
+    cost = 0.0
+    taken = 0
+    while True:
+        if is_goal(s, problem):
+            outcome = OUTCOME_GOAL
+            break
+        if taken >= max_actions:
+            outcome = OUTCOME_ACTION_CAP
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            outcome = OUTCOME_TIMEOUT
+            break
+        action_id = choose(s, taken)
+        if isinstance(action_id, str):
+            outcome = action_id
+            break
+        try:
+            s = env.step(s, action_id, rng)
+        except EnvMismatchError:
+            outcome = OUTCOME_INVALID
+            break
+        cost += problem.actions[action_id].cost_f
+        taken += 1
+    return RoundReport(outcome, taken, cost, 0, seed_label,
+                       time.monotonic() - start)
+
+
 class ReplanSession:
     """Reduction + solver tables shared across rounds for one determinization."""
 
@@ -103,49 +146,26 @@ class ReplanSession:
         self.model = make_reduction(problem, delta, k)
         self.cfg = cfg if cfg is not None else SolverConfig(epsilon=epsilon)
         self.tables = SolverTables()
-        self.solve_reports: list[SolveReport] = []
 
     def run_round(self, rng: random.Random, seed_label: str, *,
                   env: SimulatedEnvironment | None = None,
                   max_actions: int = DEFAULT_ACTION_CAP,
                   time_budget: float | None = None) -> RoundReport:
-        env = env if env is not None else SimulatedEnvironment(self.problem)
-        deadline = (time.monotonic() + time_budget
-                    if time_budget is not None else None)
-        start = time.monotonic()
-        s = env.reset()
-        cost = 0.0
-        taken = 0
         replans = 0
-        while True:
-            if is_goal(s, self.problem):
-                outcome = OUTCOME_GOAL
-                break
-            if taken >= max_actions:
-                outcome = OUTCOME_ACTION_CAP
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                outcome = OUTCOME_TIMEOUT
-                break
+
+        def policy(s: State, _step: int) -> int | str:
+            nonlocal replans
             aug = AugmentedState(s, 0)
             if aug not in self.tables.pi:
-                _, report = ff_lao_star(self.model, self.cfg, self.tables,
-                                        root=aug)
-                self.solve_reports.append(report)
+                ff_lao_star(self.model, self.cfg, self.tables, root=aug)
                 replans += 1
             action_id = self.tables.pi[aug]
-            if action_id == NOP:
-                outcome = OUTCOME_DEAD_END
-                break
-            try:
-                s = env.step(s, action_id, rng)
-            except EnvMismatchError:
-                outcome = OUTCOME_INVALID
-                break
-            cost += self.problem.actions[action_id].cost_f
-            taken += 1
-        return RoundReport(outcome, taken, cost, replans, seed_label,
-                           time.monotonic() - start)
+            return OUTCOME_DEAD_END if action_id == NOP else action_id
+
+        report = play_round(self.problem, policy, rng, seed_label, env=env,
+                            max_actions=max_actions, time_budget=time_budget)
+        report.replans = replans
+        return report
 
 
 def round_rng(seed: int, round_index: int) -> tuple[random.Random, str]:
@@ -220,6 +240,8 @@ def monte_carlo_evaluate(problem: GroundedProblem, delta: Determinization,
 #   -> {"schema_version": 1, "type": "hello", ...}
 #   -> {"type": "state", "round": r, "step": t, "atoms": [...], "goal": bool}
 #   <- {"action": "(name args)"}        null action forfeits the round
+#      (a line that is not a JSON object, or names no applicable action,
+#      ends the round as invalid_action)
 #   -> {"type": "round-end", "round": r, "outcome": ..., "actions": n, "cost": c}
 #   -> {"type": "eval", ...}
 
@@ -235,60 +257,42 @@ def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
         writer.write(json.dumps(obj) + "\n")
         writer.flush()
 
-    actions_by_name = {a.name: a for a in problem.actions}
+    action_ids = {a.name: a.id for a in problem.actions}
     send({"schema_version": PROTOCOL_VERSION, "type": "hello",
           "domain": problem.domain_name, "problem": problem.problem_name,
           "rounds": rounds, "max_actions": max_actions})
     reports: list[RoundReport] = []
     hung_up = False
+
+    def client(s: State, step: int) -> int | str:
+        nonlocal hung_up
+        send({"type": "state", "round": r, "step": step,
+              "atoms": problem.atom_names(s), "goal": False})
+        line = reader.readline()
+        if not line:
+            hung_up = True
+            return OUTCOME_DEAD_END
+        try:
+            msg = json.loads(line)
+        except (json.JSONDecodeError, RecursionError):  # or nested too deep
+            return OUTCOME_INVALID
+        if not isinstance(msg, dict):
+            return OUTCOME_INVALID
+        name = msg.get("action")
+        if name is None:
+            return OUTCOME_DEAD_END
+        if not isinstance(name, str) or name not in action_ids:
+            return OUTCOME_INVALID
+        return action_ids[name]
+
     for r in range(rounds):
         rng, label = round_rng(seed, r)
-        s = problem.initial_state
-        cost = 0.0
-        taken = 0
-        outcome = None
-        while outcome is None:
-            if is_goal(s, problem):
-                outcome = OUTCOME_GOAL
-                break
-            if taken >= max_actions:
-                outcome = OUTCOME_ACTION_CAP
-                break
-            send({"type": "state", "round": r, "step": taken,
-                  "atoms": problem.atom_names(s), "goal": False})
-            line = reader.readline()
-            if not line:
-                outcome = OUTCOME_DEAD_END
-                hung_up = True
-                break
-            msg = json.loads(line)
-            name = msg.get("action")
-            if name is None:
-                outcome = OUTCOME_DEAD_END
-                break
-            action = actions_by_name.get(name)
-            if action is None:
-                outcome = OUTCOME_INVALID
-                break
-            try:
-                dist = successors(s, action.id, problem)
-            except NotApplicableError:
-                outcome = OUTCOME_INVALID
-                break
-            roll = rng.random()
-            acc = 0.0
-            nxt = dist[-1][0]
-            for candidate, p in dist:
-                acc += p
-                if roll < acc:
-                    nxt = candidate
-                    break
-            s = nxt
-            cost += action.cost_f
-            taken += 1
-        reports.append(RoundReport(outcome, taken, cost, 0, label))
-        send({"type": "round-end", "round": r, "outcome": outcome,
-              "actions": taken, "cost": cost})
+        report = play_round(problem, client, rng, label,
+                            max_actions=max_actions)
+        reports.append(report)
+        send({"type": "round-end", "round": r, "outcome": report.outcome,
+              "actions": report.actions_taken,
+              "cost": report.accumulated_cost})
         if hung_up:
             break
     stats = aggregate(reports, m_cap)

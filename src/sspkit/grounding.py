@@ -8,13 +8,17 @@ Outcome distributions are exact rationals and sum to 1 per ground action
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .errors import GroundingBlowupError
 from .model import State
 from .ppddl import ROOT_TYPE, ActionSchema, Atom, DomainSchema, ProblemDef
+
+if TYPE_CHECKING:
+    from .detplan import RelaxedTask
 
 DEFAULT_ACTION_CAP = 10 ** 6
 
@@ -61,6 +65,9 @@ class GroundedProblem:
     initial_state: State
     goal_mask: int
     goal_atoms: tuple[str, ...]
+    # all-outcomes delete relaxation, built on first use by the heuristic
+    relaxed_task: RelaxedTask | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     @property
     def atom_count(self) -> int:

@@ -117,9 +117,6 @@ class Outcome:
     add: tuple[Atom, ...] = ()
     delete: tuple[Atom, ...] = ()
 
-    def is_null(self) -> bool:
-        return not self.add and not self.delete
-
 
 @dataclass(frozen=True)
 class ProbabilisticClause:
@@ -587,6 +584,8 @@ def parse_problem(text: str, schema: DomainSchema,
         if not isinstance(section, list) or not section:
             raise ctx.fail("expected a problem section", section)
         key = _word(section[0], ctx, "section keyword")
+        if key in (":domain", ":goal") and len(section) != 2:
+            raise ctx.fail(f"expected one body after {key}", section)
         if key == ":domain":
             domain_name = _word(section[1], ctx, "domain name")
         elif key == ":objects":

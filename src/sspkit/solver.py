@@ -60,7 +60,6 @@ class SolveReport:
     subplanner_failures: int = 0
     subplanner_timeouts: int = 0
     residual_trace: list[float] = field(default_factory=list)
-    policy_size: int = 0
     wall_time: float = 0.0
 
 
@@ -154,89 +153,84 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     return abs(tables.v[aug] - v_prev)
 
 
-def ff_expand(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
-              root: AugmentedState, visited: set[AugmentedState],
-              report: SolveReport | None = None) -> int:
-    """One expansion sweep: depth-first over the current policy graph.
+def _policy_walk(tables: SolverTables, model: ReducedModel,
+                 root: AugmentedState, past_bound: bool = False):
+    """Depth-first walk of the greedy policy graph from ``root``.
 
-    First-time states get a single update and count as one expansion;
-    interior states below the bound recurse over their policy action's
-    successors and get a post-order update. Implemented with an explicit
-    stack so policy-graph depth is not bounded by the interpreter.
+    Yields ``(aug, None)`` at a tip (a state with no policy entry) and
+    ``(aug, action_id)`` in post-order for every other reached state,
+    with the entry it had when reached. The walk goes on through policy
+    actions below the bound, or everywhere with ``past_bound``; callers
+    may update the tables between yields. An explicit stack keeps
+    policy-graph depth unbounded by the interpreter.
     """
-    count = 0
-    stack: list[tuple[AugmentedState, bool]] = [(root, False)]
+    visited: set[AugmentedState] = set()
+    # (state, None) enters a state; (state, action) leaves it
+    stack: list[tuple[AugmentedState, int | None]] = [(root, None)]
     while stack:
-        aug, post = stack.pop()
-        if post:
-            ff_bellman_update(tables, model, cfg, aug, report)
+        aug, action_id = stack.pop()
+        if action_id is not None:
+            yield aug, action_id
             continue
         if aug in visited:
             continue
         visited.add(aug)
-        if aug not in tables.pi:
-            ff_bellman_update(tables, model, cfg, aug, report)
-            count += 1
+        action_id = tables.pi.get(aug)
+        if action_id is None:
+            yield aug, None
             continue
-        stack.append((aug, True))
-        action_id = tables.pi[aug]
-        if aug.j < model.k and action_id != NOP:
+        stack.append((aug, action_id))
+        if (past_bound or aug.j < model.k) and action_id != NOP:
             succs = model.reduced_successors(aug, action_id)
             for succ, _ in reversed(succs):
-                stack.append((succ, False))
+                stack.append((succ, None))
+
+
+def ff_expand(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
+              root: AugmentedState,
+              report: SolveReport | None = None) -> int:
+    """One expansion sweep over the policy graph.
+
+    Tips get a single update and count as one expansion; every other
+    reached state gets a post-order update.
+    """
+    count = 0
+    for aug, action_id in _policy_walk(tables, model, root):
+        ff_bellman_update(tables, model, cfg, aug, report)
+        if action_id is None:
+            count += 1
     return count
 
 
 def ff_test_convergence(tables: SolverTables, model: ReducedModel,
                         cfg: SolverConfig, root: AugmentedState,
-                        visited: set[AugmentedState],
                         report: SolveReport | None = None) -> float:
     """One convergence sweep over the policy graph.
 
-    Returns infinity if the traversal reaches an unexpanded state or any
-    post-order update changes the policy; otherwise the maximum residual.
-    The traversal is not short-circuited, matching the depth-first
-    post-order update discipline of the expansion sweep.
+    Returns infinity if the walk reaches a tip or any post-order update
+    changes the policy; otherwise the maximum residual. The walk is not
+    short-circuited, matching the post-order update discipline of the
+    expansion sweep.
     """
     error = 0.0
-    stack: list[tuple[AugmentedState, bool, int]] = [(root, False, NOP)]
-    blocked = False  # unexpanded state reached or policy changed
-    while stack:
-        aug, post, saved_action = stack.pop()
-        if post:
-            error = max(error, ff_bellman_update(tables, model, cfg, aug, report))
-            if tables.pi[aug] != saved_action:
-                blocked = True
-            continue
-        if aug in visited:
-            continue
-        visited.add(aug)
-        action_id = tables.pi.get(aug)
-        if action_id is None:  # reached a state not expanded yet
+    blocked = False  # tip reached or policy changed
+    for aug, action_id in _policy_walk(tables, model, root):
+        if action_id is None:
             blocked = True
             continue
-        stack.append((aug, True, action_id))
-        if aug.j < model.k and action_id != NOP:
-            succs = model.reduced_successors(aug, action_id)
-            for succ, _ in reversed(succs):
-                stack.append((succ, False, NOP))
+        error = max(error, ff_bellman_update(tables, model, cfg, aug, report))
+        if tables.pi[aug] != action_id:
+            blocked = True
     return INF if blocked else error
 
 
-def _policy_size(tables: SolverTables, model: ReducedModel,
-                 root: AugmentedState) -> int:
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        aug = frontier.pop()
-        action_id = tables.pi.get(aug)
-        if action_id is None or action_id == NOP:
-            continue
-        for succ, _ in model.reduced_successors(aug, action_id):
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    return sum(1 for aug in seen if aug in tables.pi)
+def policy_size(tables: SolverTables, model: ReducedModel,
+                root: AugmentedState) -> int:
+    """Number of states with a policy entry reachable from ``root`` under
+    the policy, following sub-planner plans past the bound."""
+    return sum(1 for _, action_id in
+               _policy_walk(tables, model, root, past_bound=True)
+               if action_id is not None)
 
 
 def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
@@ -258,30 +252,23 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
         root = model.initial
     report = SolveReport()
     start = time.monotonic()
+    expanding = True
     while True:
-        while True:
-            if report.sweeps >= cfg.max_sweeps:
-                report.wall_time = time.monotonic() - start
-                raise IterationLimitError(
-                    f"exceeded {cfg.max_sweeps} update sweeps", tables, report)
-            report.sweeps += 1
-            count = ff_expand(tables, model, cfg, root, set(), report)
+        if report.sweeps >= cfg.max_sweeps:
+            report.wall_time = time.monotonic() - start
+            raise IterationLimitError(
+                f"exceeded {cfg.max_sweeps} update sweeps", tables, report)
+        report.sweeps += 1
+        if expanding:
+            count = ff_expand(tables, model, cfg, root, report)
             report.expansions += count
-            if count == 0:
-                break
-        while True:
-            if report.sweeps >= cfg.max_sweeps:
-                report.wall_time = time.monotonic() - start
-                raise IterationLimitError(
-                    f"exceeded {cfg.max_sweeps} update sweeps", tables, report)
-            report.sweeps += 1
-            error = ff_test_convergence(tables, model, cfg, root, set(), report)
-            report.residual_trace.append(error)
-            if error < cfg.epsilon:
-                report.converged = True
-                report.v_root = tables.v[root]
-                report.policy_size = _policy_size(tables, model, root)
-                report.wall_time = time.monotonic() - start
-                return tables, report
-            if error == INF:
-                break
+            expanding = count > 0
+            continue
+        error = ff_test_convergence(tables, model, cfg, root, report)
+        report.residual_trace.append(error)
+        if error < cfg.epsilon:
+            report.converged = True
+            report.v_root = tables.v[root]
+            report.wall_time = time.monotonic() - start
+            return tables, report
+        expanding = error == INF

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, output formats, and reproducibility."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -35,17 +36,22 @@ def test_gen_writes_parseable_files(tmp_path):
     assert (tmp_path / "triangle-2-problem.ppddl").exists()
 
 
-def test_plan_report(tmp_path, triangle_files, capsys):
+@pytest.mark.parametrize("k,v_initial,subplanner_calls,policy_size", [
+    (0, 10.0, 1, 10), (1, 8.25, 3, 24), (2, 7.25, 3, 36)],
+    ids=["k0", "k1", "k2"])
+def test_plan_report(tmp_path, triangle_files, capsys, k, v_initial,
+                     subplanner_calls, policy_size):
     domain, problem = triangle_files
     out = tmp_path / "report.json"
     code = main(["plan", "--domain", domain, "--problem", problem,
-                 "--det-index", "0", "--k", "0", "--out", str(out)])
+                 "--det-index", "0", "--k", str(k), "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["schema_version"] == 1
     assert report["converged"] is True
-    assert report["v_initial"] == 10.0
-    assert report["subplanner_calls"] == 1
+    assert report["v_initial"] == v_initial
+    assert report["subplanner_calls"] == subplanner_calls
+    assert report["policy_size"] == policy_size
     assert "wall_time" not in report
 
 
@@ -68,6 +74,15 @@ def test_parse_error_has_position(tmp_path):
                     "--det-mlo"])
     assert proc.returncode == 2
     assert f"{bad}:" in proc.stderr
+
+
+def test_external_planner_error_exit_4(triangle_files, capsys):
+    domain, problem = triangle_files
+    failing = shlex.join([sys.executable, "-c", "raise SystemExit(1)"])
+    code = main(["detplan", "solve", "--domain", domain, "--problem", problem,
+                 "--det-mlo", "--external", failing])
+    assert code == 4
+    assert "external planner exited with 1" in capsys.readouterr().err
 
 
 def test_unsupported_feature_exit_2(tmp_path):

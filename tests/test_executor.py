@@ -4,6 +4,8 @@ table reuse, and the stdio protocol."""
 import io
 import json
 
+import pytest
+
 from sspkit.errors import EnvMismatchError
 from sspkit.executor import (OUTCOME_ACTION_CAP, OUTCOME_DEAD_END,
                              OUTCOME_GOAL, OUTCOME_INVALID, ReplanSession,
@@ -192,10 +194,14 @@ def test_protocol_round_trip(chain2):
     assert "(at p0)" in states[0]["atoms"]
 
 
-def test_protocol_invalid_and_forfeit(chain2):
+@pytest.mark.parametrize("bad_line", [
+    json.dumps({"action": "(bogus)"}), "[1]", "not json",
+    json.dumps({"action": ["x"]}), "[" * 100_000],
+    ids=["unknown-action", "non-object", "not-json", "unhashable-action",
+         "too-deep"])
+def test_protocol_invalid_and_forfeit(chain2, bad_line):
     _, _, grounded = chain2
-    msgs = [json.dumps({"action": "(bogus)"}) + "\n",
-            json.dumps({"action": None}) + "\n"]
+    msgs = [bad_line + "\n", json.dumps({"action": None}) + "\n"]
     reader = io.StringIO("".join(msgs))
     writer = io.StringIO()
     stats = serve_rounds(grounded, reader, writer, rounds=2, seed=0)
@@ -203,4 +209,5 @@ def test_protocol_invalid_and_forfeit(chain2):
     ends = [l for l in lines if l["type"] == "round-end"]
     assert ends[0]["outcome"] == OUTCOME_INVALID
     assert ends[1]["outcome"] == OUTCOME_DEAD_END
+    assert lines[-1]["type"] == "eval"
     assert stats.successes == 0

@@ -151,6 +151,16 @@ def test_empty_goal_is_valid():
     assert problem.goal == ()
 
 
+@pytest.mark.parametrize("section", ["(:domain)", "(:goal)", "(:goal (q) (p))"])
+def test_malformed_problem_section_is_positioned(section):
+    schema = parse_domain(MINIMAL)
+    text = f"(define (problem e) (:domain mini) (:init (p))\n  {section})"
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, schema, filename="e.ppddl")
+    assert (err.value.line, err.value.col) == (2, 4)
+    assert str(err.value).startswith("e.ppddl:2:4: ")
+
+
 def test_undeclared_object_in_init():
     schema = parse_domain(MINIMAL)
     with pytest.raises(TypeMismatchError):

@@ -144,15 +144,15 @@ def test_expand_counts():
     tables = SolverTables()
     cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
     # unexpanded root counts once
-    assert ff_expand(tables, model, cfg, model.initial, set()) == 1
+    assert ff_expand(tables, model, cfg, model.initial) == 1
     assert tables.v[model.initial] == 1.0  # zero heuristic below
     # one new frontier state per sweep here; interior states get post-order
     # updates in the same sweep, so the root sees the new child value
-    assert ff_expand(tables, model, cfg, model.initial, set()) == 1
+    assert ff_expand(tables, model, cfg, model.initial) == 1
     assert tables.v[model.initial] == 2.0
-    assert ff_expand(tables, model, cfg, model.initial, set()) == 1
+    assert ff_expand(tables, model, cfg, model.initial) == 1
     # closed policy: nothing left to expand
-    assert ff_expand(tables, model, cfg, model.initial, set()) == 0
+    assert ff_expand(tables, model, cfg, model.initial) == 0
     assert tables.v[model.initial] == 2.0
 
 
@@ -160,9 +160,9 @@ def test_convergence_fixpoint_matches_vi():
     grounded, model = chain_model(1)
     tables = SolverTables()
     cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
-    while ff_expand(tables, model, cfg, model.initial, set()):
+    while ff_expand(tables, model, cfg, model.initial):
         pass
-    error = ff_test_convergence(tables, model, cfg, model.initial, set())
+    error = ff_test_convergence(tables, model, cfg, model.initial)
     assert error < cfg.epsilon
     values, _ = value_iteration(enumerate_model(model), epsilon=1e-10)
     assert tables.v[model.initial] == pytest.approx(values[0], abs=1e-9)
@@ -174,11 +174,11 @@ def test_convergence_cases():
     tables = SolverTables()
     cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
     # unexpanded root
-    assert ff_test_convergence(tables, model, cfg, model.initial, set()) \
+    assert ff_test_convergence(tables, model, cfg, model.initial) \
         == float("inf")
-    while ff_expand(tables, model, cfg, model.initial, set()):
+    while ff_expand(tables, model, cfg, model.initial):
         pass
-    error = ff_test_convergence(tables, model, cfg, model.initial, set())
+    error = ff_test_convergence(tables, model, cfg, model.initial)
     assert error < cfg.epsilon
 
 
@@ -192,14 +192,14 @@ def test_convergence_detects_policy_change():
     model = make_reduction(grounded, trivial_delta(grounded), 1)
     cfg = SolverConfig(heuristic="zero")
     tables = SolverTables()
-    while ff_expand(tables, model, cfg, model.initial, set()):
+    while ff_expand(tables, model, cfg, model.initial):
         pass
     fast = grounded.action_by_name("(fast)")
     slow1 = grounded.action_by_name("(slow1)")
     assert tables.pi[model.initial] == fast.id
     tables.pi[model.initial] = slow1.id
     tables.v[model.initial] = 0.0
-    assert ff_test_convergence(tables, model, cfg, model.initial, set()) \
+    assert ff_test_convergence(tables, model, cfg, model.initial) \
         == float("inf")
 
 
