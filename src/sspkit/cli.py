@@ -18,15 +18,13 @@ import math
 import os
 import shlex
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .detplan import solve_deterministic, solve_with_external
 from .domains import GENERATORS
 from .errors import (CapExceededError, ExternalPlannerError,
-                     GroundingBlowupError, IterationLimitError, ParseError,
-                     SspkitError, TypeMismatchError)
+                     GroundingBlowupError, IterationLimitError, SspkitError)
 from .executor import (DEFAULT_ACTION_CAP, DEFAULT_TIME_BUDGET,
                        monte_carlo_evaluate, serve_rounds)
 from .grounding import GroundedProblem, ground
@@ -43,57 +41,13 @@ EXIT_PARSE = 2
 EXIT_GROUND = 3
 EXIT_SOLVE = 4
 
+# Exit code of an error by its class; every other error main() catches
+# (parse, configuration, file-system) exits EXIT_PARSE.
+EXIT_CODES = (((GroundingBlowupError, CapExceededError), EXIT_GROUND),
+              ((IterationLimitError, ExternalPlannerError), EXIT_SOLVE))
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the planning subcommands.
-
-    Determinization sources are mutually exclusive (enforced by the
-    argument parser); numeric ranges are enforced by the argument types.
-    """
-
-    domain: str
-    det_source: str  # file | mlo | index | learn
-    det_value: str | int | None
-    k: int
-    epsilon: float
-    m_cap: float
-    seed: int
-    timings: bool
-    problem: str | None = None
-    rounds: int | None = None
-    max_actions: int | None = None
-    time_budget: float | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        if getattr(args, "det_file", None):
-            source, value = "file", args.det_file
-        elif getattr(args, "det_mlo", False):
-            source, value = "mlo", None
-        elif getattr(args, "det_index", None) is not None:
-            source, value = "index", args.det_index
-        else:
-            source, value = "learn", getattr(args, "det_learn", None)
-        return cls(domain=args.domain, det_source=source, det_value=value,
-                   k=args.k, epsilon=args.epsilon, m_cap=args.m_cap,
-                   seed=args.seed, timings=args.timings,
-                   problem=getattr(args, "problem", None),
-                   rounds=getattr(args, "rounds", None),
-                   max_actions=getattr(args, "max_actions", None),
-                   time_budget=getattr(args, "time_budget", None))
-
-    def echo(self) -> dict:
-        out = {"det_source": self.det_source, "k": self.k,
-               "epsilon": self.epsilon, "m_cap": self.m_cap,
-               "seed": self.seed}
-        if self.det_value is not None:
-            out["det_value"] = self.det_value
-        if self.rounds is not None:
-            out["rounds"] = self.rounds
-        if self.max_actions is not None:
-            out["max_actions"] = self.max_actions
-        return out
+# The determinization sources, in the order the options are declared.
+DET_SOURCES = ("file", "mlo", "index", "learn")
 
 
 def _nonneg_int(text: str) -> int:
@@ -112,8 +66,10 @@ def _pos_int(text: str) -> int:
 
 def _pos_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{value} must be > 0")
+    # nan and inf would silently switch off a convergence test, cost cap
+    # or time budget
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{value} must be finite and > 0")
     return value
 
 
@@ -127,17 +83,21 @@ def _add_common(parser: argparse.ArgumentParser, *, problem: bool = True) -> Non
                         help="convergence tolerance (default 1e-3)")
     parser.add_argument("--m-cap", type=_pos_float, default=500.0,
                         help="dead-end cost cap (default 500)")
+    _add_seed(parser)
+    parser.add_argument("--timings", action="store_true",
+                        help="include wall-clock fields in outputs")
+
+
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     # A string default goes through type=int only when --seed is absent,
     # so a malformed SSPKIT_SEED is a usage error (exit 2), not seed 0.
     parser.add_argument("--seed", type=int,
                         default=os.environ.get("SSPKIT_SEED", "0"),
                         help="master seed (default: SSPKIT_SEED or 0)")
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock fields in outputs")
 
 
 def _add_det_source(parser: argparse.ArgumentParser, *,
-                    required: bool = True) -> None:
+                    required: bool = True, learn: bool = True) -> None:
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--det-file", metavar="FILE",
                        help="determinization file (schema/clause -> outcome)")
@@ -145,8 +105,23 @@ def _add_det_source(parser: argparse.ArgumentParser, *,
                        help="most-likely-outcome determinization")
     group.add_argument("--det-index", type=_nonneg_int, metavar="N",
                        help="the N-th enumerated determinization")
-    group.add_argument("--det-learn", metavar="PROBLEM",
-                       help="learn the determinization on this training problem")
+    if learn:
+        group.add_argument("--det-learn", metavar="PROBLEM",
+                           help="learn the determinization on this training "
+                                "problem")
+
+
+def _det_source(args) -> tuple[str, str | int | bool] | None:
+    """The determinization source given, as (source, option value), or None.
+
+    The value of ``--det-mlo`` is True; a source the subcommand does not
+    offer has no attribute on ``args`` and counts as not given.
+    """
+    for source in DET_SOURCES:
+        value = getattr(args, f"det_{source}", None)
+        if value is not None and value is not False:
+            return source, value
+    return None
 
 
 def _read(path: str) -> str:
@@ -164,25 +139,48 @@ def _load_grounded(args) -> GroundedProblem:
 
 
 def _resolve_delta(args, schema: DomainSchema) -> Determinization:
-    if args.det_file:
-        delta = Determinization.from_text(_read(args.det_file))
+    given = _det_source(args)
+    if given is None:
+        *offered, last = (f"--det-{source}" for source in DET_SOURCES
+                          if hasattr(args, f"det_{source}"))
+        raise ValueError("a determinization source is required "
+                         f"({', '.join(offered)} or {last})")
+    source, value = given
+    if source == "file":
+        delta = Determinization.from_text(_read(value))
         delta.validate(schema)
         return delta
-    if args.det_mlo:
+    if source == "mlo":
         return mlo_determinization(schema)
-    if args.det_index is not None:
+    if source == "index":
         deltas = enumerate_determinizations(schema)
-        if args.det_index >= len(deltas):
-            raise ValueError(
-                f"--det-index {args.det_index} out of range "
-                f"({len(deltas)} determinizations)")
-        return deltas[args.det_index]
-    training = parse_problem(_read(args.det_learn), schema,
-                             filename=args.det_learn)
-    delta, _ = learning_det(schema, training, k=args.k, rounds=args.rounds
-                            if hasattr(args, "rounds") else 50,
+        if value >= len(deltas):
+            raise ValueError(f"--det-index {value} out of range "
+                             f"({len(deltas)} determinizations)")
+        return deltas[value]
+    training = parse_problem(_read(value), schema, filename=value)
+    delta, _ = learning_det(schema, training, k=args.k,
+                            rounds=getattr(args, "rounds", 50),
                             seed=args.seed, epsilon=args.epsilon)
     return delta
+
+
+def _config_echo(args) -> dict:
+    """The run parameters a report echoes as its ``config`` object."""
+    source, value = _det_source(args)
+    out = {"det_source": source, "k": args.k, "epsilon": args.epsilon,
+           "m_cap": args.m_cap, "seed": args.seed}
+    if source != "mlo":
+        out["det_value"] = value
+    for key in ("rounds", "max_actions"):
+        if hasattr(args, key):
+            out[key] = getattr(args, key)
+    return out
+
+
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(epsilon=args.epsilon, m_cap=args.m_cap,
+                        subplanner_budget=args.subplanner_budget)
 
 
 def _delta_text(delta: Determinization) -> str:
@@ -211,15 +209,13 @@ def cmd_plan(args) -> int:
     grounded = _load_grounded(args)
     delta = _resolve_delta(args, grounded.schema)
     model = make_reduction(grounded, delta, args.k)
-    cfg = SolverConfig(epsilon=args.epsilon, m_cap=args.m_cap,
-                       subplanner_budget=args.subplanner_budget)
-    tables, report = ff_lao_star(model, cfg)
+    tables, report = ff_lao_star(model, _solver_config(args))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "domain": grounded.domain_name,
         "problem": grounded.problem_name,
         "determinization": _delta_text(delta),
-        "config": RunConfig.from_args(args).echo(),
+        "config": _config_echo(args),
         "v_initial": report.v_root,
         "converged": report.converged,
         "expansions": report.expansions,
@@ -237,10 +233,6 @@ def cmd_plan(args) -> int:
 
 
 # ── simulate ────────────────────────────────────────────────────────────────
-
-def _round_rows(reports, timings: bool) -> list[dict]:
-    return [r.as_dict(timings=timings) for r in reports]
-
 
 def _rounds_csv(reports, timings: bool) -> str:
     lines = [f"# schema_version: {SCHEMA_VERSION}"]
@@ -263,23 +255,18 @@ def cmd_simulate(args) -> int:
                      seed=args.seed, max_actions=args.max_actions,
                      m_cap=args.m_cap)
         return EXIT_OK
-    if not (args.det_file or args.det_mlo or args.det_index is not None
-            or args.det_learn):
-        raise ValueError("a determinization source is required "
-                         "(--det-file, --det-mlo, --det-index or --det-learn)")
     delta = _resolve_delta(args, grounded.schema)
-    cfg = SolverConfig(epsilon=args.epsilon, m_cap=args.m_cap,
-                       subplanner_budget=args.subplanner_budget)
     stats, reports = monte_carlo_evaluate(
         grounded, delta, args.k, args.epsilon, args.rounds, args.seed,
-        max_actions=args.max_actions, time_budget=args.time_budget, cfg=cfg)
+        max_actions=args.max_actions, time_budget=args.time_budget,
+        cfg=_solver_config(args))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "domain": grounded.domain_name,
         "problem": grounded.problem_name,
         "determinization": _delta_text(delta),
-        "config": RunConfig.from_args(args).echo(),
-        "rounds": _round_rows(reports, args.timings),
+        "config": _config_echo(args),
+        "rounds": [r.as_dict(timings=args.timings) for r in reports],
         "stats": stats.as_dict(),
     }
     _write_output(_json_dump(payload), args.out)
@@ -320,15 +307,13 @@ def cmd_bench(args) -> int:
     for path in args.problems:
         problem = parse_problem(_read(path), schema, filename=path)
         grounded = ground(schema, problem)
-        cfg = SolverConfig(epsilon=args.epsilon, m_cap=args.m_cap,
-                           subplanner_budget=args.subplanner_budget)
         row = {"problem": problem.name, "path": path,
                "determinization": _delta_text(delta), "k": args.k}
         try:
             stats, reports = monte_carlo_evaluate(
                 grounded, delta, args.k, args.epsilon, args.rounds, args.seed,
                 max_actions=args.max_actions, time_budget=args.time_budget,
-                cfg=cfg)
+                cfg=_solver_config(args))
             row.update({
                 "rounds_solved": stats.successes,
                 "rounds_total": stats.rounds,
@@ -344,18 +329,18 @@ def cmd_bench(args) -> int:
                         "expected_cost": args.m_cap})
         rows.append(row)
     payload = {"schema_version": SCHEMA_VERSION, "domain": schema.name,
-               "config": RunConfig.from_args(args).echo(), "results": rows}
+               "config": _config_echo(args), "results": rows}
     if args.json:
         Path(args.json).write_text(_json_dump(payload))
     lines = [f"# schema_version: {SCHEMA_VERSION}",
              "problem,rounds_solved,rounds_total,success_probability,expected_cost"
              + (",wall_time" if args.timings else "")]
     for row in rows:
-        line = (f"{row['problem']},{row.get('rounds_solved', 0)},"
-                f"{row.get('rounds_total', args.rounds)},"
-                f"{row.get('success_probability', 0.0)!r},"
-                f"{row.get('expected_cost', args.m_cap)!r}")
+        line = (f"{row['problem']},{row['rounds_solved']},"
+                f"{row['rounds_total']},{row['success_probability']!r},"
+                f"{row['expected_cost']!r}")
         if args.timings:
+            # a row whose evaluation failed has no wall time
             line += f",{row.get('wall_time', 0.0)!r}"
         lines.append(line)
     _write_output("\n".join(lines) + "\n", args.csv)
@@ -391,9 +376,6 @@ def cmd_detplan_solve(args) -> int:
 def _oracle_model(args):
     grounded = _load_grounded(args)
     if args.reduced:
-        if not (args.det_file or args.det_mlo or args.det_index is not None):
-            raise ValueError("--reduced requires a determinization "
-                             "(--det-file, --det-mlo or --det-index)")
         delta = _resolve_delta(args, grounded.schema)
         source = make_reduction(grounded, delta, args.k)
     else:
@@ -450,27 +432,15 @@ def cmd_oracle_enumerate(args) -> int:
 # ── gen ─────────────────────────────────────────────────────────────────────
 
 def cmd_gen(args) -> int:
-    generator = GENERATORS[args.kind]
-    if args.kind == "triangle":
-        domain_text, problem_text = generator(args.n)
-        tag = f"{args.kind}-{args.n}"
-    elif args.kind == "chain":
-        domain_text, problem_text = generator(args.length)
-        tag = f"{args.kind}-{args.length}"
-    elif args.kind == "trap":
-        domain_text, problem_text = generator(args.walk_length)
-        tag = f"{args.kind}-{args.walk_length}"
-    else:
-        domain_text, problem_text = generator()
-        tag = args.kind
+    generator, size_option = GENERATORS[args.kind]
+    sizes = [getattr(args, size_option)] if size_option else []
+    tag = "-".join([args.kind, *map(str, sizes)])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    domain_path = out_dir / f"{tag}-domain.ppddl"
-    problem_path = out_dir / f"{tag}-problem.ppddl"
-    domain_path.write_text(domain_text)
-    problem_path.write_text(problem_text)
-    print(domain_path)
-    print(problem_path)
+    for part, text in zip(("domain", "problem"), generator(*sizes)):
+        path = out_dir / f"{tag}-{part}.ppddl"
+        path.write_text(text)
+        print(path)
     return EXIT_OK
 
 
@@ -513,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_pos_int, default=50)
     p.add_argument("--max-actions", type=_pos_int, default=DEFAULT_ACTION_CAP)
     p.add_argument("--time-budget", type=_pos_float, default=None)
-    p.add_argument("--seed", type=int,
-                   default=os.environ.get("SSPKIT_SEED", "0"))
+    _add_seed(p)
     p.add_argument("--workers", type=_pos_int, default=1)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--out", help="winning determinization file")
@@ -555,16 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(po)
         po.add_argument("--reduced", action="store_true",
                         help="enumerate the reduced model instead of the base SSP")
-        group = po.add_mutually_exclusive_group()
-        group.add_argument("--det-file", metavar="FILE")
-        group.add_argument("--det-mlo", action="store_true")
-        group.add_argument("--det-index", type=_nonneg_int, metavar="N")
+        _add_det_source(po, required=False, learn=False)
         po.add_argument("--cap-states", type=_pos_int, default=100_000)
         po.add_argument("--out", help="JSON path (default stdout)")
         if name == "vi":
             po.add_argument("--full", action="store_true",
                             help="include the full value/policy tables")
-        po.set_defaults(func=func, det_learn=None)
+        po.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="generate bundled domains")
     p.add_argument("kind", choices=sorted(GENERATORS))
@@ -579,25 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TypeMismatchError) as exc:
+    except (SspkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (GroundingBlowupError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GROUND
-    except (IterationLimitError, ExternalPlannerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
-    except (ValueError, SspkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next((code for classes, code in EXIT_CODES
+                     if isinstance(exc, classes)), EXIT_PARSE)
 
 
 if __name__ == "__main__":

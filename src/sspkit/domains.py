@@ -177,9 +177,11 @@ def gen_trap(walk_length: int = 10) -> tuple[str, str]:
     return TRAP_DOMAIN, problem
 
 
+# kind -> (generator, argparse dest of the `sspkit gen` option that sets
+# its size, or None)
 GENERATORS = {
-    "triangle": gen_triangle_tireworld,
-    "chain": gen_chain,
-    "retry": gen_retry,
-    "trap": gen_trap,
+    "triangle": (gen_triangle_tireworld, "n"),
+    "chain": (gen_chain, "length"),
+    "retry": (gen_retry, None),
+    "trap": (gen_trap, "walk_length"),
 }

@@ -43,7 +43,11 @@ class NotApplicableError(SspkitError):
 
 
 class IncompleteDeterminizationError(SspkitError):
-    """Determinization does not cover every action clause of the domain."""
+    """Determinization does not match the domain's action clauses.
+
+    A clause has no primary outcome or an out-of-range one, or a choice
+    names something that is not a clause of the domain.
+    """
 
 
 class EnumerationBlowupError(SspkitError):

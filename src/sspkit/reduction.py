@@ -44,18 +44,25 @@ class Determinization:
             if not line:
                 continue
             try:
-                key, value = line.split("->")
-                name, clause = key.strip().rsplit("/", 1)
-                choices[(name, int(clause))] = int(value.strip())
+                lhs, rhs = line.split("->")
+                name, clause = lhs.strip().rsplit("/", 1)
+                key, idx = (name, int(clause)), int(rhs.strip())
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad determinization entry "
                                  f"{raw!r}") from exc
+            if key in choices:
+                raise ValueError(f"line {lineno}: repeated determinization "
+                                 f"entry for {name}/{key[1]}")
+            choices[key] = idx
         return cls(choices)
 
     def validate(self, schema: DomainSchema) -> None:
-        """Check coverage of every clause with an in-range outcome index."""
+        """Check that the choices name every clause of the domain and nothing
+        else, each with an in-range outcome index."""
+        clauses = set()
         for action in schema.action_schemas:
             for c, clause in enumerate(action.clauses):
+                clauses.add((action.name, c))
                 idx = self.choices.get((action.name, c))
                 if idx is None:
                     raise IncompleteDeterminizationError(
@@ -64,6 +71,11 @@ class Determinization:
                     raise IncompleteDeterminizationError(
                         f"outcome index {idx} out of range for {action.name}/{c} "
                         f"({clause.effective_count()} outcomes)")
+        unknown = sorted(self.choices.keys() - clauses)
+        if unknown:
+            name, c = unknown[0]
+            raise IncompleteDeterminizationError(
+                f"{name}/{c} is not an action clause of domain {schema.name}")
 
 
 def mlo_determinization(schema: DomainSchema) -> Determinization:

@@ -33,9 +33,10 @@ class SolverConfig:
     max_sweeps: int = 1_000_000
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        # written so that nan fails too
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.m_cap <= 0:
+        if not self.m_cap > 0:
             raise ValueError("cost cap must be > 0")
 
 

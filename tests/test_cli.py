@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import sspkit
-from sspkit.cli import main
+from sspkit.cli import build_parser, main
 from sspkit.domains import gen_chain, gen_retry, gen_triangle_tireworld
+from sspkit.ppddl import parse_domain, parse_problem
 
 
 @pytest.fixture()
@@ -29,11 +30,20 @@ def run_cli(args):
     return proc
 
 
-def test_gen_writes_parseable_files(tmp_path):
-    code = main(["gen", "triangle", "--n", "2", "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("args,stem", [
+    (["triangle", "--n", "2"], "triangle-2"),
+    (["chain", "--length", "3"], "chain-3"),
+    (["trap", "--walk-length", "5"], "trap-5"),
+    (["retry"], "retry"),
+], ids=["triangle", "chain", "trap", "retry"])
+def test_gen_writes_parseable_files(tmp_path, capsys, args, stem):
+    code = main(["gen", *args, "--out-dir", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "triangle-2-domain.ppddl").exists()
-    assert (tmp_path / "triangle-2-problem.ppddl").exists()
+    domain = tmp_path / f"{stem}-domain.ppddl"
+    problem = tmp_path / f"{stem}-problem.ppddl"
+    assert capsys.readouterr().out == f"{domain}\n{problem}\n"
+    schema = parse_domain(domain.read_text())
+    parse_problem(problem.read_text(), schema)
 
 
 @pytest.mark.parametrize("k,v_initial,subplanner_calls,policy_size", [
@@ -58,6 +68,54 @@ def test_plan_report(tmp_path, triangle_files, capsys, k, v_initial,
 def test_plan_missing_file_exit_2(capsys):
     assert main(["plan", "--domain", "/nonexistent.ppddl",
                  "--problem", "/nonexistent2.ppddl", "--det-mlo"]) == 2
+
+
+# each of these is a directory or file in the way of a read or write
+@pytest.mark.parametrize("command", [
+    ["plan", "--domain", "{dir}", "--problem", "{problem}", "--det-mlo"],
+    ["plan", "--domain", "{domain}", "--problem", "{problem}",
+     "--det-file", "{dir}"],
+    ["plan", "--domain", "{domain}", "--problem", "{problem}", "--det-mlo",
+     "--out", "{dir}"],
+    ["simulate", "--domain", "{domain}", "--problem", "{problem}",
+     "--det-mlo", "--rounds", "1", "--out", "{dir}/sim.json",
+     "--csv", "{dir}"],
+    ["gen", "triangle", "--out-dir", "{problem}"],
+], ids=["domain-dir", "det-file-dir", "out-dir", "csv-dir", "gen-out-file"])
+def test_file_system_error_exit_2(tmp_path, triangle_files, capsys, command):
+    domain, problem = triangle_files
+    argv = [arg.format(dir=tmp_path, domain=domain, problem=problem)
+            for arg in command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--m-cap", "nan"),
+    ("--m-cap", "inf"), ("--time-budget", "nan"), ("--time-budget", "inf"),
+])
+def test_non_finite_numeric_option_exit_2(triangle_files, capsys, option,
+                                          value):
+    domain, problem = triangle_files
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["simulate", "--domain", domain,
+                                   "--problem", problem, "--det-mlo",
+                                   option, value])
+    assert exc.value.code == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
+
+
+# the message names the sources the subcommand offers, and only those
+@pytest.mark.parametrize("command,offered", [
+    (["simulate"], "(--det-file, --det-mlo, --det-index or --det-learn)"),
+    (["oracle", "vi", "--reduced"], "(--det-file, --det-mlo or --det-index)"),
+], ids=["simulate", "oracle-reduced"])
+def test_missing_det_source_exit_2(triangle_files, capsys, command, offered):
+    domain, problem = triangle_files
+    assert main([*command, "--domain", domain, "--problem", problem]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith(offered)
 
 
 def test_negative_k_rejected_before_work(triangle_files):
@@ -116,6 +174,51 @@ def test_grounding_blowup_exit_3(tmp_path):
     proc = run_cli(["plan", "--domain", str(domain), "--problem",
                     str(problem), "--det-mlo"])
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("source", ["file", "mlo", "index", "learn"])
+def test_plan_config_echo(tmp_path, triangle_files, capsys, source):
+    domain, problem = triangle_files
+    det = tmp_path / "det.txt"
+    det.write_text("move-car/0 -> 0\nloadtire/0 -> 0\nchangetire/0 -> 0\n")
+    source_args, det_value = {
+        "file": (["--det-file", str(det)], str(det)),
+        "mlo": (["--det-mlo"], None),
+        "index": (["--det-index", "1"], 1),
+        "learn": (["--det-learn", problem], problem),
+    }[source]
+    assert main(["plan", "--domain", domain, "--problem", problem,
+                 *source_args, "--k", "1", "--epsilon", "0.01",
+                 "--m-cap", "200", "--seed", "5"]) == 0
+    expected = {"det_source": source, "k": 1, "epsilon": 0.01,
+                "m_cap": 200.0, "seed": 5}
+    if det_value is not None:
+        expected["det_value"] = det_value
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert list(config.items()) == list(expected.items())  # order too
+
+
+def test_simulate_and_bench_config_echo(tmp_path, triangle_files):
+    domain, problem = triangle_files
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--domain", domain, "--problem", problem,
+                 "--det-index", "0", "--rounds", "3", "--max-actions", "40",
+                 "--seed", "6", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    expected = {"det_source": "index", "k": 0, "epsilon": 0.001,
+                "m_cap": 500.0, "seed": 6, "det_value": 0, "rounds": 3,
+                "max_actions": 40}
+    assert list(config.items()) == list(expected.items())  # order too
+
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--domain", domain, "--problems", problem,
+                 "--det-mlo", "--k", "1", "--rounds", "2", "--seed", "0",
+                 "--json", str(out),
+                 "--csv", str(tmp_path / "bench.csv")]) == 0
+    config = json.loads(out.read_text())["config"]
+    expected = {"det_source": "mlo", "k": 1, "epsilon": 0.001,
+                "m_cap": 500.0, "seed": 0, "rounds": 2, "max_actions": 2500}
+    assert list(config.items()) == list(expected.items())  # order too
 
 
 def test_simulate_outputs_and_format_equivalence(tmp_path, triangle_files):

@@ -124,6 +124,18 @@ def test_incomplete_determinization_rejected(triangle1):
         make_reduction(grounded, bad, 0)
 
 
+@pytest.mark.parametrize("extra", [("move-car", 7), ("nosuch", 0)],
+                         ids=["clause-out-of-range", "unknown-action"])
+def test_determinization_naming_no_clause_rejected(triangle1, extra):
+    schema, _, grounded = triangle1
+    delta = Determinization({**FLAT_DELTA.choices, extra: 0})
+    with pytest.raises(IncompleteDeterminizationError,
+                       match=f"{extra[0]}/{extra[1]} is not an action clause"):
+        delta.validate(schema)
+    with pytest.raises(IncompleteDeterminizationError):
+        make_reduction(grounded, delta, 0)
+
+
 def test_negative_k_rejected(triangle1):
     _, _, grounded = triangle1
     with pytest.raises(ValueError):
@@ -138,6 +150,14 @@ def test_determinization_serialization_round_trip():
     assert "move-car/0 -> 1" in text
     with pytest.raises(ValueError):
         Determinization.from_text("garbage line\n")
+
+
+def test_determinization_repeated_entry_rejected():
+    text = "move-car/0 -> 0\n# comment\nloadtire/0 -> 0\nmove-car/0 -> 1\n"
+    with pytest.raises(ValueError,
+                       match="line 4: repeated determinization entry for "
+                             "move-car/0"):
+        Determinization.from_text(text)
 
 
 def test_mlo_determinization(trap):

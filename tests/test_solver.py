@@ -313,3 +313,11 @@ def test_solver_rejects_multi_primary():
     bad = ReducedModel(grounded2, 0, [(0, 1)])
     with pytest.raises(ValueError):
         ff_lao_star(bad, SolverConfig(heuristic="zero"))
+
+
+@pytest.mark.parametrize("field", ["epsilon", "m_cap"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")],
+                         ids=["zero", "negative", "nan"])
+def test_solver_config_rejects_non_positive(field, value):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: value})
