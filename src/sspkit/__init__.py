@@ -8,7 +8,7 @@ determinization of a domain by exhaustive search with Monte-Carlo scoring.
 """
 
 from .detplan import (DetAction, DeterministicProblem, PlanResult,
-                      relaxed_plan_heuristic, solve_deterministic)
+                      solve_deterministic)
 from .errors import (CapExceededError, EnumerationBlowupError,
                      EnvMismatchError, GroundingBlowupError,
                      IncompleteDeterminizationError, IterationLimitError,
@@ -16,7 +16,7 @@ from .errors import (CapExceededError, EnumerationBlowupError,
                      TypeMismatchError, UnsupportedFeatureError)
 from .executor import (EvalStats, ReplanSession, RoundReport,
                        SimulatedEnvironment, monte_carlo_evaluate,
-                       replan_execute, serve_rounds)
+                       serve_rounds)
 from .grounding import GroundAction, GroundedProblem, ground
 from .learner import (DetCandidate, enumerate_determinizations, learning_det)
 from .model import (State, applicable_actions, is_goal, successors)

@@ -14,16 +14,12 @@ import math
 import re
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import ExternalPlannerError
 from .model import State
-
-if TYPE_CHECKING:
-    from .grounding import GroundedProblem
 
 INF = math.inf
 
@@ -46,7 +42,6 @@ class DeterministicProblem:
     atom_names: tuple[str, ...]
     actions: list[DetAction]
     goal_mask: int
-    _relaxed: "RelaxedTask | None" = field(default=None, repr=False)
     actions_by_id: dict[int, DetAction] = field(init=False, repr=False,
                                                 compare=False)
 
@@ -64,13 +59,12 @@ class DeterministicProblem:
     def apply(self, bits: int, action: DetAction) -> int:
         return (bits & ~action.del_mask) | action.add_mask
 
+    @cached_property
     def relaxed_task(self) -> "RelaxedTask":
-        if self._relaxed is None:
-            entries = [(a.id, a.cost, a.pre_pos_mask, a.add_mask)
-                       for a in self.actions if a.add_mask]
-            self._relaxed = RelaxedTask(len(self.atom_names), entries,
-                                        self.goal_mask)
-        return self._relaxed
+        """Delete relaxation of this task, built on first use."""
+        entries = [(a.id, a.cost, a.pre_pos_mask, a.add_mask)
+                   for a in self.actions if a.add_mask]
+        return RelaxedTask(len(self.atom_names), entries, self.goal_mask)
 
 
 @dataclass
@@ -203,36 +197,6 @@ class RelaxedTask:
         return cost, frozenset(helpful)
 
 
-def relaxed_plan_heuristic(source, s: State) -> float:
-    """Relaxed-plan cost estimate from ``s``.
-
-    ``source`` is a DeterministicProblem or a GroundedProblem (the latter is
-    relaxed with every outcome as a separate action).
-    """
-    task = task_for(source)
-    return task.evaluate(s.bits)[0]
-
-
-def task_for(source) -> RelaxedTask:
-    if isinstance(source, DeterministicProblem):
-        return source.relaxed_task()
-    return all_outcomes_relaxed_task(source)
-
-
-def all_outcomes_relaxed_task(problem: "GroundedProblem") -> RelaxedTask:
-    """All-outcomes delete relaxation of a probabilistic problem (cached on
-    the problem)."""
-    if problem.relaxed_task is None:
-        entries = []
-        for a in problem.actions:
-            for o in a.outcomes:
-                if o.add_mask:
-                    entries.append((a.id, a.cost_f, a.pre_pos_mask, o.add_mask))
-        problem.relaxed_task = RelaxedTask(problem.atom_count, entries,
-                                           problem.goal_mask)
-    return problem.relaxed_task
-
-
 def _reconstruct(d: DeterministicProblem, parents: dict, goal_bits: int,
                  expansions: int) -> PlanResult:
     chain: list[tuple[int, int]] = []  # (bits of state, action id)
@@ -253,7 +217,6 @@ def _reconstruct(d: DeterministicProblem, parents: dict, goal_bits: int,
 
 def solve_deterministic(d: DeterministicProblem, s: State, *,
                         budget: int = 100_000,
-                        time_limit: float | None = None,
                         mode: str = "greedy") -> PlanResult:
     """Find a plan from ``s`` to the goal, or prove there is none.
 
@@ -263,11 +226,10 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
     bits0 = s.bits
     if d.is_goal(bits0):
         return PlanResult("plan", [], [])
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
     expansions = 0
 
     if mode == "greedy":
-        task = d.relaxed_task()
+        task = d.relaxed_task
         h0, _ = task.evaluate(bits0)
         if h0 == INF:
             return PlanResult("failure", [], [], expansions)
@@ -283,7 +245,7 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
             if d.is_goal(bits):
                 return _reconstruct(d, parents, bits, expansions)
             expansions += 1
-            if expansions >= budget or (deadline and time.monotonic() > deadline):
+            if expansions >= budget:
                 return PlanResult("timeout", [], [], expansions)
             _, helpful = task.evaluate(bits)
             apps = d.applicable(bits)
@@ -316,7 +278,7 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
         if d.is_goal(bits):
             return _reconstruct(d, parents, bits, expansions)
         expansions += 1
-        if expansions >= budget or (deadline and time.monotonic() > deadline):
+        if expansions >= budget:
             return PlanResult("timeout", [], [], expansions)
         for a in d.applicable(bits):
             nb = d.apply(bits, a)

@@ -175,22 +175,6 @@ def round_rng(seed: int, round_index: int) -> tuple[random.Random, str]:
     return random.Random(label), label
 
 
-def replan_execute(problem: GroundedProblem, delta: Determinization, k: int,
-                   epsilon: float, *, seed: int = 0, round_index: int = 0,
-                   max_actions: int = DEFAULT_ACTION_CAP,
-                   time_budget: float | None = None,
-                   env: SimulatedEnvironment | None = None,
-                   session: ReplanSession | None = None,
-                   cfg: SolverConfig | None = None) -> RoundReport:
-    """Execute one seeded round with replanning; pass a session to share
-    solver tables across rounds."""
-    if session is None:
-        session = ReplanSession(problem, delta, k, epsilon, cfg)
-    rng, label = round_rng(seed, round_index)
-    return session.run_round(rng, label, env=env, max_actions=max_actions,
-                             time_budget=time_budget)
-
-
 def aggregate(reports: list[RoundReport], m_cap: float) -> EvalStats:
     successes = sum(1 for r in reports if r.outcome == OUTCOME_GOAL)
     if reports:
@@ -209,15 +193,13 @@ def monte_carlo_evaluate(problem: GroundedProblem, delta: Determinization,
                          max_actions: int = DEFAULT_ACTION_CAP,
                          time_budget: float | None = None,
                          cfg: SolverConfig | None = None,
-                         session: ReplanSession | None = None,
                          ) -> tuple[EvalStats, list[RoundReport]]:
     """Run seeded rounds sharing solver tables and aggregate the results.
 
     ``time_budget`` bounds the whole evaluation; rounds that do not finish
     in time are recorded as timeouts and count as failures.
     """
-    if session is None:
-        session = ReplanSession(problem, delta, k, epsilon, cfg)
+    session = ReplanSession(problem, delta, k, epsilon, cfg)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     reports: list[RoundReport] = []
     for r in range(rounds):

@@ -8,17 +8,15 @@ Outcome distributions are exact rationals and sum to 1 per ground action
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING
 
+from .detplan import RelaxedTask
 from .errors import GroundingBlowupError
 from .model import State
 from .ppddl import ROOT_TYPE, ActionSchema, Atom, DomainSchema, ProblemDef
-
-if TYPE_CHECKING:
-    from .detplan import RelaxedTask
 
 DEFAULT_ACTION_CAP = 10 ** 6
 
@@ -65,9 +63,6 @@ class GroundedProblem:
     initial_state: State
     goal_mask: int
     goal_atoms: tuple[str, ...]
-    # all-outcomes delete relaxation, built on first use by the heuristic
-    relaxed_task: RelaxedTask | None = field(default=None, init=False,
-                                             repr=False, compare=False)
 
     @property
     def atom_count(self) -> int:
@@ -76,6 +71,14 @@ class GroundedProblem:
     @property
     def action_count(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def relaxed_task(self) -> RelaxedTask:
+        """All-outcomes delete relaxation (every outcome a separate action),
+        built on first use by the heuristic and kept with the problem."""
+        entries = [(a.id, a.cost_f, a.pre_pos_mask, o.add_mask)
+                   for a in self.actions for o in a.outcomes if o.add_mask]
+        return RelaxedTask(self.atom_count, entries, self.goal_mask)
 
     def state_from_atoms(self, names) -> State:
         bits = 0

@@ -20,7 +20,6 @@ from .executor import EvalStats, monte_carlo_evaluate
 from .grounding import GroundedProblem, ground
 from .ppddl import DomainSchema, ProblemDef
 from .reduction import Determinization
-from .solver import SolverConfig
 
 DEFAULT_ENUMERATION_CAP = 4096
 
@@ -65,12 +64,11 @@ def enumerate_determinizations(schema: DomainSchema, *,
 def _evaluate_candidate(problem: GroundedProblem, delta: Determinization,
                         index: int, k: int, epsilon: float, rounds: int,
                         seed: int, max_actions: int,
-                        time_budget: float | None,
-                        cfg: SolverConfig | None) -> DetCandidate:
+                        time_budget: float | None) -> DetCandidate:
     start = time.monotonic()
     stats, _ = monte_carlo_evaluate(problem, delta, k, epsilon, rounds, seed,
                                     max_actions=max_actions,
-                                    time_budget=time_budget, cfg=cfg)
+                                    time_budget=time_budget)
     return DetCandidate(index, delta, stats, time.monotonic() - start)
 
 
@@ -79,7 +77,6 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
                  epsilon: float = 1e-3, max_actions: int = 2500,
                  time_budget: float | None = None,
                  enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-                 cfg: SolverConfig | None = None,
                  workers: int = 1) -> tuple[Determinization, list[DetCandidate]]:
     """Pick the best determinization for a domain on a training problem.
 
@@ -99,13 +96,13 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_evaluate_candidate, problem, delta, i, k,
                                    epsilon, rounds, seed, max_actions,
-                                   per_budget, cfg)
+                                   per_budget)
                        for i, delta in enumerate(deltas)]
             candidates = [f.result() for f in futures]  # enumeration order
     else:
         candidates = [_evaluate_candidate(problem, delta, i, k, epsilon,
                                           rounds, seed, max_actions,
-                                          per_budget, cfg)
+                                          per_budget)
                       for i, delta in enumerate(deltas)]
 
     best = min(candidates, key=DetCandidate.sort_key)

@@ -2,9 +2,9 @@
 
 A determinization designates one primary outcome per action clause at the
 schema level, so it transfers across problem instances of the same domain.
-The reduced transition keeps primary probabilities below the exception
-bound, routes exceptions to an incremented count, and at the bound drops
-exceptions and renormalizes primary probabilities proportionally.
+The reduced transition keeps the primary outcome's probability below the
+exception bound and routes exceptions to an incremented count; at the
+bound it drops the exceptions and gives the primary outcome probability 1.
 """
 
 from __future__ import annotations
@@ -98,28 +98,20 @@ class AugmentedState(NamedTuple):
 class ReducedModel:
     """Lazy reduced model: successors are computed on demand, never stored.
 
-    ``primary_sets`` gives, per ground action, the indices of its primary
-    outcomes. Determinization-derived models always have singletons; the
-    general constructor accepts larger sets (renormalized proportionally at
-    the bound) for verification purposes.
+    ``primary`` gives, per ground action, the index of its one primary
+    outcome.
     """
 
-    def __init__(self, problem: GroundedProblem, k: int,
-                 primary_sets: list[tuple[int, ...]],
-                 delta: Determinization | None = None):
+    def __init__(self, problem: GroundedProblem, k: int, primary: list[int]):
         if k < 0:
             raise ValueError("exception bound k must be >= 0")
-        if len(primary_sets) != len(problem.actions):
-            raise ValueError("one primary outcome set per ground action required")
+        if len(primary) != len(problem.actions):
+            raise ValueError("one primary outcome per ground action required")
         self.problem = problem
         self.k = k
-        self.primary_sets = primary_sets
-        self.delta = delta
+        self.primary = primary
         self.initial = AugmentedState(problem.initial_state, 0)
         self._det_problem = None
-
-    def is_single_primary(self) -> bool:
-        return all(len(s) == 1 for s in self.primary_sets)
 
     def is_goal(self, aug: AugmentedState) -> bool:
         return is_goal(aug.state, self.problem)
@@ -128,15 +120,8 @@ class ReducedModel:
         return self.problem.actions[action_id].cost_f
 
     def applicable(self, aug: AugmentedState) -> list[int]:
-        """Applicable actions at an augmented state.
-
-        At the exception bound, actions whose primary set is empty have no
-        well-formed successor distribution and are filtered out.
-        """
-        ids = applicable_actions(aug.state, self.problem)
-        if aug.j >= self.k:
-            ids = [a for a in ids if self.primary_sets[a]]
-        return ids
+        """Applicable actions at an augmented state (the same at every j)."""
+        return applicable_actions(aug.state, self.problem)
 
     def reduced_successors(self, aug: AugmentedState,
                            action_id: int) -> list[tuple[AugmentedState, float]]:
@@ -146,44 +131,31 @@ class ReducedModel:
             raise NotApplicableError(
                 f"action {self.problem.actions[action_id].name} not applicable")
         action = self.problem.actions[action_id]
-        primary = self.primary_sets[action_id]
+        primary = self.primary[action_id]
+        if j >= self.k:
+            o = action.outcomes[primary]
+            succ_bits = (s.bits & ~o.del_mask) | o.add_mask
+            return [(AugmentedState(State(succ_bits), self.k), 1.0)]
         merged: dict[tuple[int, int], float] = {}
-        if j < self.k:
-            for idx, o in enumerate(action.outcomes):
-                succ_bits = (s.bits & ~o.del_mask) | o.add_mask
-                j2 = j if idx in primary else j + 1
-                key = (succ_bits, j2)
-                merged[key] = merged.get(key, 0.0) + o.probability_f
-        else:
-            if not primary:
-                raise NotApplicableError(
-                    f"action {action.name} has no primary outcome at the "
-                    "exception bound")
-            total = sum(action.outcomes[i].probability_f for i in primary)
-            for idx in primary:
-                o = action.outcomes[idx]
-                succ_bits = (s.bits & ~o.del_mask) | o.add_mask
-                key = (succ_bits, self.k)
-                merged[key] = merged.get(key, 0.0) + o.probability_f / total
+        for idx, o in enumerate(action.outcomes):
+            succ_bits = (s.bits & ~o.del_mask) | o.add_mask
+            key = (succ_bits, j if idx == primary else j + 1)
+            merged[key] = merged.get(key, 0.0) + o.probability_f
         return [(AugmentedState(State(bits), j2), p)
                 for (bits, j2), p in merged.items()]
 
     def det_problem(self):
         """The deterministic problem induced at the exception bound.
 
-        Only defined for single-primary models. Actions whose primary
-        outcome is a universal no-op (strict self-loops) are excluded:
-        they can never appear in a finite-cost plan.
+        Actions whose primary outcome is a universal no-op (strict
+        self-loops) are excluded: they can never appear in a finite-cost
+        plan.
         """
         if self._det_problem is None:
-            if not self.is_single_primary():
-                raise ValueError("deterministic projection requires a "
-                                 "single primary outcome per action")
             from .detplan import DetAction, DeterministicProblem
             det_actions = []
             for a in self.problem.actions:
-                (idx,) = self.primary_sets[a.id]
-                o = a.outcomes[idx]
+                o = a.outcomes[self.primary[a.id]]
                 if not o.add_mask and not o.del_mask:
                     continue
                 det_actions.append(DetAction(
@@ -205,7 +177,7 @@ def make_reduction(problem: GroundedProblem, delta: Determinization,
     per-clause choices all match the determinization.
     """
     delta.validate(problem.schema)
-    primary_sets: list[tuple[int, ...]] = []
+    primary: list[int] = []
     targets: dict[str, tuple[int, ...]] = {}
     for a in problem.actions:
         target = targets.get(a.schema_name)
@@ -213,10 +185,10 @@ def make_reduction(problem: GroundedProblem, delta: Determinization,
             schema = problem.schema.schema(a.schema_name)
             target = delta.primary_tuple(a.schema_name, len(schema.clauses))
             targets[a.schema_name] = target
-        matches = tuple(i for i, o in enumerate(a.outcomes) if o.choice == target)
+        matches = [i for i, o in enumerate(a.outcomes) if o.choice == target]
         if len(matches) != 1:
             raise IncompleteDeterminizationError(
                 f"determinization selects {len(matches)} primary outcomes "
                 f"for {a.name}")
-        primary_sets.append(matches)
-    return ReducedModel(problem, k, primary_sets, delta)
+        primary.append(matches[0])
+    return ReducedModel(problem, k, primary)

@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .detplan import solve_deterministic, task_for
+from .detplan import solve_deterministic
 from .errors import IterationLimitError
 from .model import State
 from .reduction import AugmentedState, ReducedModel
@@ -67,7 +67,7 @@ class SolveReport:
 def _heuristic(model: ReducedModel, cfg: SolverConfig, s: State) -> float:
     if cfg.heuristic == "zero":
         return 0.0
-    h = task_for(model.problem).evaluate(s.bits)[0]
+    h = model.problem.relaxed_task.evaluate(s.bits)[0]
     return min(h, cfg.m_cap)
 
 
@@ -245,8 +245,6 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
     warm-starts replanning calls. Raises IterationLimitError with the
     best-so-far tables when the sweep safety bound is hit.
     """
-    if not model.is_single_primary():
-        raise ValueError("solver requires a single primary outcome per action")
     if tables is None:
         tables = SolverTables()
     if root is None:

@@ -11,8 +11,7 @@ import pytest
 
 from sspkit import State, ground, make_reduction
 from sspkit.detplan import (DetAction, DeterministicProblem,
-                            det_to_pddl, relaxed_plan_heuristic,
-                            sanitize_action_name, solve_deterministic,
+                            det_to_pddl, sanitize_action_name, solve_deterministic,
                             solve_with_external, validate_plan)
 from sspkit.errors import ExternalPlannerError
 from sspkit.oracle import enumerate_model, optimal_plan
@@ -87,21 +86,21 @@ def test_budget_exceeded_is_timeout():
 
 def test_heuristic_values():
     d, mask = det_problem(*CHAIN)
-    assert relaxed_plan_heuristic(d, State(mask(["g"]))) == 0.0
-    assert relaxed_plan_heuristic(d, State(mask(["s"]))) == 2.0
-    assert relaxed_plan_heuristic(d, State(0)) == math.inf
+    h = lambda bits: d.relaxed_task.evaluate(bits)[0]
+    assert h(mask(["g"])) == 0.0
+    assert h(mask(["s"])) == 2.0
+    assert h(0) == math.inf
 
 
 def test_heuristic_infinite_implies_solver_failure():
     d, mask = det_problem(*CHAIN)
-    empty = State(0)
-    assert relaxed_plan_heuristic(d, empty) == math.inf
-    assert solve_deterministic(d, empty).status == "failure"
+    assert d.relaxed_task.evaluate(0)[0] == math.inf
+    assert solve_deterministic(d, State(0)).status == "failure"
 
 
 def test_all_outcomes_heuristic_on_probabilistic_problem(triangle1):
     _, _, grounded = triangle1
-    h = relaxed_plan_heuristic(grounded, grounded.initial_state)
+    h, _ = grounded.relaxed_task.evaluate(grounded.initial_state.bits)
     # direct route is two moves under the delete relaxation
     assert h == 2.0
 

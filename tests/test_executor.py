@@ -10,7 +10,7 @@ from sspkit.errors import EnvMismatchError
 from sspkit.executor import (OUTCOME_ACTION_CAP, OUTCOME_DEAD_END,
                              OUTCOME_GOAL, OUTCOME_INVALID, ReplanSession,
                              SimulatedEnvironment, monte_carlo_evaluate,
-                             replan_execute, round_rng, serve_rounds)
+                             round_rng, serve_rounds)
 from sspkit.reduction import Determinization
 
 from conftest import FLAT_DELTA, NOFLAT_DELTA, load
@@ -23,7 +23,7 @@ def test_initial_state_is_goal():
         ":precondition (p) :effect (p)))",
         "(define (problem p) (:domain d) (:init (p)) (:goal (p)))")
     delta = Determinization({("a", 0): 0})
-    report = replan_execute(grounded, delta, 0, 1e-3, seed=0)
+    report = ReplanSession(grounded, delta, 0).run_round(*round_rng(0, 0))
     assert report.outcome == OUTCOME_GOAL
     assert report.actions_taken == 0
     assert report.replans == 0
@@ -32,7 +32,7 @@ def test_initial_state_is_goal():
 def test_deterministic_problem_executes_plan_verbatim(chain2):
     _, _, grounded = chain2
     delta = Determinization({("step", 0): 0})
-    report = replan_execute(grounded, delta, 0, 1e-3, seed=0)
+    report = ReplanSession(grounded, delta, 0).run_round(*round_rng(0, 0))
     assert report.outcome == OUTCOME_GOAL
     assert report.actions_taken == 2
     assert report.accumulated_cost == 2.0
@@ -77,8 +77,8 @@ def test_action_cap_ends_round(retry):
         rng, _ = round_rng(seed, 0)
         if rng.random() >= 0.5:
             break
-    report = replan_execute(grounded, delta, 0, 1e-3, seed=seed,
-                            max_actions=1)
+    report = ReplanSession(grounded, delta, 0).run_round(
+        *round_rng(seed, 0), max_actions=1)
     assert report.outcome == OUTCOME_ACTION_CAP
     assert report.actions_taken == 1
 
@@ -110,8 +110,8 @@ def test_trap_k_sensitivity(trap):
 
 def test_seed_replay_reproduces_round(triangle1):
     _, _, grounded = triangle1
-    a = replan_execute(grounded, FLAT_DELTA, 0, 1e-3, seed=5, round_index=2)
-    b = replan_execute(grounded, FLAT_DELTA, 0, 1e-3, seed=5, round_index=2)
+    a = ReplanSession(grounded, FLAT_DELTA, 0).run_round(*round_rng(5, 2))
+    b = ReplanSession(grounded, FLAT_DELTA, 0).run_round(*round_rng(5, 2))
     assert a.as_dict() == b.as_dict()
 
 
@@ -121,8 +121,8 @@ def test_shared_tables_match_fresh_tables(triangle1):
     for r in range(10):
         rng, label = round_rng(21, r)
         with_shared = shared.run_round(rng, label)
-        fresh = replan_execute(grounded, FLAT_DELTA, 0, 1e-3, seed=21,
-                               round_index=r)
+        fresh = ReplanSession(grounded, FLAT_DELTA, 0).run_round(
+            *round_rng(21, r))
         assert with_shared.outcome == fresh.outcome
         assert with_shared.actions_taken == fresh.actions_taken
         assert with_shared.accumulated_cost == fresh.accumulated_cost
@@ -144,8 +144,8 @@ def test_shared_tables_match_fresh_on_random_fixpoints():
         for r in range(5):
             rr, label = round_rng(1000 + i, r)
             a = shared.run_round(rr, label, max_actions=200)
-            b = replan_execute(grounded, delta, k, 1e-6, seed=1000 + i,
-                               round_index=r, max_actions=200, cfg=make_cfg())
+            b = ReplanSession(grounded, delta, k, cfg=make_cfg()).run_round(
+                *round_rng(1000 + i, r), max_actions=200)
             assert (a.outcome, a.actions_taken, a.accumulated_cost) == \
                 (b.outcome, b.actions_taken, b.accumulated_cost)
 

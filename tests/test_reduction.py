@@ -1,35 +1,16 @@
 """Reduced-model tests: the augmented transition, determinization handling."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from sspkit import (IncompleteDeterminizationError, NotApplicableError,
-                    ground, make_reduction, mlo_determinization)
+from sspkit import (IncompleteDeterminizationError, make_reduction,
+                    mlo_determinization)
 from sspkit.model import State
-from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Outcome,
-                          Predicate, ProbabilisticClause, ProblemDef)
-from sspkit.reduction import AugmentedState, Determinization, ReducedModel
+from sspkit.reduction import AugmentedState, Determinization
 from sspkit.randmodels import random_reduced_setup
 
 from conftest import FLAT_DELTA
-
-
-def three_way_problem():
-    """One action, three outcomes 0.3/0.2/0.5 onto distinct atoms."""
-    clause = ProbabilisticClause((
-        Outcome(Fraction(3, 10), (Atom("x"),), ()),
-        Outcome(Fraction(2, 10), (Atom("y"),), ()),
-        Outcome(Fraction(5, 10), (Atom("z"),), ()),
-    ))
-    schema = DomainSchema(
-        "t", (), {},
-        (Predicate("x", ()), Predicate("y", ()), Predicate("z", ()),
-         Predicate("g", ())),
-        (ActionSchema("roll", (), (), (clause,)),))
-    problem = ProblemDef("p", "t", (), (), (Atom("g"),))
-    return ground(schema, problem)
 
 
 def test_transition_below_bound(triangle1):
@@ -56,26 +37,6 @@ def test_transition_at_bound_single_primary(triangle1):
     (s, p), = succs
     assert p == 1.0 and s.j == 2
     assert "(not-flattire)" not in grounded.atom_names(s.state)
-
-
-def test_proportional_renormalization_two_primaries():
-    grounded = three_way_problem()
-    # primary set {x, y} with base probabilities 0.3/0.2, exception z at 0.5
-    model = ReducedModel(grounded, 1, [(0, 1)])
-    aug = AugmentedState(grounded.initial_state, 1)
-    succs = model.reduced_successors(aug, 0)
-    probs = sorted(p for _, p in succs)
-    assert probs == [pytest.approx(0.4), pytest.approx(0.6)]
-    assert sum(p for _, p in succs) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_empty_primary_set_at_bound_not_applicable():
-    grounded = three_way_problem()
-    model = ReducedModel(grounded, 0, [()])
-    aug = model.initial
-    assert model.applicable(aug) == []
-    with pytest.raises(NotApplicableError):
-        model.reduced_successors(aug, 0)
 
 
 def test_k0_reduction_deterministic_everywhere():

@@ -299,22 +299,6 @@ def test_iteration_limit_carries_best_so_far():
     assert err.value.report.sweeps == 1
 
 
-def test_solver_rejects_multi_primary():
-    from sspkit.reduction import ReducedModel
-    grounded, _ = chain_model(0)
-    model = ReducedModel(grounded, 0, [(0,), (0,)])
-    ff_lao_star(model, SolverConfig(heuristic="zero"))  # singletons fine
-    clause = ProbabilisticClause((
-        Outcome(Fraction(1, 2), (Atom("g"),), ()),
-        Outcome(Fraction(1, 2), (Atom("x"),), ()),
-    ))
-    grounded2 = build_problem(
-        [ActionSchema("roll", (), (), (clause,))], init=[], goal=["g"])
-    bad = ReducedModel(grounded2, 0, [(0, 1)])
-    with pytest.raises(ValueError):
-        ff_lao_star(bad, SolverConfig(heuristic="zero"))
-
-
 @pytest.mark.parametrize("field", ["epsilon", "m_cap"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")],
                          ids=["zero", "negative", "nan"])
