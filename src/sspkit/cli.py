@@ -73,7 +73,9 @@ def _pos_float(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, problem: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, problem: bool = True,
+                seeded: bool = True) -> None:
+    """The shared options; ``seeded`` adds --seed and --timings."""
     parser.add_argument("--domain", required=True, help="domain file")
     if problem:
         parser.add_argument("--problem", required=True, help="problem file")
@@ -83,9 +85,10 @@ def _add_common(parser: argparse.ArgumentParser, *, problem: bool = True) -> Non
                         help="convergence tolerance (default 1e-3)")
     parser.add_argument("--m-cap", type=_pos_float, default=500.0,
                         help="dead-end cost cap (default 500)")
-    _add_seed(parser)
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock fields in outputs")
+    if seeded:
+        _add_seed(parser)
+        parser.add_argument("--timings", action="store_true",
+                            help="include wall-clock fields in outputs")
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -249,12 +252,19 @@ def _rounds_csv(reports, timings: bool) -> str:
 
 
 def cmd_simulate(args) -> int:
-    grounded = _load_grounded(args)
     if args.serve_stdio:
+        source = _det_source(args)
+        unused = [f"--det-{source[0]}"] if source else []
+        unused += [option for option, value in (("--out", args.out),
+                                                ("--csv", args.csv)) if value]
+        if unused:
+            raise ValueError(f"--serve-stdio does not take {', '.join(unused)}")
+        grounded = _load_grounded(args)
         serve_rounds(grounded, sys.stdin, sys.stdout, rounds=args.rounds,
                      seed=args.seed, max_actions=args.max_actions,
                      m_cap=args.m_cap)
         return EXIT_OK
+    grounded = _load_grounded(args)
     delta = _resolve_delta(args, grounded.schema)
     stats, reports = monte_carlo_evaluate(
         grounded, delta, args.k, args.epsilon, args.rounds, args.seed,
@@ -374,12 +384,15 @@ def cmd_detplan_solve(args) -> int:
 # ── oracle ──────────────────────────────────────────────────────────────────
 
 def _oracle_model(args):
+    given = _det_source(args)
+    if not args.reduced and (args.k is not None or given):
+        option = "--k" if args.k is not None else f"--det-{given[0]}"
+        raise ValueError(f"{option} requires --reduced")
     grounded = _load_grounded(args)
+    source = grounded
     if args.reduced:
         delta = _resolve_delta(args, grounded.schema)
-        source = make_reduction(grounded, delta, args.k)
-    else:
-        source = grounded
+        source = make_reduction(grounded, delta, args.k or 0)
     return grounded, enumerate_model(source, cap=args.cap_states)
 
 
@@ -472,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="per-round CSV path")
     p.add_argument("--serve-stdio", action="store_true",
                    help="serve the stdio state/action protocol instead of "
-                        "planning (the client chooses actions)")
+                        "planning (the client chooses actions; --k, "
+                        "--epsilon, --time-budget and --subplanner-budget "
+                        "are ignored)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("learn-det", help="learn the best determinization")
@@ -521,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     for name, func in (("vi", cmd_oracle_vi), ("enumerate", cmd_oracle_enumerate)):
         po = oracle_sub.add_parser(name)
-        _add_common(po)
+        _add_common(po, seeded=False)
+        po.set_defaults(k=None)  # so that --k without --reduced is seen
         po.add_argument("--reduced", action="store_true",
                         help="enumerate the reduced model instead of the base SSP")
         _add_det_source(po, required=False, learn=False)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .grounding import GroundedProblem, ground
-from .oracle import enumerate_model, proper_policy_exists
-from .ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
+from sspkit.grounding import GroundedProblem, ground
+from sspkit.oracle import enumerate_model, proper_policy_exists
+from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                     Predicate, ProbabilisticClause, ProblemDef)
-from .reduction import Determinization, ReducedModel, make_reduction
+from sspkit.reduction import Determinization, ReducedModel, make_reduction
 
 
 def random_domain(rng: random.Random, *, n_atoms: int = 5,

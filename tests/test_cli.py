@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, output formats, and reproducibility."""
 
+import io
 import json
 import shlex
 import subprocess
@@ -456,6 +457,26 @@ def test_oracle_vi_and_enumerate(tmp_path):
     assert all(t["cost"] == 1.0 for t in payload["transitions"])
 
 
+# oracle samples and times nothing, and --k and a determinization source
+# mean something only for the reduced model
+@pytest.mark.parametrize("options", [
+    ["--seed", "9"], ["--timings"], ["--k", "2"], ["--k", "0"],
+    ["--det-mlo"]], ids=["seed", "timings", "k2", "k0", "det-mlo"])
+@pytest.mark.parametrize("subcommand", ["vi", "enumerate"])
+def test_oracle_rejects_options_it_ignores(triangle_files, capsys, subcommand,
+                                           options):
+    domain, problem = triangle_files
+    try:
+        code = main(["oracle", subcommand, "--domain", domain,
+                     "--problem", problem, *options])
+    except SystemExit as exc:  # argparse: an undeclared option
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert options[0] in err
+
+
 GOLDEN_CHAIN1_DUMP = {
     "schema_version": 1,
     "problem": "chain-1",
@@ -493,7 +514,7 @@ def test_simulate_serve_stdio(tmp_path):
     stdin = "".join(json.dumps({"action": a}) + "\n" for a in actions)
     proc = subprocess.run(
         [sys.executable, "-m", "sspkit.cli", "simulate", "--domain",
-         str(domain), "--problem", str(problem), "--det-mlo",
+         str(domain), "--problem", str(problem),
          "--serve-stdio", "--rounds", "1", "--seed", "0"],
         input=stdin, capture_output=True, text=True)
     assert proc.returncode == 0
@@ -501,3 +522,28 @@ def test_simulate_serve_stdio(tmp_path):
     assert lines[0]["type"] == "hello"
     assert lines[-1]["type"] == "eval"
     assert lines[-1]["successes"] == 1
+
+
+# the client chooses the actions, so the server has no determinization
+# and writes no report
+@pytest.mark.parametrize("options,named", [
+    (["--det-mlo"], "--det-mlo"),
+    (["--out", "{dir}/sv.json"], "--out"),
+    (["--csv", "{dir}/sv.csv"], "--csv"),
+    (["--det-index", "0", "--out", "{dir}/sv.json", "--csv", "{dir}/sv.csv"],
+     "--det-index, --out, --csv"),
+], ids=["det-mlo", "out", "csv", "all"])
+def test_serve_stdio_rejects_source_and_outputs(tmp_path, triangle_files,
+                                                monkeypatch, capsys, options,
+                                                named):
+    domain, problem = triangle_files
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code = main(["simulate", "--domain", domain, "--problem", problem,
+                 "--serve-stdio", "--rounds", "1",
+                 *(option.format(dir=tmp_path) for option in options)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no protocol message was sent
+    assert err == f"error: --serve-stdio does not take {named}\n"
+    assert not (tmp_path / "sv.json").exists()
+    assert not (tmp_path / "sv.csv").exists()

@@ -16,8 +16,9 @@ from sspkit.detplan import (DetAction, DeterministicProblem,
 from sspkit.errors import ExternalPlannerError
 from sspkit.oracle import enumerate_model, optimal_plan
 from sspkit.ppddl import parse_domain
-from sspkit.randmodels import random_domain
 from sspkit.reduction import Determinization
+
+from randmodels import random_domain
 
 
 def det_problem(atoms, actions, goal):

@@ -132,7 +132,7 @@ def test_shared_tables_match_fresh_on_random_fixpoints():
     # with an admissible setup the converged values are fixpoints, so table
     # reuse can never change a round's outcome
     import random as random_mod
-    from sspkit.randmodels import random_proper_reduced_setup
+    from randmodels import random_proper_reduced_setup
     from sspkit.solver import SolverConfig
 
     rng = random_mod.Random(20250810)

@@ -151,6 +151,10 @@ COMMANDS = [
     ("error-grounding-cap",
      "plan --domain big-domain.ppddl --problem big-problem.ppddl --det-mlo",
      None),
+    ("error-oracle-k-without-reduced", f"oracle vi {CHAIN} --k 2", None),
+    ("error-serve-stdio-outputs",
+     f"simulate {CHAIN} --serve-stdio --det-mlo --out sv.json --csv sv.csv",
+     None),
 ]
 
 

@@ -9,7 +9,8 @@ from sspkit import GroundingBlowupError, ground, parse_domain, parse_problem
 from sspkit.oracle import enumerate_model
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
-from sspkit.randmodels import random_domain
+
+from randmodels import random_domain
 
 
 def nullary_domain(clauses, name="d") -> tuple[DomainSchema, ProblemDef]:

@@ -9,7 +9,8 @@ from sspkit import (NotApplicableError, State, applicable_actions, ground,
                     is_goal, successors)
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
-from sspkit.randmodels import random_domain
+
+from randmodels import random_domain
 
 
 def build(schemas, init=(), goal=("g",)):

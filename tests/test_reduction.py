@@ -8,9 +8,9 @@ from sspkit import (IncompleteDeterminizationError, make_reduction,
                     mlo_determinization)
 from sspkit.model import State
 from sspkit.reduction import AugmentedState, Determinization
-from sspkit.randmodels import random_reduced_setup
 
 from conftest import FLAT_DELTA
+from randmodels import random_reduced_setup
 
 
 def test_transition_below_bound(triangle1):

@@ -14,9 +14,9 @@ from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 from sspkit.reduction import AugmentedState, Determinization
-from sspkit.randmodels import random_proper_reduced_setup
 
 from conftest import FLAT_DELTA
+from randmodels import random_proper_reduced_setup
 
 
 def build_problem(schemas, init, goal):
