@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .detplan import DetAction, DeterministicProblem
 from .errors import IncompleteDeterminizationError, NotApplicableError
 from .grounding import GroundedProblem
 from .model import State, applicable_actions, is_applicable, is_goal
@@ -152,7 +153,6 @@ class ReducedModel:
         plan.
         """
         if self._det_problem is None:
-            from .detplan import DetAction, DeterministicProblem
             det_actions = []
             for a in self.problem.actions:
                 o = a.outcomes[self.primary[a.id]]
