@@ -105,6 +105,22 @@ class RelaxedTask:
     """Delete relaxation of a deterministic task (or of a probabilistic one
     with every outcome treated as a separate action).
 
+    The relaxed planning graph is built counter-driven (Bonet & Geffner
+    2001; Hoffmann & Nebel 2001). Once per task, every entry gets its
+    precondition count and every atom the list of entries it is a
+    precondition of. Each evaluation copies the counts and reaches atoms
+    layer by layer: reaching an atom decrements the counts of its
+    dependants, and an entry whose count hits zero enters at the layer of
+    that atom, so an entry is touched once per precondition instead of
+    once per layer. Construction stops when the goal holds (then a relaxed
+    plan is extracted) or a layer adds no atom (then the estimate is inf).
+
+    The extraction takes the subgoals of each layer in sorted order, and
+    as the achiever of an atom at layer ``lvl`` the lowest entry index
+    among ``achievers[atom]`` that entered at layer ``lvl - 1``. The
+    returned helpful actions steer the greedy sub-planner, so this
+    tie-break is what keeps its plans, and every output, byte-identical.
+
     Evaluations are cached per state bitset; negative preconditions are
     ignored, which keeps an infinite estimate sound for real unreachability.
     """
@@ -116,10 +132,17 @@ class RelaxedTask:
         self.goal_mask = goal_mask
         self.goal_atoms = tuple(_iter_bits(goal_mask))
         self.entries = entries  # (orig id, cost, pre_pos_mask, add_mask)
+        self.adds = [add for _, _, _, add in entries]
         self.pre_atoms = [tuple(_iter_bits(pre)) for _, _, pre, _ in entries]
+        self.pre_count = [len(pres) for pres in self.pre_atoms]
+        self.unconditional = [ei for ei, n in enumerate(self.pre_count)
+                              if not n]
+        self.dependants: list[list[int]] = [[] for _ in range(n_atoms)]
         self.achievers: list[list[int]] = [[] for _ in range(n_atoms)]
-        for ei, (_, _, _, add) in enumerate(entries):
-            for atom in _iter_bits(add):
+        for ei, pres in enumerate(self.pre_atoms):
+            for atom in pres:
+                self.dependants[atom].append(ei)
+            for atom in _iter_bits(self.adds[ei]):
                 self.achievers[atom].append(ei)
         self._cache: dict[int, tuple[float, frozenset[int]]] = {}
 
@@ -140,30 +163,39 @@ class RelaxedTask:
         goal_mask = self.goal_mask
         if bits & goal_mask == goal_mask:
             return 0.0, frozenset()
-        level_of: dict[int, int] = {atom: 0 for atom in _iter_bits(bits)}
-        entry_level: dict[int, int] = {}
+        adds = self.adds
+        dependants = self.dependants
+        count = self.pre_count[:]
+        level_of = [-1] * self.n_atoms
+        entry_level = [-1] * len(adds)
+        new_bits = bits
+        for ei in self.unconditional:
+            entry_level[ei] = 0
+            new_bits |= adds[ei]
         reached = bits
+        fresh = bits  # the atoms first reached at ``level``
         level = 0
-        pending = list(range(len(self.entries)))
         while True:
-            new_bits = reached
-            remaining = []
-            for ei in pending:
-                _, _, pre, add = self.entries[ei]
-                if reached & pre == pre:
-                    entry_level[ei] = level
-                    new_bits |= add
-                else:
-                    remaining.append(ei)
-            pending = remaining
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                atom = low.bit_length() - 1
+                level_of[atom] = level
+                for ei in dependants[atom]:
+                    left = count[ei] - 1
+                    count[ei] = left
+                    if not left:
+                        entry_level[ei] = level
+                        new_bits |= adds[ei]
             if new_bits == reached:
                 return INF, frozenset()
-            for atom in _iter_bits(new_bits & ~reached):
-                level_of[atom] = level + 1
+            fresh = new_bits & ~reached
             reached = new_bits
             level += 1
             if reached & goal_mask == goal_mask:
                 break
+        for atom in _iter_bits(fresh):
+            level_of[atom] = level
 
         max_level = max(level_of[a] for a in self.goal_atoms)
         subgoals: list[set[int]] = [set() for _ in range(max_level + 1)]
@@ -178,7 +210,7 @@ class RelaxedTask:
             for atom in sorted(subgoals[lvl]):
                 achiever = None
                 for ei in self.achievers[atom]:
-                    if entry_level.get(ei) == lvl - 1:
+                    if entry_level[ei] == lvl - 1:
                         achiever = ei
                         break
                 if achiever is None:  # achieved earlier than marked; skip
