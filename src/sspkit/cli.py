@@ -74,19 +74,23 @@ def _pos_float(text: str) -> float:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, problem: bool = True,
-                seeded: bool = True) -> None:
-    """The shared options; ``seeded`` adds --seed and --timings."""
+                epsilon: bool = True, m_cap: bool = True, seed: bool = True,
+                timings: bool = True) -> None:
+    """The shared options; a subcommand leaves out those it never reads."""
     parser.add_argument("--domain", required=True, help="domain file")
     if problem:
         parser.add_argument("--problem", required=True, help="problem file")
     parser.add_argument("--k", type=_nonneg_int, default=0,
                         help="exception bound (default 0)")
-    parser.add_argument("--epsilon", type=_pos_float, default=1e-3,
-                        help="convergence tolerance (default 1e-3)")
-    parser.add_argument("--m-cap", type=_pos_float, default=500.0,
-                        help="dead-end cost cap (default 500)")
-    if seeded:
+    if epsilon:
+        parser.add_argument("--epsilon", type=_pos_float, default=1e-3,
+                            help="convergence tolerance (default 1e-3)")
+    if m_cap:
+        parser.add_argument("--m-cap", type=_pos_float, default=500.0,
+                            help="dead-end cost cap (default 500)")
+    if seed:
         _add_seed(parser)
+    if timings:
         parser.add_argument("--timings", action="store_true",
                             help="include wall-clock fields in outputs")
 
@@ -522,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detplan", help="deterministic sub-planner tools")
     det_sub = p.add_subparsers(dest="detplan_command", required=True)
     ps = det_sub.add_parser("solve", help="solve the induced deterministic problem")
-    _add_common(ps)
+    # --seed and --epsilon are read by --det-learn
+    _add_common(ps, m_cap=False, timings=False)
     _add_det_source(ps)
     ps.add_argument("--optimal", action="store_true",
                     help="uniform-cost search (minimal-cost plans)")
@@ -536,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     for name, func in (("vi", cmd_oracle_vi), ("enumerate", cmd_oracle_enumerate)):
         po = oracle_sub.add_parser(name)
-        _add_common(po, seeded=False)
+        _add_common(po, epsilon=name == "vi", m_cap=name == "vi", seed=False,
+                    timings=False)
         po.set_defaults(k=None)  # so that --k without --reduced is seen
         po.add_argument("--reduced", action="store_true",
                         help="enumerate the reduced model instead of the base SSP")

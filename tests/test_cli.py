@@ -432,6 +432,21 @@ def test_detplan_solve_plan_and_failure(tmp_path):
     assert proc.returncode == 4
 
 
+# detplan solve neither caps dead ends nor times anything
+@pytest.mark.parametrize("options", [["--m-cap", "3"], ["--timings"]],
+                         ids=["m-cap", "timings"])
+def test_detplan_solve_rejects_options_it_ignores(triangle_files, capsys,
+                                                  options):
+    domain, problem = triangle_files
+    with pytest.raises(SystemExit) as exc:  # argparse: an undeclared option
+        main(["detplan", "solve", "--domain", domain, "--problem", problem,
+              "--det-mlo", *options])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert options[0] in err
+
+
 def test_oracle_vi_and_enumerate(tmp_path):
     domain_text, problem_text = gen_chain(2)
     domain = tmp_path / "d.ppddl"
@@ -457,12 +472,20 @@ def test_oracle_vi_and_enumerate(tmp_path):
     assert all(t["cost"] == 1.0 for t in payload["transitions"])
 
 
-# oracle samples and times nothing, and --k and a determinization source
-# mean something only for the reduced model
-@pytest.mark.parametrize("options", [
-    ["--seed", "9"], ["--timings"], ["--k", "2"], ["--k", "0"],
-    ["--det-mlo"]], ids=["seed", "timings", "k2", "k0", "det-mlo"])
-@pytest.mark.parametrize("subcommand", ["vi", "enumerate"])
+# oracle samples and times nothing, --k and a determinization source mean
+# something only for the reduced model, and enumerate solves nothing
+ORACLE_IGNORED = {"seed": ["--seed", "9"], "timings": ["--timings"],
+                  "k2": ["--k", "2"], "k0": ["--k", "0"],
+                  "det-mlo": ["--det-mlo"]}
+ENUMERATE_IGNORED = {"epsilon": ["--epsilon", "0.5"], "m-cap": ["--m-cap", "3"]}
+
+
+@pytest.mark.parametrize("subcommand,options", [
+    *(pytest.param(subcommand, options, id=f"{subcommand}-{name}")
+      for subcommand in ("vi", "enumerate")
+      for name, options in ORACLE_IGNORED.items()),
+    *(pytest.param("enumerate", options, id=f"enumerate-{name}")
+      for name, options in ENUMERATE_IGNORED.items())])
 def test_oracle_rejects_options_it_ignores(triangle_files, capsys, subcommand,
                                            options):
     domain, problem = triangle_files

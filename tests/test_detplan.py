@@ -1,5 +1,6 @@
-"""Deterministic planner tests: plan validity, heuristic values, budgets,
-the completeness fallback, and the external planner hook."""
+"""Deterministic planner tests: plan validity, heuristic values and their
+equivalence with the layered reference construction, budgets, the
+completeness fallback, and the external planner hook."""
 
 import math
 import os
@@ -10,14 +11,18 @@ import sys
 import pytest
 
 from sspkit import State, ground, make_reduction
-from sspkit.detplan import (DetAction, DeterministicProblem,
+from sspkit.detplan import (DetAction, DeterministicProblem, RelaxedTask,
                             det_to_pddl, sanitize_action_name, solve_deterministic,
                             solve_with_external, validate_plan)
-from sspkit.errors import ExternalPlannerError
+from sspkit.domains import gen_triangle_tireworld
+from sspkit.errors import EnumerationBlowupError, ExternalPlannerError
+from sspkit.executor import monte_carlo_evaluate
+from sspkit.learner import enumerate_determinizations
 from sspkit.oracle import enumerate_model, optimal_plan
 from sspkit.ppddl import parse_domain
 from sspkit.reduction import Determinization
 
+from conftest import FLAT_DELTA, load
 from randmodels import random_domain
 
 
@@ -104,6 +109,156 @@ def test_all_outcomes_heuristic_on_probabilistic_problem(triangle1):
     h, _ = grounded.relaxed_task.evaluate(grounded.initial_state.bits)
     # direct route is two moves under the delete relaxation
     assert h == 2.0
+
+
+def layered_reference(task: RelaxedTask, bits: int):
+    """The relaxed planning graph built by rescanning every pending entry on
+    every layer, with the same extraction: the construction the
+    counter-driven ``RelaxedTask.evaluate`` must agree with exactly."""
+    goal_mask = task.goal_mask
+    if bits & goal_mask == goal_mask:
+        return 0.0, frozenset()
+    level_of = {atom: 0 for atom in range(task.n_atoms) if bits >> atom & 1}
+    entry_level = {}
+    reached = bits
+    level = 0
+    pending = list(range(len(task.entries)))
+    while True:
+        new_bits = reached
+        remaining = []
+        for ei in pending:
+            _, _, pre, add = task.entries[ei]
+            if reached & pre == pre:
+                entry_level[ei] = level
+                new_bits |= add
+            else:
+                remaining.append(ei)
+        pending = remaining
+        if new_bits == reached:
+            return math.inf, frozenset()
+        for atom in range(task.n_atoms):
+            if (new_bits & ~reached) >> atom & 1:
+                level_of[atom] = level + 1
+        reached = new_bits
+        level += 1
+        if reached & goal_mask == goal_mask:
+            break
+
+    max_level = max(level_of[a] for a in task.goal_atoms)
+    subgoals = [set() for _ in range(max_level + 1)]
+    for atom in task.goal_atoms:
+        if level_of[atom] > 0:
+            subgoals[level_of[atom]].add(atom)
+    cost = 0.0
+    selected = set()
+    helpful = set()
+    for lvl in range(max_level, 0, -1):
+        for atom in sorted(subgoals[lvl]):
+            achiever = next((ei for ei in task.achievers[atom]
+                             if entry_level.get(ei) == lvl - 1), None)
+            if achiever is None or (achiever, lvl - 1) in selected:
+                continue
+            selected.add((achiever, lvl - 1))
+            orig_id, act_cost, _, _ = task.entries[achiever]
+            cost += act_cost
+            if lvl == 1:
+                helpful.add(orig_id)
+            for pre_atom in task.pre_atoms[achiever]:
+                if level_of[pre_atom] > 0:
+                    subgoals[level_of[pre_atom]].add(pre_atom)
+    return cost, frozenset(helpful)
+
+
+def assert_matches_reference(task: RelaxedTask, states) -> int:
+    for bits in states:
+        assert task.evaluate(bits) == layered_reference(task, bits), bin(bits)
+    return len(states)
+
+
+def test_heuristic_matches_reference_on_random_domains():
+    # every reachable state, on the all-outcomes task and on the task of
+    # every determinization
+    rng = random.Random(11)
+    domains = checked = 0
+    while domains < 36:
+        schema, prob = random_domain(rng, n_atoms=6)
+        try:
+            deltas = enumerate_determinizations(schema, cap=64)
+        except EnumerationBlowupError:
+            continue
+        grounded = ground(schema, prob)
+        states = [s.bits for s in enumerate_model(grounded).labels]
+        if len(states) < 4:
+            continue
+        domains += 1
+        checked += assert_matches_reference(grounded.relaxed_task, states)
+        for delta in deltas:
+            det = make_reduction(grounded, delta, 0).det_problem()
+            checked += assert_matches_reference(det.relaxed_task, states)
+    assert checked > 5000
+
+
+def test_heuristic_matches_reference_on_triangle_evaluation(monkeypatch):
+    visited: dict[int, tuple[RelaxedTask, set[int]]] = {}
+    evaluate = RelaxedTask.evaluate
+
+    def recording(task, bits):
+        visited.setdefault(id(task), (task, set()))[1].add(bits)
+        return evaluate(task, bits)
+
+    monkeypatch.setattr(RelaxedTask, "evaluate", recording)
+    _, _, grounded = load(*gen_triangle_tireworld(2))
+    monte_carlo_evaluate(grounded, FLAT_DELTA, 2, 1e-3, 3, 1)
+    monkeypatch.undo()
+    # the all-outcomes task and the determinized one
+    assert len(visited) == 2
+    for task, states in visited.values():
+        assert assert_matches_reference(task, sorted(states)) > 100
+
+
+def relaxed(atoms, actions, goal):
+    d, mask = det_problem(atoms, actions, goal)
+    return d.relaxed_task, mask
+
+
+def test_heuristic_tie_breaks_to_lowest_achiever():
+    # both achievers of g enter at layer 0; the lower index is the one
+    # counted and the one helpful, even though the other is cheaper
+    task, mask = relaxed(["s", "g"],
+                         [("dear", ["s"], [], ["g"], [], 3.0),
+                          ("cheap", ["s"], [], ["g"], [], 1.0)], ["g"])
+    bits = mask(["s"])
+    assert task.evaluate(bits) == (3.0, frozenset({0}))
+    assert layered_reference(task, bits) == (3.0, frozenset({0}))
+
+
+def test_heuristic_entry_without_preconditions():
+    task, mask = relaxed(["m", "g"],
+                         [("use", ["m"], [], ["g"], [], 1.0),
+                          ("free", [], [], ["m"], [], 2.0)], ["g"])
+    assert task.unconditional == [1]
+    assert task.evaluate(0) == (3.0, frozenset({1}))
+    assert layered_reference(task, 0) == (3.0, frozenset({1}))
+
+
+def test_heuristic_entry_adding_only_reached_atoms():
+    # "again" enters at layer 0 and adds nothing new; it is never chosen
+    task, mask = relaxed(["s", "m", "g"],
+                         [("again", ["s"], [], ["s"], [], 1.0),
+                          ("step1", ["s"], [], ["m"], [], 1.0),
+                          ("step2", ["m"], [], ["g"], [], 1.0)], ["g"])
+    bits = mask(["s"])
+    assert task.evaluate(bits) == (2.0, frozenset({1}))
+    assert layered_reference(task, bits) == (2.0, frozenset({1}))
+
+
+def test_heuristic_unreachable_and_satisfied_goals():
+    task, mask = relaxed(*CHAIN)
+    assert task.evaluate(0) == (math.inf, frozenset())
+    assert task.evaluate(mask(["g"])) == (0.0, frozenset())
+    assert task.evaluate(mask(["s", "g"])) == (0.0, frozenset())
+    for bits in (0, mask(["g"]), mask(["s", "g"])):
+        assert layered_reference(task, bits) == task.evaluate(bits)
 
 
 def test_greedy_fallback_to_uniform_cost():
