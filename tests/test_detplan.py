@@ -114,7 +114,8 @@ def test_all_outcomes_heuristic_on_probabilistic_problem(triangle1):
 def layered_reference(task: RelaxedTask, bits: int):
     """The relaxed planning graph built by rescanning every pending entry on
     every layer, with the same extraction: the construction the
-    counter-driven ``RelaxedTask.evaluate`` must agree with exactly."""
+    counter-driven ``RelaxedTask.evaluate`` must agree with exactly. It reads
+    only the task's entries and goal, none of its indexes."""
     goal_mask = task.goal_mask
     if bits & goal_mask == goal_mask:
         return 0.0, frozenset()
@@ -144,9 +145,10 @@ def layered_reference(task: RelaxedTask, bits: int):
         if reached & goal_mask == goal_mask:
             break
 
-    max_level = max(level_of[a] for a in task.goal_atoms)
+    goal_atoms = [atom for atom in range(task.n_atoms) if goal_mask >> atom & 1]
+    max_level = max(level_of[a] for a in goal_atoms)
     subgoals = [set() for _ in range(max_level + 1)]
-    for atom in task.goal_atoms:
+    for atom in goal_atoms:
         if level_of[atom] > 0:
             subgoals[level_of[atom]].add(atom)
     cost = 0.0
@@ -154,17 +156,18 @@ def layered_reference(task: RelaxedTask, bits: int):
     helpful = set()
     for lvl in range(max_level, 0, -1):
         for atom in sorted(subgoals[lvl]):
-            achiever = next((ei for ei in task.achievers[atom]
-                             if entry_level.get(ei) == lvl - 1), None)
+            achiever = next((ei for ei, (_, _, _, add) in enumerate(task.entries)
+                             if add >> atom & 1
+                             and entry_level.get(ei) == lvl - 1), None)
             if achiever is None or (achiever, lvl - 1) in selected:
                 continue
             selected.add((achiever, lvl - 1))
-            orig_id, act_cost, _, _ = task.entries[achiever]
+            orig_id, act_cost, pre, _ = task.entries[achiever]
             cost += act_cost
             if lvl == 1:
                 helpful.add(orig_id)
-            for pre_atom in task.pre_atoms[achiever]:
-                if level_of[pre_atom] > 0:
+            for pre_atom in range(task.n_atoms):
+                if pre >> pre_atom & 1 and level_of[pre_atom] > 0:
                     subgoals[level_of[pre_atom]].add(pre_atom)
     return cost, frozenset(helpful)
 
@@ -216,49 +219,29 @@ def test_heuristic_matches_reference_on_triangle_evaluation(monkeypatch):
         assert assert_matches_reference(task, sorted(states)) > 100
 
 
-def relaxed(atoms, actions, goal):
-    d, mask = det_problem(atoms, actions, goal)
-    return d.relaxed_task, mask
-
-
-def test_heuristic_tie_breaks_to_lowest_achiever():
-    # both achievers of g enter at layer 0; the lower index is the one
-    # counted and the one helpful, even though the other is cheaper
-    task, mask = relaxed(["s", "g"],
-                         [("dear", ["s"], [], ["g"], [], 3.0),
-                          ("cheap", ["s"], [], ["g"], [], 1.0)], ["g"])
-    bits = mask(["s"])
-    assert task.evaluate(bits) == (3.0, frozenset({0}))
-    assert layered_reference(task, bits) == (3.0, frozenset({0}))
-
-
-def test_heuristic_entry_without_preconditions():
-    task, mask = relaxed(["m", "g"],
-                         [("use", ["m"], [], ["g"], [], 1.0),
-                          ("free", [], [], ["m"], [], 2.0)], ["g"])
-    assert task.unconditional == [1]
-    assert task.evaluate(0) == (3.0, frozenset({1}))
-    assert layered_reference(task, 0) == (3.0, frozenset({1}))
-
-
-def test_heuristic_entry_adding_only_reached_atoms():
-    # "again" enters at layer 0 and adds nothing new; it is never chosen
-    task, mask = relaxed(["s", "m", "g"],
-                         [("again", ["s"], [], ["s"], [], 1.0),
-                          ("step1", ["s"], [], ["m"], [], 1.0),
-                          ("step2", ["m"], [], ["g"], [], 1.0)], ["g"])
-    bits = mask(["s"])
-    assert task.evaluate(bits) == (2.0, frozenset({1}))
-    assert layered_reference(task, bits) == (2.0, frozenset({1}))
-
-
-def test_heuristic_unreachable_and_satisfied_goals():
-    task, mask = relaxed(*CHAIN)
-    assert task.evaluate(0) == (math.inf, frozenset())
-    assert task.evaluate(mask(["g"])) == (0.0, frozenset())
-    assert task.evaluate(mask(["s", "g"])) == (0.0, frozenset())
-    for bits in (0, mask(["g"]), mask(["s", "g"])):
-        assert layered_reference(task, bits) == task.evaluate(bits)
+@pytest.mark.parametrize("atoms,actions,start,expected", [
+    # both achievers of g enter at layer 0: the lower index is counted and
+    # helpful, though the other is cheaper
+    (["s", "g"], [("dear", ["s"], [], ["g"], [], 3.0),
+                  ("cheap", ["s"], [], ["g"], [], 1.0)],
+     ["s"], (3.0, frozenset({0}))),
+    (["m", "g"], [("use", ["m"], [], ["g"], [], 1.0),
+                  ("free", [], [], ["m"], [], 2.0)],
+     [], (3.0, frozenset({1}))),
+    # "again" enters at layer 0 and adds no new atom; it is never chosen
+    (["s", "m", "g"], [("again", ["s"], [], ["s"], [], 1.0),
+                       ("step1", ["s"], [], ["m"], [], 1.0),
+                       ("step2", ["m"], [], ["g"], [], 1.0)],
+     ["s"], (2.0, frozenset({1}))),
+    (*CHAIN[:2], [], (math.inf, frozenset())),
+    (*CHAIN[:2], ["s", "g"], (0.0, frozenset())),
+], ids=["same-layer-achievers", "no-preconditions", "adds-only-reached",
+        "unreachable-goal", "satisfied-goal"])
+def test_heuristic_hand_built_cases(atoms, actions, start, expected):
+    d, mask = det_problem(atoms, actions, ["g"])
+    bits = mask(start)
+    assert d.relaxed_task.evaluate(bits) == expected
+    assert layered_reference(d.relaxed_task, bits) == expected
 
 
 def test_greedy_fallback_to_uniform_cost():
