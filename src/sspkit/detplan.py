@@ -229,22 +229,27 @@ class RelaxedTask:
         return cost, frozenset(helpful)
 
 
+def _plan(d: DeterministicProblem, chain: list[tuple[int, int]],
+          expansions: int = 0) -> PlanResult:
+    """The plan whose steps are ``chain``'s (state bits, action id) pairs."""
+    suffix_costs = []
+    total = 0.0
+    for _, action_id in reversed(chain):
+        total += d.actions_by_id[action_id].cost
+        suffix_costs.append(total)
+    suffix_costs.reverse()
+    return PlanResult("plan", [(State(b), a) for b, a in chain], suffix_costs,
+                      expansions)
+
+
 def _reconstruct(d: DeterministicProblem, parents: dict, goal_bits: int,
                  expansions: int) -> PlanResult:
-    chain: list[tuple[int, int]] = []  # (bits of state, action id)
+    chain: list[tuple[int, int]] = []
     bits = goal_bits
     while parents[bits] is not None:
-        prev, action_id = parents[bits]
-        chain.append((prev, action_id))
-        bits = prev
-    chain.reverse()
-    steps = [(State(b), action_id) for b, action_id in chain]
-    suffix = 0.0
-    suffix_costs = [0.0] * len(chain)
-    for i in range(len(chain) - 1, -1, -1):
-        suffix += d.actions_by_id[chain[i][1]].cost
-        suffix_costs[i] = suffix
-    return PlanResult("plan", steps, suffix_costs, expansions)
+        chain.append(parents[bits])
+        bits = parents[bits][0]
+    return _plan(d, chain[::-1], expansions)
 
 
 def solve_deterministic(d: DeterministicProblem, s: State, *,
@@ -433,23 +438,15 @@ def solve_with_external(d: DeterministicProblem, s: State,
             f"{proc.stderr.strip()[:200]}")
     by_sanitized = {sanitize_action_name(a.name): a for a in d.actions}
     bits = s.bits
-    steps: list[tuple[State, int]] = []
-    costs: list[float] = []
+    chain: list[tuple[int, int]] = []
     for token in parse_plan_text(proc.stdout):
         a = by_sanitized.get(token)
         if a is None:
             raise ExternalPlannerError(f"unknown action {token!r} in plan")
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
             raise ExternalPlannerError(f"inapplicable action {token!r} in plan")
-        steps.append((State(bits), a.id))
-        costs.append(a.cost)
+        chain.append((bits, a.id))
         bits = d.apply(bits, a)
     if not d.is_goal(bits):
         raise ExternalPlannerError("external plan does not reach the goal")
-    suffix_costs = []
-    total = 0.0
-    for c in reversed(costs):
-        total += c
-        suffix_costs.append(total)
-    suffix_costs.reverse()
-    return PlanResult("plan", steps, suffix_costs)
+    return _plan(d, chain)

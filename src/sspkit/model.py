@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotApplicableError
 
@@ -14,42 +13,12 @@ if TYPE_CHECKING:
 SuccessorDistribution = list[tuple["State", float]]
 
 
-class State:
+class State(NamedTuple):
     """An immutable set of true atoms, stored as a bitset over atom indices.
+    Hashing and equality are the tuple's: bitsets whose hashes alias (bits
+    i and i+61) stay distinct keys at the cost of one compare."""
 
-    Equality is bitset equality; the 64-bit fingerprint is a pure function
-    of the bitset and only accelerates hashing (collisions fall back to
-    full comparison through ``__eq__``).
-    """
-
-    __slots__ = ("bits", "_fp")
-
-    def __init__(self, bits: int):
-        self.bits = bits
-        self._fp = None
-
-    @property
-    def fingerprint(self) -> int:
-        fp = self._fp
-        if fp is None:
-            nbytes = (self.bits.bit_length() + 7) // 8 or 1
-            digest = hashlib.blake2b(
-                self.bits.to_bytes(nbytes, "little"), digest_size=8).digest()
-            fp = int.from_bytes(digest, "little")
-            self._fp = fp
-        return fp
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, State) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return self.fingerprint
-
-    def __repr__(self) -> str:
-        return f"State({self.bits:#x})"
-
-    def contains(self, atom_index: int) -> bool:
-        return bool(self.bits >> atom_index & 1)
+    bits: int
 
 
 def applicable_actions(s: State, p: GroundedProblem) -> list[int]:

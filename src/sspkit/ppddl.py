@@ -215,6 +215,7 @@ _UNSUPPORTED_HEADS = {
 class _Ctx:
     def __init__(self, filename: str):
         self.filename = filename
+        self.seen: set[str] = set()
 
     def fail(self, message: str, at=None) -> ParseError:
         tok = _first_token(at)
@@ -227,6 +228,12 @@ class _Ctx:
         if tok is None:
             return UnsupportedFeatureError(feature, self.filename)
         return UnsupportedFeatureError(feature, self.filename, tok.line, tok.col)
+
+    def once(self, what: str, at) -> None:
+        """Raise on a second ``what``: it would replace or shadow the first."""
+        if what in self.seen:
+            raise self.fail(f"duplicate {what}", at)
+        self.seen.add(what)
 
 
 def _first_token(node):
@@ -455,6 +462,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
             raise ctx.fail("expected a domain section", section)
         key = _word(section[0], ctx, "section keyword")
         if key == ":requirements":
+            ctx.once(f"{key} section", section[0])
             requirements = tuple(_word(t, ctx, "requirement") for t in section[1:])
         elif key == ":types":
             for tname, parent in _parse_typed_list(section[1:], ctx, variables=False):
@@ -466,8 +474,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
                     raise ctx.fail("expected predicate declaration", form)
                 pname = _word(form[0], ctx, "predicate name")
                 params = tuple(_parse_typed_list(form[1:], ctx, variables=True))
-                if any(p.name == pname for p in predicates):
-                    raise ctx.fail(f"duplicate predicate {pname!r}", form)
+                ctx.once(f"predicate {pname!r}", form)
                 predicates.append(Predicate(pname, params))
         elif key == ":constants":
             raise ctx.unsupported(":constants", section)
@@ -498,15 +505,17 @@ def _parse_action(section: list, ctx: _Ctx, types: dict[str, str]) -> ActionSche
     if len(section) < 2:
         raise ctx.fail("expected action name", section)
     name = _word(section[1], ctx, "action name")
+    ctx.once(f"action {name!r}", section[1])
     params: tuple[tuple[str, str], ...] = ()
     precondition: tuple[Literal, ...] = ()
     equalities: tuple[tuple[str, str, bool], ...] = ()
-    clauses: tuple[ProbabilisticClause, ...] | None = None
+    clauses = (ProbabilisticClause((Outcome(Fraction(1)),)),)
     i = 2
     while i < len(section):
         key = _word(section[i], ctx, "action keyword")
         if i + 1 >= len(section):
             raise ctx.fail(f"missing body after {key}", section[i])
+        ctx.once(f"{key} in action {name!r}", section[i])
         body = section[i + 1]
         if key == ":parameters":
             if not isinstance(body, list):
@@ -519,8 +528,6 @@ def _parse_action(section: list, ctx: _Ctx, types: dict[str, str]) -> ActionSche
         else:
             raise ctx.unsupported(key, section[i])
         i += 2
-    if clauses is None:
-        clauses = (ProbabilisticClause((Outcome(Fraction(1)),)),)
     variables = [v for v, _ in params]
     if len(set(variables)) != len(variables):
         raise ctx.fail(f"duplicate parameter in action {name!r}", section)
@@ -584,6 +591,8 @@ def parse_problem(text: str, schema: DomainSchema,
         if not isinstance(section, list) or not section:
             raise ctx.fail("expected a problem section", section)
         key = _word(section[0], ctx, "section keyword")
+        if key != ":init":  # repeated :init sections merge
+            ctx.once(f"{key} section", section[0])
         if key in (":domain", ":goal") and len(section) != 2:
             raise ctx.fail(f"expected one body after {key}", section)
         if key == ":domain":

@@ -348,3 +348,17 @@ def test_external_planner_failure_and_garbage(tmp_path, chain2):
     with pytest.raises(ExternalPlannerError):
         solve_with_external(det, grounded.initial_state,
                             [sys.executable, garbage])
+
+
+@pytest.mark.parametrize("plan, message", [
+    ("(step__p1__p2)", "inapplicable action 'step__p1__p2' in plan"),
+    ("(step__p0__p1)", "external plan does not reach the goal"),
+], ids=["inapplicable", "short-of-goal"])
+def test_external_plan_is_replayed(tmp_path, chain2, plan, message):
+    _, _, grounded = chain2
+    delta = Determinization({("step", 0): 0})
+    det = make_reduction(grounded, delta, 0).det_problem()
+    script = _write_script(tmp_path, f'print("{plan}")')
+    with pytest.raises(ExternalPlannerError, match=message):
+        solve_with_external(det, grounded.initial_state,
+                            [sys.executable, script])

@@ -1,0 +1,86 @@
+"""Fixed-seed mutation fuzz over the three kinds of outside input: PPDDL
+text, determinization text and stdio client lines. Malformed input must end
+in a named error (or, on the stdio protocol, a forfeited round), never in
+any other exception."""
+
+import io
+import json
+import random
+
+import pytest
+
+from sspkit import (SspkitError, ground, mlo_determinization, parse_domain,
+                    parse_problem, serve_rounds)
+from sspkit.domains import gen_chain, gen_retry, gen_trap, gen_triangle_tireworld
+from sspkit.reduction import Determinization
+
+from conftest import load
+
+SOURCES = {
+    "triangle-1": gen_triangle_tireworld(1),
+    "chain-3": gen_chain(3),
+    "retry": gen_retry(),
+    "trap-5": gen_trap(5),
+}
+# characters that move a mutation across token, section and number shapes
+ALPHABET = "() \n\t-?:;=/.,#>0123456789aeknoprt\"[]{}"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """Apply one to three random edits: delete, repeat, insert a character,
+    or copy a span of the text to another place."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 12))
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + text[i:j] * rng.randint(2, 3) + text[j:]
+        elif op == 2:
+            text = text[:i] + rng.choice(ALPHABET) + text[i:]
+        else:
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + text[i:j] + text[k:]
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_mutated_ppddl_raises_only_sspkit_errors(name):
+    rng = random.Random(f"ppddl/{name}")
+    domain_text, problem_text = SOURCES[name]
+    for trial in range(250):
+        if trial % 2:
+            domain_text_m, problem_text_m = mutate(rng, domain_text), problem_text
+        else:
+            domain_text_m, problem_text_m = domain_text, mutate(rng, problem_text)
+        try:
+            schema = parse_domain(domain_text_m)
+            ground(schema, parse_problem(problem_text_m, schema))
+        except SspkitError:
+            pass
+
+
+def test_mutated_determinization_raises_only_named_errors():
+    # the CLI maps ValueError, like SspkitError, to exit code 2
+    rng = random.Random("determinization")
+    schema = parse_domain(SOURCES["triangle-1"][0])
+    text = mlo_determinization(schema).to_text()
+    for _ in range(600):
+        try:
+            Determinization.from_text(mutate(rng, text)).validate(schema)
+        except (SspkitError, ValueError):
+            pass
+
+
+def test_mutated_client_lines_never_break_the_protocol():
+    rng = random.Random("stdio")
+    _, _, grounded = load(*SOURCES["chain-3"])
+    lines = [json.dumps({"action": a.name}) for a in grounded.actions]
+    lines.append(json.dumps({"action": None}))
+    for _ in range(400):
+        sent = "".join(mutate(rng, rng.choice(lines)) + "\n"
+                       for _ in range(rng.randint(1, 4)))
+        writer = io.StringIO()
+        serve_rounds(grounded, io.StringIO(sent), writer, rounds=2, seed=0)
+        assert json.loads(writer.getvalue().splitlines()[-1])["type"] == "eval"

@@ -146,24 +146,20 @@ def test_empty_goal_always_true():
     assert is_goal(State(0), grounded)
 
 
-def test_state_equality_and_fingerprint():
+def test_state_equality_and_hash():
     a, b, c = State(0b1010), State(0b1010), State(0b1011)
     assert a == b and hash(a) == hash(b)
     assert a != c
-    assert a.fingerprint == State(0b1010).fingerprint
     assert {a, b, c} == {a, c}
     assert a != 0b1010  # not equal to raw ints
 
 
-def test_fingerprint_collisions_do_not_merge_states():
-    # force a hash collision: semantics must still come from the bitset
-    a, b = State(0b01), State(0b10)
-    a._fp = 1234
-    b._fp = 1234
+def test_hash_collisions_do_not_merge_states():
+    # CPython's int hash is taken modulo 2**61 - 1, so bits 0 and 61 alias;
+    # semantics must still come from the bitset
+    a, b = State(1), State(1 << 61)
     assert hash(a) == hash(b)
     assert a != b
     table = {a: "a", b: "b"}
     assert len(table) == 2
-    probe = State(0b01)
-    probe._fp = 1234
-    assert table[probe] == "a"
+    assert table[State(1)] == "a" and table[State(1 << 61)] == "b"

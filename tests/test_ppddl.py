@@ -223,6 +223,41 @@ def test_duplicate_predicate_rejected():
         parse_domain("(define (domain d) (:predicates (p) (p)))")
 
 
+@pytest.mark.parametrize("head, repeat, col, message", [
+    pytest.param("(define (domain d) (:requirements :strips) (:predicates (p))",
+                 "(:requirements :typing))", 4,
+                 "duplicate :requirements section", id=":requirements"),
+    pytest.param("(define (domain d) (:predicates (p)) (:action a :effect (p))",
+                 "(:action a :effect (not (p))))", 12,
+                 "duplicate action 'a'", id="action"),
+    pytest.param("(define (domain d) (:predicates (p)) (:action a :parameters ()",
+                 ":parameters ()))", 3,
+                 "duplicate :parameters in action 'a'", id=":parameters"),
+    pytest.param("(define (domain d) (:predicates (p)) (:action a :precondition (p)",
+                 ":precondition (and)))", 3,
+                 "duplicate :precondition in action 'a'", id=":precondition"),
+    pytest.param("(define (domain d) (:predicates (p)) (:action a :effect (p)",
+                 ":effect (not (p))))", 3,
+                 "duplicate :effect in action 'a'", id=":effect"),
+    pytest.param("(define (problem e) (:domain mini) (:init (p)) (:goal (q))",
+                 "(:domain mini))", 4, "duplicate :domain section", id=":domain"),
+    pytest.param("(define (problem e) (:domain mini) (:objects x) (:init (p))",
+                 "(:objects y) (:goal (q)))", 4,
+                 "duplicate :objects section", id=":objects"),
+    pytest.param("(define (problem e) (:domain mini) (:init (p)) (:goal (q))",
+                 "(:goal (and)))", 4, "duplicate :goal section", id=":goal"),
+])
+def test_repeated_section_is_positioned(head, repeat, col, message):
+    # a repeat would silently replace the earlier section or action
+    text = f"{head}\n  {repeat}"
+    with pytest.raises(ParseError) as err:
+        if "(problem" in head:
+            parse_problem(text, parse_domain(MINIMAL), filename="r.ppddl")
+        else:
+            parse_domain(text, filename="r.ppddl")
+    assert str(err.value) == f"r.ppddl:2:{col}: {message}"
+
+
 def test_duplicate_parameter_rejected():
     with pytest.raises(ParseError):
         parse_domain("""
