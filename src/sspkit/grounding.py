@@ -42,7 +42,6 @@ class GroundAction:
     id: int
     name: str
     schema_name: str
-    binding: tuple[str, ...]
     pre_pos_mask: int
     pre_neg_mask: int
     cost: Fraction
@@ -125,7 +124,6 @@ def _objects_by_type(schema: DomainSchema, problem: ProblemDef) -> dict[str, lis
 @dataclass
 class _Candidate:
     schema: ActionSchema
-    binding: tuple[str, ...]
     name: str
     pre_pos: frozenset[str]
     pre_neg: frozenset[str]
@@ -151,7 +149,7 @@ def _instantiate(schema: ActionSchema, binding: tuple[str, ...]) -> _Candidate |
         clause_outcomes.append(rows)
     args = " ".join(binding)
     name = f"({schema.name} {args})" if args else f"({schema.name})"
-    return _Candidate(schema, binding, name, pre_pos, pre_neg, clause_outcomes)
+    return _Candidate(schema, name, pre_pos, pre_neg, clause_outcomes)
 
 
 def _relaxed_reachable(candidates: list[_Candidate], init: set[str]) -> set[str]:
@@ -255,7 +253,6 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
             id=len(actions),
             name=cand.name,
             schema_name=cand.schema.name,
-            binding=cand.binding,
             pre_pos_mask=mask(cand.pre_pos),
             pre_neg_mask=mask(cand.pre_neg),
             cost=cand.schema.cost,

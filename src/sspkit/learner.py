@@ -76,7 +76,6 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
                  k: int = 0, rounds: int = 50, seed: int = 0,
                  epsilon: float = 1e-3, max_actions: int = 2500,
                  time_budget: float | None = None,
-                 enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
                  workers: int = 1) -> tuple[Determinization, list[DetCandidate]]:
     """Pick the best determinization for a domain on a training problem.
 
@@ -89,7 +88,7 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
     so one pathological choice cannot starve the rest.
     """
     problem = ground(schema, training_problem)
-    deltas = enumerate_determinizations(schema, cap=enumeration_cap)
+    deltas = enumerate_determinizations(schema)
     per_budget = time_budget / len(deltas) if time_budget is not None else None
 
     if workers > 1:

@@ -1,9 +1,11 @@
-"""PPDDL-subset front end: tokenizer, domain/problem parser, pretty printer.
+"""PPDDL-subset front end: reader, domain/problem parser, pretty printer.
 
 Supported subset: :strips, :typing, :equality, :negative-preconditions and
 flat :probabilistic-effects. Conditional effects, quantifiers, rewards,
 fluents, axioms and domain constants are rejected with a named-feature error.
-Probabilities are kept as exact rationals end to end.
+``(= a b)`` and ``(not (= a b))`` take two terms, in preconditions only; a
+type declared twice must name the same parent. Probabilities are kept as
+exact rationals end to end.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from .errors import ParseError, TypeMismatchError, UnsupportedFeatureError
 
 ROOT_TYPE = "object"
 
-_WORD_RE = re.compile(r"[^\s();]+")
+# a newline, a parenthesis, a comment, a word, or (last) any whitespace
+# character other than space, tab and carriage return, which is stray
+_TOKEN_RE = re.compile(r"\n|[()]|;[^\n]*|[^\s();]+|[^ \t\r]")
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)?$|^\d+/\d+$")
 
 
@@ -27,61 +31,44 @@ class Token:
     col: int
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """Split PPDDL text into '(' / ')' / word tokens with positions.
+def read_sexps(text: str, filename: str = "<input>") -> list:
+    """Read PPDDL text into nested lists whose leaves are word Tokens.
 
-    Identifiers are case-insensitive and lowercased here; ';' starts a
-    comment running to end of line.
+    Words are case-insensitive and lowercased here; ';' starts a comment
+    running to end of line. A stray character is reported before any
+    unbalanced parenthesis, wherever the two lie in the text.
     """
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(Token(ch, line, col))
-            i += 1
-            col += 1
-        else:
-            m = _WORD_RE.match(text, i)
-            if m is None:
-                raise ParseError(f"stray character {ch!r}", filename, line, col)
-            word = m.group(0)
-            tokens.append(Token(word.lower(), line, col))
-            i = m.end()
-            col += len(word)
-    return tokens
-
-
-def read_sexps(tokens: list[Token], filename: str = "<input>") -> list:
-    """Build nested lists from the token stream. Leaves are Tokens."""
     stack: list[list] = [[]]
     opens: list[Token] = []
-    for tok in tokens:
-        if tok.value == "(":
+    unbalanced = None
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        word = m.group()
+        if word == "\n":
+            line += 1
+            line_start = m.end()
+            continue
+        if word[0] == ";":
+            continue
+        tok = Token(word.lower(), line, m.start() - line_start + 1)
+        if word.isspace():
+            raise ParseError(f"stray character {word!r}", filename, tok.line, tok.col)
+        if word == "(":
             stack.append([])
             opens.append(tok)
-        elif tok.value == ")":
-            if len(stack) == 1:
-                raise ParseError("unbalanced ')'", filename, tok.line, tok.col)
-            done = stack.pop()
-            opens.pop()
-            stack[-1].append(done)
+        elif word == ")":
+            if len(stack) > 1:
+                opens.pop()
+                done = stack.pop()
+                stack[-1].append(done)
+            elif unbalanced is None:
+                unbalanced = tok
         else:
             stack[-1].append(tok)
-    if len(stack) != 1:
-        tok = opens[-1]
-        raise ParseError("unclosed '('", filename, tok.line, tok.col)
+    if unbalanced is not None:
+        raise ParseError("unbalanced ')'", filename, unbalanced.line, unbalanced.col)
+    if opens:
+        raise ParseError("unclosed '('", filename, opens[-1].line, opens[-1].col)
     return stack[0]
 
 
@@ -128,11 +115,8 @@ class ProbabilisticClause:
 
     outcomes: tuple[Outcome, ...]
 
-    def probability_sum(self) -> Fraction:
-        return sum((o.probability for o in self.outcomes), Fraction(0))
-
     def effective_outcomes(self) -> tuple[Outcome, ...]:
-        residual = 1 - self.probability_sum()
+        residual = 1 - sum((o.probability for o in self.outcomes), Fraction(0))
         if residual > 0:
             return self.outcomes + (Outcome(residual),)
         return self.outcomes
@@ -145,10 +129,6 @@ class ProbabilisticClause:
 class Predicate:
     name: str
     params: tuple[tuple[str, str], ...]  # (variable, type) pairs
-
-    @property
-    def arity(self) -> int:
-        return len(self.params)
 
 
 @dataclass(frozen=True)
@@ -217,17 +197,13 @@ class _Ctx:
         self.filename = filename
         self.seen: set[str] = set()
 
-    def fail(self, message: str, at=None) -> ParseError:
+    def fail(self, message: str, at=None, error=ParseError) -> ParseError:
         tok = _first_token(at)
-        if tok is None:
-            return ParseError(message, self.filename)
-        return ParseError(message, self.filename, tok.line, tok.col)
+        position = (tok.line, tok.col) if tok is not None else ()
+        return error(message, self.filename, *position)
 
     def unsupported(self, feature: str, at=None) -> UnsupportedFeatureError:
-        tok = _first_token(at)
-        if tok is None:
-            return UnsupportedFeatureError(feature, self.filename)
-        return UnsupportedFeatureError(feature, self.filename, tok.line, tok.col)
+        return self.fail(feature, at, UnsupportedFeatureError)
 
     def once(self, what: str, at) -> None:
         """Raise on a second ``what``: it would replace or shadow the first."""
@@ -248,38 +224,41 @@ def _first_token(node):
 
 
 def _word(node, ctx: _Ctx, what: str) -> str:
-    if not isinstance(node, Token) or node.value in "()":
+    if not isinstance(node, Token):
         raise ctx.fail(f"expected {what}", node)
     return node.value
+
+
+def _head(node) -> str:
+    """The leading word of a form, or '' for a word, ``()`` or a list head."""
+    if isinstance(node, list) and node and isinstance(node[0], Token):
+        return node[0].value
+    return ""
 
 
 def _parse_typed_list(items: list, ctx: _Ctx, *, variables: bool) -> list[tuple[str, str]]:
     """Parse ``a b - t c d - u e`` into (name, type) pairs; default type object."""
     out: list[tuple[str, str]] = []
     pending: list[str] = []
-    i = 0
-    while i < len(items):
-        node = items[i]
+    nodes = iter(items)
+    for node in nodes:
         if isinstance(node, list):
             raise ctx.unsupported("either", node)
         word = node.value
         if word == "-":
-            if i + 1 >= len(items):
+            tnode = next(nodes, None)
+            if tnode is None:
                 raise ctx.fail("expected type after '-'", node)
-            tnode = items[i + 1]
             if isinstance(tnode, list):
                 raise ctx.unsupported("either", tnode)
-            for name in pending:
-                out.append((name, tnode.value))
+            out.extend((name, tnode.value) for name in pending)
             pending = []
-            i += 2
+        elif variables and not word.startswith("?"):
+            raise ctx.fail(f"expected variable, got {word!r}", node)
+        elif not variables and word.startswith("?"):
+            raise ctx.fail(f"unexpected variable {word!r}", node)
         else:
-            if variables and not word.startswith("?"):
-                raise ctx.fail(f"expected variable, got {word!r}", node)
-            if not variables and word.startswith("?"):
-                raise ctx.fail(f"unexpected variable {word!r}", node)
             pending.append(word)
-            i += 1
     out.extend((name, ROOT_TYPE) for name in pending)
     return out
 
@@ -294,66 +273,41 @@ def _parse_atom(node, ctx: _Ctx) -> Atom:
     return Atom(head, args)
 
 
-def _flatten_and(node, ctx: _Ctx) -> list:
-    """Return the conjuncts of a formula; a bare form is its own conjunct."""
-    if isinstance(node, list) and node and isinstance(node[0], Token) and node[0].value == "and":
-        out = []
+def _conjuncts(node):
+    """Yield the conjuncts of a formula; a bare form is its own conjunct."""
+    if _head(node) == "and":
         for sub in node[1:]:
-            out.extend(_flatten_and(sub, ctx))
-        return out
-    return [node]
+            yield from _conjuncts(sub)
+    else:
+        yield node
+
+
+def _literals(node, ctx: _Ctx, what: str):
+    """Yield (negated, form) per conjunct, reading ``(not X)`` as (True, X)."""
+    for form in _conjuncts(node):
+        if not isinstance(form, list) or not form:
+            raise ctx.fail(f"expected {what}", form)
+        if _head(form) != "not":
+            yield False, form
+        elif len(form) != 2 or not isinstance(form[1], list):
+            raise ctx.fail("malformed (not ...)", form)
+        else:
+            yield True, form[1]
 
 
 def _parse_precondition(node, ctx: _Ctx):
     literals: list[Literal] = []
     equalities: list[tuple[str, str, bool]] = []
-    for form in _flatten_and(node, ctx):
-        if not isinstance(form, list) or not form:
-            raise ctx.fail("expected precondition literal", form)
-        head = form[0].value if isinstance(form[0], Token) else ""
-        if head == "not":
-            if len(form) != 2 or not isinstance(form[1], list):
-                raise ctx.fail("malformed (not ...)", form)
-            inner = form[1]
-            ih = inner[0].value if inner and isinstance(inner[0], Token) else ""
-            if ih == "=":
-                a = _word(inner[1], ctx, "term")
-                b = _word(inner[2], ctx, "term")
-                equalities.append((a, b, False))
-            else:
-                literals.append(Literal(_parse_atom(inner, ctx), negated=True))
-        elif head == "=":
-            if len(form) != 3:
-                raise ctx.fail("malformed (= ...)", form)
+    for negated, form in _literals(node, ctx, "precondition literal"):
+        if _head(form) != "=":
+            literals.append(Literal(_parse_atom(form, ctx), negated))
+        elif len(form) != 3:
+            raise ctx.fail("malformed (= ...)", form)
+        else:
             a = _word(form[1], ctx, "term")
             b = _word(form[2], ctx, "term")
-            equalities.append((a, b, True))
-        elif head in _UNSUPPORTED_HEADS:
-            raise ctx.unsupported(head, form)
-        else:
-            literals.append(Literal(_parse_atom(form, ctx)))
+            equalities.append((a, b, not negated))
     return tuple(literals), tuple(equalities)
-
-
-def _parse_simple_effect(node, ctx: _Ctx) -> tuple[list[Atom], list[Atom]]:
-    """Parse a conjunction of add/delete literals (no probabilistic parts)."""
-    adds: list[Atom] = []
-    dels: list[Atom] = []
-    for form in _flatten_and(node, ctx):
-        if not isinstance(form, list) or not form:
-            raise ctx.fail("expected effect literal", form)
-        head = form[0].value if isinstance(form[0], Token) else ""
-        if head == "not":
-            if len(form) != 2 or not isinstance(form[1], list):
-                raise ctx.fail("malformed (not ...)", form)
-            dels.append(_parse_atom(form[1], ctx))
-        elif head == "probabilistic":
-            raise ctx.unsupported("nested probabilistic", form)
-        elif head in _UNSUPPORTED_HEADS:
-            raise ctx.unsupported(head, form)
-        else:
-            adds.append(_parse_atom(form, ctx))
-    return adds, dels
 
 
 def _parse_probability(tok, ctx: _Ctx) -> Fraction:
@@ -361,16 +315,46 @@ def _parse_probability(tok, ctx: _Ctx) -> Fraction:
     if not _NUMBER_RE.match(word):
         raise ctx.fail(f"expected probability, got {word!r}", tok)
     p = Fraction(word)
-    if p < 0 or p > 1:
+    if p > 1:  # the pattern admits no sign
         raise ctx.fail(f"probability {word} outside [0, 1]", tok)
     return p
 
 
-def _normalize_effect(adds: list[Atom], dels: list[Atom]) -> tuple[tuple[Atom, ...], tuple[Atom, ...]]:
+def _effect_literals(node, ctx: _Ctx, clauses: list[list[tuple]] | None):
+    """Split an effect conjunction into add and delete lists. At the top of
+    an action effect (``clauses`` given) each ``probabilistic`` conjunct is
+    appended to ``clauses`` as (p, adds, dels) outcomes; inside an outcome
+    (``clauses`` None) it is rejected as nested."""
+    adds: list[Atom] = []
+    dels: list[Atom] = []
+    what = "effect literal" if clauses is None else "effect"
+    for negated, form in _literals(node, ctx, what):
+        if negated:
+            dels.append(_parse_atom(form, ctx))
+        elif _head(form) != "probabilistic":
+            adds.append(_parse_atom(form, ctx))
+        elif clauses is None:
+            raise ctx.unsupported("nested probabilistic", form)
+        elif len(form) % 2 == 0:
+            raise ctx.fail("probabilistic effect needs (p effect) pairs", form)
+        else:
+            outcomes = []
+            for i in range(1, len(form), 2):
+                p = _parse_probability(form[i], ctx)
+                outcome = (p, *_effect_literals(form[i + 1], ctx, None))
+                if p > 0:  # zero-probability outcomes are dropped
+                    outcomes.append(outcome)
+            total = sum(p for p, _, _ in outcomes)
+            if total > 1:
+                raise ctx.fail(f"outcome probabilities sum to {total} > 1", form)
+            clauses.append(outcomes)
+    return adds, dels
+
+
+def _outcome(p: Fraction, adds: list[Atom], dels: list[Atom]) -> Outcome:
     """Deduplicate and make add/delete disjoint (add wins on conflict)."""
-    add_t = tuple(dict.fromkeys(adds))
-    del_t = tuple(a for a in dict.fromkeys(dels) if a not in set(add_t))
-    return add_t, del_t
+    add = tuple(dict.fromkeys(adds))
+    return Outcome(p, add, tuple(a for a in dict.fromkeys(dels) if a not in add))
 
 
 def _parse_effect(node, ctx: _Ctx) -> tuple[ProbabilisticClause, ...]:
@@ -382,54 +366,52 @@ def _parse_effect(node, ctx: _Ctx) -> tuple[ProbabilisticClause, ...]:
     with two 0.5 outcomes. A fully deterministic effect becomes one clause
     with a single probability-1 outcome.
     """
-    det_adds: list[Atom] = []
-    det_dels: list[Atom] = []
-    clauses: list[list[Outcome]] = []
-    for form in _flatten_and(node, ctx):
-        if not isinstance(form, list) or not form:
-            raise ctx.fail("expected effect", form)
-        head = form[0].value if isinstance(form[0], Token) else ""
-        if head == "probabilistic":
-            body = form[1:]
-            if len(body) % 2 != 0:
-                raise ctx.fail("probabilistic effect needs (p effect) pairs", form)
-            outcomes: list[Outcome] = []
-            total = Fraction(0)
-            for i in range(0, len(body), 2):
-                p = _parse_probability(body[i], ctx)
-                adds, dels = _parse_simple_effect(body[i + 1], ctx)
-                total += p
-                if p == 0:
-                    continue  # zero-probability outcomes are dropped
-                add_t, del_t = _normalize_effect(adds, dels)
-                outcomes.append(Outcome(p, add_t, del_t))
-            if total > 1:
-                raise ctx.fail(f"outcome probabilities sum to {total} > 1", form)
-            clauses.append(outcomes)
-        elif head == "not":
-            if len(form) != 2 or not isinstance(form[1], list):
-                raise ctx.fail("malformed (not ...)", form)
-            det_dels.append(_parse_atom(form[1], ctx))
-        elif head in _UNSUPPORTED_HEADS:
-            raise ctx.unsupported(head, form)
-        else:
-            det_adds.append(_parse_atom(form, ctx))
-
-    add_t, del_t = _normalize_effect(det_adds, det_dels)
-    if not clauses:
-        return (ProbabilisticClause((Outcome(Fraction(1), add_t, del_t),)),)
-    if add_t or del_t:
-        first = clauses[0]
-        folded = []
-        explicit = Fraction(0)
-        for o in first:
-            fa, fd = _normalize_effect(list(o.add) + list(add_t), list(o.delete) + list(del_t))
-            folded.append(Outcome(o.probability, fa, fd))
-            explicit += o.probability
+    clauses: list[list[tuple]] = []
+    det_adds, det_dels = _effect_literals(node, ctx, clauses)
+    if det_adds or det_dels or not clauses:
+        first = clauses[0] if clauses else []
+        explicit = sum((p for p, _, _ in first), Fraction(0))
+        folded = [(p, adds + det_adds, dels + det_dels) for p, adds, dels in first]
         if explicit < 1:
-            folded.append(Outcome(1 - explicit, add_t, del_t))
-        clauses[0] = folded
-    return tuple(ProbabilisticClause(tuple(c)) for c in clauses)
+            folded.append((1 - explicit, det_adds, det_dels))
+        clauses[:1] = [folded]
+    return tuple(ProbabilisticClause(tuple(_outcome(*o) for o in c)) for c in clauses)
+
+
+def _check_atom(schema: DomainSchema, atom: Atom, where: str, error) -> Predicate:
+    """Raise ``error(message)`` unless the atom's predicate and arity are declared."""
+    pred = schema.predicate(atom.pred)
+    if pred is None:
+        raise error(f"undeclared predicate {atom.pred!r} in {where}")
+    if len(pred.params) != len(atom.args):
+        raise error(
+            f"predicate {atom.pred!r} used with arity {len(atom.args)} "
+            f"(declared {len(pred.params)}) in {where}")
+    return pred
+
+
+def _read_define(text: str, filename: str, kind: str):
+    """Read ``(define (<kind> <name>) <section>...)`` into the error context,
+    the name and a generator of (keyword, section) pairs."""
+    ctx = _Ctx(filename)
+    forms = read_sexps(text, filename)
+    if len(forms) != 1 or not isinstance(forms[0], list):
+        raise ctx.fail("expected a single (define ...) form", forms)
+    top = forms[0]
+    if len(top) < 2 or _word(top[0], ctx, "define") != "define":
+        raise ctx.fail("expected (define ...)", top)
+    head = top[1]
+    if _head(head) != kind or len(head) != 2:
+        raise ctx.fail(f"expected ({kind} <name>)", head)
+    name = _word(head[1], ctx, f"{kind} name")
+
+    def sections():
+        for section in top[2:]:
+            if not isinstance(section, list) or not section:
+                raise ctx.fail(f"expected a {kind} section", section)
+            yield _word(section[0], ctx, "section keyword"), section
+
+    return ctx, name, sections()
 
 
 # ── domain / problem parsing ────────────────────────────────────────────────
@@ -440,33 +422,21 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
     Raises ParseError (with position) on malformed input and
     UnsupportedFeatureError on constructs outside the subset.
     """
-    ctx = _Ctx(filename)
-    forms = read_sexps(tokenize(text, filename), filename)
-    if len(forms) != 1 or not isinstance(forms[0], list):
-        raise ctx.fail("expected a single (define ...) form", forms)
-    top = forms[0]
-    if len(top) < 2 or _word(top[0], ctx, "define") != "define":
-        raise ctx.fail("expected (define ...)", top)
-    head = top[1]
-    if not isinstance(head, list) or len(head) != 2 or head[0].value != "domain":
-        raise ctx.fail("expected (domain <name>)", head)
-    name = _word(head[1], ctx, "domain name")
-
+    ctx, name, sections = _read_define(text, filename, "domain")
     requirements: tuple[str, ...] = ()
     types: dict[str, str] = {}
     predicates: list[Predicate] = []
     actions: list[ActionSchema] = []
 
-    for section in top[2:]:
-        if not isinstance(section, list) or not section:
-            raise ctx.fail("expected a domain section", section)
-        key = _word(section[0], ctx, "section keyword")
+    for key, section in sections:
         if key == ":requirements":
             ctx.once(f"{key} section", section[0])
             requirements = tuple(_word(t, ctx, "requirement") for t in section[1:])
         elif key == ":types":
             for tname, parent in _parse_typed_list(section[1:], ctx, variables=False):
-                types[tname] = parent
+                if types.setdefault(tname, parent) != parent:
+                    raise ctx.fail(f"type {tname!r} declared with parents "
+                                   f"{types[tname]!r} and {parent!r}", section)
             _check_type_hierarchy(types, ctx, section)
         elif key == ":predicates":
             for form in section[1:]:
@@ -476,10 +446,6 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
                 params = tuple(_parse_typed_list(form[1:], ctx, variables=True))
                 ctx.once(f"predicate {pname!r}", form)
                 predicates.append(Predicate(pname, params))
-        elif key == ":constants":
-            raise ctx.unsupported(":constants", section)
-        elif key == ":functions":
-            raise ctx.unsupported(":functions", section)
         elif key == ":action":
             actions.append(_parse_action(section, ctx, types))
         else:
@@ -510,8 +476,7 @@ def _parse_action(section: list, ctx: _Ctx, types: dict[str, str]) -> ActionSche
     precondition: tuple[Literal, ...] = ()
     equalities: tuple[tuple[str, str, bool], ...] = ()
     clauses = (ProbabilisticClause((Outcome(Fraction(1)),)),)
-    i = 2
-    while i < len(section):
+    for i in range(2, len(section), 2):
         key = _word(section[i], ctx, "action keyword")
         if i + 1 >= len(section):
             raise ctx.fail(f"missing body after {key}", section[i])
@@ -527,7 +492,6 @@ def _parse_action(section: list, ctx: _Ctx, types: dict[str, str]) -> ActionSche
             clauses = _parse_effect(body, ctx)
         else:
             raise ctx.unsupported(key, section[i])
-        i += 2
     variables = [v for v, _ in params]
     if len(set(variables)) != len(variables):
         raise ctx.fail(f"duplicate parameter in action {name!r}", section)
@@ -538,59 +502,37 @@ def _parse_action(section: list, ctx: _Ctx, types: dict[str, str]) -> ActionSche
 
 
 def _check_schema(schema: DomainSchema, ctx: _Ctx) -> None:
-    preds = {p.name: p for p in schema.predicates}
     for action in schema.action_schemas:
         declared = {v for v, _ in action.parameters}
-
-        def check_atom(atom: Atom, where: str) -> None:
-            pred = preds.get(atom.pred)
-            if pred is None:
-                raise ctx.fail(f"undeclared predicate {atom.pred!r} in {where}")
-            if pred.arity != len(atom.args):
-                raise ctx.fail(
-                    f"predicate {atom.pred!r} used with arity {len(atom.args)} "
-                    f"(declared {pred.arity}) in {where}")
-            for arg in atom.args:
-                if arg.startswith("?") and arg not in declared:
-                    raise ctx.fail(f"unbound variable {arg!r} in {where}")
-
         where = f"action {action.name!r}"
-        for lit in action.precondition:
-            check_atom(lit.atom, where)
-        for a, b, _ in action.equalities:
-            for term in (a, b):
+
+        def check_bound(terms) -> None:
+            for term in terms:
                 if term.startswith("?") and term not in declared:
                     raise ctx.fail(f"unbound variable {term!r} in {where}")
+
+        for lit in action.precondition:
+            _check_atom(schema, lit.atom, where, ctx.fail)
+            check_bound(lit.atom.args)
+        for a, b, _ in action.equalities:
+            check_bound((a, b))
         for clause in action.clauses:
             for outcome in clause.outcomes:
                 for atom in outcome.add + outcome.delete:
-                    check_atom(atom, where)
+                    _check_atom(schema, atom, where, ctx.fail)
+                    check_bound(atom.args)
 
 
 def parse_problem(text: str, schema: DomainSchema,
                   filename: str = "<problem>") -> ProblemDef:
     """Parse PPDDL problem text and type-check it against the domain schema."""
-    ctx = _Ctx(filename)
-    forms = read_sexps(tokenize(text, filename), filename)
-    if len(forms) != 1 or not isinstance(forms[0], list):
-        raise ctx.fail("expected a single (define ...) form", forms)
-    top = forms[0]
-    if len(top) < 2 or _word(top[0], ctx, "define") != "define":
-        raise ctx.fail("expected (define ...)", top)
-    head = top[1]
-    if not isinstance(head, list) or len(head) != 2 or head[0].value != "problem":
-        raise ctx.fail("expected (problem <name>)", head)
-    name = _word(head[1], ctx, "problem name")
-
+    ctx, name, sections = _read_define(text, filename, "problem")
     domain_name = ""
     objects: tuple[tuple[str, str], ...] = ()
     init: list[Atom] = []
-    goal: tuple[Atom, ...] = ()
+    goal: list[Atom] = []
 
-    for section in top[2:]:
-        if not isinstance(section, list) or not section:
-            raise ctx.fail("expected a problem section", section)
-        key = _word(section[0], ctx, "section keyword")
+    for key, section in sections:
         if key != ":init":  # repeated :init sections merge
             ctx.once(f"{key} section", section[0])
         if key in (":domain", ":goal") and len(section) != 2:
@@ -603,36 +545,24 @@ def parse_problem(text: str, schema: DomainSchema,
             for form in section[1:]:
                 if not isinstance(form, list) or not form:
                     raise ctx.fail("expected init atom", form)
-                h = form[0].value if isinstance(form[0], Token) else ""
-                if h in ("not", "probabilistic", "="):
-                    raise ctx.unsupported(f"{h} in :init", form)
+                if _head(form) in ("not", "probabilistic", "="):
+                    raise ctx.unsupported(f"{_head(form)} in :init", form)
                 init.append(_parse_atom(form, ctx))
         elif key == ":goal":
-            goal = _parse_goal(section[1], ctx)
-        elif key == ":metric":
-            raise ctx.unsupported(":metric", section)
+            for form in _conjuncts(section[1]):
+                if not isinstance(form, list):
+                    raise ctx.fail("expected goal atom", form)
+                if _head(form) == "not":
+                    raise ctx.unsupported("negative goal", form)
+                if form:  # an empty conjunct is vacuous
+                    goal.append(_parse_atom(form, ctx))
         else:
             raise ctx.unsupported(key, section)
 
-    problem = ProblemDef(name, domain_name, objects, tuple(dict.fromkeys(init)), goal)
+    problem = ProblemDef(name, domain_name, objects, tuple(dict.fromkeys(init)),
+                         tuple(dict.fromkeys(goal)))
     _check_problem(problem, schema)
     return problem
-
-
-def _parse_goal(node, ctx: _Ctx) -> tuple[Atom, ...]:
-    goals: list[Atom] = []
-    for form in _flatten_and(node, ctx):
-        if not isinstance(form, list):
-            raise ctx.fail("expected goal atom", form)
-        if not form:
-            continue  # empty (and) — vacuous goal
-        h = form[0].value if isinstance(form[0], Token) else ""
-        if h == "not":
-            raise ctx.unsupported("negative goal", form)
-        if h in _UNSUPPORTED_HEADS:
-            raise ctx.unsupported(h, form)
-        goals.append(_parse_atom(form, ctx))
-    return tuple(dict.fromkeys(goals))
 
 
 def _check_problem(problem: ProblemDef, schema: DomainSchema) -> None:
@@ -648,26 +578,16 @@ def _check_problem(problem: ProblemDef, schema: DomainSchema) -> None:
             raise TypeMismatchError(f"object {obj!r} has undeclared type {tname!r}")
         obj_types[obj] = tname
 
-    def check_ground_atom(atom: Atom, where: str) -> None:
-        pred = schema.predicate(atom.pred)
-        if pred is None:
-            raise TypeMismatchError(f"undeclared predicate {atom.pred!r} in {where}")
-        if pred.arity != len(atom.args):
-            raise TypeMismatchError(
-                f"predicate {atom.pred!r} used with arity {len(atom.args)} "
-                f"(declared {pred.arity}) in {where}")
-        for arg, (_, ptype) in zip(atom.args, pred.params):
-            if arg not in obj_types:
-                raise TypeMismatchError(f"undeclared object {arg!r} in {where}")
-            if not schema.is_subtype(obj_types[arg], ptype):
-                raise TypeMismatchError(
-                    f"object {arg!r} of type {obj_types[arg]!r} where "
-                    f"{ptype!r} expected in {where}")
-
-    for atom in problem.init:
-        check_ground_atom(atom, ":init")
-    for atom in problem.goal:
-        check_ground_atom(atom, ":goal")
+    for where, atoms in ((":init", problem.init), (":goal", problem.goal)):
+        for atom in atoms:
+            pred = _check_atom(schema, atom, where, TypeMismatchError)
+            for arg, (_, ptype) in zip(atom.args, pred.params):
+                if arg not in obj_types:
+                    raise TypeMismatchError(f"undeclared object {arg!r} in {where}")
+                if not schema.is_subtype(obj_types[arg], ptype):
+                    raise TypeMismatchError(
+                        f"object {arg!r} of type {obj_types[arg]!r} where "
+                        f"{ptype!r} expected in {where}")
 
 
 # ── pretty printing ──────────────────────────────────────────────────────────
@@ -677,17 +597,13 @@ def _typed_list_text(pairs) -> str:
 
 
 def _effect_literals_text(outcome: Outcome) -> list[str]:
-    parts = [str(a) for a in outcome.add]
-    parts += [f"(not {a})" for a in outcome.delete]
-    return parts
+    return [str(a) for a in outcome.add] + [f"(not {a})" for a in outcome.delete]
 
 
 def _conj(parts: list[str]) -> str:
-    if not parts:
-        return "(and)"
     if len(parts) == 1:
         return parts[0]
-    return "(and " + " ".join(parts) + ")"
+    return "(and" + "".join(" " + part for part in parts) + ")"
 
 
 def domain_to_text(schema: DomainSchema) -> str:
@@ -714,10 +630,6 @@ def domain_to_text(schema: DomainSchema) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _probability_text(p: Fraction) -> str:
-    return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
-
-
 def _effect_text(action: ActionSchema) -> str:
     parts = []
     for clause in action.clauses:
@@ -726,7 +638,7 @@ def _effect_text(action: ActionSchema) -> str:
         else:
             alt = []
             for o in clause.outcomes:
-                alt.append(_probability_text(o.probability))
+                alt.append(str(o.probability))
                 alt.append(_conj(_effect_literals_text(o)))
             parts.append("(probabilistic " + " ".join(alt) + ")")
     return _conj(parts)

@@ -135,6 +135,17 @@ def test_parse_error_has_position(tmp_path):
     assert f"{bad}:" in proc.stderr
 
 
+def test_malformed_equality_is_a_parse_error_not_a_traceback(tmp_path):
+    bad = tmp_path / "bad.ppddl"
+    bad.write_text("(define (domain d) (:predicates (p ?x))\n"
+                   "  (:action a :parameters (?x) :precondition (not (= ?x))"
+                   " :effect (p ?x)))\n")
+    proc = run_cli(["plan", "--domain", str(bad), "--problem", str(bad),
+                    "--det-mlo"])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {bad}:2:51: malformed (= ...)\n"
+
+
 def test_external_planner_error_exit_4(triangle_files, capsys):
     domain, problem = triangle_files
     failing = shlex.join([sys.executable, "-c", "raise SystemExit(1)"])

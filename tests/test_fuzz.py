@@ -16,9 +16,15 @@ from sspkit.reduction import Determinization
 
 from conftest import load
 
+CHAIN_DOMAIN, CHAIN_PROBLEM = gen_chain(3)
 SOURCES = {
     "triangle-1": gen_triangle_tireworld(1),
-    "chain-3": gen_chain(3),
+    "chain-3": (CHAIN_DOMAIN, CHAIN_PROBLEM),
+    # the only source with (=), so that mutations reach the equality branch
+    "chain-3-equality": (
+        CHAIN_DOMAIN.replace(":typing)", ":typing :equality)").replace(
+            "(next ?a ?b))", "(next ?a ?b) (not (= ?a ?b)))"),
+        CHAIN_PROBLEM),
     "retry": gen_retry(),
     "trap-5": gen_trap(5),
 }

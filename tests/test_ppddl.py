@@ -258,6 +258,43 @@ def test_repeated_section_is_positioned(head, repeat, col, message):
     assert str(err.value) == f"r.ppddl:2:{col}: {message}"
 
 
+def test_type_repeated_with_its_parent_merges():
+    schema = parse_domain(
+        "(define (domain d) (:types a - b) (:types a - b c) (:predicates (p)))")
+    assert schema.types == {"a": "b", "c": "object"}
+
+
+PRECONDITION = """(define (domain d) (:predicates (p ?x))
+  (:action a :parameters (?x ?y) :precondition {} :effect (p ?x)))"""
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    pytest.param("(define ((domain) d))", "expected (domain <name>)", 1, 11,
+                 id="domain-head"),
+    pytest.param("(define ((problem) p))", "expected (problem <name>)", 1, 11,
+                 id="problem-head"),
+    pytest.param(PRECONDITION.format("(not (= ?x))"), "malformed (= ...)",
+                 2, 54, id="negated-equality-one-term"),
+    pytest.param(PRECONDITION.format("(not (=))"), "malformed (= ...)",
+                 2, 54, id="negated-equality-no-term"),
+    pytest.param(PRECONDITION.format("(not (= ?x ?y ?x))"), "malformed (= ...)",
+                 2, 54, id="negated-equality-three-terms"),
+    pytest.param("(define (domain d) (:types a - b)\n  (:types a - c))",
+                 "type 'a' declared with parents 'b' and 'c'", 2, 4,
+                 id="type-parents-across-sections"),
+    pytest.param("(define (domain d)\n  (:types a - b a - c))",
+                 "type 'a' declared with parents 'b' and 'c'", 2, 4,
+                 id="type-parents-within-section"),
+])
+def test_malformed_form_is_positioned(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        if "(problem" in text:
+            parse_problem(text, parse_domain(MINIMAL), filename="m.ppddl")
+        else:
+            parse_domain(text, filename="m.ppddl")
+    assert str(err.value) == f"m.ppddl:{line}:{col}: {message}"
+
+
 def test_duplicate_parameter_rejected():
     with pytest.raises(ParseError):
         parse_domain("""
