@@ -8,7 +8,8 @@ class SspkitError(Exception):
 
 
 class ParseError(SspkitError):
-    """Malformed PPDDL input. Carries a file:line:col position."""
+    """Malformed PPDDL input. Carries a file:line:col position, or only the
+    file (line 0) when no token is at hand."""
 
     def __init__(self, message: str, filename: str = "<input>",
                  line: int = 0, col: int = 0):
@@ -18,6 +19,8 @@ class ParseError(SspkitError):
         self.col = col
 
     def __str__(self) -> str:
+        if not self.line:
+            return f"{self.filename}: {self.args[0]}"
         return f"{self.filename}:{self.line}:{self.col}: {self.args[0]}"
 
 
@@ -30,12 +33,14 @@ class UnsupportedFeatureError(ParseError):
         self.feature = feature
 
 
-class TypeMismatchError(SspkitError):
+class TypeMismatchError(ParseError):
     """Object/predicate arity or type violation in a problem file."""
 
 
 class GroundingBlowupError(SspkitError):
-    """Grounded action count exceeded the configured cap."""
+    """The raw typed binding product of the action schemas exceeded the
+    configured cap. It is counted before grounding, although actions are
+    then built only from the bindings the static-fact join keeps."""
 
 
 class NotApplicableError(SspkitError):

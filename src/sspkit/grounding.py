@@ -1,7 +1,10 @@
 """Grounding: instantiate action schemas over typed objects.
 
-Bindings are enumerated exhaustively per schema, filtered by equality
-constraints, and pruned with a delete-relaxation reachability check.
+Bindings come from a depth-first join of each schema's parameters with the
+static facts of ``:init`` (atoms of predicates no outcome adds); only they
+are instantiated, filtered by equality constraints and pruned with a
+delete-relaxation reachability check. The action cap still counts the raw
+typed binding product.
 Outcome distributions are exact rationals and sum to 1 per ground action
 (residual probability mass becomes an explicit no-op outcome).
 """
@@ -79,21 +82,9 @@ class GroundedProblem:
                    for a in self.actions for o in a.outcomes if o.add_mask]
         return RelaxedTask(self.atom_count, entries, self.goal_mask)
 
-    def state_from_atoms(self, names) -> State:
-        bits = 0
-        for name in names:
-            bits |= 1 << self.atom_index[name]
-        return State(bits)
-
     def atom_names(self, s: State) -> list[str]:
         """True atoms of a state, in universe (sorted-name) order."""
         return [name for i, name in enumerate(self.atoms) if s.bits >> i & 1]
-
-    def action_by_name(self, name: str) -> GroundAction | None:
-        for a in self.actions:
-            if a.name == name:
-                return a
-        return None
 
 
 def _atom_key(atom: Atom) -> str:
@@ -119,6 +110,47 @@ def _objects_by_type(schema: DomainSchema, problem: ProblemDef) -> dict[str, lis
             seen.add(t)
             t = schema.types.get(t, ROOT_TYPE)
     return table
+
+
+def _static_bindings(action: ActionSchema, domains: list[list[str]],
+                     init: tuple[Atom, ...], static: set[str]):
+    """Yield, in ``product(*domains)`` order, the bindings under which each
+    positive precondition of a static predicate is an ``:init`` fact. Such
+    an atom is checked where its last parameter is bound, through an index
+    of the facts it matches keyed by its other parameters' values."""
+    position = {var: i for i, (var, _) in enumerate(action.parameters)}
+    checks: list[list] = [[] for _ in domains]  # per depth: (keys, index)
+    for lit in action.precondition:
+        if lit.negated or lit.atom.pred not in static:
+            continue
+        params = [position.get(arg) for arg in lit.atom.args]
+        depth = max((p for p in params if p is not None), default=None)
+        if depth is None:  # nullary or constants only
+            if lit.atom not in init:
+                return
+            continue
+        keys = sorted(set(params) - {None, depth})
+        index: dict[tuple[str, ...], set[str]] = {}
+        for fact in init:
+            env: dict[int, str] = {}
+            if fact.pred == lit.atom.pred and len(fact.args) == len(params) and all(
+                    env.setdefault(p, v) == v if p is not None else arg == v
+                    for p, arg, v in zip(params, lit.atom.args, fact.args)):
+                index.setdefault(tuple(env[p] for p in keys), set()).add(env[depth])
+        checks[depth].append((keys, index))
+
+    def extend(prefix: tuple[str, ...]):
+        if len(prefix) == len(domains):
+            yield prefix
+            return
+        values = domains[len(prefix)]
+        for keys, index in checks[len(prefix)]:
+            allowed = index.get(tuple(prefix[p] for p in keys), ())
+            values = [v for v in values if v in allowed]
+        for value in values:
+            yield from extend(prefix + (value,))
+
+    yield from extend(())
 
 
 @dataclass
@@ -183,8 +215,11 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     """Ground a domain/problem pair into a GroundedProblem.
 
     Action order is deterministic: lexicographic by schema name, then by
-    binding. Raises GroundingBlowupError when the candidate ground action
-    count exceeds ``max_actions``.
+    binding. Only bindings that satisfy the static preconditions are
+    instantiated (see ``_static_bindings``); an atom no outcome adds is
+    relaxed-reachable iff it is in ``:init``, so the result is the one the
+    full product would give. Raises GroundingBlowupError when the raw typed
+    binding product exceeds ``max_actions``, before any binding is joined.
     """
     by_type = _objects_by_type(schema, problem)
 
@@ -198,10 +233,15 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
         raise GroundingBlowupError(
             f"{total} candidate ground actions exceed cap {max_actions}")
 
+    added = {atom.pred for action in schema.action_schemas
+             for clause in action.clauses for o in clause.outcomes
+             for atom in o.add}
+    static = {lit.atom.pred for action in schema.action_schemas
+              for lit in action.precondition} - added
     candidates: list[_Candidate] = []
     for action in sorted(schema.action_schemas, key=lambda a: a.name):
         domains = [by_type.get(tname, []) for _, tname in action.parameters]
-        for binding in product(*domains):
+        for binding in _static_bindings(action, domains, problem.init, static):
             cand = _instantiate(action, binding)
             if cand is not None:
                 candidates.append(cand)

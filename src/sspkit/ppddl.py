@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import ParseError, TypeMismatchError, UnsupportedFeatureError
 
@@ -378,13 +379,13 @@ def _parse_effect(node, ctx: _Ctx) -> tuple[ProbabilisticClause, ...]:
     return tuple(ProbabilisticClause(tuple(_outcome(*o) for o in c)) for c in clauses)
 
 
-def _check_atom(schema: DomainSchema, atom: Atom, where: str, error) -> Predicate:
-    """Raise ``error(message)`` unless the atom's predicate and arity are declared."""
+def _check_atom(schema: DomainSchema, atom: Atom, where: str, fail) -> Predicate:
+    """Raise ``fail(message)`` unless the atom's predicate and arity are declared."""
     pred = schema.predicate(atom.pred)
     if pred is None:
-        raise error(f"undeclared predicate {atom.pred!r} in {where}")
+        raise fail(f"undeclared predicate {atom.pred!r} in {where}")
     if len(pred.params) != len(atom.args):
-        raise error(
+        raise fail(
             f"predicate {atom.pred!r} used with arity {len(atom.args)} "
             f"(declared {len(pred.params)}) in {where}")
     return pred
@@ -427,6 +428,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
     types: dict[str, str] = {}
     predicates: list[Predicate] = []
     actions: list[ActionSchema] = []
+    action_sections: list[list] = []
 
     for key, section in sections:
         if key == ":requirements":
@@ -448,11 +450,12 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
                 predicates.append(Predicate(pname, params))
         elif key == ":action":
             actions.append(_parse_action(section, ctx, types))
+            action_sections.append(section)
         else:
             raise ctx.unsupported(key, section)
 
     schema = DomainSchema(name, requirements, types, tuple(predicates), tuple(actions))
-    _check_schema(schema, ctx)
+    _check_schema(schema, ctx, action_sections)
     return schema
 
 
@@ -501,25 +504,28 @@ def _parse_action(section: list, ctx: _Ctx, types: dict[str, str]) -> ActionSche
     return ActionSchema(name, params, precondition, clauses, equalities)
 
 
-def _check_schema(schema: DomainSchema, ctx: _Ctx) -> None:
-    for action in schema.action_schemas:
+def _check_schema(schema: DomainSchema, ctx: _Ctx, sections: list[list]) -> None:
+    """Check each action's atoms against the declarations; errors point at
+    the action's section."""
+    for action, section in zip(schema.action_schemas, sections):
         declared = {v for v, _ in action.parameters}
         where = f"action {action.name!r}"
+        fail = partial(ctx.fail, at=section)
 
         def check_bound(terms) -> None:
             for term in terms:
                 if term.startswith("?") and term not in declared:
-                    raise ctx.fail(f"unbound variable {term!r} in {where}")
+                    raise fail(f"unbound variable {term!r} in {where}")
 
         for lit in action.precondition:
-            _check_atom(schema, lit.atom, where, ctx.fail)
+            _check_atom(schema, lit.atom, where, fail)
             check_bound(lit.atom.args)
         for a, b, _ in action.equalities:
             check_bound((a, b))
         for clause in action.clauses:
             for outcome in clause.outcomes:
                 for atom in outcome.add + outcome.delete:
-                    _check_atom(schema, atom, where, ctx.fail)
+                    _check_atom(schema, atom, where, fail)
                     check_bound(atom.args)
 
 
@@ -531,8 +537,11 @@ def parse_problem(text: str, schema: DomainSchema,
     objects: tuple[tuple[str, str], ...] = ()
     init: list[Atom] = []
     goal: list[Atom] = []
+    # a section keyword or an :init/:goal atom -> where its errors point
+    at: dict = {}
 
     for key, section in sections:
+        at.setdefault(key, section)
         if key != ":init":  # repeated :init sections merge
             ctx.once(f"{key} section", section[0])
         if key in (":domain", ":goal") and len(section) != 2:
@@ -548,6 +557,7 @@ def parse_problem(text: str, schema: DomainSchema,
                 if _head(form) in ("not", "probabilistic", "="):
                     raise ctx.unsupported(f"{_head(form)} in :init", form)
                 init.append(_parse_atom(form, ctx))
+                at.setdefault(init[-1], form)
         elif key == ":goal":
             for form in _conjuncts(section[1]):
                 if not isinstance(form, list):
@@ -556,36 +566,45 @@ def parse_problem(text: str, schema: DomainSchema,
                     raise ctx.unsupported("negative goal", form)
                 if form:  # an empty conjunct is vacuous
                     goal.append(_parse_atom(form, ctx))
+                    at.setdefault(goal[-1], form)
         else:
             raise ctx.unsupported(key, section)
 
     problem = ProblemDef(name, domain_name, objects, tuple(dict.fromkeys(init)),
                          tuple(dict.fromkeys(goal)))
-    _check_problem(problem, schema)
+    _check_problem(problem, schema, ctx, at)
     return problem
 
 
-def _check_problem(problem: ProblemDef, schema: DomainSchema) -> None:
+def _check_problem(problem: ProblemDef, schema: DomainSchema, ctx: _Ctx,
+                   at: dict) -> None:
+    """Type-check a problem against its domain; errors point at the
+    offending section or :init/:goal atom (``at``)."""
+    def mismatch(message: str, key) -> TypeMismatchError:
+        return ctx.fail(message, at.get(key), TypeMismatchError)
+
     if problem.domain_name and problem.domain_name != schema.name:
-        raise TypeMismatchError(
+        raise mismatch(
             f"problem {problem.name!r} references domain {problem.domain_name!r}, "
-            f"expected {schema.name!r}")
+            f"expected {schema.name!r}", ":domain")
     obj_types: dict[str, str] = {}
     for obj, tname in problem.objects:
         if obj in obj_types:
-            raise TypeMismatchError(f"duplicate object {obj!r}")
+            raise mismatch(f"duplicate object {obj!r}", ":objects")
         if tname != ROOT_TYPE and tname not in schema.types:
-            raise TypeMismatchError(f"object {obj!r} has undeclared type {tname!r}")
+            raise mismatch(f"object {obj!r} has undeclared type {tname!r}",
+                           ":objects")
         obj_types[obj] = tname
 
     for where, atoms in ((":init", problem.init), (":goal", problem.goal)):
         for atom in atoms:
-            pred = _check_atom(schema, atom, where, TypeMismatchError)
+            fail = partial(mismatch, key=atom)
+            pred = _check_atom(schema, atom, where, fail)
             for arg, (_, ptype) in zip(atom.args, pred.params):
                 if arg not in obj_types:
-                    raise TypeMismatchError(f"undeclared object {arg!r} in {where}")
+                    raise fail(f"undeclared object {arg!r} in {where}")
                 if not schema.is_subtype(obj_types[arg], ptype):
-                    raise TypeMismatchError(
+                    raise fail(
                         f"object {arg!r} of type {obj_types[arg]!r} where "
                         f"{ptype!r} expected in {where}")
 

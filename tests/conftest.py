@@ -1,12 +1,24 @@
-"""Shared fixtures: bundled domains parsed and grounded once per session."""
+"""Shared fixtures (bundled domains parsed and grounded once per session)
+and lookups into a grounded problem by atom and action name."""
 
 from __future__ import annotations
 
 import pytest
 
-from sspkit import ground, parse_domain, parse_problem
+from sspkit import State, ground, parse_domain, parse_problem
 from sspkit.domains import gen_chain, gen_retry, gen_trap, gen_triangle_tireworld
 from sspkit.reduction import Determinization
+
+
+def state_from_atoms(grounded, names) -> State:
+    bits = 0
+    for name in names:
+        bits |= 1 << grounded.atom_index[name]
+    return State(bits)
+
+
+def action_by_name(grounded, name: str):
+    return next((a for a in grounded.actions if a.name == name), None)
 
 
 def load(domain_text: str, problem_text: str):

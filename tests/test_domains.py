@@ -8,7 +8,7 @@ from sspkit.learner import enumerate_determinizations
 from sspkit.oracle import enumerate_model, optimal_plan
 from sspkit.reduction import mlo_determinization
 
-from conftest import load
+from conftest import load, state_from_atoms
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -86,9 +86,9 @@ def test_trap_structure():
     walks = [a for a in grounded.actions if a.schema_name == "walk"]
     assert len(walks) == 10  # the walkway is 10 unit steps long
     # pit has no exits
-    pit_state = grounded.state_from_atoms(
+    pit_state = state_from_atoms(grounded, (
         ["(at pit)"] + [a for a in grounded.atoms
-                        if a.startswith(("(risky", "(walkway", "(pit"))])
+                        if a.startswith(("(risky", "(walkway", "(pit"))]))
     from sspkit.model import applicable_actions
     assert applicable_actions(pit_state, grounded) == []
 

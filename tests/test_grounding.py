@@ -1,16 +1,24 @@
-"""Grounding tests: residual mass, cross products, pruning, determinism."""
+"""Grounding tests: residual mass, cross products, pruning, determinism,
+and the static join's equivalence with the exhaustive binding product."""
 
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from sspkit import GroundingBlowupError, ground, parse_domain, parse_problem
+from sspkit import (GroundingBlowupError, grounding, ground, parse_domain,
+                    parse_problem)
+from sspkit.domains import GENERATORS
 from sspkit.oracle import enumerate_model
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 
+from conftest import action_by_name
 from randmodels import random_domain
+
+INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
 
 
 def nullary_domain(clauses, name="d") -> tuple[DomainSchema, ProblemDef]:
@@ -82,8 +90,8 @@ def test_static_reachability_pruning(triangle1):
     moves = [a for a in grounded.actions if a.schema_name == "move-car"]
     # only the 7 road pairs survive out of 6*6 bindings
     assert len(moves) == 7
-    assert grounded.action_by_name("(move-car l-1-1 l-1-1)") is None
-    assert grounded.action_by_name("(move-car l-1-1 l-1-2)") is not None
+    assert action_by_name(grounded, "(move-car l-1-1 l-1-1)") is None
+    assert action_by_name(grounded, "(move-car l-1-1 l-1-2)") is not None
 
 
 def test_grounding_deterministic_order(triangle1):
@@ -160,3 +168,140 @@ def test_zero_cost_schema_rejected():
         (ActionSchema("act", (), (), (clause,), cost=Fraction(0)),))
     with pytest.raises(ValueError):
         ground(bad, problem)
+
+
+# ── the static join against the exhaustive binding product ──────────────────
+
+def product_ground(schema, problem):
+    """The reference: instantiate every binding of the typed product and
+    let relaxed reachability alone prune."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grounding, "_static_bindings",
+                   lambda action, domains, init, static: product(*domains))
+        return ground(schema, problem)
+
+
+def assert_same_as_product(schema, problem):
+    joined = ground(schema, problem)
+    reference = product_ground(schema, problem)
+    # dataclass equality covers atoms, the index, every action field in
+    # order (ids, names, masks, cost, outcomes with probability and
+    # choice), the initial state and the goal; dict order is checked apart
+    assert joined == reference
+    assert list(joined.atom_index.items()) == list(reference.atom_index.items())
+    return joined
+
+
+@pytest.mark.parametrize("kind,size", [
+    ("triangle", 1), ("triangle", 2), ("chain", 2), ("chain", 5),
+    ("chain", 10), ("retry", None), ("trap", 4), ("trap", 6)])
+def test_join_matches_product_on_generated_domains(kind, size):
+    gen, _ = GENERATORS[kind]
+    domain_text, problem_text = gen() if size is None else gen(size)
+    schema = parse_domain(domain_text)
+    assert_same_as_product(schema, parse_problem(problem_text, schema))
+
+
+def read_input(domain, problem):
+    schema = parse_domain((INPUTS / f"{domain}-domain.ppddl").read_text())
+    text = (INPUTS / f"{problem}-problem.ppddl").read_text()
+    return schema, parse_problem(text, schema)
+
+
+@pytest.mark.parametrize("domain,problem", [
+    ("triangle", "triangle-3"), ("triangle", "triangle-4"),
+    ("triangle", "triangle-5"), ("trap", "trap-10")])
+def test_join_matches_product_on_benchmark_inputs(domain, problem):
+    assert_same_as_product(*read_input(domain, problem))
+
+
+def test_join_keeps_the_statically_true_bindings_of_triangle_10():
+    # the product reference takes seconds on triangle-10's 53,593 bindings,
+    # so there the join is checked binding by binding against the product
+    schema, problem = read_input("triangle", "triangle-10")
+    by_type = grounding._objects_by_type(schema, problem)
+    init = {str(atom) for atom in problem.init}
+    static = {"road", "spare-in"}
+    for action in schema.action_schemas:
+        variables = [v for v, _ in action.parameters]
+        domains = [by_type[t] for _, t in action.parameters]
+        expected = [
+            b for b in product(*domains)
+            if all(grounding._bind(lit.atom, dict(zip(variables, b))) in init
+                   for lit in action.precondition
+                   if not lit.negated and lit.atom.pred in static)]
+        assert list(grounding._static_bindings(
+            action, domains, problem.init, static)) == expected
+
+
+def test_join_matches_product_on_random_domains():
+    rng = random.Random(10)
+    for _ in range(300):
+        assert_same_as_product(*random_domain(rng))
+
+
+# Each case: predicates and actions of a domain over objects a b c (type
+# t, or car/truck under vehicle), then the :init atoms and the names the
+# join must keep.
+JOIN_CASES = {
+    "object-constant": (
+        "(:predicates (at ?x - t) (link ?x - t ?y - t))"
+        "(:action go :parameters (?x - t) :precondition (and (at ?x) (link ?x c))"
+        " :effect (at c))",
+        "(at a) (at b) (link a c) (link c a)",
+        ["(go a)"]),
+    "repeated-variable": (
+        "(:predicates (at ?x - t) (road ?x - t ?y - t))"
+        "(:action stay :parameters (?x - t) :precondition (and (at ?x) (road ?x ?x))"
+        " :effect (not (at ?x)))",
+        "(at a) (at b) (road a b) (road b b)",
+        ["(stay b)"]),
+    "nullary-static-absent": (
+        "(:predicates (on) (at ?x - t))"
+        "(:action gated :parameters (?x - t) :precondition (on) :effect (at ?x))"
+        "(:action open :parameters (?x - t) :precondition (at ?x) :effect (not (at ?x)))",
+        "(at a)",
+        ["(open a)"]),
+    "negated-static": (
+        "(:predicates (at ?x - t) (blocked ?x - t))"
+        "(:action go :parameters (?x - t)"
+        " :precondition (and (not (blocked ?x))) :effect (at ?x))",
+        "(blocked b)",
+        ["(go a)", "(go b)", "(go c)"]),
+    "subtypes": (
+        "(:predicates (parked ?v - vehicle ?w - vehicle) (moved ?v - vehicle))"
+        "(:action tow :parameters (?v - vehicle ?w - truck)"
+        " :precondition (parked ?v ?w) :effect (moved ?v))",
+        "(parked a b) (parked b b) (parked b c) (parked c a)",
+        ["(tow a b)", "(tow b b)", "(tow b c)"]),
+    "delete-only": (
+        "(:predicates (fuel ?x - t) (done ?x - t))"
+        "(:action burn :parameters (?x - t) :precondition (fuel ?x)"
+        " :effect (and (done ?x) (not (fuel ?x))))",
+        "(fuel c) (fuel a)",
+        ["(burn a)", "(burn c)"]),
+    "last-parameter": (
+        "(:predicates (at ?x - t) (edge ?x - t ?z - t) (pit ?z - t))"
+        "(:action leap :parameters (?x - t ?y - t ?z - t)"
+        " :precondition (and (at ?x) (edge ?x ?z) (pit ?z)) :effect (at ?y))",
+        "(at a) (edge a b) (edge a c) (pit c)",
+        ["(leap a a c)", "(leap a b c)", "(leap a c c)"]),
+    "zero-parameters": (
+        "(:predicates (ready) (go))"
+        "(:action start :parameters () :precondition (ready) :effect (go))",
+        "(ready)",
+        ["(start)"]),
+}
+
+
+@pytest.mark.parametrize("case", JOIN_CASES)
+def test_join_matches_product_on_hand_built_cases(case):
+    body, init, names = JOIN_CASES[case]
+    types = ("(:types car truck - vehicle vehicle)" if "vehicle" in body
+             else "(:types t)")
+    objects = "a - car b c - truck" if "vehicle" in body else "a b c - t"
+    schema = parse_domain(f"(define (domain d) {types} {body})")
+    problem = parse_problem(f"(define (problem p) (:domain d) (:objects {objects})"
+                            f" (:init {init}) (:goal (and)))", schema)
+    joined = assert_same_as_product(schema, problem)
+    assert [a.name for a in joined.actions] == names

@@ -10,6 +10,7 @@ from sspkit import (NotApplicableError, State, applicable_actions, ground,
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 
+from conftest import action_by_name, state_from_atoms
 from randmodels import random_domain
 
 
@@ -57,10 +58,10 @@ def test_goal_state_still_reports_applicable_actions(triangle1):
     # goals are absorbing for the executor, not for applicability:
     # at the goal with a flat tire, loading its spare is still applicable
     _, _, grounded = triangle1
-    goal_state = grounded.state_from_atoms(
+    goal_state = state_from_atoms(grounded, (
         ["(vehicle-at l-1-3)"]
         + [a for a in grounded.atoms if a.startswith("(road")
-           or a.startswith("(spare")])
+           or a.startswith("(spare")]))
     assert is_goal(goal_state, grounded)
     ids = applicable_actions(goal_state, grounded)
     assert [grounded.actions[i].name for i in ids] == ["(loadtire l-1-3)"]
@@ -76,7 +77,7 @@ def test_deterministic_action_single_successor(chain2):
 
 def test_move_car_two_successors(triangle1):
     _, _, grounded = triangle1
-    move = grounded.action_by_name("(move-car l-1-1 l-2-1)")
+    move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
     dist = successors(grounded.initial_state, move.id, grounded)
     assert len(dist) == 2
     assert [round(p, 12) for _, p in dist] == [0.5, 0.5]
@@ -105,7 +106,7 @@ def test_not_applicable_raises():
         act("a1", ["p"], [det_clause(add=["g"])]),
         act("setup", [], [det_clause(add=["p"])]),
     ], init=[])
-    a1 = grounded.action_by_name("(a1)")
+    a1 = action_by_name(grounded, "(a1)")
     with pytest.raises(NotApplicableError):
         successors(grounded.initial_state, a1.id, grounded)
 
@@ -136,7 +137,7 @@ def test_delete_before_add_semantics():
 def test_is_goal_cases(triangle1):
     _, _, grounded = triangle1
     assert not is_goal(grounded.initial_state, grounded)
-    goal_state = grounded.state_from_atoms(["(vehicle-at l-1-3)"])
+    goal_state = state_from_atoms(grounded, ["(vehicle-at l-1-3)"])
     assert is_goal(goal_state, grounded)
 
 

@@ -108,6 +108,56 @@ def test_syntax_error_position():
     assert "unclosed" in msg
 
 
+@pytest.mark.parametrize("action,message", [
+    ("(:action a :parameters () :precondition (r) :effect (p))",
+     "undeclared predicate 'r' in action 'a'"),
+    ("(:action a :parameters () :precondition (p) :effect (p ?x))",
+     "predicate 'p' used with arity 1 (declared 0) in action 'a'"),
+    ("(:action a :parameters () :precondition (q ?x) :effect (p))",
+     "unbound variable '?x' in action 'a'")])
+def test_schema_check_points_at_the_action(action, message):
+    text = f"(define (domain d) (:predicates (p) (q ?y))\n  (:action b)\n  {action})"
+    with pytest.raises(ParseError) as err:
+        parse_domain(text, filename="d.ppddl")
+    assert str(err.value) == f"d.ppddl:3:4: {message}"
+
+
+@pytest.mark.parametrize("sections,message", [
+    ("(:domain other) (:init) (:goal (p))",
+     "1:22: problem 'x' references domain 'other', expected 'mini'"),
+    ("(:objects o - object o - object) (:init) (:goal (p))",
+     "1:22: duplicate object 'o'"),
+    ("(:objects o - thing) (:init) (:goal (p))",
+     "1:22: object 'o' has undeclared type 'thing'"),
+    ("(:init (p)\n (q) (r)) (:goal (p))",
+     "2:7: undeclared predicate 'r' in :init"),
+    ("(:init (p)) (:goal (and (p)\n (q o)))",
+     "2:3: predicate 'q' used with arity 1 (declared 0) in :goal")])
+def test_problem_check_points_at_the_section_or_atom(sections, message):
+    schema = parse_domain(MINIMAL)
+    with pytest.raises(TypeMismatchError) as err:
+        parse_problem(f"(define (problem x) {sections})", schema,
+                      filename="p.ppddl")
+    assert str(err.value) == f"p.ppddl:{message}"
+
+
+def test_object_type_mismatch_points_at_the_atom():
+    schema = parse_domain("(define (domain t) (:types truck plane)"
+                          " (:predicates (flying ?p - plane)))")
+    with pytest.raises(TypeMismatchError) as err:
+        parse_problem("(define (problem x) (:objects t1 - truck)\n"
+                      "  (:init (flying t1)) (:goal (and)))", schema,
+                      filename="p.ppddl")
+    assert str(err.value) == ("p.ppddl:2:11: object 't1' of type 'truck' "
+                              "where 'plane' expected in :init")
+
+
+def test_error_without_a_token_names_only_the_file():
+    with pytest.raises(ParseError) as err:
+        parse_domain("; nothing here\n", filename="e.ppddl")
+    assert str(err.value) == "e.ppddl: expected a single (define ...) form"
+
+
 def test_probability_over_one_rejected():
     with pytest.raises(ParseError) as err:
         parse_domain("""

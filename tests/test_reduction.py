@@ -9,14 +9,14 @@ from sspkit import (IncompleteDeterminizationError, make_reduction,
 from sspkit.model import State
 from sspkit.reduction import AugmentedState, Determinization
 
-from conftest import FLAT_DELTA
+from conftest import FLAT_DELTA, action_by_name, state_from_atoms
 from randmodels import random_reduced_setup
 
 
 def test_transition_below_bound(triangle1):
     _, _, grounded = triangle1
     model = make_reduction(grounded, FLAT_DELTA, 3)
-    move = grounded.action_by_name("(move-car l-1-1 l-2-1)")
+    move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
     aug = AugmentedState(grounded.initial_state, 1)
     succs = model.reduced_successors(aug, move.id)
     assert len(succs) == 2
@@ -30,7 +30,7 @@ def test_transition_below_bound(triangle1):
 def test_transition_at_bound_single_primary(triangle1):
     _, _, grounded = triangle1
     model = make_reduction(grounded, FLAT_DELTA, 2)
-    move = grounded.action_by_name("(move-car l-1-1 l-2-1)")
+    move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
     aug = AugmentedState(grounded.initial_state, 2)
     succs = model.reduced_successors(aug, move.id)
     assert len(succs) == 1
@@ -70,7 +70,7 @@ def test_j_monotone_and_increment_rule():
 def test_goal_independent_of_j(triangle1):
     _, _, grounded = triangle1
     model = make_reduction(grounded, FLAT_DELTA, 2)
-    goal_state = grounded.state_from_atoms(["(vehicle-at l-1-3)"])
+    goal_state = state_from_atoms(grounded, ["(vehicle-at l-1-3)"])
     for j in range(3):
         assert model.is_goal(AugmentedState(goal_state, j))
 

@@ -15,7 +15,7 @@ from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 from sspkit.reduction import AugmentedState, Determinization
 
-from conftest import FLAT_DELTA
+from conftest import FLAT_DELTA, action_by_name, state_from_atoms
 from randmodels import random_proper_reduced_setup
 
 
@@ -66,9 +66,9 @@ def test_q_value_k0_chain_with_stored_value():
     grounded, model = chain_model(0)
     tables = SolverTables()
     cfg = SolverConfig(heuristic="zero")
-    mid = AugmentedState(grounded.state_from_atoms(["(m)"]), 0)
+    mid = AugmentedState(state_from_atoms(grounded, ["(m)"]), 0)
     tables.v[mid] = 1.0
-    step1 = grounded.action_by_name("(step1)")
+    step1 = action_by_name(grounded, "(step1)")
     assert q_value(tables, model, cfg, model.initial, step1.id) == 2.0
 
 
@@ -82,8 +82,8 @@ def test_q_value_split_successors():
     model = make_reduction(grounded, trivial_delta(grounded), 2)
     tables = SolverTables()
     cfg = SolverConfig(heuristic="zero")
-    x = AugmentedState(grounded.state_from_atoms(["(x)"]), 0)
-    y = AugmentedState(grounded.state_from_atoms(["(y)"]), 1)
+    x = AugmentedState(state_from_atoms(grounded, ["(x)"]), 0)
+    y = AugmentedState(state_from_atoms(grounded, ["(y)"]), 1)
     tables.v[x] = 4.0
     tables.v[y] = 10.0
     assert q_value(tables, model, cfg, model.initial, 0) == 8.0
@@ -95,11 +95,11 @@ def test_bellman_at_bound_memoizes_whole_plan():
     cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
     residual = ff_bellman_update(tables, model, cfg, model.initial)
     assert residual == 2.0
-    mid = AugmentedState(grounded.state_from_atoms(["(m)"]), 0)
+    mid = AugmentedState(state_from_atoms(grounded, ["(m)"]), 0)
     assert tables.v[model.initial] == 2.0
     assert tables.v[mid] == 1.0
-    step1 = grounded.action_by_name("(step1)")
-    step2 = grounded.action_by_name("(step2)")
+    step1 = action_by_name(grounded, "(step1)")
+    step2 = action_by_name(grounded, "(step2)")
     assert tables.pi[model.initial] == step1.id
     assert tables.pi[mid] == step2.id
     # memoized: a second update does not change anything
@@ -132,7 +132,7 @@ def test_bellman_goal_short_circuits():
     grounded, model = chain_model(1)
     tables = SolverTables()
     cfg = SolverConfig(heuristic="zero")
-    goal = AugmentedState(grounded.state_from_atoms(["(g)"]), 1)
+    goal = AugmentedState(state_from_atoms(grounded, ["(g)"]), 1)
     tables.v[goal] = 7.0
     assert ff_bellman_update(tables, model, cfg, goal) == 7.0
     assert tables.v[goal] == 0.0
@@ -194,8 +194,8 @@ def test_convergence_detects_policy_change():
     tables = SolverTables()
     while ff_expand(tables, model, cfg, model.initial):
         pass
-    fast = grounded.action_by_name("(fast)")
-    slow1 = grounded.action_by_name("(slow1)")
+    fast = action_by_name(grounded, "(fast)")
+    slow1 = action_by_name(grounded, "(slow1)")
     assert tables.pi[model.initial] == fast.id
     tables.pi[model.initial] = slow1.id
     tables.v[model.initial] = 0.0
