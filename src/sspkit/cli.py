@@ -367,7 +367,7 @@ def cmd_detplan_solve(args) -> int:
     grounded = _load_grounded(args)
     delta = _resolve_delta(args, grounded.schema)
     model = make_reduction(grounded, delta, args.k)
-    det = model.det_problem()
+    det = model.det_problem
     if args.external:
         result = solve_with_external(det, grounded.initial_state,
                                      shlex.split(args.external))

@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ExternalPlannerError
-from .model import State
+from .model import ApplicabilityIndex, State, iter_bits
 
 INF = math.inf
 
@@ -37,11 +37,18 @@ class DetAction:
 
 @dataclass
 class DeterministicProblem:
-    """A classical planning problem over the grounded atom universe."""
+    """A classical planning problem over the grounded atom universe.
+
+    ``static_mask`` holds the atoms true in every state searched, and
+    ``init_bits`` an initial state; both only steer the applicability
+    index's key choice and the heuristic's stripping of static atoms.
+    """
 
     atom_names: tuple[str, ...]
     actions: list[DetAction]
     goal_mask: int
+    static_mask: int = 0
+    init_bits: int = 0
     actions_by_id: dict[int, DetAction] = field(init=False, repr=False,
                                                 compare=False)
 
@@ -51,10 +58,13 @@ class DeterministicProblem:
     def is_goal(self, bits: int) -> bool:
         return bits & self.goal_mask == self.goal_mask
 
+    @cached_property
+    def applicability(self) -> ApplicabilityIndex:
+        return ApplicabilityIndex(self.actions, self.atom_names,
+                                  self.static_mask, self.init_bits)
+
     def applicable(self, bits: int) -> list[DetAction]:
-        return [a for a in self.actions
-                if bits & a.pre_pos_mask == a.pre_pos_mask
-                and not bits & a.pre_neg_mask]
+        return self.applicability.applicable(bits)
 
     def apply(self, bits: int, action: DetAction) -> int:
         return (bits & ~action.del_mask) | action.add_mask
@@ -64,7 +74,8 @@ class DeterministicProblem:
         """Delete relaxation of this task, built on first use."""
         entries = [(a.id, a.cost, a.pre_pos_mask, a.add_mask)
                    for a in self.actions if a.add_mask]
-        return RelaxedTask(len(self.atom_names), entries, self.goal_mask)
+        return RelaxedTask(len(self.atom_names), entries, self.goal_mask,
+                           self.static_mask)
 
 
 @dataclass
@@ -94,13 +105,6 @@ class PlanResult:
         return len(self.steps)
 
 
-def _iter_bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 class RelaxedTask:
     """Delete relaxation of a deterministic task (or of a probabilistic one
     with every outcome treated as a separate action).
@@ -123,17 +127,26 @@ class RelaxedTask:
 
     Evaluations are cached per state bitset; negative preconditions are
     ignored, which keeps an infinite estimate sound for real unreachability.
+
+    The atoms of ``static_mask`` are left out of every precondition list
+    and out of the first layer. Such an atom holds at layer 0 and is never
+    a subgoal, so stripping it leaves ``(h, helpful)`` unchanged, but only
+    on states in which every static atom holds. The static atoms of a
+    grounded problem (``GroundedProblem.static_mask``) hold in every state
+    reachable from ``:init``.
     """
 
     def __init__(self, n_atoms: int,
                  entries: list[tuple[int, float, int, int]],
-                 goal_mask: int):
+                 goal_mask: int, static_mask: int = 0):
         self.n_atoms = n_atoms
         self.goal_mask = goal_mask
-        self.goal_atoms = tuple(_iter_bits(goal_mask))
+        self.goal_atoms = tuple(iter_bits(goal_mask))
+        self.static_mask = static_mask
         self.entries = entries  # (orig id, cost, pre_pos_mask, add_mask)
         self.adds = [add for _, _, _, add in entries]
-        self.pre_atoms = [tuple(_iter_bits(pre)) for _, _, pre, _ in entries]
+        self.pre_atoms = [tuple(iter_bits(pre & ~static_mask))
+                          for _, _, pre, _ in entries]
         self.pre_count = [len(pres) for pres in self.pre_atoms]
         self.unconditional = [ei for ei, n in enumerate(self.pre_count)
                               if not n]
@@ -142,7 +155,7 @@ class RelaxedTask:
         for ei, pres in enumerate(self.pre_atoms):
             for atom in pres:
                 self.dependants[atom].append(ei)
-            for atom in _iter_bits(self.adds[ei]):
+            for atom in iter_bits(self.adds[ei]):
                 self.achievers[atom].append(ei)
         self._cache: dict[int, tuple[float, frozenset[int]]] = {}
 
@@ -173,7 +186,7 @@ class RelaxedTask:
             entry_level[ei] = 0
             new_bits |= adds[ei]
         reached = bits
-        fresh = bits  # the atoms first reached at ``level``
+        fresh = bits & ~self.static_mask  # the atoms first reached at ``level``
         level = 0
         while True:
             while fresh:
@@ -194,7 +207,7 @@ class RelaxedTask:
             level += 1
             if reached & goal_mask == goal_mask:
                 break
-        for atom in _iter_bits(fresh):
+        for atom in iter_bits(fresh):
             level_of[atom] = level
 
         max_level = max(level_of[a] for a in self.goal_atoms)
@@ -331,23 +344,6 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
     return PlanResult("failure", [], [], expansions)
 
 
-def validate_plan(d: DeterministicProblem, s: State, result: PlanResult) -> bool:
-    """Replay a plan: every action applicable, final state satisfies the goal,
-    and suffix costs equal the remaining step-cost sums."""
-    bits = s.bits
-    for i, (state, action_id) in enumerate(result.steps):
-        if state.bits != bits:
-            return False
-        a = d.actions_by_id[action_id]
-        if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
-            return False
-        expect = sum(d.actions_by_id[aid].cost for _, aid in result.steps[i:])
-        if abs(result.suffix_costs[i] - expect) > 1e-9:
-            return False
-        bits = d.apply(bits, a)
-    return d.is_goal(bits)
-
-
 # ── external planner hook (off by default) ───────────────────────────────────
 #
 # Plan-text format: one action per line, parenthesized sanitized name, e.g.
@@ -380,10 +376,10 @@ def det_to_pddl(d: DeterministicProblem, initial_bits: int,
              "  (:requirements :strips :negative-preconditions)",
              "  (:predicates " + " ".join(pred_decls) + ")"]
     for a in d.actions:
-        pre = [d.atom_names[i] for i in _iter_bits(a.pre_pos_mask)]
-        pre += [f"(not {d.atom_names[i]})" for i in _iter_bits(a.pre_neg_mask)]
-        eff = [d.atom_names[i] for i in _iter_bits(a.add_mask)]
-        eff += [f"(not {d.atom_names[i]})" for i in _iter_bits(a.del_mask)]
+        pre = [d.atom_names[i] for i in iter_bits(a.pre_pos_mask)]
+        pre += [f"(not {d.atom_names[i]})" for i in iter_bits(a.pre_neg_mask)]
+        eff = [d.atom_names[i] for i in iter_bits(a.add_mask)]
+        eff += [f"(not {d.atom_names[i]})" for i in iter_bits(a.del_mask)]
         lines.append(f"  (:action {sanitize_action_name(a.name)}")
         lines.append("    :parameters ()")
         lines.append("    :precondition (and " + " ".join(pre) + ")")
@@ -391,8 +387,8 @@ def det_to_pddl(d: DeterministicProblem, initial_bits: int,
     lines.append(")")
     domain_text = "\n".join(lines) + "\n"
 
-    init = [d.atom_names[i] for i in _iter_bits(initial_bits)]
-    goal = [d.atom_names[i] for i in _iter_bits(d.goal_mask)]
+    init = [d.atom_names[i] for i in iter_bits(initial_bits)]
+    goal = [d.atom_names[i] for i in iter_bits(d.goal_mask)]
     problem_text = "\n".join([
         f"(define (problem {name})",
         f"  (:domain {name}-domain)",

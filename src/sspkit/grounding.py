@@ -3,8 +3,8 @@
 Bindings come from a depth-first join of each schema's parameters with the
 static facts of ``:init`` (atoms of predicates no outcome adds); only they
 are instantiated, filtered by equality constraints and pruned with a
-delete-relaxation reachability check. The action cap still counts the raw
-typed binding product.
+delete-relaxation reachability check. The action cap bounds the bindings
+the join visits, partial ones included.
 Outcome distributions are exact rationals and sum to 1 per ground action
 (residual probability mass becomes an explicit no-op outcome).
 """
@@ -18,7 +18,7 @@ from itertools import product
 
 from .detplan import RelaxedTask
 from .errors import GroundingBlowupError
-from .model import State
+from .model import ApplicabilityIndex, State
 from .ppddl import ROOT_TYPE, ActionSchema, Atom, DomainSchema, ProblemDef
 
 DEFAULT_ACTION_CAP = 10 ** 6
@@ -70,9 +70,20 @@ class GroundedProblem:
     def atom_count(self) -> int:
         return len(self.atoms)
 
-    @property
-    def action_count(self) -> int:
-        return len(self.actions)
+    @cached_property
+    def static_mask(self) -> int:
+        """The ``:init`` atoms no outcome adds or deletes: true in every
+        reachable state."""
+        changed = 0
+        for a in self.actions:
+            for o in a.outcomes:
+                changed |= o.add_mask | o.del_mask
+        return self.initial_state.bits & ~changed
+
+    @cached_property
+    def applicability(self) -> ApplicabilityIndex:
+        return ApplicabilityIndex(self.actions, self.atoms, self.static_mask,
+                                  self.initial_state.bits)
 
     @cached_property
     def relaxed_task(self) -> RelaxedTask:
@@ -80,7 +91,8 @@ class GroundedProblem:
         built on first use by the heuristic and kept with the problem."""
         entries = [(a.id, a.cost_f, a.pre_pos_mask, o.add_mask)
                    for a in self.actions for o in a.outcomes if o.add_mask]
-        return RelaxedTask(self.atom_count, entries, self.goal_mask)
+        return RelaxedTask(self.atom_count, entries, self.goal_mask,
+                           self.static_mask)
 
     def atom_names(self, s: State) -> list[str]:
         """True atoms of a state, in universe (sorted-name) order."""
@@ -113,11 +125,14 @@ def _objects_by_type(schema: DomainSchema, problem: ProblemDef) -> dict[str, lis
 
 
 def _static_bindings(action: ActionSchema, domains: list[list[str]],
-                     init: tuple[Atom, ...], static: set[str]):
+                     init: tuple[Atom, ...], static: set[str],
+                     visit=lambda n: None):
     """Yield, in ``product(*domains)`` order, the bindings under which each
     positive precondition of a static predicate is an ``:init`` fact. Such
     an atom is checked where its last parameter is bound, through an index
-    of the facts it matches keyed by its other parameters' values."""
+    of the facts it matches keyed by its other parameters' values.
+    ``visit(n)`` is told of the ``n`` bindings, partial or whole, that each
+    step of the join is about to extend or yield."""
     position = {var: i for i, (var, _) in enumerate(action.parameters)}
     checks: list[list] = [[] for _ in domains]  # per depth: (keys, index)
     for lit in action.precondition:
@@ -147,6 +162,7 @@ def _static_bindings(action: ActionSchema, domains: list[list[str]],
         for keys, index in checks[len(prefix)]:
             allowed = index.get(tuple(prefix[p] for p in keys), ())
             values = [v for v in values if v in allowed]
+        visit(len(values))
         for value in values:
             yield from extend(prefix + (value,))
 
@@ -218,30 +234,34 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     binding. Only bindings that satisfy the static preconditions are
     instantiated (see ``_static_bindings``); an atom no outcome adds is
     relaxed-reachable iff it is in ``:init``, so the result is the one the
-    full product would give. Raises GroundingBlowupError when the raw typed
-    binding product exceeds ``max_actions``, before any binding is joined.
+    full product would give. Raises GroundingBlowupError as soon as the
+    join has visited more than ``max_actions`` bindings over all schemas,
+    partial ones included, before any of them is instantiated.
     """
     by_type = _objects_by_type(schema, problem)
+    visited = 0
 
-    total = 0
-    for action in schema.action_schemas:
-        count = 1
-        for _, tname in action.parameters:
-            count *= len(by_type.get(tname, []))
-        total += count
-    if total > max_actions:
-        raise GroundingBlowupError(
-            f"{total} candidate ground actions exceed cap {max_actions}")
+    def visit(n: int) -> None:
+        nonlocal visited
+        visited += n
+        if visited > max_actions:
+            raise GroundingBlowupError(
+                f"the grounding join exceeds its cap of {max_actions} "
+                f"candidate bindings")
 
     added = {atom.pred for action in schema.action_schemas
              for clause in action.clauses for o in clause.outcomes
              for atom in o.add}
     static = {lit.atom.pred for action in schema.action_schemas
               for lit in action.precondition} - added
-    candidates: list[_Candidate] = []
+    joined = []
     for action in sorted(schema.action_schemas, key=lambda a: a.name):
         domains = [by_type.get(tname, []) for _, tname in action.parameters]
-        for binding in _static_bindings(action, domains, problem.init, static):
+        joined.append((action, list(_static_bindings(
+            action, domains, problem.init, static, visit))))
+    candidates: list[_Candidate] = []
+    for action, bindings in joined:
+        for binding in bindings:
             cand = _instantiate(action, binding)
             if cand is not None:
                 candidates.append(cand)

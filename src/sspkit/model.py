@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotApplicableError
@@ -21,12 +22,70 @@ class State(NamedTuple):
     bits: int
 
 
+def iter_bits(x: int):
+    """Indices of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class ApplicabilityIndex:
+    """Finds the actions applicable in a state without scanning them all.
+
+    Each action is keyed by one positive precondition atom outside
+    ``static_mask``; a static atom holds in every reachable state, so it
+    would select its actions everywhere. The key is the atom whose
+    predicate has the fewest true atoms in ``init_bits``, then the one
+    fewest actions use, then the lowest index: a predicate with one true
+    atom in ``:init``, such as a position, usually keeps one true atom, so
+    its actions are the ones worth checking. Actions without such an atom
+    are always checked. A lookup gathers the actions keyed by the atoms
+    true in ``bits``, puts them back in list order and checks each full
+    precondition, so it returns exactly what a scan of ``actions`` would,
+    on any bitset.
+    """
+
+    def __init__(self, actions: list, atom_names: tuple[str, ...],
+                 static_mask: int = 0, init_bits: int = 0):
+        self.actions = actions
+        predicate = [name.strip("()").split()[0] for name in atom_names]
+        in_init = Counter(predicate[atom] for atom in iter_bits(init_bits))
+        users = Counter(atom for a in actions
+                        for atom in iter_bits(a.pre_pos_mask & ~static_mask))
+        self.unkeyed: list[int] = []
+        self.keyed: dict[int, list[int]] = {}
+        for i, a in enumerate(actions):
+            fluents = list(iter_bits(a.pre_pos_mask & ~static_mask))
+            if not fluents:
+                self.unkeyed.append(i)
+                continue
+            key = min(fluents, key=lambda atom: (in_init[predicate[atom]],
+                                                 users[atom], atom))
+            self.keyed.setdefault(1 << key, []).append(i)
+        self.key_mask = sum(self.keyed)
+
+    def applicable(self, bits: int) -> list:
+        """The actions whose precondition holds in ``bits``, in list order."""
+        found = self.unkeyed[:]
+        keys = bits & self.key_mask
+        while keys:
+            low = keys & -keys
+            keys ^= low
+            found += self.keyed[low]
+        found.sort()
+        actions = self.actions
+        result = []
+        for i in found:
+            a = actions[i]
+            if bits & a.pre_pos_mask == a.pre_pos_mask and not bits & a.pre_neg_mask:
+                result.append(a)
+        return result
+
+
 def applicable_actions(s: State, p: GroundedProblem) -> list[int]:
     """Ids of actions whose precondition holds in ``s``, in grounding order."""
-    bits = s.bits
-    return [a.id for a in p.actions
-            if bits & a.pre_pos_mask == a.pre_pos_mask
-            and not bits & a.pre_neg_mask]
+    return [a.id for a in p.applicability.applicable(s.bits)]
 
 
 def is_applicable(s: State, action_id: int, p: GroundedProblem) -> bool:

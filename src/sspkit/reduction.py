@@ -10,6 +10,7 @@ bound it drops the exceptions and gives the primary outcome probability 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .detplan import DetAction, DeterministicProblem
@@ -97,10 +98,12 @@ class AugmentedState(NamedTuple):
 
 
 class ReducedModel:
-    """Lazy reduced model: successors are computed on demand, never stored.
+    """Lazy reduced model: applicable actions and successors are computed on
+    first request and memoized, since the model never changes.
 
     ``primary`` gives, per ground action, the index of its one primary
-    outcome.
+    outcome. Callers must not mutate the returned lists: they are the
+    memo's own.
     """
 
     def __init__(self, problem: GroundedProblem, k: int, primary: list[int]):
@@ -112,7 +115,9 @@ class ReducedModel:
         self.k = k
         self.primary = primary
         self.initial = AugmentedState(problem.initial_state, 0)
-        self._det_problem = None
+        self._applicable: dict[int, list[int]] = {}
+        self._successors: dict[tuple[int, int, int],
+                               list[tuple[AugmentedState, float]]] = {}
 
     def is_goal(self, aug: AugmentedState) -> bool:
         return is_goal(aug.state, self.problem)
@@ -122,12 +127,22 @@ class ReducedModel:
 
     def applicable(self, aug: AugmentedState) -> list[int]:
         """Applicable actions at an augmented state (the same at every j)."""
-        return applicable_actions(aug.state, self.problem)
+        ids = self._applicable.get(aug.state.bits)
+        if ids is None:
+            ids = applicable_actions(aug.state, self.problem)
+            self._applicable[aug.state.bits] = ids
+        return ids
 
     def reduced_successors(self, aug: AugmentedState,
                            action_id: int) -> list[tuple[AugmentedState, float]]:
-        """Successor distribution over augmented states for one action."""
+        """Successor distribution over augmented states for one action;
+        only an applicable action's is stored, so every call with an
+        inapplicable one raises."""
         s, j = aug
+        key = (s.bits, j, action_id)
+        succs = self._successors.get(key)
+        if succs is not None:
+            return succs
         if not is_applicable(s, action_id, self.problem):
             raise NotApplicableError(
                 f"action {self.problem.actions[action_id].name} not applicable")
@@ -136,37 +151,41 @@ class ReducedModel:
         if j >= self.k:
             o = action.outcomes[primary]
             succ_bits = (s.bits & ~o.del_mask) | o.add_mask
-            return [(AugmentedState(State(succ_bits), self.k), 1.0)]
-        merged: dict[tuple[int, int], float] = {}
-        for idx, o in enumerate(action.outcomes):
-            succ_bits = (s.bits & ~o.del_mask) | o.add_mask
-            key = (succ_bits, j if idx == primary else j + 1)
-            merged[key] = merged.get(key, 0.0) + o.probability_f
-        return [(AugmentedState(State(bits), j2), p)
-                for (bits, j2), p in merged.items()]
+            succs = [(AugmentedState(State(succ_bits), self.k), 1.0)]
+        else:
+            merged: dict[tuple[int, int], float] = {}
+            for idx, o in enumerate(action.outcomes):
+                succ_bits = (s.bits & ~o.del_mask) | o.add_mask
+                pair = (succ_bits, j if idx == primary else j + 1)
+                merged[pair] = merged.get(pair, 0.0) + o.probability_f
+            succs = [(AugmentedState(State(bits), j2), p)
+                     for (bits, j2), p in merged.items()]
+        self._successors[key] = succs
+        return succs
 
-    def det_problem(self):
+    @cached_property
+    def det_problem(self) -> DeterministicProblem:
         """The deterministic problem induced at the exception bound.
 
         Actions whose primary outcome is a universal no-op (strict
         self-loops) are excluded: they can never appear in a finite-cost
         plan.
         """
-        if self._det_problem is None:
-            det_actions = []
-            for a in self.problem.actions:
-                o = a.outcomes[self.primary[a.id]]
-                if not o.add_mask and not o.del_mask:
-                    continue
-                det_actions.append(DetAction(
-                    id=a.id, name=a.name,
-                    pre_pos_mask=a.pre_pos_mask, pre_neg_mask=a.pre_neg_mask,
-                    add_mask=o.add_mask, del_mask=o.del_mask, cost=a.cost_f))
-            self._det_problem = DeterministicProblem(
-                atom_names=self.problem.atoms,
-                actions=det_actions,
-                goal_mask=self.problem.goal_mask)
-        return self._det_problem
+        det_actions = []
+        for a in self.problem.actions:
+            o = a.outcomes[self.primary[a.id]]
+            if not o.add_mask and not o.del_mask:
+                continue
+            det_actions.append(DetAction(
+                id=a.id, name=a.name,
+                pre_pos_mask=a.pre_pos_mask, pre_neg_mask=a.pre_neg_mask,
+                add_mask=o.add_mask, del_mask=o.del_mask, cost=a.cost_f))
+        return DeterministicProblem(
+            atom_names=self.problem.atoms,
+            actions=det_actions,
+            goal_mask=self.problem.goal_mask,
+            static_mask=self.problem.static_mask,
+            init_bits=self.problem.initial_state.bits)
 
 
 def make_reduction(problem: GroundedProblem, delta: Determinization,

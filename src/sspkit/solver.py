@@ -112,7 +112,7 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     if j >= model.k:
         if s not in tables.tail_solved:
             result = solve_deterministic(
-                model.det_problem(), s,
+                model.det_problem, s,
                 budget=cfg.subplanner_budget, mode=cfg.subplanner_mode)
             if report is not None:
                 report.subplanner_calls += 1

@@ -1,5 +1,6 @@
-"""Shared fixtures (bundled domains parsed and grounded once per session)
-and lookups into a grounded problem by atom and action name."""
+"""Shared fixtures (bundled domains parsed and grounded once per session),
+lookups into a grounded problem by atom and action name, and a plan
+replayer."""
 
 from __future__ import annotations
 
@@ -19,6 +20,23 @@ def state_from_atoms(grounded, names) -> State:
 
 def action_by_name(grounded, name: str):
     return next((a for a in grounded.actions if a.name == name), None)
+
+
+def validate_plan(d, s: State, result) -> bool:
+    """Replay a plan: every action applicable, final state satisfies the goal,
+    and suffix costs equal the remaining step-cost sums."""
+    bits = s.bits
+    for i, (state, action_id) in enumerate(result.steps):
+        if state.bits != bits:
+            return False
+        a = d.actions_by_id[action_id]
+        if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
+            return False
+        expect = sum(d.actions_by_id[aid].cost for _, aid in result.steps[i:])
+        if abs(result.suffix_costs[i] - expect) > 1e-9:
+            return False
+        bits = d.apply(bits, a)
+    return d.is_goal(bits)
 
 
 def load(domain_text: str, problem_text: str):

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from sspkit import ground, make_reduction, parse_domain, parse_problem
-from sspkit.detplan import solve_deterministic, validate_plan
+from sspkit.detplan import solve_deterministic
 from sspkit.domains import gen_retry, gen_trap, gen_triangle_tireworld
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import learning_det
@@ -22,7 +22,7 @@ from sspkit.reduction import (AugmentedState, Determinization,
                               make_reduction, mlo_determinization)
 from sspkit.solver import NOP, SolverConfig, SolverTables, ff_lao_star
 
-from conftest import FLAT_DELTA, NOFLAT_DELTA, load
+from conftest import FLAT_DELTA, NOFLAT_DELTA, load, validate_plan
 from randmodels import (random_domain, random_proper_reduced_setup,
                         random_reduced_setup)
 
@@ -165,7 +165,7 @@ def test_criterion_5_deterministic_subplanner_contract():
         grounded = ground(schema, prob)
         delta = Determinization({(a.name, 0): 0
                                  for a in schema.action_schemas})
-        det = make_reduction(grounded, delta, 0).det_problem()
+        det = make_reduction(grounded, delta, 0).det_problem
         explicit = enumerate_model(grounded, cap=2000)
         assert explicit.n_states <= 2000
         best = optimal_plan(explicit)

@@ -13,7 +13,7 @@ import pytest
 from sspkit import State, ground, make_reduction
 from sspkit.detplan import (DetAction, DeterministicProblem, RelaxedTask,
                             det_to_pddl, sanitize_action_name, solve_deterministic,
-                            solve_with_external, validate_plan)
+                            solve_with_external)
 from sspkit.domains import gen_triangle_tireworld
 from sspkit.errors import EnumerationBlowupError, ExternalPlannerError
 from sspkit.executor import monte_carlo_evaluate
@@ -22,7 +22,7 @@ from sspkit.oracle import enumerate_model, optimal_plan
 from sspkit.ppddl import parse_domain
 from sspkit.reduction import Determinization
 
-from conftest import FLAT_DELTA, load
+from conftest import FLAT_DELTA, load, validate_plan
 from randmodels import random_domain
 
 
@@ -196,7 +196,7 @@ def test_heuristic_matches_reference_on_random_domains():
         domains += 1
         checked += assert_matches_reference(grounded.relaxed_task, states)
         for delta in deltas:
-            det = make_reduction(grounded, delta, 0).det_problem()
+            det = make_reduction(grounded, delta, 0).det_problem
             checked += assert_matches_reference(det.relaxed_task, states)
     assert checked > 5000
 
@@ -269,7 +269,7 @@ def test_plans_valid_and_no_cheaper_than_oracle():
         grounded = ground(schema, prob)
         delta = Determinization({(a.name, 0): 0
                                  for a in schema.action_schemas})
-        det = make_reduction(grounded, delta, 0).det_problem()
+        det = make_reduction(grounded, delta, 0).det_problem
         result = solve_deterministic(det, grounded.initial_state)
         explicit = enumerate_model(grounded, cap=5000)
         best = optimal_plan(explicit)
@@ -291,7 +291,7 @@ def test_optimal_mode_matches_oracle():
         grounded = ground(schema, prob)
         delta = Determinization({(a.name, 0): 0
                                  for a in schema.action_schemas})
-        det = make_reduction(grounded, delta, 0).det_problem()
+        det = make_reduction(grounded, delta, 0).det_problem
         result = solve_deterministic(det, grounded.initial_state,
                                      mode="optimal")
         best = optimal_plan(enumerate_model(grounded, cap=5000))
@@ -305,7 +305,7 @@ def test_optimal_mode_matches_oracle():
 def test_det_to_pddl_reparses(chain2):
     _, _, grounded = chain2
     delta = Determinization({("step", 0): 0})
-    det = make_reduction(grounded, delta, 0).det_problem()
+    det = make_reduction(grounded, delta, 0).det_problem
     domain_text, problem_text = det_to_pddl(det, grounded.initial_state.bits)
     schema = parse_domain(domain_text)
     assert len(schema.action_schemas) == len(det.actions)
@@ -321,7 +321,7 @@ def _write_script(tmp_path, body: str) -> str:
 def test_external_planner_hook(tmp_path, chain2):
     _, _, grounded = chain2
     delta = Determinization({("step", 0): 0})
-    det = make_reduction(grounded, delta, 0).det_problem()
+    det = make_reduction(grounded, delta, 0).det_problem
     plan = "\\n".join(sanitize_action_name(a.name)
                       for a in sorted(det.actions, key=lambda a: a.name))
     script = _write_script(tmp_path, f"""
@@ -339,7 +339,7 @@ for name in "{plan}".split("\\\\n"):
 def test_external_planner_failure_and_garbage(tmp_path, chain2):
     _, _, grounded = chain2
     delta = Determinization({("step", 0): 0})
-    det = make_reduction(grounded, delta, 0).det_problem()
+    det = make_reduction(grounded, delta, 0).det_problem
     unsolvable = _write_script(tmp_path, "import sys; sys.exit(10)")
     result = solve_with_external(det, grounded.initial_state,
                                  [sys.executable, unsolvable])
@@ -357,7 +357,7 @@ def test_external_planner_failure_and_garbage(tmp_path, chain2):
 def test_external_plan_is_replayed(tmp_path, chain2, plan, message):
     _, _, grounded = chain2
     delta = Determinization({("step", 0): 0})
-    det = make_reduction(grounded, delta, 0).det_problem()
+    det = make_reduction(grounded, delta, 0).det_problem
     script = _write_script(tmp_path, f'print("{plan}")')
     with pytest.raises(ExternalPlannerError, match=message):
         solve_with_external(det, grounded.initial_state,

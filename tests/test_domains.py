@@ -16,7 +16,7 @@ def test_triangle_parses_and_grounds(n):
     schema, problem, grounded = load(*gen_triangle_tireworld(n))
     side = 2 * n + 1
     assert len(problem.objects) == side * (side + 1) // 2
-    assert grounded.action_count > 0
+    assert len(grounded.actions) > 0
     assert [str(a) for a in problem.goal] == [f"(vehicle-at l-1-{side})"]
 
 

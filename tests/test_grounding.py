@@ -10,12 +10,12 @@ import pytest
 
 from sspkit import (GroundingBlowupError, grounding, ground, parse_domain,
                     parse_problem)
-from sspkit.domains import GENERATORS
+from sspkit.domains import GENERATORS, gen_trap
 from sspkit.oracle import enumerate_model
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 
-from conftest import action_by_name
+from conftest import action_by_name, load
 from randmodels import random_domain
 
 INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
@@ -80,7 +80,7 @@ def test_exact_unit_probability_sums(triangle1, retry, trap):
 def test_triangle1_counts_match_enumeration_oracle(triangle1):
     _, _, grounded = triangle1
     # 7 road pairs + 4 spare locations + 1 changetire
-    assert grounded.action_count == 12
+    assert len(grounded.actions) == 12
     explicit = enumerate_model(grounded)
     assert explicit.n_states == 65
 
@@ -121,6 +121,33 @@ def test_grounding_blowup_cap():
         "(:init) (:goal (and)))", schema)
     with pytest.raises(GroundingBlowupError):
         ground(schema, problem, max_actions=1000)
+
+
+def test_grounding_cap_counts_the_join_not_the_product():
+    # the raw typed product of trap-100 is 1,135,680 bindings, over the
+    # default cap; the join visits a few hundred and keeps 103 actions
+    schema, _, grounded = load(*gen_trap(100))
+    assert len(grounded.actions) == 103
+
+
+def test_grounding_cap_counts_partial_bindings():
+    # (pit ?z) holds for no object, so the join yields no binding at all,
+    # yet it visits the 40 + 40 * 40 bindings of ?x and ?y on the way
+    schema = parse_domain("""
+    (define (domain pits)
+      (:predicates (at ?x - object) (pit ?z - object))
+      (:action leap
+        :parameters (?x - object ?y - object ?z - object)
+        :precondition (and (at ?x) (pit ?z))
+        :effect (at ?y)))
+    """)
+    objects = " ".join(f"o{i}" for i in range(40))
+    problem = parse_problem(
+        f"(define (problem p) (:domain pits) (:objects {objects} - object)"
+        "(:init (at o0)) (:goal (at o1)))", schema)
+    with pytest.raises(GroundingBlowupError, match="cap of 1639 "):
+        ground(schema, problem, max_actions=1639)
+    assert ground(schema, problem, max_actions=1640).actions == []
 
 
 def test_equality_constraints_filter_bindings():
@@ -177,7 +204,7 @@ def product_ground(schema, problem):
     let relaxed reachability alone prune."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grounding, "_static_bindings",
-                   lambda action, domains, init, static: product(*domains))
+                   lambda action, domains, init, static, visit: product(*domains))
         return ground(schema, problem)
 
 

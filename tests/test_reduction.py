@@ -140,6 +140,6 @@ def test_null_primary_excluded_from_det_problem(retry):
     _, _, grounded = retry
     null_delta = Determinization({("attempt", 0): 1})
     model = make_reduction(grounded, null_delta, 0)
-    assert model.det_problem().actions == []
+    assert model.det_problem.actions == []
     success = make_reduction(grounded, Determinization({("attempt", 0): 0}), 0)
-    assert len(success.det_problem().actions) == 1
+    assert len(success.det_problem.actions) == 1

@@ -1,0 +1,236 @@
+"""Static atoms out of the hot loops: the applicability index against a
+plain scan, the static-stripped relaxed task against an unstripped one, and
+the reduced model's memo against a fresh computation.
+
+The references are built here from the actions' masks alone, as
+``tests/test_detplan.py`` does for the layered heuristic, on the 300
+``randmodels`` domains, the benchmark inputs and generated triangle and
+trap instances. States are enumerated with the reference scan, never with
+the index under test.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from sspkit import (NotApplicableError, State, ground, make_reduction,
+                    mlo_determinization, parse_domain, parse_problem)
+from sspkit.detplan import RelaxedTask
+from sspkit.domains import gen_trap, gen_triangle_tireworld
+from sspkit.errors import EnumerationBlowupError
+from sspkit.learner import enumerate_determinizations
+from sspkit.model import successors
+from sspkit.reduction import AugmentedState, ReducedModel
+
+from conftest import FLAT_DELTA, load
+from randmodels import random_domain
+
+INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
+
+
+def scan(actions, bits: int) -> list:
+    """The reference: every action whose precondition holds, in list order."""
+    return [a for a in actions
+            if bits & a.pre_pos_mask == a.pre_pos_mask
+            and not bits & a.pre_neg_mask]
+
+
+def reachable(grounded, cap: int) -> list[int]:
+    """Breadth-first states from ``:init``, through the reference scan;
+    at most ``cap`` of them."""
+    start = grounded.initial_state.bits
+    seen = {start: None}
+    frontier = [start]
+    while frontier and len(seen) < cap:
+        bits = frontier.pop(0)
+        for a in scan(grounded.actions, bits):
+            for succ, _ in successors(State(bits), a.id, grounded):
+                if succ.bits not in seen and len(seen) < cap:
+                    seen[succ.bits] = None
+                    frontier.append(succ.bits)
+    return list(seen)
+
+
+def random_bitsets(rng: random.Random, n_atoms: int, count: int) -> list[int]:
+    """Bitsets with each atom set with probability 1/2, 1/10 or 9/10."""
+    return [sum(1 << i for i in range(n_atoms) if rng.random() < p)
+            for p in (0.5, 0.1, 0.9) for _ in range(count)]
+
+
+def det_problems(grounded, deltas):
+    return [make_reduction(grounded, delta, 0).det_problem for delta in deltas]
+
+
+def assert_index_matches_scan(grounded, deltas, states) -> None:
+    for bits in states:
+        expected = scan(grounded.actions, bits)
+        assert grounded.applicability.applicable(bits) == expected, bin(bits)
+    for det in det_problems(grounded, deltas):
+        for bits in states:
+            assert det.applicable(bits) == scan(det.actions, bits), bin(bits)
+
+
+def assert_stripping_exact(grounded, deltas, states) -> int:
+    """Every state holds the static atoms, and there the stripped tasks give
+    the unstripped ones' whole ``(h, helpful)``; returns the states checked."""
+    static = grounded.static_mask
+    tasks = [grounded.relaxed_task]
+    tasks += [det.relaxed_task for det in det_problems(grounded, deltas)]
+    for task in tasks:
+        assert task.static_mask == static
+        plain = RelaxedTask(task.n_atoms, task.entries, task.goal_mask)
+        for bits in states:
+            assert bits & static == static
+            assert task.evaluate(bits) == plain.evaluate(bits), bin(bits)
+    return len(tasks) * len(states)
+
+
+def random_cases(count: int):
+    """(grounded, every determinization, reachable states) of random
+    domains with at most 64 determinizations."""
+    rng = random.Random(12)
+    cases = 0
+    while cases < count:
+        schema, prob = random_domain(rng, n_atoms=6)
+        try:
+            deltas = enumerate_determinizations(schema, cap=64)
+        except EnumerationBlowupError:
+            continue
+        grounded = ground(schema, prob)
+        cases += 1
+        yield grounded, deltas, reachable(grounded, 10_000), rng
+
+
+def read_input(domain: str, problem: str):
+    schema = parse_domain((INPUTS / f"{domain}-domain.ppddl").read_text())
+    text = (INPUTS / f"{problem}-problem.ppddl").read_text()
+    problem_def = parse_problem(text, schema)
+    return schema, problem_def, ground(schema, problem_def)
+
+
+INSTANCES = {
+    "triangle-3": lambda: read_input("triangle", "triangle-3"),
+    "triangle-4": lambda: read_input("triangle", "triangle-4"),
+    "triangle-5": lambda: read_input("triangle", "triangle-5"),
+    "triangle-10": lambda: read_input("triangle", "triangle-10"),
+    "trap-10": lambda: read_input("trap", "trap-10"),
+    "gen-triangle-2": lambda: load(*gen_triangle_tireworld(2)),
+    "gen-trap-100": lambda: load(*gen_trap(100)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INSTANCES))
+def instance(request):
+    schema, _, grounded = INSTANCES[request.param]()
+    deltas = [mlo_determinization(schema)]
+    if schema.name == "triangle-tire":
+        deltas.append(FLAT_DELTA)
+    return grounded, deltas, reachable(grounded, 1_000)
+
+
+def test_index_matches_scan_on_random_domains():
+    checked = 0
+    for grounded, deltas, states, rng in random_cases(300):
+        states += random_bitsets(rng, grounded.atom_count, 10)
+        assert_index_matches_scan(grounded, deltas, states)
+        checked += len(states)
+    assert checked > 10_000
+
+
+def test_index_matches_scan_on_instances(instance):
+    grounded, deltas, states = instance
+    states = states + random_bitsets(random.Random(13), grounded.atom_count, 30)
+    assert_index_matches_scan(grounded, deltas, states)
+
+
+def test_stripped_task_matches_unstripped_on_random_domains():
+    checked = 0
+    for grounded, deltas, states, _ in random_cases(300):
+        checked += assert_stripping_exact(grounded, deltas, states)
+    assert checked > 20_000
+
+
+def test_stripped_task_matches_unstripped_on_instances(instance):
+    grounded, deltas, states = instance
+    assert grounded.static_mask  # roads, spares or pits
+    assert assert_stripping_exact(grounded, deltas, states) >= len(states)
+
+
+def test_static_mask_is_the_untouched_init_atoms(triangle1):
+    _, _, grounded = triangle1
+    static = {name for i, name in enumerate(grounded.atoms)
+              if grounded.static_mask >> i & 1}
+    # the roads and nothing else; spares are loaded, the car moves, tires go flat
+    assert static and all(name.startswith("(road ") for name in static)
+    assert {name for name in grounded.atom_names(grounded.initial_state)
+            if name.startswith("(road ")} == static
+
+
+def test_index_keys_moves_on_the_car_position():
+    # triangle-10's 291 actions: the one true (vehicle-at ...) atom of
+    # :init outranks the 40 (spare-in ...) atoms, and it ties with
+    # (not-flattire), which every move-car uses, so every move-car and
+    # loadtire is keyed on the car's position; changetire has (hasspare)
+    _, _, grounded = read_input("triangle", "triangle-10")
+    index = grounded.applicability
+    assert index.unkeyed == []
+    for key, positions in index.keyed.items():
+        name = grounded.atoms[key.bit_length() - 1]
+        schemas = {grounded.actions[i].schema_name for i in positions}
+        if name == "(hasspare)":
+            assert schemas == {"changetire"}
+        else:
+            assert name.startswith("(vehicle-at ") and "changetire" not in schemas
+    assert sum(map(len, index.keyed.values())) == len(grounded.actions) == 291
+
+
+# ── the reduced model's memo ─────────────────────────────────────────────────
+
+def reduced_cases():
+    """Reduced models at k = 0, 1, 2 over the states reachable in triangle-3."""
+    schema, _, grounded = read_input("triangle", "triangle-3")
+    states = reachable(grounded, 3_000)
+    for k in (0, 1, 2):
+        yield make_reduction(grounded, mlo_determinization(schema), k), states
+
+
+def test_memoized_successors_equal_a_fresh_computation():
+    checked = 0
+    for model, states in reduced_cases():
+        for bits in states:
+            for j in range(model.k + 1):
+                aug = AugmentedState(State(bits), j)
+                for action_id in model.applicable(aug):
+                    fresh = ReducedModel(model.problem, model.k, model.primary)
+                    first = model.reduced_successors(aug, action_id)
+                    assert first == fresh.reduced_successors(aug, action_id)
+                    # a repeated call returns the stored list itself
+                    assert model.reduced_successors(aug, action_id) is first
+                    checked += 1
+    assert checked > 1000
+
+
+def test_memoized_applicable_equals_a_fresh_computation():
+    for model, states in reduced_cases():
+        for bits in states:
+            aug = AugmentedState(State(bits), 0)
+            expected = [a.id for a in scan(model.problem.actions, bits)]
+            assert model.applicable(aug) == expected
+            assert model.applicable(AugmentedState(State(bits), model.k)) is \
+                model.applicable(aug)
+
+
+def test_memo_still_raises_on_every_inapplicable_call():
+    for model, states in reduced_cases():
+        bits = states[0]
+        applicable = set(model.applicable(AugmentedState(State(bits), 0)))
+        bad = next(a.id for a in model.problem.actions if a.id not in applicable)
+        good = min(applicable)
+        aug = AugmentedState(State(bits), 0)
+        for _ in range(2):
+            with pytest.raises(NotApplicableError):
+                model.reduced_successors(aug, bad)
+            model.reduced_successors(aug, good)
+        with pytest.raises(NotApplicableError):
+            model.reduced_successors(aug, bad)
