@@ -259,6 +259,9 @@ def cmd_simulate(args) -> int:
     if args.serve_stdio:
         source = _det_source(args)
         unused = [f"--det-{source[0]}"] if source else []
+        unused += ["--" + name.replace("_", "-")
+                   for name in args.planning_defaults
+                   if getattr(args, name) is not None]
         unused += [option for option, value in (("--out", args.out),
                                                 ("--csv", args.csv)) if value]
         if unused:
@@ -268,6 +271,9 @@ def cmd_simulate(args) -> int:
                      seed=args.seed, max_actions=args.max_actions,
                      m_cap=args.m_cap)
         return EXIT_OK
+    for name, default in args.planning_defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     grounded = _load_grounded(args)
     delta = _resolve_delta(args, grounded.schema)
     stats, reports = monte_carlo_evaluate(
@@ -489,10 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="per-round CSV path")
     p.add_argument("--serve-stdio", action="store_true",
                    help="serve the stdio state/action protocol instead of "
-                        "planning (the client chooses actions; --k, "
-                        "--epsilon, --time-budget and --subplanner-budget "
-                        "are ignored)")
-    p.set_defaults(func=cmd_simulate)
+                        "planning (the client chooses actions; takes no "
+                        "determinization source, --k, --epsilon, "
+                        "--time-budget, --subplanner-budget, --out or --csv)")
+    # None until cmd_simulate knows whether it serves, which rejects them
+    planning = ("k", "epsilon", "time_budget", "subplanner_budget")
+    p.set_defaults(func=cmd_simulate, planning_defaults={
+        name: p.get_default(name) for name in planning})
+    p.set_defaults(**dict.fromkeys(planning))
 
     p = sub.add_parser("learn-det", help="learn the best determinization")
     p.add_argument("--domain", required=True)

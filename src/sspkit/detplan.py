@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ExternalPlannerError
-from .model import ApplicabilityIndex, State, iter_bits
+from .model import ApplicabilityIndex, State, iter_bits, predicate_of
 
 INF = math.inf
 
@@ -74,7 +74,7 @@ class DeterministicProblem:
         """Delete relaxation of this task, built on first use."""
         entries = [(a.id, a.cost, a.pre_pos_mask, a.add_mask)
                    for a in self.actions if a.add_mask]
-        return RelaxedTask(len(self.atom_names), entries, self.goal_mask,
+        return RelaxedTask(self.atom_names, entries, self.goal_mask,
                            self.static_mask)
 
 
@@ -109,54 +109,80 @@ class RelaxedTask:
     """Delete relaxation of a deterministic task (or of a probabilistic one
     with every outcome treated as a separate action).
 
-    The relaxed planning graph is built counter-driven (Bonet & Geffner
-    2001; Hoffmann & Nebel 2001). Once per task, every entry gets its
-    precondition count and every atom the list of entries it is a
-    precondition of. Each evaluation copies the counts and reaches atoms
-    layer by layer: reaching an atom decrements the counts of its
-    dependants, and an entry whose count hits zero enters at the layer of
-    that atom, so an entry is touched once per precondition instead of
-    once per layer. Construction stops when the goal holds (then a relaxed
-    plan is extracted) or a layer adds no atom (then the estimate is inf).
+    The relaxed planning graph (Hoffmann & Nebel 2001) is built on integer
+    bitsets over entries. Let ``k`` be 2 or, if larger, the most
+    preconditions an entry has. ``k - 1`` thermometer bitsets count the
+    preconditions reached: ``held[i]`` holds the entries with at least
+    ``i + 1`` of them, and an entry with ``n`` preconditions starts as if
+    ``k - n`` were reached already. Reaching an atom fires its dependants
+    in ``held[k - 2]`` and moves the others up one row, so an entry enters
+    at the layer of its last precondition after a few bitset operations
+    per atom, whatever the number of dependants. Construction stops when
+    the goal holds (then a relaxed plan is extracted) or a layer adds no
+    atom (then the estimate is inf).
 
-    The extraction takes the subgoals of each layer in sorted order, and
-    as the achiever of an atom at layer ``lvl`` the lowest entry index
-    among ``achievers[atom]`` that entered at layer ``lvl - 1``. The
-    returned helpful actions steer the greedy sub-planner, so this
-    tie-break is what keeps its plans, and every output, byte-identical.
+    Layer 0 is not reached atom by atom. The precondition atoms are grouped
+    by predicate; per group, the state's atoms in it key a memo of their
+    thermometer, with a ``k``-th row for the entries they complete. Layer 0
+    is the presets (where an entry without preconditions fills all ``k``
+    rows) plus the groups' thermometers, added row by row. Counts
+    add over any partition of the atoms, so the grouping decides only how
+    often the memo hits, never a result.
+
+    The extraction walks the layers down with one bitset of the atoms
+    wanted so far: the goal and the preconditions of the achievers chosen.
+    The subgoals of a layer are the wanted atoms first reached there,
+    popped lowest first; the achiever of an atom at layer ``lvl`` is the
+    lowest entry index among ``achievers[atom]`` that entered at layer
+    ``lvl - 1``. The returned helpful actions steer the greedy
+    sub-planner, so this tie-break is what keeps its plans, and every
+    output, byte-identical.
 
     Evaluations are cached per state bitset; negative preconditions are
     ignored, which keeps an infinite estimate sound for real unreachability.
 
-    The atoms of ``static_mask`` are left out of every precondition list
-    and out of the first layer. Such an atom holds at layer 0 and is never
-    a subgoal, so stripping it leaves ``(h, helpful)`` unchanged, but only
-    on states in which every static atom holds. The static atoms of a
-    grounded problem (``GroundedProblem.static_mask``) hold in every state
-    reachable from ``:init``.
+    The atoms of ``static_mask`` are left out of every precondition and out
+    of layer 0. Such an atom holds at layer 0 and is never a subgoal, so
+    stripping it leaves ``(h, helpful)`` unchanged, but only on states in
+    which every static atom holds. The static atoms of a grounded problem
+    (``GroundedProblem.static_mask``) hold in every state reachable from
+    ``:init``.
     """
 
-    def __init__(self, n_atoms: int,
+    def __init__(self, atom_names: tuple[str, ...],
                  entries: list[tuple[int, float, int, int]],
                  goal_mask: int, static_mask: int = 0):
-        self.n_atoms = n_atoms
+        self.atom_names = atom_names
         self.goal_mask = goal_mask
-        self.goal_atoms = tuple(iter_bits(goal_mask))
         self.static_mask = static_mask
         self.entries = entries  # (orig id, cost, pre_pos_mask, add_mask)
         self.adds = [add for _, _, _, add in entries]
-        self.pre_atoms = [tuple(iter_bits(pre & ~static_mask))
-                          for _, _, pre, _ in entries]
-        self.pre_count = [len(pres) for pres in self.pre_atoms]
-        self.unconditional = [ei for ei, n in enumerate(self.pre_count)
-                              if not n]
-        self.dependants: list[list[int]] = [[] for _ in range(n_atoms)]
-        self.achievers: list[list[int]] = [[] for _ in range(n_atoms)]
-        for ei, pres in enumerate(self.pre_atoms):
-            for atom in pres:
-                self.dependants[atom].append(ei)
+        self.pre_masks = [pre & ~static_mask for _, _, pre, _ in entries]
+        self.k = k = max(2, max((pre.bit_count() for pre in self.pre_masks),
+                                default=0))
+        n_atoms = len(atom_names)
+        # per atom: the entries it is a precondition of, the atoms those
+        # entries add, and the entries that add it
+        self.dependants = [0] * n_atoms
+        self.dependant_adds = [0] * n_atoms
+        self.achievers = [0] * n_atoms
+        preset = [0] * k
+        for ei, pre in enumerate(self.pre_masks):
+            bit = 1 << ei
+            for atom in iter_bits(pre):
+                self.dependants[atom] |= bit
+                self.dependant_adds[atom] |= self.adds[ei]
             for atom in iter_bits(self.adds[ei]):
-                self.achievers[atom].append(ei)
+                self.achievers[atom] |= bit
+            for i in range(k - pre.bit_count()):
+                preset[i] |= bit
+        self.preset = preset
+        groups: dict[str, int] = {}
+        for atom, entry_bits in enumerate(self.dependants):
+            if entry_bits:
+                name = predicate_of(atom_names[atom])
+                groups[name] = groups.get(name, 0) | 1 << atom
+        self.groups = [(mask, {}) for mask in groups.values()]
         self._cache: dict[int, tuple[float, frozenset[int]]] = {}
 
     def evaluate(self, bits: int) -> tuple[float, frozenset[int]]:
@@ -172,74 +198,117 @@ class RelaxedTask:
         self._cache[bits] = result
         return result
 
+    def _thermometer(self, key: int) -> list[int]:
+        """Row ``i`` holds the entries with at least ``i + 1`` preconditions
+        among the atoms of ``key``."""
+        rows = [0] * self.k
+        while key:
+            low = key & -key
+            key ^= low
+            dep = self.dependants[low.bit_length() - 1]
+            if rows[0] & dep:
+                for i in range(self.k - 1, 0, -1):
+                    rows[i] |= rows[i - 1] & dep
+            rows[0] |= dep
+        return rows
+
     def _compute(self, bits: int) -> tuple[float, frozenset[int]]:
         goal_mask = self.goal_mask
         if bits & goal_mask == goal_mask:
             return 0.0, frozenset()
+        rows = self.preset
+        for mask, memo in self.groups:
+            key = bits & mask
+            if key:
+                part = memo.get(key)
+                if part is None:
+                    part = memo[key] = self._thermometer(key)
+                rows = _thermometer_sum(rows, part)
+        *held, fired = rows
         adds = self.adds
-        dependants = self.dependants
-        count = self.pre_count[:]
-        level_of = [-1] * self.n_atoms
-        entry_level = [-1] * len(adds)
         new_bits = bits
-        for ei in self.unconditional:
-            entry_level[ei] = 0
-            new_bits |= adds[ei]
+        now = fired
+        while now:
+            low = now & -now
+            now ^= low
+            new_bits |= adds[low.bit_length() - 1]
+
+        dependants = self.dependants
+        dependant_adds = self.dependant_adds
+        top = len(held) - 1
+        shifts = range(top, 0, -1)
+        fired_at = [fired]  # the entries that entered at each layer
+        fresh_at = [bits]  # the atoms first reached at each layer
         reached = bits
-        fresh = bits & ~self.static_mask  # the atoms first reached at ``level``
-        level = 0
         while True:
+            if new_bits == reached:
+                return INF, frozenset()
+            fresh = new_bits & ~reached
+            fresh_at.append(fresh)
+            reached = new_bits
+            if reached & goal_mask == goal_mask:
+                break
+            fired = 0
             while fresh:
                 low = fresh & -fresh
                 fresh ^= low
                 atom = low.bit_length() - 1
-                level_of[atom] = level
-                for ei in dependants[atom]:
-                    left = count[ei] - 1
-                    count[ei] = left
-                    if not left:
-                        entry_level[ei] = level
-                        new_bits |= adds[ei]
-            if new_bits == reached:
-                return INF, frozenset()
-            fresh = new_bits & ~reached
-            reached = new_bits
-            level += 1
-            if reached & goal_mask == goal_mask:
-                break
-        for atom in iter_bits(fresh):
-            level_of[atom] = level
+                dep = dependants[atom]
+                now = held[top] & dep
+                for i in shifts:
+                    held[i] |= held[i - 1] & dep
+                held[0] |= dep
+                if now:
+                    fired |= now
+                    if now == dep:
+                        new_bits |= dependant_adds[atom]
+                    else:
+                        while now:
+                            low = now & -now
+                            now ^= low
+                            new_bits |= adds[low.bit_length() - 1]
+            fired_at.append(fired)
 
-        max_level = max(level_of[a] for a in self.goal_atoms)
-        subgoals: list[set[int]] = [set() for _ in range(max_level + 1)]
-        for atom in self.goal_atoms:
-            lvl = level_of[atom]
-            if lvl > 0:
-                subgoals[lvl].add(atom)
+        # an achiever's preconditions lie on lower layers than the atom it
+        # achieves, so no layer gains a subgoal once it has been walked
+        achievers = self.achievers
+        entries = self.entries
+        pre_masks = self.pre_masks
+        wanted_anywhere = goal_mask
         cost = 0.0
-        selected: set[tuple[int, int]] = set()
+        selected = 0
         helpful: set[int] = set()
-        for lvl in range(max_level, 0, -1):
-            for atom in sorted(subgoals[lvl]):
-                achiever = None
-                for ei in self.achievers[atom]:
-                    if entry_level[ei] == lvl - 1:
-                        achiever = ei
-                        break
-                if achiever is None:  # achieved earlier than marked; skip
+        for lvl in range(len(fired_at), 0, -1):
+            entered = fired_at[lvl - 1]
+            wanted = wanted_anywhere & fresh_at[lvl]
+            while wanted:
+                low = wanted & -wanted
+                wanted ^= low
+                options = achievers[low.bit_length() - 1] & entered
+                achiever = options & -options
+                if achiever & selected:
                     continue
-                if (achiever, lvl - 1) in selected:
-                    continue
-                selected.add((achiever, lvl - 1))
-                orig_id, act_cost, _, _ = self.entries[achiever]
+                selected |= achiever
+                ei = achiever.bit_length() - 1
+                orig_id, act_cost, _, _ = entries[ei]
                 cost += act_cost
-                if lvl - 1 == 0:
+                if lvl == 1:
                     helpful.add(orig_id)
-                for pre_atom in self.pre_atoms[achiever]:
-                    pl = level_of[pre_atom]
-                    if pl > 0:
-                        subgoals[pl].add(pre_atom)
+                wanted_anywhere |= pre_masks[ei]
         return cost, frozenset(helpful)
+
+
+def _thermometer_sum(a: list[int], b: list[int]) -> list[int]:
+    """Row ``j`` of the sum holds the entries whose counts in ``a`` and
+    ``b`` add up to at least ``j + 1``; row ``i`` of each holds the entries
+    counted at least ``i + 1`` times there."""
+    total = []
+    for j in range(len(a)):
+        row = a[j] | b[j]
+        for i in range(j):
+            row |= a[i] & b[j - 1 - i]
+        total.append(row)
+    return total
 
 
 def _plan(d: DeterministicProblem, chain: list[tuple[int, int]],

@@ -91,7 +91,7 @@ class GroundedProblem:
         built on first use by the heuristic and kept with the problem."""
         entries = [(a.id, a.cost_f, a.pre_pos_mask, o.add_mask)
                    for a in self.actions for o in a.outcomes if o.add_mask]
-        return RelaxedTask(self.atom_count, entries, self.goal_mask,
+        return RelaxedTask(self.atoms, entries, self.goal_mask,
                            self.static_mask)
 
     def atom_names(self, s: State) -> list[str]:
@@ -132,7 +132,8 @@ def _static_bindings(action: ActionSchema, domains: list[list[str]],
     an atom is checked where its last parameter is bound, through an index
     of the facts it matches keyed by its other parameters' values.
     ``visit(n)`` is told of the ``n`` bindings, partial or whole, that each
-    step of the join is about to extend or yield."""
+    step of the join is about to extend or yield; past the last checked
+    parameter, of all those of the rest of the join at once."""
     position = {var: i for i, (var, _) in enumerate(action.parameters)}
     checks: list[list] = [[] for _ in domains]  # per depth: (keys, index)
     for lit in action.precondition:
@@ -154,9 +155,21 @@ def _static_bindings(action: ActionSchema, domains: list[list[str]],
                 index.setdefault(tuple(env[p] for p in keys), set()).add(env[depth])
         checks[depth].append((keys, index))
 
+    free = len(domains)  # the parameters from ``free`` on have no check
+    while free and not checks[free - 1]:
+        free -= 1
+
     def extend(prefix: tuple[str, ...]):
-        if len(prefix) == len(domains):
-            yield prefix
+        if len(prefix) == free:
+            # the join visits a product of domain sizes below here: report
+            # all of it before yielding any
+            visits, size = 0, 1
+            for values in domains[free:]:
+                size *= len(values)
+                visits += size
+            visit(visits)
+            for rest in product(*domains[free:]):
+                yield prefix + rest
             return
         values = domains[len(prefix)]
         for keys, index in checks[len(prefix)]:

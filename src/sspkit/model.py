@@ -30,6 +30,11 @@ def iter_bits(x: int):
         x ^= low
 
 
+def predicate_of(atom_name: str) -> str:
+    """The predicate of a ground atom name such as ``(road l-1-1 l-1-2)``."""
+    return atom_name.strip("()").split()[0]
+
+
 class ApplicabilityIndex:
     """Finds the actions applicable in a state without scanning them all.
 
@@ -49,7 +54,7 @@ class ApplicabilityIndex:
     def __init__(self, actions: list, atom_names: tuple[str, ...],
                  static_mask: int = 0, init_bits: int = 0):
         self.actions = actions
-        predicate = [name.strip("()").split()[0] for name in atom_names]
+        predicate = [predicate_of(name) for name in atom_names]
         in_init = Counter(predicate[atom] for atom in iter_bits(init_bits))
         users = Counter(atom for a in actions
                         for atom in iter_bits(a.pre_pos_mask & ~static_mask))

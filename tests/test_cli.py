@@ -558,15 +558,21 @@ def test_simulate_serve_stdio(tmp_path):
     assert lines[-1]["successes"] == 1
 
 
-# the client chooses the actions, so the server has no determinization
-# and writes no report
+# the client chooses the actions, so the server has no determinization,
+# does not plan and writes no report; a planning option given at its
+# default value is rejected too
 @pytest.mark.parametrize("options,named", [
     (["--det-mlo"], "--det-mlo"),
     (["--out", "{dir}/sv.json"], "--out"),
     (["--csv", "{dir}/sv.csv"], "--csv"),
     (["--det-index", "0", "--out", "{dir}/sv.json", "--csv", "{dir}/sv.csv"],
      "--det-index, --out, --csv"),
-], ids=["det-mlo", "out", "csv", "all"])
+    (["--k", "0"], "--k"),
+    (["--epsilon", "0.001"], "--epsilon"),
+    (["--time-budget", "5"], "--time-budget"),
+    (["--subplanner-budget", "100000"], "--subplanner-budget"),
+], ids=["det-mlo", "out", "csv", "all", "k", "epsilon", "time-budget",
+        "subplanner-budget"])
 def test_serve_stdio_rejects_source_and_outputs(tmp_path, triangle_files,
                                                 monkeypatch, capsys, options,
                                                 named):

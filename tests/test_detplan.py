@@ -113,13 +113,14 @@ def test_all_outcomes_heuristic_on_probabilistic_problem(triangle1):
 
 def layered_reference(task: RelaxedTask, bits: int):
     """The relaxed planning graph built by rescanning every pending entry on
-    every layer, with the same extraction: the construction the
-    counter-driven ``RelaxedTask.evaluate`` must agree with exactly. It reads
-    only the task's entries and goal, none of its indexes."""
+    every layer, with the same extraction: the construction the bitset
+    ``RelaxedTask.evaluate`` must agree with exactly. It reads only the
+    task's entries and goal, none of its indexes, bitsets or memos."""
     goal_mask = task.goal_mask
     if bits & goal_mask == goal_mask:
         return 0.0, frozenset()
-    level_of = {atom: 0 for atom in range(task.n_atoms) if bits >> atom & 1}
+    n_atoms = len(task.atom_names)
+    level_of = {atom: 0 for atom in range(n_atoms) if bits >> atom & 1}
     entry_level = {}
     reached = bits
     level = 0
@@ -137,7 +138,7 @@ def layered_reference(task: RelaxedTask, bits: int):
         pending = remaining
         if new_bits == reached:
             return math.inf, frozenset()
-        for atom in range(task.n_atoms):
+        for atom in range(n_atoms):
             if (new_bits & ~reached) >> atom & 1:
                 level_of[atom] = level + 1
         reached = new_bits
@@ -145,7 +146,7 @@ def layered_reference(task: RelaxedTask, bits: int):
         if reached & goal_mask == goal_mask:
             break
 
-    goal_atoms = [atom for atom in range(task.n_atoms) if goal_mask >> atom & 1]
+    goal_atoms = [atom for atom in range(n_atoms) if goal_mask >> atom & 1]
     max_level = max(level_of[a] for a in goal_atoms)
     subgoals = [set() for _ in range(max_level + 1)]
     for atom in goal_atoms:
@@ -166,7 +167,7 @@ def layered_reference(task: RelaxedTask, bits: int):
             cost += act_cost
             if lvl == 1:
                 helpful.add(orig_id)
-            for pre_atom in range(task.n_atoms):
+            for pre_atom in range(n_atoms):
                 if pre >> pre_atom & 1 and level_of[pre_atom] > 0:
                     subgoals[level_of[pre_atom]].add(pre_atom)
     return cost, frozenset(helpful)
@@ -182,7 +183,7 @@ def test_heuristic_matches_reference_on_random_domains():
     # every reachable state, on the all-outcomes task and on the task of
     # every determinization
     rng = random.Random(11)
-    domains = checked = 0
+    domains = checked = deepest = 0
     while domains < 36:
         schema, prob = random_domain(rng, n_atoms=6)
         try:
@@ -195,13 +196,31 @@ def test_heuristic_matches_reference_on_random_domains():
             continue
         domains += 1
         checked += assert_matches_reference(grounded.relaxed_task, states)
+        deepest = max(deepest, grounded.relaxed_task.k)
         for delta in deltas:
             det = make_reduction(grounded, delta, 0).det_problem
             checked += assert_matches_reference(det.relaxed_task, states)
     assert checked > 5000
+    # some entry has three preconditions, so the thermometer has a middle row
+    assert deepest >= 3
 
 
-def test_heuristic_matches_reference_on_triangle_evaluation(monkeypatch):
+def test_heuristic_memo_is_order_independent():
+    _, _, grounded = load(*gen_triangle_tireworld(2))
+    states = [s.bits for s in enumerate_model(grounded).labels]
+    task = grounded.relaxed_task
+    forward, backward = (RelaxedTask(task.atom_names, task.entries,
+                                     task.goal_mask, task.static_mask)
+                         for _ in range(2))
+    results = {bits: forward.evaluate(bits) for bits in states}
+    assert {bits: backward.evaluate(bits)
+            for bits in reversed(states)} == results
+    assert len(states) > 100
+
+
+def evaluated_states(monkeypatch, n: int, k: int, rounds: int):
+    """The heuristic's tasks and the states each evaluated in a seeded
+    evaluation of triangle-n."""
     visited: dict[int, tuple[RelaxedTask, set[int]]] = {}
     evaluate = RelaxedTask.evaluate
 
@@ -210,13 +229,26 @@ def test_heuristic_matches_reference_on_triangle_evaluation(monkeypatch):
         return evaluate(task, bits)
 
     monkeypatch.setattr(RelaxedTask, "evaluate", recording)
-    _, _, grounded = load(*gen_triangle_tireworld(2))
-    monte_carlo_evaluate(grounded, FLAT_DELTA, 2, 1e-3, 3, 1)
+    _, _, grounded = load(*gen_triangle_tireworld(n))
+    monte_carlo_evaluate(grounded, FLAT_DELTA, k, 1e-3, rounds, 1)
     monkeypatch.undo()
+    return list(visited.values())
+
+
+def test_heuristic_matches_reference_on_triangle_evaluation(monkeypatch):
+    visited = evaluated_states(monkeypatch, 2, 2, 3)
     # the all-outcomes task and the determinized one
     assert len(visited) == 2
-    for task, states in visited.values():
+    for task, states in visited:
         assert assert_matches_reference(task, sorted(states)) > 100
+
+
+def test_heuristic_matches_reference_on_wide_triangle(monkeypatch):
+    # triangle-10 at k=0: many locations and spares, long relaxed plans
+    checked = 0
+    for task, states in evaluated_states(monkeypatch, 10, 0, 4):
+        checked += assert_matches_reference(task, sorted(states)[::4])
+    assert checked >= 250
 
 
 @pytest.mark.parametrize("atoms,actions,start,expected", [
@@ -235,11 +267,38 @@ def test_heuristic_matches_reference_on_triangle_evaluation(monkeypatch):
      ["s"], (2.0, frozenset({1}))),
     (*CHAIN[:2], [], (math.inf, frozenset())),
     (*CHAIN[:2], ["s", "g"], (0.0, frozenset())),
+    # three preconditions: "finish" enters once "make-b" and "make-c" have
+    # added the last two
+    (["a", "b", "c", "g"], [("make-a", [], [], ["a"], [], 1.0),
+                            ("make-b", ["a"], [], ["b"], [], 2.0),
+                            ("make-c", ["a"], [], ["c"], [], 3.0),
+                            ("finish", ["a", "b", "c"], [], ["g"], [], 4.0)],
+     [], (10.0, frozenset({0}))),
+    # three preconditions of one predicate, two of them true at layer 0
+    (["(on a)", "(on b)", "(on c)", "g"],
+     [("put-c", ["(on a)"], [], ["(on c)"], [], 1.0),
+      ("stack", ["(on a)", "(on b)", "(on c)"], [], ["g"], [], 2.0)],
+     ["(on a)", "(on b)"], (3.0, frozenset({0}))),
+    # one to four preconditions: each entry enters one layer later
+    (["p", "q", "r", "s", "g"], [("q", ["p"], [], ["q"], [], 1.0),
+                                 ("r", ["p", "q"], [], ["r"], [], 1.0),
+                                 ("s", ["p", "q", "r"], [], ["s"], [], 1.0),
+                                 ("g", ["p", "q", "r", "s"], [], ["g"], [],
+                                  1.0)],
+     ["p"], (4.0, frozenset({0}))),
+    # four preconditions, all but one true at layer 0
+    (["p", "q", "r", "s", "g"], [("s", ["p"], [], ["s"], [], 2.0),
+                                 ("g", ["p", "q", "r", "s"], [], ["g"], [],
+                                  1.0)],
+     ["p", "q", "r"], (3.0, frozenset({0}))),
 ], ids=["same-layer-achievers", "no-preconditions", "adds-only-reached",
-        "unreachable-goal", "satisfied-goal"])
+        "unreachable-goal", "satisfied-goal", "three-preconditions",
+        "three-in-one-predicate", "one-to-four-preconditions",
+        "four-preconditions"])
 def test_heuristic_hand_built_cases(atoms, actions, start, expected):
     d, mask = det_problem(atoms, actions, ["g"])
     bits = mask(start)
+    assert d.relaxed_task.k == max(2, *(len(pre) for _, pre, *_ in actions))
     assert d.relaxed_task.evaluate(bits) == expected
     assert layered_reference(d.relaxed_task, bits) == expected
 

@@ -2,6 +2,7 @@
 and the static join's equivalence with the exhaustive binding product."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -148,6 +149,29 @@ def test_grounding_cap_counts_partial_bindings():
     with pytest.raises(GroundingBlowupError, match="cap of 1639 "):
         ground(schema, problem, max_actions=1639)
     assert ground(schema, problem, max_actions=1640).actions == []
+
+
+def test_grounding_cap_fires_before_listing_unchecked_bindings():
+    # no static precondition: the 20^5 bindings of the join are counted
+    # from the domain sizes, so the cap fires before any is listed
+    schema = parse_domain("""
+    (define (domain big)
+      (:predicates (p ?a ?b ?c ?d ?e) (g))
+      (:action a :parameters (?a ?b ?c ?d ?e)
+        :precondition (and) :effect (p ?a ?b ?c ?d ?e)))
+    """)
+    objects = " ".join(f"o{i}" for i in range(20))
+    problem = parse_problem(
+        f"(define (problem p) (:domain big) (:objects {objects}) (:init)"
+        " (:goal (g)))", schema)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroundingBlowupError):
+            ground(schema, problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_equality_constraints_filter_bindings():

@@ -79,7 +79,7 @@ def assert_stripping_exact(grounded, deltas, states) -> int:
     tasks += [det.relaxed_task for det in det_problems(grounded, deltas)]
     for task in tasks:
         assert task.static_mask == static
-        plain = RelaxedTask(task.n_atoms, task.entries, task.goal_mask)
+        plain = RelaxedTask(task.atom_names, task.entries, task.goal_mask)
         for bits in states:
             assert bits & static == static
             assert task.evaluate(bits) == plain.evaluate(bits), bin(bits)
