@@ -20,8 +20,7 @@ from .executor import (EvalStats, ReplanSession, RoundReport,
 from .grounding import GroundAction, GroundedProblem, ground
 from .learner import (DetCandidate, enumerate_determinizations, learning_det)
 from .model import (State, applicable_actions, is_goal, successors)
-from .oracle import (ExplicitModel, enumerate_model, optimal_plan,
-                     proper_policy_exists, value_iteration)
+from .oracle import ExplicitModel, enumerate_model, value_iteration
 from .ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                     Predicate, ProbabilisticClause, ProblemDef,
                     domain_to_text, parse_domain, parse_problem,
@@ -30,6 +29,6 @@ from .reduction import (AugmentedState, Determinization, ReducedModel,
                         make_reduction, mlo_determinization)
 from .solver import (NOP, SolveReport, SolverConfig, SolverTables,
                      ff_bellman_update, ff_expand, ff_lao_star,
-                     ff_test_convergence, policy_size, q_value)
+                     ff_test_convergence, policy_size)
 
 __version__ = "0.1.0"

@@ -98,12 +98,15 @@ class AugmentedState(NamedTuple):
 
 
 class ReducedModel:
-    """Lazy reduced model: applicable actions and successors are computed on
-    first request and memoized, since the model never changes.
+    """Lazy reduced model over augmented states.
 
     ``primary`` gives, per ground action, the index of its one primary
-    outcome. Callers must not mutate the returned lists: they are the
-    memo's own.
+    outcome. ``applicable`` and ``reduced_successors`` compute afresh on
+    every call. The solver's Bellman backups go through
+    ``backup_record`` instead, which builds each state's record once and
+    keeps it in ``records``; building it registers the state in
+    ``readers`` as a reader of every successor it names. Callers must not
+    mutate a record or its successor lists.
     """
 
     def __init__(self, problem: GroundedProblem, k: int, primary: list[int]):
@@ -115,9 +118,11 @@ class ReducedModel:
         self.k = k
         self.primary = primary
         self.initial = AugmentedState(problem.initial_state, 0)
-        self._applicable: dict[int, list[int]] = {}
-        self._successors: dict[tuple[int, int, int],
-                               list[tuple[AugmentedState, float]]] = {}
+        # aug -> ((action id, cost, successors), ...) in applicable order
+        self.records: dict[AugmentedState, tuple[
+            tuple[int, float, list[tuple[AugmentedState, float]]], ...]] = {}
+        # successor -> the states whose records name it
+        self.readers: dict[AugmentedState, list[AugmentedState]] = {}
 
     def is_goal(self, aug: AugmentedState) -> bool:
         return is_goal(aug.state, self.problem)
@@ -127,22 +132,13 @@ class ReducedModel:
 
     def applicable(self, aug: AugmentedState) -> list[int]:
         """Applicable actions at an augmented state (the same at every j)."""
-        ids = self._applicable.get(aug.state.bits)
-        if ids is None:
-            ids = applicable_actions(aug.state, self.problem)
-            self._applicable[aug.state.bits] = ids
-        return ids
+        return applicable_actions(aug.state, self.problem)
 
     def reduced_successors(self, aug: AugmentedState,
                            action_id: int) -> list[tuple[AugmentedState, float]]:
         """Successor distribution over augmented states for one action;
-        only an applicable action's is stored, so every call with an
-        inapplicable one raises."""
+        raises if the action is not applicable."""
         s, j = aug
-        key = (s.bits, j, action_id)
-        succs = self._successors.get(key)
-        if succs is not None:
-            return succs
         if not is_applicable(s, action_id, self.problem):
             raise NotApplicableError(
                 f"action {self.problem.actions[action_id].name} not applicable")
@@ -151,17 +147,29 @@ class ReducedModel:
         if j >= self.k:
             o = action.outcomes[primary]
             succ_bits = (s.bits & ~o.del_mask) | o.add_mask
-            succs = [(AugmentedState(State(succ_bits), self.k), 1.0)]
-        else:
-            merged: dict[tuple[int, int], float] = {}
-            for idx, o in enumerate(action.outcomes):
-                succ_bits = (s.bits & ~o.del_mask) | o.add_mask
-                pair = (succ_bits, j if idx == primary else j + 1)
-                merged[pair] = merged.get(pair, 0.0) + o.probability_f
-            succs = [(AugmentedState(State(bits), j2), p)
-                     for (bits, j2), p in merged.items()]
-        self._successors[key] = succs
-        return succs
+            return [(AugmentedState(State(succ_bits), self.k), 1.0)]
+        merged: dict[tuple[int, int], float] = {}
+        for idx, o in enumerate(action.outcomes):
+            succ_bits = (s.bits & ~o.del_mask) | o.add_mask
+            pair = (succ_bits, j if idx == primary else j + 1)
+            merged[pair] = merged.get(pair, 0.0) + o.probability_f
+        return [(AugmentedState(State(bits), j2), p)
+                for (bits, j2), p in merged.items()]
+
+    def backup_record(self, aug: AugmentedState):
+        """Every applicable action of ``aug`` as (action id, cost,
+        successors), in applicable order; built on the first call, which
+        also registers ``aug`` as a reader of each successor."""
+        record = self.records.get(aug)
+        if record is None:
+            record = tuple((a, self.cost(a), self.reduced_successors(aug, a))
+                           for a in self.applicable(aug))
+            readers = self.readers
+            for _, _, succs in record:
+                for succ, _ in succs:
+                    readers.setdefault(succ, []).append(aug)
+            self.records[aug] = record
+        return record
 
     @cached_property
     def det_problem(self) -> DeterministicProblem:

@@ -4,8 +4,10 @@ The solver alternates depth-first post-order expansion sweeps with
 convergence-test sweeps over the greedy policy graph. States at the
 exception bound are solved by the built-in classical planner; the whole
 returned plan is memoized (cheapest suffix kept) so those states act as
-terminals afterwards. Dead ends, planner failures and all stored values
-are bounded by the cost cap, which guarantees convergence.
+terminals afterwards. A state below the bound is updated again only when
+a value its last update read has changed since. Dead ends, planner
+failures and all stored values are bounded by the cost cap, which
+guarantees convergence.
 """
 
 from __future__ import annotations
@@ -42,13 +44,21 @@ class SolverConfig:
 
 @dataclass
 class SolverTables:
-    """Mutable per-solve state, reusable across replanning calls."""
+    """Mutable per-solve state, reusable across replanning calls.
+
+    ``clean`` holds the states below the bound whose last update read
+    values that have not changed since: updating one again would write the
+    same value and policy with residual 0, so the sweeps skip it. A write
+    that changes a stored value removes the states whose backup records
+    read it (``ReducedModel.readers``).
+    """
 
     v: dict[AugmentedState, float] = field(default_factory=dict)
     pi: dict[AugmentedState, int] = field(default_factory=dict)
     # base states whose bound-level entry came from a sub-planner call
     # (plan member or recorded failure); never re-solved
     tail_solved: set[State] = field(default_factory=set)
+    clean: set[AugmentedState] = field(default_factory=set)
 
 
 @dataclass
@@ -80,14 +90,17 @@ def _value(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
     return v
 
 
-def q_value(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
-            aug: AugmentedState, action_id: int) -> float:
-    """Action cost plus probability-weighted successor values; successors
-    without a stored value are valued by the configured heuristic."""
-    total = model.cost(action_id)
-    for succ, p in model.reduced_successors(aug, action_id):
-        total += p * _value(tables, model, cfg, succ)
-    return total
+def _store(tables: SolverTables, model: ReducedModel, aug: AugmentedState,
+           value: float, action_id: int) -> None:
+    """Write an entry; if its value changed, its readers are no longer
+    clean."""
+    old = tables.v.get(aug)
+    tables.v[aug] = value
+    tables.pi[aug] = action_id
+    if old != value and model.readers:
+        clean = tables.clean
+        for reader in model.readers.get(aug, ()):
+            clean.discard(reader)
 
 
 def ff_bellman_update(tables: SolverTables, model: ReducedModel,
@@ -98,60 +111,66 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     Goals short-circuit to value 0. At the exception bound the sub-planner
     runs once per base state: a successful plan writes capped suffix costs
     and actions for every plan state (keeping cheaper existing entries);
-    failure or budget exhaustion writes the cap value and a NOP policy.
-    Below the bound this is the capped Bellman operator with argmin
-    tie-breaking by lowest action id.
+    failure or budget exhaustion writes the cap value and a NOP policy. A
+    bound state with no entry yet is not valued first, since the
+    sub-planner always writes one; its residual is taken against 0.
+    Below the bound this is the capped Bellman operator over the state's
+    backup record, with argmin tie-breaking by lowest action id, after
+    which the state is clean.
     """
-    v_prev = _value(tables, model, cfg, aug)
     s, j = aug
+    at_bound = j >= model.k
+    if at_bound and s in tables.tail_solved:
+        return 0.0  # the update would leave its entry as it is
+    v = tables.v
+    v_prev = v.get(aug)
     if model.is_goal(aug):
-        tables.v[aug] = 0.0
-        tables.pi[aug] = NOP
-        return abs(v_prev)
+        if not at_bound:
+            tables.clean.add(aug)
+        _store(tables, model, aug, 0.0, NOP)
+        return abs(v_prev or 0.0)
 
-    if j >= model.k:
-        if s not in tables.tail_solved:
-            result = solve_deterministic(
-                model.det_problem, s,
-                budget=cfg.subplanner_budget, mode=cfg.subplanner_mode)
+    if at_bound:
+        result = solve_deterministic(
+            model.det_problem, s,
+            budget=cfg.subplanner_budget, mode=cfg.subplanner_mode)
+        if report is not None:
+            report.subplanner_calls += 1
+        if result.found:
+            for (si, ai), suffix in zip(result.steps, result.suffix_costs):
+                aug_i = AugmentedState(si, model.k)
+                capped = min(suffix, cfg.m_cap)
+                if si not in tables.tail_solved or \
+                        capped < v.get(aug_i, INF):
+                    _store(tables, model, aug_i, capped, ai)
+                    tables.tail_solved.add(si)
+        else:
             if report is not None:
-                report.subplanner_calls += 1
-            if result.found:
-                for (si, ai), suffix in zip(result.steps, result.suffix_costs):
-                    aug_i = AugmentedState(si, model.k)
-                    capped = min(suffix, cfg.m_cap)
-                    if si in tables.tail_solved:
-                        if capped < tables.v.get(aug_i, INF):
-                            tables.v[aug_i] = capped
-                            tables.pi[aug_i] = ai
-                    else:
-                        tables.tail_solved.add(si)
-                        tables.v[aug_i] = capped
-                        tables.pi[aug_i] = ai
-            else:
-                if report is not None:
-                    report.subplanner_failures += 1
-                    if result.status == "timeout":
-                        report.subplanner_timeouts += 1
-                tables.tail_solved.add(s)
-                tables.v[aug] = cfg.m_cap
-                tables.pi[aug] = NOP
-        return abs(tables.v[aug] - v_prev)
+                report.subplanner_failures += 1
+                if result.status == "timeout":
+                    report.subplanner_timeouts += 1
+            tables.tail_solved.add(s)
+            _store(tables, model, aug, cfg.m_cap, NOP)
+        return abs(v[aug] - (v_prev or 0.0))
 
+    if v_prev is None:
+        v_prev = _value(tables, model, cfg, aug)
     best_q = INF
     best_a = NOP
-    for action_id in model.applicable(aug):
-        q = q_value(tables, model, cfg, aug, action_id)
+    for action_id, q, succs in model.backup_record(aug):
+        for succ, p in succs:
+            value = v.get(succ)
+            if value is None:
+                value = _value(tables, model, cfg, succ)
+            q += p * value
         if q < best_q:
             best_q = q
             best_a = action_id
-    if best_a == NOP:  # no applicable actions: dead end
-        tables.v[aug] = cfg.m_cap
-        tables.pi[aug] = NOP
-    else:
-        tables.v[aug] = min(cfg.m_cap, best_q)
-        tables.pi[aug] = best_a
-    return abs(tables.v[aug] - v_prev)
+    # best_a stays NOP at a dead end, a state with no applicable action
+    value = cfg.m_cap if best_a == NOP else min(cfg.m_cap, best_q)
+    tables.clean.add(aug)  # before the write, which unsettles a self-reader
+    _store(tables, model, aug, value, best_a)
+    return abs(value - v_prev)
 
 
 def _policy_walk(tables: SolverTables, model: ReducedModel,
@@ -161,13 +180,18 @@ def _policy_walk(tables: SolverTables, model: ReducedModel,
     Yields ``(aug, None)`` at a tip (a state with no policy entry) and
     ``(aug, action_id)`` in post-order for every other reached state,
     with the entry it had when reached. The walk goes on through policy
-    actions below the bound, or everywhere with ``past_bound``; callers
-    may update the tables between yields. An explicit stack keeps
-    policy-graph depth unbounded by the interpreter.
+    actions below the bound, whose successors it takes from the backup
+    record, or everywhere with ``past_bound``; callers may update the
+    tables between yields. An explicit stack keeps policy-graph depth
+    unbounded by the interpreter.
     """
     visited: set[AugmentedState] = set()
     # (state, None) enters a state; (state, action) leaves it
     stack: list[tuple[AugmentedState, int | None]] = [(root, None)]
+    push = stack.append
+    policy = tables.pi.get
+    records = model.records
+    k = model.k
     while stack:
         aug, action_id = stack.pop()
         if action_id is not None:
@@ -176,15 +200,25 @@ def _policy_walk(tables: SolverTables, model: ReducedModel,
         if aug in visited:
             continue
         visited.add(aug)
-        action_id = tables.pi.get(aug)
-        if action_id is None:
-            yield aug, None
+        action_id = policy(aug)
+        if action_id is None or action_id == NOP:  # a tip, or a leaf
+            yield aug, action_id
             continue
-        stack.append((aug, action_id))
-        if (past_bound or aug.j < model.k) and action_id != NOP:
+        if aug[1] < k:
+            record = records.get(aug) or model.backup_record(aug)
+            for a, _, succs in record:
+                if a == action_id:
+                    break
+            else:  # not applicable: reduced_successors raises
+                succs = model.reduced_successors(aug, action_id)
+        elif past_bound:
             succs = model.reduced_successors(aug, action_id)
-            for succ, _ in reversed(succs):
-                stack.append((succ, None))
+        else:  # a leaf: it is left as soon as it is entered
+            yield aug, action_id
+            continue
+        push((aug, action_id))
+        for succ, _ in reversed(succs):
+            push((succ, None))
 
 
 def ff_expand(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
@@ -193,11 +227,13 @@ def ff_expand(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
     """One expansion sweep over the policy graph.
 
     Tips get a single update and count as one expansion; every other
-    reached state gets a post-order update.
+    reached state gets a post-order update unless it is clean.
     """
     count = 0
+    clean = tables.clean
     for aug, action_id in _policy_walk(tables, model, root):
-        ff_bellman_update(tables, model, cfg, aug, report)
+        if aug not in clean:
+            ff_bellman_update(tables, model, cfg, aug, report)
         if action_id is None:
             count += 1
     return count
@@ -211,17 +247,20 @@ def ff_test_convergence(tables: SolverTables, model: ReducedModel,
     Returns infinity if the walk reaches a tip or any post-order update
     changes the policy; otherwise the maximum residual. The walk is not
     short-circuited, matching the post-order update discipline of the
-    expansion sweep.
+    expansion sweep. A clean state is skipped: its update would change
+    nothing.
     """
     error = 0.0
     blocked = False  # tip reached or policy changed
+    clean = tables.clean
     for aug, action_id in _policy_walk(tables, model, root):
         if action_id is None:
             blocked = True
-            continue
-        error = max(error, ff_bellman_update(tables, model, cfg, aug, report))
-        if tables.pi[aug] != action_id:
-            blocked = True
+        elif aug not in clean:
+            error = max(error,
+                        ff_bellman_update(tables, model, cfg, aug, report))
+            if tables.pi[aug] != action_id:
+                blocked = True
     return INF if blocked else error
 
 

@@ -1,8 +1,10 @@
 """Shared fixtures (bundled domains parsed and grounded once per session),
-lookups into a grounded problem by atom and action name, and a plan
-replayer."""
+lookups into a grounded problem by atom and action name, a plan replayer,
+and reference searches on explicit models."""
 
 from __future__ import annotations
+
+import heapq
 
 import pytest
 
@@ -37,6 +39,80 @@ def validate_plan(d, s: State, result) -> bool:
             return False
         bits = d.apply(bits, a)
     return d.is_goal(bits)
+
+
+def is_deterministic(m) -> bool:
+    return all(len(succs) == 1 for rows in m.actions for _, succs, _ in rows)
+
+
+def optimal_plan(m, start: int | None = None):
+    """Minimal-cost plan in a deterministic explicit model.
+
+    Returns (cost, [(state index, action id), ...]) or None when the goal
+    is unreachable.
+    """
+    if not is_deterministic(m):
+        raise ValueError("optimal_plan requires a deterministic model")
+    start = m.initial if start is None else start
+    dist = {start: 0.0}
+    parent: dict[int, tuple[int, int]] = {}
+    heap = [(0.0, start)]
+    done: set[int] = set()
+    while heap:
+        d, i = heapq.heappop(heap)
+        if i in done:
+            continue
+        done.add(i)
+        if m.goal[i]:
+            steps = []
+            at = i
+            while at != start:
+                prev, action_id = parent[at]
+                steps.append((prev, action_id))
+                at = prev
+            steps.reverse()
+            return d, steps
+        for action_id, succs, cost in m.actions[i]:
+            (s2, _), = succs
+            nd = d + cost
+            if s2 not in dist or nd < dist[s2]:
+                dist[s2] = nd
+                parent[s2] = (i, action_id)
+                heapq.heappush(heap, (nd, s2))
+    return None
+
+
+def almost_sure_winning(m) -> set[int]:
+    """States from which some policy reaches the goal with probability 1.
+
+    Iterates: restrict to actions whose successors stay inside the current
+    candidate set, keep the states that can still reach the goal, repeat to
+    a fixed point. The initial state being in this set is exactly the
+    existence of a proper policy rooted there.
+    """
+    universe = set(range(m.n_states))
+    while True:
+        reach = {i for i in universe if m.goal[i]}
+        changed = True
+        while changed:
+            changed = False
+            for i in universe:
+                if i in reach:
+                    continue
+                for _, succs, _ in m.actions[i]:
+                    targets = [s2 for s2, _ in succs]
+                    if all(t in universe for t in targets) and any(
+                            t in reach for t in targets):
+                        reach.add(i)
+                        changed = True
+                        break
+        if reach == universe:
+            return universe
+        universe = reach
+
+
+def proper_policy_exists(m) -> bool:
+    return m.initial in almost_sure_winning(m)
 
 
 def load(domain_text: str, problem_text: str):

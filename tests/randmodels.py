@@ -12,10 +12,12 @@ import random
 from fractions import Fraction
 
 from sspkit.grounding import GroundedProblem, ground
-from sspkit.oracle import enumerate_model, proper_policy_exists
+from sspkit.oracle import enumerate_model
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                     Predicate, ProbabilisticClause, ProblemDef)
 from sspkit.reduction import Determinization, ReducedModel, make_reduction
+
+from conftest import proper_policy_exists
 
 
 def random_domain(rng: random.Random, *, n_atoms: int = 5,

@@ -17,12 +17,13 @@ from sspkit.domains import gen_retry, gen_trap, gen_triangle_tireworld
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import learning_det
 from sspkit.model import State
-from sspkit.oracle import enumerate_model, optimal_plan, value_iteration
+from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.reduction import (AugmentedState, Determinization,
                               make_reduction, mlo_determinization)
 from sspkit.solver import NOP, SolverConfig, SolverTables, ff_lao_star
 
-from conftest import FLAT_DELTA, NOFLAT_DELTA, load, validate_plan
+from conftest import (FLAT_DELTA, NOFLAT_DELTA, load, optimal_plan,
+                      validate_plan)
 from randmodels import (random_domain, random_proper_reduced_setup,
                         random_reduced_setup)
 

@@ -18,11 +18,11 @@ from sspkit.domains import gen_triangle_tireworld
 from sspkit.errors import EnumerationBlowupError, ExternalPlannerError
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import enumerate_determinizations
-from sspkit.oracle import enumerate_model, optimal_plan
+from sspkit.oracle import enumerate_model
 from sspkit.ppddl import parse_domain
 from sspkit.reduction import Determinization
 
-from conftest import FLAT_DELTA, load, validate_plan
+from conftest import FLAT_DELTA, load, optimal_plan, validate_plan
 from randmodels import random_domain
 
 

@@ -5,10 +5,10 @@ import pytest
 from sspkit.domains import (gen_chain, gen_retry, gen_trap,
                             gen_triangle_tireworld)
 from sspkit.learner import enumerate_determinizations
-from sspkit.oracle import enumerate_model, optimal_plan
+from sspkit.oracle import enumerate_model
 from sspkit.reduction import mlo_determinization
 
-from conftest import load, state_from_atoms
+from conftest import load, optimal_plan, state_from_atoms
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -9,12 +9,11 @@ from sspkit import ground, make_reduction
 from sspkit.errors import CapExceededError
 from sspkit.executor import SimulatedEnvironment, round_rng
 from sspkit.model import is_goal
-from sspkit.oracle import (almost_sure_winning, enumerate_model,
-                           optimal_plan, proper_policy_exists,
-                           value_iteration)
+from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.reduction import Determinization
 
-from conftest import FLAT_DELTA, load
+from conftest import (FLAT_DELTA, almost_sure_winning, is_deterministic, load,
+                      optimal_plan, proper_policy_exists)
 
 
 def test_enumerate_chain(chain2):
@@ -22,7 +21,7 @@ def test_enumerate_chain(chain2):
     explicit = enumerate_model(grounded)
     assert explicit.n_states == 3
     assert explicit.goal == [False, False, True]
-    assert explicit.is_deterministic()
+    assert is_deterministic(explicit)
 
 
 def test_enumerate_reduced_at_most_k_plus_one_copies(triangle1, retry):
@@ -41,7 +40,7 @@ def test_enumerate_reduced_at_most_k_plus_one_copies(triangle1, retry):
 def test_k0_reduction_has_out_degree_one(triangle1):
     _, _, grounded = triangle1
     explicit = enumerate_model(make_reduction(grounded, FLAT_DELTA, 0))
-    assert explicit.is_deterministic()
+    assert is_deterministic(explicit)
 
 
 def test_cap_exceeded(triangle1):

@@ -1,22 +1,27 @@
-"""Solver tests: Q values, the two update regimes, sweep procedures, and
-agreement with exact value iteration on small models."""
+"""Solver tests: Q values, the two update regimes, sweep procedures,
+agreement with exact value iteration on small models, and skipping clean
+states against performing every update."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sspkit import (NOP, SolverConfig, SolverTables, ff_bellman_update,
                     ff_expand, ff_lao_star, ff_test_convergence, ground,
-                    make_reduction, q_value)
-from sspkit.model import State
+                    make_reduction, mlo_determinization, parse_domain,
+                    parse_problem, solver)
+from sspkit.model import successors
 from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 from sspkit.reduction import AugmentedState, Determinization
+from sspkit.solver import _value
 
 from conftest import FLAT_DELTA, action_by_name, state_from_atoms
-from randmodels import random_proper_reduced_setup
+from randmodels import random_proper_reduced_setup, random_reduced_setup
 
 
 def build_problem(schemas, init, goal):
@@ -51,6 +56,15 @@ def chain_model(k=0):
          det_action("step2", ["m"], ["g"], ["m"])],
         init=["s"], goal=["g"])
     return grounded, make_reduction(grounded, trivial_delta(grounded), k)
+
+
+def q_value(tables, model, cfg, aug, action_id):
+    """Action cost plus probability-weighted successor values; successors
+    without a stored value are valued by the configured heuristic."""
+    total = model.cost(action_id)
+    for succ, p in model.reduced_successors(aug, action_id):
+        total += p * _value(tables, model, cfg, succ)
+    return total
 
 
 def test_q_value_all_goal_successors():
@@ -305,3 +319,151 @@ def test_iteration_limit_carries_best_so_far():
 def test_solver_config_rejects_non_positive(field, value):
     with pytest.raises(ValueError):
         SolverConfig(**{field: value})
+
+
+# ── skipping clean states is exact ──────────────────────────────────────────
+
+INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
+
+
+class EveryUpdate(set):
+    """A clean set no state ever joins, so the sweeps perform every update."""
+
+    def add(self, item):
+        pass
+
+
+class UnsettlingWrites:
+    """Counts the writes that change a value some clean state has read,
+    per write site, by wrapping ``solver._store``."""
+
+    def __init__(self, monkeypatch):
+        self.sites = Counter()
+        store = solver._store
+
+        def counted(tables, model, aug, value, action_id):
+            old = tables.v.get(aug)
+            if old is not None and old != value and any(
+                    r in tables.clean for r in model.readers.get(aug, ())):
+                if aug.j < model.k:
+                    self.sites["below-bound update"] += 1
+                elif action_id == NOP:
+                    self.sites["failure cap"] += 1
+                elif aug.state in tables.tail_solved:
+                    self.sites["plan lowers an entry"] += 1
+                else:
+                    self.sites["plan write"] += 1
+            store(tables, model, aug, value, action_id)
+
+        monkeypatch.setattr(solver, "_store", counted)
+
+
+def assert_same_solves(model_pair, roots_of, plant=lambda tables: None):
+    """Solve from the same roots with the skip and with every update, both
+    from tables given the same ``plant``; tables and reports must agree
+    after every solve."""
+    skip_model, ref_model = model_pair
+    cfg = SolverConfig()
+    skip, ref = SolverTables(), SolverTables(clean=EveryUpdate())
+    plant(skip)
+    plant(ref)
+    for root in roots_of(skip_model, skip):
+        _, skip_report = ff_lao_star(skip_model, cfg, skip, root)
+        _, ref_report = ff_lao_star(ref_model, cfg, ref, root)
+        skip_report.wall_time = ref_report.wall_time = 0.0
+        assert skip_report == ref_report
+        assert (skip.v, skip.pi, skip.tail_solved) == \
+            (ref.v, ref.pi, ref.tail_solved)
+    assert not ref.clean
+    return skip
+
+
+def rollout_roots(seed: int, count: int):
+    """The initial state, then off-policy states met by sampling the
+    base model's outcomes under the current policy, as replanning does."""
+    def roots(model, tables):
+        rng = random.Random(seed)
+        aug = model.initial
+        for _ in range(count):
+            yield aug
+            for _ in range(50):
+                action_id = tables.pi[aug]
+                if action_id == NOP:
+                    break
+                dist = successors(aug.state, action_id, model.problem)
+                s = rng.choices([t for t, _ in dist],
+                                [p for _, p in dist])[0]
+                aug = AugmentedState(s, 0)
+                if aug not in tables.pi:
+                    break
+            if aug in tables.pi or model.is_goal(aug):
+                aug = model.initial
+    return roots
+
+
+def benchmark_input(domain, problem, k):
+    schema = parse_domain((INPUTS / f"{domain}-domain.ppddl").read_text())
+    grounded = ground(schema, parse_problem(
+        (INPUTS / f"{problem}-problem.ppddl").read_text(), schema))
+    delta = mlo_determinization(schema)
+    return tuple(make_reduction(grounded, delta, k) for _ in range(2))
+
+
+@pytest.mark.parametrize("domain, problem, k", [
+    ("triangle", "triangle-4", 1), ("triangle", "triangle-4", 2),
+    ("trap", "trap-10", 1)], ids=["triangle-4-k1", "triangle-4-k2",
+                                   "trap-10-k1"])
+def test_skip_matches_every_update_on_instances(monkeypatch, domain,
+                                                problem, k):
+    writes = UnsettlingWrites(monkeypatch)
+    assert_same_solves(benchmark_input(domain, problem, k),
+                       rollout_roots(7, 12))
+    if domain == "triangle":
+        assert writes.sites["below-bound update"] > 0
+        assert writes.sites["plan write"] > 0
+
+
+def test_skip_matches_every_update_on_random_models(monkeypatch):
+    writes = UnsettlingWrites(monkeypatch)
+    rng = random.Random(1)
+    for _ in range(40):
+        grounded, delta, k, _ = random_reduced_setup(rng, n_atoms=7)
+        pair = tuple(make_reduction(grounded, delta, k) for _ in range(2))
+        assert_same_solves(pair, rollout_roots(rng.random(), 6))
+    assert writes.sites["below-bound update"] > 0
+    assert writes.sites["plan write"] > 0
+    assert writes.sites["failure cap"] > 0
+
+
+def test_skip_matches_every_update_when_a_plan_lowers_a_read_entry(
+        monkeypatch):
+    """``s`` reads the bound state ``b`` through ``go``'s exception, while
+    ``b`` holds the cost 5 an earlier, costlier plan left. ``go2`` wins at
+    first; expanding it plans from ``c`` through ``b`` and lowers ``b`` to
+    1, which only ``s``'s next update sees."""
+    def split(primary, exception):
+        return ProbabilisticClause((
+            Outcome(Fraction(4, 5), (Atom(primary),), (Atom("s"),)),
+            Outcome(Fraction(1, 5), (Atom(exception),), (Atom("s"),))))
+    grounded = build_problem(
+        [ActionSchema("go", (), (Literal(Atom("s")),), (split("m", "b"),)),
+         ActionSchema("go2", (), (Literal(Atom("s")),), (split("m2", "c"),)),
+         det_action("m2g", ["m"], ["g"], ["m"]),
+         det_action("m22g", ["m2"], ["g"], ["m2"]),
+         det_action("b2g", ["b"], ["g"], ["b"]),
+         det_action("c2b", ["c"], ["b"], ["c"])],
+        init=["s"], goal=["g"])
+    b = AugmentedState(state_from_atoms(grounded, ["(b)"]), 1)
+    pair = tuple(make_reduction(grounded, trivial_delta(grounded), 1)
+                 for _ in range(2))
+    writes = UnsettlingWrites(monkeypatch)
+
+    def plant(tables):
+        tables.v[b] = 5.0
+        tables.pi[b] = action_by_name(grounded, "(b2g)").id
+        tables.tail_solved.add(b.state)
+
+    skip = assert_same_solves(pair, lambda model, _: [model.initial], plant)
+    assert writes.sites["plan lowers an entry"] == 1
+    assert skip.v[b] == 1.0
+    assert skip.pi[pair[0].initial] == action_by_name(grounded, "(go)").id

@@ -1,6 +1,6 @@
 """Static atoms out of the hot loops: the applicability index against a
 plain scan, the static-stripped relaxed task against an unstripped one, and
-the reduced model's memo against a fresh computation.
+the reduced model's backup records against a fresh computation.
 
 The references are built here from the actions' masks alone, as
 ``tests/test_detplan.py`` does for the layered heuristic, on the 300
@@ -185,7 +185,7 @@ def test_index_keys_moves_on_the_car_position():
     assert sum(map(len, index.keyed.values())) == len(grounded.actions) == 291
 
 
-# ── the reduced model's memo ─────────────────────────────────────────────────
+# ── the reduced model's backup records ───────────────────────────────────────
 
 def reduced_cases():
     """Reduced models at k = 0, 1, 2 over the states reachable in triangle-3."""
@@ -196,29 +196,37 @@ def reduced_cases():
 
 
 def test_memoized_successors_equal_a_fresh_computation():
+    """Each backup record holds every applicable action's cost and fresh
+    successor list, is built once, and registers its state as a reader of
+    every successor it names."""
     checked = 0
     for model, states in reduced_cases():
+        fresh = ReducedModel(model.problem, model.k, model.primary)
         for bits in states:
             for j in range(model.k + 1):
                 aug = AugmentedState(State(bits), j)
-                for action_id in model.applicable(aug):
-                    fresh = ReducedModel(model.problem, model.k, model.primary)
-                    first = model.reduced_successors(aug, action_id)
-                    assert first == fresh.reduced_successors(aug, action_id)
-                    # a repeated call returns the stored list itself
-                    assert model.reduced_successors(aug, action_id) is first
+                record = model.backup_record(aug)
+                assert [a for a, _, _ in record] == fresh.applicable(aug)
+                for action_id, cost, succs in record:
+                    assert cost == fresh.cost(action_id)
+                    assert succs == fresh.reduced_successors(aug, action_id)
+                    for succ, _ in succs:
+                        assert aug in model.readers[succ]
                     checked += 1
+                # a repeated call returns the stored record itself
+                assert model.backup_record(aug) is record
+        assert fresh.records == {} and fresh.readers == {}
     assert checked > 1000
 
 
 def test_memoized_applicable_equals_a_fresh_computation():
     for model, states in reduced_cases():
         for bits in states:
-            aug = AugmentedState(State(bits), 0)
             expected = [a.id for a in scan(model.problem.actions, bits)]
-            assert model.applicable(aug) == expected
-            assert model.applicable(AugmentedState(State(bits), model.k)) is \
-                model.applicable(aug)
+            for j in range(model.k + 1):
+                aug = AugmentedState(State(bits), j)
+                assert model.applicable(aug) == expected
+                assert [a for a, _, _ in model.backup_record(aug)] == expected
 
 
 def test_memo_still_raises_on_every_inapplicable_call():
