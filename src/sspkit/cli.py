@@ -18,6 +18,7 @@ import math
 import os
 import shlex
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +26,7 @@ from .detplan import solve_deterministic, solve_with_external
 from .domains import GENERATORS
 from .errors import (CapExceededError, ExternalPlannerError,
                      GroundingBlowupError, IterationLimitError, SspkitError)
-from .executor import (DEFAULT_ACTION_CAP, DEFAULT_TIME_BUDGET,
+from .executor import (DEFAULT_ACTION_CAP, DEFAULT_TIME_BUDGET, RoundReport,
                        monte_carlo_evaluate, serve_rounds)
 from .grounding import GroundedProblem, ground
 from .learner import enumerate_determinizations, learning_det
@@ -242,16 +243,12 @@ def cmd_plan(args) -> int:
 # ── simulate ────────────────────────────────────────────────────────────────
 
 def _rounds_csv(reports, timings: bool) -> str:
-    lines = [f"# schema_version: {SCHEMA_VERSION}"]
-    header = "round,outcome,actions_taken,accumulated_cost,replans,seed"
-    if timings:
-        header += ",wall_time"
-    lines.append(header)
+    """One row per round: its index, then the fields of its report."""
+    names = [f.name for f in fields(RoundReport)
+             if timings or f.name != "wall_time"]
+    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(["round", *names])]
     for i, r in enumerate(reports):
-        row = f"{i},{r.outcome},{r.actions_taken},{r.accumulated_cost!r},{r.replans},{r.seed}"
-        if timings:
-            row += f",{r.wall_time!r}"
-        lines.append(row)
+        lines.append(",".join(map(str, [i, *r.as_dict(timings=timings).values()])))
     return "\n".join(lines) + "\n"
 
 

@@ -15,11 +15,15 @@ import re
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
 from .errors import ExternalPlannerError
 from .model import ApplicabilityIndex, State, iter_bits, predicate_of
+from .ppddl import (ROOT_TYPE, ActionSchema, Atom, DomainSchema, Literal,
+                    Outcome, Predicate, ProbabilisticClause, ProblemDef,
+                    domain_to_text, problem_to_text)
 
 INF = math.inf
 
@@ -100,9 +104,6 @@ class PlanResult:
     @property
     def cost(self) -> float:
         return self.suffix_costs[0] if self.suffix_costs else 0.0
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 class RelaxedTask:
@@ -429,44 +430,35 @@ def sanitize_action_name(name: str) -> str:
 
 def det_to_pddl(d: DeterministicProblem, initial_bits: int,
                 name: str = "task") -> tuple[str, str]:
-    """Render a deterministic problem as ground classical PDDL."""
-    preds: dict[str, int] = {}
-    objects: set[str] = set()
-    for atom in d.atom_names:
-        parts = atom.strip("()").split()
-        preds[parts[0]] = max(preds.get(parts[0], 0), len(parts) - 1)
-        objects.update(parts[1:])
-    pred_decls = []
-    for pname in sorted(preds):
-        params = " ".join(f"?x{i} - object" for i in range(preds[pname]))
-        pred_decls.append(f"({pname} {params})" if params else f"({pname})")
+    """Render a deterministic problem as ground classical PDDL, through the
+    PPDDL printer."""
+    atoms = [Atom(parts[0], tuple(parts[1:]))
+             for parts in (atom.strip("()").split() for atom in d.atom_names)]
 
-    lines = [f"(define (domain {name}-domain)",
-             "  (:requirements :strips :negative-preconditions)",
-             "  (:predicates " + " ".join(pred_decls) + ")"]
-    for a in d.actions:
-        pre = [d.atom_names[i] for i in iter_bits(a.pre_pos_mask)]
-        pre += [f"(not {d.atom_names[i]})" for i in iter_bits(a.pre_neg_mask)]
-        eff = [d.atom_names[i] for i in iter_bits(a.add_mask)]
-        eff += [f"(not {d.atom_names[i]})" for i in iter_bits(a.del_mask)]
-        lines.append(f"  (:action {sanitize_action_name(a.name)}")
-        lines.append("    :parameters ()")
-        lines.append("    :precondition (and " + " ".join(pre) + ")")
-        lines.append("    :effect (and " + " ".join(eff) + "))")
-    lines.append(")")
-    domain_text = "\n".join(lines) + "\n"
+    def atoms_of(mask: int) -> tuple[Atom, ...]:
+        return tuple(atoms[i] for i in iter_bits(mask))
 
-    init = [d.atom_names[i] for i in iter_bits(initial_bits)]
-    goal = [d.atom_names[i] for i in iter_bits(d.goal_mask)]
-    problem_text = "\n".join([
-        f"(define (problem {name})",
-        f"  (:domain {name}-domain)",
-        "  (:objects " + " ".join(sorted(objects)) + " - object)" if objects
-        else "  (:objects)",
-        "  (:init " + " ".join(init) + ")",
-        "  (:goal (and " + " ".join(goal) + "))",
-        ")"]) + "\n"
-    return domain_text, problem_text
+    arity = {atom.pred: len(atom.args) for atom in atoms}
+    predicates = tuple(
+        Predicate(pred, tuple((f"?x{i}", ROOT_TYPE) for i in range(arity[pred])))
+        for pred in sorted(arity))
+    actions = tuple(
+        ActionSchema(sanitize_action_name(a.name), (),
+                     tuple(Literal(atom) for atom in atoms_of(a.pre_pos_mask))
+                     + tuple(Literal(atom, True)
+                             for atom in atoms_of(a.pre_neg_mask)),
+                     (ProbabilisticClause((Outcome(
+                         Fraction(1), atoms_of(a.add_mask),
+                         atoms_of(a.del_mask)),)),))
+        for a in d.actions)
+    domain = DomainSchema(f"{name}-domain",
+                          (":strips", ":negative-preconditions"), {},
+                          predicates, actions)
+    problem = ProblemDef(name, domain.name,
+                         tuple((obj, ROOT_TYPE) for obj in
+                               sorted({arg for atom in atoms for arg in atom.args})),
+                         atoms_of(initial_bits), atoms_of(d.goal_mask))
+    return domain_to_text(domain), problem_to_text(problem)
 
 
 def parse_plan_text(text: str) -> list[str]:

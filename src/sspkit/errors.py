@@ -38,9 +38,8 @@ class TypeMismatchError(ParseError):
 
 
 class GroundingBlowupError(SspkitError):
-    """The raw typed binding product of the action schemas exceeded the
-    configured cap. It is counted before grounding, although actions are
-    then built only from the bindings the static-fact join keeps."""
+    """The bindings the grounding join visits, partial ones included,
+    exceeded the configured cap; it fires before any action is built."""
 
 
 class NotApplicableError(SspkitError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EnvMismatchError, NotApplicableError
 from .grounding import GroundedProblem
@@ -44,13 +44,9 @@ class RoundReport:
     wall_time: float = 0.0
 
     def as_dict(self, *, timings: bool = False) -> dict:
-        d = {"outcome": self.outcome,
-             "actions_taken": self.actions_taken,
-             "accumulated_cost": self.accumulated_cost,
-             "replans": self.replans,
-             "seed": self.seed}
-        if timings:
-            d["wall_time"] = self.wall_time
+        d = asdict(self)
+        if not timings:
+            del d["wall_time"]
         return d
 
 
@@ -63,11 +59,7 @@ class EvalStats:
     cost_policy: str = COST_POLICY
 
     def as_dict(self) -> dict:
-        return {"rounds": self.rounds,
-                "successes": self.successes,
-                "success_probability": self.success_probability,
-                "expected_cost": self.expected_cost,
-                "cost_policy": self.cost_policy}
+        return asdict(self)
 
 
 class SimulatedEnvironment:
@@ -96,17 +88,15 @@ class SimulatedEnvironment:
 def play_round(problem: GroundedProblem, choose, rng: random.Random,
                seed_label: str, *, env: SimulatedEnvironment | None = None,
                max_actions: int = DEFAULT_ACTION_CAP,
-               time_budget: float | None = None) -> RoundReport:
+               deadline: float | None = None) -> RoundReport:
     """Play one round from the initial state.
 
     ``choose(s, step)`` names the next action: an action id, or an
     outcome string that ends the round. The round also ends on goal
-    entry, on the action cap, on the wall-time budget, or when the
-    environment rejects the action.
+    entry, on the action cap, once ``time.monotonic()`` has passed
+    ``deadline``, or when the environment rejects the action.
     """
     env = env if env is not None else SimulatedEnvironment(problem)
-    deadline = (time.monotonic() + time_budget
-                if time_budget is not None else None)
     start = time.monotonic()
     s = env.reset()
     cost = 0.0
@@ -150,7 +140,7 @@ class ReplanSession:
     def run_round(self, rng: random.Random, seed_label: str, *,
                   env: SimulatedEnvironment | None = None,
                   max_actions: int = DEFAULT_ACTION_CAP,
-                  time_budget: float | None = None) -> RoundReport:
+                  deadline: float | None = None) -> RoundReport:
         replans = 0
 
         def policy(s: State, _step: int) -> int | str:
@@ -163,7 +153,7 @@ class ReplanSession:
             return OUTCOME_DEAD_END if action_id == NOP else action_id
 
         report = play_round(self.problem, policy, rng, seed_label, env=env,
-                            max_actions=max_actions, time_budget=time_budget)
+                            max_actions=max_actions, deadline=deadline)
         report.replans = replans
         return report
 
@@ -204,14 +194,11 @@ def monte_carlo_evaluate(problem: GroundedProblem, delta: Determinization,
     reports: list[RoundReport] = []
     for r in range(rounds):
         rng, label = round_rng(seed, r)
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                reports.append(RoundReport(OUTCOME_TIMEOUT, 0, 0.0, 0, label))
-                continue
+        if deadline is not None and time.monotonic() >= deadline:
+            reports.append(RoundReport(OUTCOME_TIMEOUT, 0, 0.0, 0, label))
+            continue
         reports.append(session.run_round(
-            rng, label, max_actions=max_actions, time_budget=remaining))
+            rng, label, max_actions=max_actions, deadline=deadline))
     return aggregate(reports, session.cfg.m_cap), reports
 
 

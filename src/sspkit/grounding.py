@@ -19,7 +19,7 @@ from itertools import product
 from .detplan import RelaxedTask
 from .errors import GroundingBlowupError
 from .model import ApplicabilityIndex, State
-from .ppddl import ROOT_TYPE, ActionSchema, Atom, DomainSchema, ProblemDef
+from .ppddl import ActionSchema, Atom, DomainSchema, ProblemDef
 
 DEFAULT_ACTION_CAP = 10 ** 6
 
@@ -64,11 +64,6 @@ class GroundedProblem:
     actions: list[GroundAction]
     initial_state: State
     goal_mask: int
-    goal_atoms: tuple[str, ...]
-
-    @property
-    def atom_count(self) -> int:
-        return len(self.atoms)
 
     @cached_property
     def static_mask(self) -> int:
@@ -106,22 +101,6 @@ def _atom_key(atom: Atom) -> str:
 def _bind(atom: Atom, env: dict[str, str]) -> str:
     args = tuple(env.get(a, a) for a in atom.args)
     return _atom_key(Atom(atom.pred, args))
-
-
-def _objects_by_type(schema: DomainSchema, problem: ProblemDef) -> dict[str, list[str]]:
-    table: dict[str, list[str]] = {ROOT_TYPE: []}
-    for tname in schema.types:
-        table.setdefault(tname, [])
-    for obj, tname in sorted(problem.objects):
-        t = tname
-        seen = set()
-        while True:
-            table.setdefault(t, []).append(obj)
-            if t == ROOT_TYPE or t in seen:
-                break
-            seen.add(t)
-            t = schema.types.get(t, ROOT_TYPE)
-    return table
 
 
 def _static_bindings(action: ActionSchema, domains: list[list[str]],
@@ -251,7 +230,7 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     join has visited more than ``max_actions`` bindings over all schemas,
     partial ones included, before any of them is instantiated.
     """
-    by_type = _objects_by_type(schema, problem)
+    objects = sorted(problem.objects)
     visited = 0
 
     def visit(n: int) -> None:
@@ -269,7 +248,9 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
               for lit in action.precondition} - added
     joined = []
     for action in sorted(schema.action_schemas, key=lambda a: a.name):
-        domains = [by_type.get(tname, []) for _, tname in action.parameters]
+        domains = [[obj for obj, otype in objects
+                    if schema.is_subtype(otype, tname)]
+                   for _, tname in action.parameters]
         joined.append((action, list(_static_bindings(
             action, domains, problem.init, static, visit))))
     candidates: list[_Candidate] = []
@@ -333,7 +314,6 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
             outcomes=outcomes,
         ))
 
-    goal_keys = tuple(sorted(_atom_key(a) for a in problem.goal))
     return GroundedProblem(
         domain_name=schema.name,
         problem_name=problem.name,
@@ -342,6 +322,5 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
         atom_index=index,
         actions=actions,
         initial_state=State(mask(init_keys)),
-        goal_mask=mask(goal_keys),
-        goal_atoms=goal_keys,
+        goal_mask=mask(_atom_key(a) for a in problem.goal),
     )

@@ -93,23 +93,23 @@ def applicable_actions(s: State, p: GroundedProblem) -> list[int]:
     return [a.id for a in p.applicability.applicable(s.bits)]
 
 
-def is_applicable(s: State, action_id: int, p: GroundedProblem) -> bool:
+def outcome_bits(s: State, action_id: int, p: GroundedProblem) -> list[int]:
+    """The successor bits of each outcome of one action in ``s``,
+    delete-then-add, in outcome order; raises if the action is not
+    applicable."""
     a = p.actions[action_id]
-    return (s.bits & a.pre_pos_mask == a.pre_pos_mask
-            and not s.bits & a.pre_neg_mask)
+    bits = s.bits
+    if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
+        raise NotApplicableError(f"action {a.name} not applicable")
+    return [(bits & ~o.del_mask) | o.add_mask for o in a.outcomes]
 
 
 def successors(s: State, action_id: int, p: GroundedProblem) -> SuccessorDistribution:
-    """Successor distribution of one action: delete-then-add per outcome,
-    with outcomes mapping to the same state merged by summing probabilities.
-    """
-    if not is_applicable(s, action_id, p):
-        raise NotApplicableError(
-            f"action {p.actions[action_id].name} not applicable")
+    """Successor distribution of one action, with outcomes mapping to the
+    same state merged by summing probabilities."""
     merged: dict[int, float] = {}
-    bits = s.bits
-    for o in p.actions[action_id].outcomes:
-        succ = (bits & ~o.del_mask) | o.add_mask
+    for o, succ in zip(p.actions[action_id].outcomes,
+                       outcome_bits(s, action_id, p)):
         merged[succ] = merged.get(succ, 0.0) + o.probability_f
     return [(State(b), prob) for b, prob in merged.items()]
 

@@ -14,9 +14,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .detplan import DetAction, DeterministicProblem
-from .errors import IncompleteDeterminizationError, NotApplicableError
+from .errors import IncompleteDeterminizationError
 from .grounding import GroundedProblem
-from .model import State, applicable_actions, is_applicable, is_goal
+from .model import State, applicable_actions, is_goal, outcome_bits
 from .ppddl import DomainSchema
 
 
@@ -139,19 +139,13 @@ class ReducedModel:
         """Successor distribution over augmented states for one action;
         raises if the action is not applicable."""
         s, j = aug
-        if not is_applicable(s, action_id, self.problem):
-            raise NotApplicableError(
-                f"action {self.problem.actions[action_id].name} not applicable")
-        action = self.problem.actions[action_id]
+        succ_bits = outcome_bits(s, action_id, self.problem)
         primary = self.primary[action_id]
         if j >= self.k:
-            o = action.outcomes[primary]
-            succ_bits = (s.bits & ~o.del_mask) | o.add_mask
-            return [(AugmentedState(State(succ_bits), self.k), 1.0)]
+            return [(AugmentedState(State(succ_bits[primary]), self.k), 1.0)]
         merged: dict[tuple[int, int], float] = {}
-        for idx, o in enumerate(action.outcomes):
-            succ_bits = (s.bits & ~o.del_mask) | o.add_mask
-            pair = (succ_bits, j if idx == primary else j + 1)
+        for idx, o in enumerate(self.problem.actions[action_id].outcomes):
+            pair = (succ_bits[idx], j if idx == primary else j + 1)
             merged[pair] = merged.get(pair, 0.0) + o.probability_f
         return [(AugmentedState(State(bits), j2), p)
                 for (bits, j2), p in merged.items()]

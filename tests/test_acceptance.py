@@ -78,7 +78,7 @@ def test_criterion_2_reduced_transition_well_formedness():
         for _ in range(400):
             if pairs >= target:
                 break
-            s = State(rng.getrandbits(grounded.atom_count))
+            s = State(rng.getrandbits(len(grounded.atoms)))
             j = rng.randint(0, k)
             aug = AugmentedState(s, j)
             actions = model.applicable(aug)

@@ -254,6 +254,24 @@ def test_simulate_outputs_and_format_equivalence(tmp_path, triangle_files):
     assert payload["stats"]["rounds"] == 8
 
 
+def test_simulate_timings_add_wall_time_to_rounds_and_csv(tmp_path,
+                                                         triangle_files):
+    domain, problem = triangle_files
+    out = tmp_path / "sim.json"
+    csv = tmp_path / "sim.csv"
+    assert main(["simulate", "--domain", domain, "--problem", problem,
+                 "--det-index", "0", "--k", "0", "--rounds", "3", "--seed",
+                 "13", "--timings", "--out", str(out), "--csv", str(csv)]) == 0
+    rounds = json.loads(out.read_text())["rounds"]
+    header, *rows = csv.read_text().splitlines()[1:]
+    assert header == ("round,outcome,actions_taken,accumulated_cost,replans,"
+                      "seed,wall_time")
+    assert len(rows) == len(rounds) == 3
+    for i, (row, rep) in enumerate(zip(rows, rounds)):
+        assert list(rep) == header.split(",")[1:]
+        assert row.split(",") == [str(i), *map(str, rep.values())]
+
+
 def test_byte_identical_reruns(tmp_path, triangle_files):
     domain, problem = triangle_files
     outputs = []

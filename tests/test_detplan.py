@@ -19,8 +19,8 @@ from sspkit.errors import EnumerationBlowupError, ExternalPlannerError
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import enumerate_determinizations
 from sspkit.oracle import enumerate_model
-from sspkit.ppddl import parse_domain
-from sspkit.reduction import Determinization
+from sspkit.ppddl import parse_domain, parse_problem
+from sspkit.reduction import Determinization, mlo_determinization
 
 from conftest import FLAT_DELTA, load, optimal_plan, validate_plan
 from randmodels import random_domain
@@ -50,7 +50,7 @@ CHAIN = ( ["s", "m", "g"],
 def test_goal_already_satisfied():
     d, mask = det_problem(*CHAIN)
     result = solve_deterministic(d, State(mask(["g"])))
-    assert result.found and len(result) == 0 and result.cost == 0.0
+    assert result.found and len(result.steps) == 0 and result.cost == 0.0
 
 
 def test_chain_plan_and_suffix_costs():
@@ -361,13 +361,57 @@ def test_optimal_mode_matches_oracle():
             assert result.cost == pytest.approx(best[0], abs=1e-9)
 
 
-def test_det_to_pddl_reparses(chain2):
-    _, _, grounded = chain2
-    delta = Determinization({("step", 0): 0})
-    det = make_reduction(grounded, delta, 0).det_problem
-    domain_text, problem_text = det_to_pddl(det, grounded.initial_state.bits)
+def assert_pddl_matches(det, initial_bits):
+    """Both ``det_to_pddl`` texts parse, and say what ``det`` says: every
+    action's preconditions, adds and deletes, the init and the goal."""
+    domain_text, problem_text = det_to_pddl(det, initial_bits)
     schema = parse_domain(domain_text)
-    assert len(schema.action_schemas) == len(det.actions)
+    problem = parse_problem(problem_text, schema)
+
+    def names(mask):
+        return sorted(det.atom_names[i] for i in range(len(det.atom_names))
+                      if mask >> i & 1)
+
+    assert [a.name for a in schema.action_schemas] == [
+        sanitize_action_name(a.name) for a in det.actions]
+    for parsed, a in zip(schema.action_schemas, det.actions):
+        assert parsed.parameters == () and parsed.equalities == ()
+        assert sorted(str(lit.atom) for lit in parsed.precondition
+                      if not lit.negated) == names(a.pre_pos_mask)
+        assert sorted(str(lit.atom) for lit in parsed.precondition
+                      if lit.negated) == names(a.pre_neg_mask)
+        (clause,) = parsed.clauses
+        (outcome,) = clause.outcomes
+        assert outcome.probability == 1
+        assert sorted(map(str, outcome.add)) == names(a.add_mask)
+        assert sorted(map(str, outcome.delete)) == names(a.del_mask)
+    assert sorted(map(str, problem.init)) == names(initial_bits)
+    assert sorted(map(str, problem.goal)) == names(det.goal_mask)
+
+
+def assert_det_at_k0_matches(instance):
+    schema, _, grounded = instance
+    det = make_reduction(grounded, mlo_determinization(schema), 0).det_problem
+    assert det.actions
+    assert_pddl_matches(det, grounded.initial_state.bits)
+
+
+def test_det_to_pddl_reparses(chain2):
+    assert_det_at_k0_matches(chain2)
+
+
+def test_det_to_pddl_reparses_on_triangle_1(triangle1):
+    assert_det_at_k0_matches(triangle1)
+
+
+def test_det_to_pddl_keeps_negative_preconditions_and_empty_lists():
+    d, mask = det_problem(
+        ["(at a)", "(at b)", "(lit)", "(road a b)"],
+        [("go a b", ["(at a)", "(road a b)"], ["(lit)"], ["(at b)"], ["(at a)"], 1.0),
+         ("flip", [], [], ["(lit)"], [], 1.0)],
+        ["(at b)"])
+    assert_pddl_matches(d, mask(["(at a)", "(road a b)"]))
+    assert_pddl_matches(d, 0)
 
 
 def _write_script(tmp_path, body: str) -> str:

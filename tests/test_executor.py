@@ -3,6 +3,7 @@ table reuse, and the stdio protocol."""
 
 import io
 import json
+import time
 
 import pytest
 
@@ -171,6 +172,31 @@ def test_time_budget_diagnostic(retry):
                                           seed=0, time_budget=0.0)
     assert all(r.outcome == "timeout" for r in reports)
     assert stats.success_probability == 0.0
+
+
+def test_one_deadline_per_evaluation(triangle1, monkeypatch):
+    _, _, grounded = triangle1
+    deadlines = []
+    run_round = ReplanSession.run_round
+
+    def recording(self, rng, label, **kwargs):
+        deadlines.append(kwargs["deadline"])
+        return run_round(self, rng, label, **kwargs)
+
+    monkeypatch.setattr(ReplanSession, "run_round", recording)
+    before = time.monotonic()
+    _, reports = monte_carlo_evaluate(grounded, FLAT_DELTA, 0, 1e-3, 3,
+                                      seed=0, time_budget=600.0)
+    assert len(deadlines) == 3 and len(set(deadlines)) == 1
+    assert before + 600.0 <= deadlines[0] <= time.monotonic() + 600.0
+    assert all(r.outcome != "timeout" for r in reports)
+
+
+def test_round_stops_at_a_passed_deadline(triangle1):
+    _, _, grounded = triangle1
+    report = ReplanSession(grounded, FLAT_DELTA, 0).run_round(
+        *round_rng(0, 0), deadline=time.monotonic() - 1.0)
+    assert report.outcome == "timeout" and report.actions_taken == 0
 
 
 # ── stdio protocol ───────────────────────────────────────────────────────────

@@ -270,12 +270,13 @@ def test_join_keeps_the_statically_true_bindings_of_triangle_10():
     # the product reference takes seconds on triangle-10's 53,593 bindings,
     # so there the join is checked binding by binding against the product
     schema, problem = read_input("triangle", "triangle-10")
-    by_type = grounding._objects_by_type(schema, problem)
+    objects = sorted(problem.objects)
     init = {str(atom) for atom in problem.init}
     static = {"road", "spare-in"}
     for action in schema.action_schemas:
         variables = [v for v, _ in action.parameters]
-        domains = [by_type[t] for _, t in action.parameters]
+        domains = [[obj for obj, otype in objects if schema.is_subtype(otype, t)]
+                   for _, t in action.parameters]
         expected = [
             b for b in product(*domains)
             if all(grounding._bind(lit.atom, dict(zip(variables, b))) in init

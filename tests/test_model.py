@@ -117,7 +117,7 @@ def test_successor_probabilities_sum_to_one_random():
         schema, prob = random_domain(rng)
         grounded = ground(schema, prob)
         for sample in range(10):
-            bits = rng.getrandbits(grounded.atom_count)
+            bits = rng.getrandbits(len(grounded.atoms))
             s = State(bits)
             for action_id in applicable_actions(s, grounded):
                 dist = successors(s, action_id, grounded)

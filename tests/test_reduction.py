@@ -45,7 +45,7 @@ def test_k0_reduction_deterministic_everywhere():
         grounded, delta, _, _ = random_reduced_setup(rng)
         model = make_reduction(grounded, delta, 0)
         for sample in range(10):
-            s = State(rng.getrandbits(grounded.atom_count))
+            s = State(rng.getrandbits(len(grounded.atoms)))
             for action_id in model.applicable(AugmentedState(s, 0)):
                 succs = model.reduced_successors(AugmentedState(s, 0), action_id)
                 assert len(succs) == 1
@@ -57,7 +57,7 @@ def test_j_monotone_and_increment_rule():
     for _ in range(25):
         grounded, delta, k, model = random_reduced_setup(rng)
         for sample in range(10):
-            s = State(rng.getrandbits(grounded.atom_count))
+            s = State(rng.getrandbits(len(grounded.atoms)))
             j = rng.randint(0, k)
             aug = AugmentedState(s, j)
             for action_id in model.applicable(aug):

@@ -132,7 +132,7 @@ def instance(request):
 def test_index_matches_scan_on_random_domains():
     checked = 0
     for grounded, deltas, states, rng in random_cases(300):
-        states += random_bitsets(rng, grounded.atom_count, 10)
+        states += random_bitsets(rng, len(grounded.atoms), 10)
         assert_index_matches_scan(grounded, deltas, states)
         checked += len(states)
     assert checked > 10_000
@@ -140,7 +140,7 @@ def test_index_matches_scan_on_random_domains():
 
 def test_index_matches_scan_on_instances(instance):
     grounded, deltas, states = instance
-    states = states + random_bitsets(random.Random(13), grounded.atom_count, 30)
+    states = states + random_bitsets(random.Random(13), len(grounded.atoms), 30)
     assert_index_matches_scan(grounded, deltas, states)
 
 
