@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .errors import EnvMismatchError, NotApplicableError
 from .grounding import GroundedProblem
@@ -130,11 +130,10 @@ class ReplanSession:
     """Reduction + solver tables shared across rounds for one determinization."""
 
     def __init__(self, problem: GroundedProblem, delta: Determinization,
-                 k: int, epsilon: float = 1e-3,
-                 cfg: SolverConfig | None = None):
+                 k: int, cfg: SolverConfig | None = None):
         self.problem = problem
         self.model = make_reduction(problem, delta, k)
-        self.cfg = cfg if cfg is not None else SolverConfig(epsilon=epsilon)
+        self.cfg = cfg if cfg is not None else SolverConfig()
         self.tables = SolverTables()
 
     def run_round(self, rng: random.Random, seed_label: str, *,
@@ -186,10 +185,12 @@ def monte_carlo_evaluate(problem: GroundedProblem, delta: Determinization,
                          ) -> tuple[EvalStats, list[RoundReport]]:
     """Run seeded rounds sharing solver tables and aggregate the results.
 
-    ``time_budget`` bounds the whole evaluation; rounds that do not finish
-    in time are recorded as timeouts and count as failures.
+    The solver runs with ``cfg`` (default ``SolverConfig()``) at
+    ``epsilon``. ``time_budget`` bounds the whole evaluation; rounds that
+    do not finish in time are recorded as timeouts and count as failures.
     """
-    session = ReplanSession(problem, delta, k, epsilon, cfg)
+    session = ReplanSession(problem, delta, k,
+                            replace(cfg or SolverConfig(), epsilon=epsilon))
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     reports: list[RoundReport] = []
     for r in range(rounds):

@@ -22,7 +22,9 @@ ROOT_TYPE = "object"
 # a newline, a parenthesis, a comment, a word, or (last) any whitespace
 # character other than space, tab and carriage return, which is stray
 _TOKEN_RE = re.compile(r"\n|[()]|;[^\n]*|[^\s();]+|[^ \t\r]")
-_NUMBER_RE = re.compile(r"^\d+(\.\d+)?$|^\d+/\d+$")
+# a decimal, or a fraction whose denominator is not zero
+_NUMBER_RE = re.compile(r"^\d+(\.\d+)?$|^\d+/0*[1-9]\d*$")
+MAX_NESTING = 100  # bounds the depth of the recursive walks over a form
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,8 @@ def read_sexps(text: str, filename: str = "<input>") -> list:
 
     Words are case-insensitive and lowercased here; ';' starts a comment
     running to end of line. A stray character is reported before any
-    unbalanced parenthesis, wherever the two lie in the text.
+    unbalanced parenthesis, wherever the two lie in the text; a form nested
+    deeper than ``MAX_NESTING`` at its opening parenthesis.
     """
     stack: list[list] = [[]]
     opens: list[Token] = []
@@ -55,6 +58,9 @@ def read_sexps(text: str, filename: str = "<input>") -> list:
         if word.isspace():
             raise ParseError(f"stray character {word!r}", filename, tok.line, tok.col)
         if word == "(":
+            if len(opens) == MAX_NESTING:
+                raise ParseError(f"form nested deeper than {MAX_NESTING} levels",
+                                 filename, tok.line, tok.col)
             stack.append([])
             opens.append(tok)
         elif word == ")":

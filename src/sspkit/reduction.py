@@ -102,11 +102,7 @@ class ReducedModel:
 
     ``primary`` gives, per ground action, the index of its one primary
     outcome. ``applicable`` and ``reduced_successors`` compute afresh on
-    every call. The solver's Bellman backups go through
-    ``backup_record`` instead, which builds each state's record once and
-    keeps it in ``records``; building it registers the state in
-    ``readers`` as a reader of every successor it names. Callers must not
-    mutate a record or its successor lists.
+    every call; the model keeps no search state (the solver's tables do).
     """
 
     def __init__(self, problem: GroundedProblem, k: int, primary: list[int]):
@@ -118,11 +114,6 @@ class ReducedModel:
         self.k = k
         self.primary = primary
         self.initial = AugmentedState(problem.initial_state, 0)
-        # aug -> ((action id, cost, successors), ...) in applicable order
-        self.records: dict[AugmentedState, tuple[
-            tuple[int, float, list[tuple[AugmentedState, float]]], ...]] = {}
-        # successor -> the states whose records name it
-        self.readers: dict[AugmentedState, list[AugmentedState]] = {}
 
     def is_goal(self, aug: AugmentedState) -> bool:
         return is_goal(aug.state, self.problem)
@@ -149,21 +140,6 @@ class ReducedModel:
             merged[pair] = merged.get(pair, 0.0) + o.probability_f
         return [(AugmentedState(State(bits), j2), p)
                 for (bits, j2), p in merged.items()]
-
-    def backup_record(self, aug: AugmentedState):
-        """Every applicable action of ``aug`` as (action id, cost,
-        successors), in applicable order; built on the first call, which
-        also registers ``aug`` as a reader of each successor."""
-        record = self.records.get(aug)
-        if record is None:
-            record = tuple((a, self.cost(a), self.reduced_successors(aug, a))
-                           for a in self.applicable(aug))
-            readers = self.readers
-            for _, _, succs in record:
-                for succ, _ in succs:
-                    readers.setdefault(succ, []).append(aug)
-            self.records[aug] = record
-        return record
 
     @cached_property
     def det_problem(self) -> DeterministicProblem:

@@ -46,18 +46,23 @@ class SolverConfig:
 class SolverTables:
     """Mutable per-solve state, reusable across replanning calls.
 
-    ``clean`` holds the states below the bound whose last update read
-    values that have not changed since: updating one again would write the
-    same value and policy with residual 0, so the sweeps skip it. A write
-    that changes a stored value removes the states whose backup records
-    read it (``ReducedModel.readers``).
+    A bound state with a policy entry is solved and is never updated again.
+    ``records`` holds each state's backup record below the bound, built on
+    its first update; building one registers the state in ``readers``
+    under every successor it names. ``clean`` holds the states below the
+    bound whose last update read values that have not changed since:
+    updating one again would write the same value and policy with residual
+    0, so the sweeps skip it. A write that changes a stored value removes
+    its readers from ``clean``. Callers must not mutate a record.
     """
 
     v: dict[AugmentedState, float] = field(default_factory=dict)
     pi: dict[AugmentedState, int] = field(default_factory=dict)
-    # base states whose bound-level entry came from a sub-planner call
-    # (plan member or recorded failure); never re-solved
-    tail_solved: set[State] = field(default_factory=set)
+    # aug -> ((action id, cost, successors), ...) in applicable order
+    records: dict[AugmentedState, tuple] = field(default_factory=dict)
+    # successor -> the states whose records name it
+    readers: dict[AugmentedState, list[AugmentedState]] = field(
+        default_factory=dict)
     clean: set[AugmentedState] = field(default_factory=set)
 
 
@@ -90,16 +95,33 @@ def _value(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
     return v
 
 
-def _store(tables: SolverTables, model: ReducedModel, aug: AugmentedState,
-           value: float, action_id: int) -> None:
+def _backup_record(tables: SolverTables, model: ReducedModel,
+                   aug: AugmentedState):
+    """Every applicable action of ``aug`` as (action id, cost,
+    successors), in applicable order; built on the first call, which
+    also registers ``aug`` as a reader of each successor."""
+    record = tables.records.get(aug)
+    if record is None:
+        record = tuple((a, model.cost(a), model.reduced_successors(aug, a))
+                       for a in model.applicable(aug))
+        readers = tables.readers
+        for _, _, succs in record:
+            for succ, _ in succs:
+                readers.setdefault(succ, []).append(aug)
+        tables.records[aug] = record
+    return record
+
+
+def _store(tables: SolverTables, aug: AugmentedState, value: float,
+           action_id: int) -> None:
     """Write an entry; if its value changed, its readers are no longer
     clean."""
     old = tables.v.get(aug)
     tables.v[aug] = value
     tables.pi[aug] = action_id
-    if old != value and model.readers:
+    if old != value and tables.readers:
         clean = tables.clean
-        for reader in model.readers.get(aug, ()):
+        for reader in tables.readers.get(aug, ()):
             clean.discard(reader)
 
 
@@ -120,14 +142,14 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     """
     s, j = aug
     at_bound = j >= model.k
-    if at_bound and s in tables.tail_solved:
+    if at_bound and aug in tables.pi:
         return 0.0  # the update would leave its entry as it is
     v = tables.v
     v_prev = v.get(aug)
     if model.is_goal(aug):
         if not at_bound:
             tables.clean.add(aug)
-        _store(tables, model, aug, 0.0, NOP)
+        _store(tables, aug, 0.0, NOP)
         return abs(v_prev or 0.0)
 
     if at_bound:
@@ -140,24 +162,21 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
             for (si, ai), suffix in zip(result.steps, result.suffix_costs):
                 aug_i = AugmentedState(si, model.k)
                 capped = min(suffix, cfg.m_cap)
-                if si not in tables.tail_solved or \
-                        capped < v.get(aug_i, INF):
-                    _store(tables, model, aug_i, capped, ai)
-                    tables.tail_solved.add(si)
+                if aug_i not in tables.pi or capped < v[aug_i]:
+                    _store(tables, aug_i, capped, ai)
         else:
             if report is not None:
                 report.subplanner_failures += 1
                 if result.status == "timeout":
                     report.subplanner_timeouts += 1
-            tables.tail_solved.add(s)
-            _store(tables, model, aug, cfg.m_cap, NOP)
+            _store(tables, aug, cfg.m_cap, NOP)
         return abs(v[aug] - (v_prev or 0.0))
 
     if v_prev is None:
         v_prev = _value(tables, model, cfg, aug)
     best_q = INF
     best_a = NOP
-    for action_id, q, succs in model.backup_record(aug):
+    for action_id, q, succs in _backup_record(tables, model, aug):
         for succ, p in succs:
             value = v.get(succ)
             if value is None:
@@ -169,7 +188,7 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     # best_a stays NOP at a dead end, a state with no applicable action
     value = cfg.m_cap if best_a == NOP else min(cfg.m_cap, best_q)
     tables.clean.add(aug)  # before the write, which unsettles a self-reader
-    _store(tables, model, aug, value, best_a)
+    _store(tables, aug, value, best_a)
     return abs(value - v_prev)
 
 
@@ -190,7 +209,7 @@ def _policy_walk(tables: SolverTables, model: ReducedModel,
     stack: list[tuple[AugmentedState, int | None]] = [(root, None)]
     push = stack.append
     policy = tables.pi.get
-    records = model.records
+    records = tables.records
     k = model.k
     while stack:
         aug, action_id = stack.pop()
@@ -205,12 +224,9 @@ def _policy_walk(tables: SolverTables, model: ReducedModel,
             yield aug, action_id
             continue
         if aug[1] < k:
-            record = records.get(aug) or model.backup_record(aug)
-            for a, _, succs in record:
+            for a, _, succs in records[aug]:  # the policy entry came from it
                 if a == action_id:
                     break
-            else:  # not applicable: reduced_successors raises
-                succs = model.reduced_successors(aug, action_id)
         elif past_bound:
             succs = model.reduced_successors(aug, action_id)
         else:  # a leaf: it is left as soon as it is entered

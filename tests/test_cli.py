@@ -169,6 +169,23 @@ def test_unsupported_feature_exit_2(tmp_path):
     assert "when" in proc.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(define (domain d) " + "(" * 2_000 + ")" * 2_000 + ")",
+     "bad.ppddl:1:119: form nested deeper than 100 levels"),
+    ("(define (domain d) (:predicates (p))\n  (:action a :parameters () "
+     ":effect (probabilistic 1/0 (p))))",
+     "bad.ppddl:2:52: expected probability, got '1/0'"),
+], ids=["deep-nesting", "zero-denominator"])
+def test_malformed_domain_exit_2_without_traceback(tmp_path, text, message):
+    bad = tmp_path / "bad.ppddl"
+    bad.write_text(text)
+    proc = run_cli(["plan", "--domain", str(bad), "--problem", str(bad),
+                    "--det-mlo"])
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_grounding_blowup_exit_3(tmp_path):
     domain = tmp_path / "big-domain.ppddl"
     problem = tmp_path / "big-problem.ppddl"

@@ -192,6 +192,26 @@ def test_one_deadline_per_evaluation(triangle1, monkeypatch):
     assert all(r.outcome != "timeout" for r in reports)
 
 
+def test_evaluation_solves_at_its_epsilon_with_the_rest_of_cfg(
+        triangle1, monkeypatch):
+    from sspkit import executor
+    from sspkit.solver import SolverConfig
+
+    _, _, grounded = triangle1
+    configs = []
+    solve = executor.ff_lao_star
+
+    def recording(model, cfg, *args, **kwargs):
+        configs.append(cfg)
+        return solve(model, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(executor, "ff_lao_star", recording)
+    monte_carlo_evaluate(grounded, FLAT_DELTA, 0, 1e-6, 2, 0,
+                         cfg=SolverConfig(m_cap=100))
+    assert configs
+    assert {(cfg.epsilon, cfg.m_cap) for cfg in configs} == {(1e-6, 100)}
+
+
 def test_round_stops_at_a_passed_deadline(triangle1):
     _, _, grounded = triangle1
     report = ReplanSession(grounded, FLAT_DELTA, 0).run_round(

@@ -316,6 +316,9 @@ def test_type_repeated_with_its_parent_merges():
 
 PRECONDITION = """(define (domain d) (:predicates (p ?x))
   (:action a :parameters (?x ?y) :precondition {} :effect (p ?x)))"""
+PROBABILITY = """(define (domain d) (:predicates (p))
+  (:action a :parameters () :effect (probabilistic {} (p))))"""
+DEEP = 2_000  # past the interpreter's default recursion limit
 
 
 @pytest.mark.parametrize("text, message, line, col", [
@@ -335,6 +338,23 @@ PRECONDITION = """(define (domain d) (:predicates (p ?x))
     pytest.param("(define (domain d)\n  (:types a - b a - c))",
                  "type 'a' declared with parents 'b' and 'c'", 2, 4,
                  id="type-parents-within-section"),
+    pytest.param(PROBABILITY.format("1/0"),
+                 "expected probability, got '1/0'", 2, 52,
+                 id="zero-denominator"),
+    pytest.param(PROBABILITY.format("0/0"),
+                 "expected probability, got '0/0'", 2, 52,
+                 id="zero-over-zero"),
+    # the form opened at depth 101 is reported
+    pytest.param("(define (domain d) " + "(" * DEEP + ")" * DEEP + ")",
+                 "form nested deeper than 100 levels", 1, 20 + 99,
+                 id="deep-domain"),
+    pytest.param(PRECONDITION.format("(and " * DEEP + "(p ?x)" + ")" * DEEP),
+                 "form nested deeper than 100 levels", 2, 48 + 98 * 5,
+                 id="deep-precondition"),
+    pytest.param("(define (problem p) (:domain mini) (:init) (:goal "
+                 + "(and " * DEEP + "(p)" + ")" * DEEP + "))",
+                 "form nested deeper than 100 levels", 1, 51 + 98 * 5,
+                 id="deep-goal"),
 ])
 def test_malformed_form_is_positioned(text, message, line, col):
     with pytest.raises(ParseError) as err:

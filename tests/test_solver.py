@@ -267,8 +267,9 @@ def test_values_capped_and_plan_cache_consistent():
         # tail entries either carry NOP at the cap, or their policy replays
         # to the goal (or another cached terminal) accounting for the full
         # stored value along the way
-        for s in tables.tail_solved:
-            aug = AugmentedState(s, model.k)
+        tail = [aug for aug in tables.pi
+                if aug.j == model.k and not model.is_goal(aug)]
+        for aug in tail:
             action = tables.pi[aug]
             if action == NOP:
                 assert tables.v[aug] == cfg.m_cap
@@ -280,11 +281,9 @@ def test_values_capped_and_plan_cache_consistent():
                 step = tables.pi[current]
                 cost += model.cost(step)
                 (current, p), = model.reduced_successors(current, step)
-                assert current.state in tables.tail_solved \
-                    or model.is_goal(current)
+                assert current in tables.pi or model.is_goal(current)
             assert model.is_goal(current)
-            if all(tables.v[AugmentedState(t, model.k)] < cfg.m_cap
-                   for t in tables.tail_solved):
+            if all(tables.v[t] < cfg.m_cap for t in tail):
                 assert cost == pytest.approx(tables.v[aug], abs=1e-6)
 
 
@@ -341,40 +340,50 @@ class UnsettlingWrites:
         self.sites = Counter()
         store = solver._store
 
-        def counted(tables, model, aug, value, action_id):
+        def counted(tables, aug, value, action_id):
             old = tables.v.get(aug)
             if old is not None and old != value and any(
-                    r in tables.clean for r in model.readers.get(aug, ())):
-                if aug.j < model.k:
+                    r in tables.clean for r in tables.readers.get(aug, ())):
+                if aug in tables.records:
                     self.sites["below-bound update"] += 1
                 elif action_id == NOP:
                     self.sites["failure cap"] += 1
-                elif aug.state in tables.tail_solved:
+                elif aug in tables.pi:
                     self.sites["plan lowers an entry"] += 1
                 else:
                     self.sites["plan write"] += 1
-            store(tables, model, aug, value, action_id)
+            store(tables, aug, value, action_id)
 
         monkeypatch.setattr(solver, "_store", counted)
 
 
-def assert_same_solves(model_pair, roots_of, plant=lambda tables: None):
-    """Solve from the same roots with the skip and with every update, both
-    from tables given the same ``plant``; tables and reports must agree
-    after every solve."""
-    skip_model, ref_model = model_pair
+def assert_policy_below_bound_from_records(model, tables):
+    """Every policy action below the bound names an action of the state's
+    backup record, where ``_policy_walk`` takes its successors from."""
+    for aug, action_id in tables.pi.items():
+        if aug.j < model.k and action_id != NOP:
+            assert action_id in [a for a, _, _ in tables.records[aug]]
+
+
+def assert_same_solves(model, roots_of, plant=lambda tables: None):
+    """Solve one model from the same roots with the skip and with every
+    update, both from tables given the same ``plant``; tables and reports
+    must agree after every solve, and the model holds no search state."""
     cfg = SolverConfig()
     skip, ref = SolverTables(), SolverTables(clean=EveryUpdate())
     plant(skip)
     plant(ref)
-    for root in roots_of(skip_model, skip):
-        _, skip_report = ff_lao_star(skip_model, cfg, skip, root)
-        _, ref_report = ff_lao_star(ref_model, cfg, ref, root)
+    for root in roots_of(model, skip):
+        _, skip_report = ff_lao_star(model, cfg, skip, root)
+        _, ref_report = ff_lao_star(model, cfg, ref, root)
         skip_report.wall_time = ref_report.wall_time = 0.0
         assert skip_report == ref_report
-        assert (skip.v, skip.pi, skip.tail_solved) == \
-            (ref.v, ref.pi, ref.tail_solved)
+        assert (skip.v, skip.pi, skip.records) == (ref.v, ref.pi, ref.records)
+        for tables in (skip, ref):
+            assert_policy_below_bound_from_records(model, tables)
     assert not ref.clean
+    assert set(vars(model)) <= {"problem", "k", "primary", "initial",
+                                "det_problem"}
     return skip
 
 
@@ -405,8 +414,7 @@ def benchmark_input(domain, problem, k):
     schema = parse_domain((INPUTS / f"{domain}-domain.ppddl").read_text())
     grounded = ground(schema, parse_problem(
         (INPUTS / f"{problem}-problem.ppddl").read_text(), schema))
-    delta = mlo_determinization(schema)
-    return tuple(make_reduction(grounded, delta, k) for _ in range(2))
+    return make_reduction(grounded, mlo_determinization(schema), k)
 
 
 @pytest.mark.parametrize("domain, problem, k", [
@@ -428,8 +436,8 @@ def test_skip_matches_every_update_on_random_models(monkeypatch):
     rng = random.Random(1)
     for _ in range(40):
         grounded, delta, k, _ = random_reduced_setup(rng, n_atoms=7)
-        pair = tuple(make_reduction(grounded, delta, k) for _ in range(2))
-        assert_same_solves(pair, rollout_roots(rng.random(), 6))
+        assert_same_solves(make_reduction(grounded, delta, k),
+                           rollout_roots(rng.random(), 6))
     assert writes.sites["below-bound update"] > 0
     assert writes.sites["plan write"] > 0
     assert writes.sites["failure cap"] > 0
@@ -454,16 +462,14 @@ def test_skip_matches_every_update_when_a_plan_lowers_a_read_entry(
          det_action("c2b", ["c"], ["b"], ["c"])],
         init=["s"], goal=["g"])
     b = AugmentedState(state_from_atoms(grounded, ["(b)"]), 1)
-    pair = tuple(make_reduction(grounded, trivial_delta(grounded), 1)
-                 for _ in range(2))
+    model = make_reduction(grounded, trivial_delta(grounded), 1)
     writes = UnsettlingWrites(monkeypatch)
 
     def plant(tables):
         tables.v[b] = 5.0
         tables.pi[b] = action_by_name(grounded, "(b2g)").id
-        tables.tail_solved.add(b.state)
 
-    skip = assert_same_solves(pair, lambda model, _: [model.initial], plant)
+    skip = assert_same_solves(model, lambda model, _: [model.initial], plant)
     assert writes.sites["plan lowers an entry"] == 1
     assert skip.v[b] == 1.0
-    assert skip.pi[pair[0].initial] == action_by_name(grounded, "(go)").id
+    assert skip.pi[model.initial] == action_by_name(grounded, "(go)").id

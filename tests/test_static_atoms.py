@@ -21,7 +21,8 @@ from sspkit.domains import gen_trap, gen_triangle_tireworld
 from sspkit.errors import EnumerationBlowupError
 from sspkit.learner import enumerate_determinizations
 from sspkit.model import successors
-from sspkit.reduction import AugmentedState, ReducedModel
+from sspkit.reduction import AugmentedState
+from sspkit.solver import SolverTables, _backup_record
 
 from conftest import FLAT_DELTA, load
 from randmodels import random_domain
@@ -201,21 +202,20 @@ def test_memoized_successors_equal_a_fresh_computation():
     every successor it names."""
     checked = 0
     for model, states in reduced_cases():
-        fresh = ReducedModel(model.problem, model.k, model.primary)
+        tables = SolverTables()
         for bits in states:
             for j in range(model.k + 1):
                 aug = AugmentedState(State(bits), j)
-                record = model.backup_record(aug)
-                assert [a for a, _, _ in record] == fresh.applicable(aug)
+                record = _backup_record(tables, model, aug)
+                assert [a for a, _, _ in record] == model.applicable(aug)
                 for action_id, cost, succs in record:
-                    assert cost == fresh.cost(action_id)
-                    assert succs == fresh.reduced_successors(aug, action_id)
+                    assert cost == model.cost(action_id)
+                    assert succs == model.reduced_successors(aug, action_id)
                     for succ, _ in succs:
-                        assert aug in model.readers[succ]
+                        assert aug in tables.readers[succ]
                     checked += 1
                 # a repeated call returns the stored record itself
-                assert model.backup_record(aug) is record
-        assert fresh.records == {} and fresh.readers == {}
+                assert _backup_record(tables, model, aug) is record
     assert checked > 1000
 
 
@@ -226,7 +226,8 @@ def test_memoized_applicable_equals_a_fresh_computation():
             for j in range(model.k + 1):
                 aug = AugmentedState(State(bits), j)
                 assert model.applicable(aug) == expected
-                assert [a for a, _, _ in model.backup_record(aug)] == expected
+                assert [a for a, _, _ in _backup_record(
+                    SolverTables(), model, aug)] == expected
 
 
 def test_memo_still_raises_on_every_inapplicable_call():
