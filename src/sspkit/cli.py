@@ -167,9 +167,13 @@ def _resolve_delta(args, schema: DomainSchema) -> Determinization:
                              f"({len(deltas)} determinizations)")
         return deltas[value]
     training = parse_problem(_read(value), schema, filename=value)
-    delta, _ = learning_det(schema, training, k=args.k,
-                            rounds=getattr(args, "rounds", 50),
-                            seed=args.seed, epsilon=args.epsilon)
+    # the command's own settings, apart from --time-budget, which bounds
+    # the command's evaluation and not the learning
+    delta, _ = learning_det(
+        schema, training, k=args.k, rounds=getattr(args, "rounds", 50),
+        seed=args.seed, epsilon=args.epsilon,
+        max_actions=getattr(args, "max_actions", DEFAULT_ACTION_CAP),
+        cfg=_solver_config(args))
     return delta
 
 
@@ -187,7 +191,10 @@ def _config_echo(args) -> dict:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(epsilon=args.epsilon, m_cap=args.m_cap,
+    """The solver settings of the command's options; ``detplan solve``
+    has no ``--m-cap`` and keeps the default cap."""
+    return SolverConfig(epsilon=args.epsilon,
+                        m_cap=getattr(args, "m_cap", SolverConfig.m_cap),
                         subplanner_budget=args.subplanner_budget)
 
 

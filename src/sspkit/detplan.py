@@ -14,7 +14,7 @@ import math
 import re
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -53,11 +53,6 @@ class DeterministicProblem:
     goal_mask: int
     static_mask: int = 0
     init_bits: int = 0
-    actions_by_id: dict[int, DetAction] = field(init=False, repr=False,
-                                                compare=False)
-
-    def __post_init__(self):
-        self.actions_by_id = {a.id: a for a in self.actions}
 
     def is_goal(self, bits: int) -> bool:
         return bits & self.goal_mask == self.goal_mask
@@ -312,27 +307,26 @@ def _thermometer_sum(a: list[int], b: list[int]) -> list[int]:
     return total
 
 
-def _plan(d: DeterministicProblem, chain: list[tuple[int, int]],
+def _plan(chain: list[tuple[int, DetAction]],
           expansions: int = 0) -> PlanResult:
-    """The plan whose steps are ``chain``'s (state bits, action id) pairs."""
+    """The plan whose steps are ``chain``'s (state bits, action) pairs."""
     suffix_costs = []
     total = 0.0
-    for _, action_id in reversed(chain):
-        total += d.actions_by_id[action_id].cost
+    for _, action in reversed(chain):
+        total += action.cost
         suffix_costs.append(total)
     suffix_costs.reverse()
-    return PlanResult("plan", [(State(b), a) for b, a in chain], suffix_costs,
-                      expansions)
+    return PlanResult("plan", [(State(b), a.id) for b, a in chain],
+                      suffix_costs, expansions)
 
 
-def _reconstruct(d: DeterministicProblem, parents: dict, goal_bits: int,
-                 expansions: int) -> PlanResult:
-    chain: list[tuple[int, int]] = []
+def _reconstruct(parents: dict, goal_bits: int, expansions: int) -> PlanResult:
+    chain: list[tuple[int, DetAction]] = []
     bits = goal_bits
     while parents[bits] is not None:
         chain.append(parents[bits])
         bits = parents[bits][0]
-    return _plan(d, chain[::-1], expansions)
+    return _plan(chain[::-1], expansions)
 
 
 def solve_deterministic(d: DeterministicProblem, s: State, *,
@@ -342,6 +336,11 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
 
     Plans from the default mode are valid but not necessarily optimal;
     ``mode="optimal"`` runs plain uniform-cost search.
+
+    Neither phase keeps a closed set: the greedy phase pushes a state only
+    when it enters ``parents``, and with positive action costs the entries
+    the uniform-cost phase finds superseded in ``best_g`` are exactly those
+    of states already expanded.
     """
     bits0 = s.bits
     if d.is_goal(bits0):
@@ -355,15 +354,11 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
             return PlanResult("failure", [], [], expansions)
         counter = 0
         open_heap: list[tuple[float, int, int]] = [(h0, counter, bits0)]
-        parents: dict[int, tuple[int, int] | None] = {bits0: None}
-        closed: set[int] = set()
+        parents: dict[int, tuple[int, DetAction] | None] = {bits0: None}
         while open_heap:
             _, _, bits = heapq.heappop(open_heap)
-            if bits in closed:
-                continue
-            closed.add(bits)
             if d.is_goal(bits):
-                return _reconstruct(d, parents, bits, expansions)
+                return _reconstruct(parents, bits, expansions)
             expansions += 1
             if expansions >= budget:
                 return PlanResult("timeout", [], [], expansions)
@@ -377,7 +372,7 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
                 hn, _ = task.evaluate(nb)
                 if hn == INF:
                     continue
-                parents[nb] = (bits, a.id)
+                parents[nb] = (bits, a)
                 counter += 1
                 heapq.heappush(open_heap, (hn, counter, nb))
         # Greedy phase exhausted under helpful-action pruning: restart as
@@ -389,26 +384,22 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
     open_heap = [(0.0, counter, bits0)]
     parents = {bits0: None}
     best_g: dict[int, float] = {bits0: 0.0}
-    closed = set()
     while open_heap:
         g, _, bits = heapq.heappop(open_heap)
-        if bits in closed:
+        if g > best_g[bits]:
             continue
-        closed.add(bits)
         if d.is_goal(bits):
-            return _reconstruct(d, parents, bits, expansions)
+            return _reconstruct(parents, bits, expansions)
         expansions += 1
         if expansions >= budget:
             return PlanResult("timeout", [], [], expansions)
         for a in d.applicable(bits):
             nb = d.apply(bits, a)
-            if nb in closed:
-                continue
             ng = g + a.cost
-            if nb in best_g and best_g[nb] <= ng:
+            if best_g.get(nb, INF) <= ng:
                 continue
             best_g[nb] = ng
-            parents[nb] = (bits, a.id)
+            parents[nb] = (bits, a)
             counter += 1
             heapq.heappush(open_heap, (ng, counter, nb))
     return PlanResult("failure", [], [], expansions)
@@ -428,8 +419,7 @@ def sanitize_action_name(name: str) -> str:
     return _SANITIZE_RE.sub("", inner.replace(" ", "__"))
 
 
-def det_to_pddl(d: DeterministicProblem, initial_bits: int,
-                name: str = "task") -> tuple[str, str]:
+def det_to_pddl(d: DeterministicProblem, initial_bits: int) -> tuple[str, str]:
     """Render a deterministic problem as ground classical PDDL, through the
     PPDDL printer."""
     atoms = [Atom(parts[0], tuple(parts[1:]))
@@ -451,10 +441,10 @@ def det_to_pddl(d: DeterministicProblem, initial_bits: int,
                          Fraction(1), atoms_of(a.add_mask),
                          atoms_of(a.del_mask)),)),))
         for a in d.actions)
-    domain = DomainSchema(f"{name}-domain",
+    domain = DomainSchema("task-domain",
                           (":strips", ":negative-preconditions"), {},
                           predicates, actions)
-    problem = ProblemDef(name, domain.name,
+    problem = ProblemDef("task", domain.name,
                          tuple((obj, ROOT_TYPE) for obj in
                                sorted({arg for atom in atoms for arg in atom.args})),
                          atoms_of(initial_bits), atoms_of(d.goal_mask))
@@ -495,15 +485,15 @@ def solve_with_external(d: DeterministicProblem, s: State,
             f"{proc.stderr.strip()[:200]}")
     by_sanitized = {sanitize_action_name(a.name): a for a in d.actions}
     bits = s.bits
-    chain: list[tuple[int, int]] = []
+    chain: list[tuple[int, DetAction]] = []
     for token in parse_plan_text(proc.stdout):
         a = by_sanitized.get(token)
         if a is None:
             raise ExternalPlannerError(f"unknown action {token!r} in plan")
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
             raise ExternalPlannerError(f"inapplicable action {token!r} in plan")
-        chain.append((bits, a.id))
+        chain.append((bits, a))
         bits = d.apply(bits, a)
     if not d.is_goal(bits):
         raise ExternalPlannerError("external plan does not reach the goal")
-    return _plan(d, chain)
+    return _plan(chain)

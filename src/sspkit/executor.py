@@ -2,11 +2,12 @@
 newline-delimited JSON state/action protocol for external planners.
 
 A round executes the solver's policy in an environment that samples the
-original problem's true transitions; whenever the observed state has no
-zero-exception policy entry yet, the solver is re-invoked from that state,
-warm-starting the shared tables. A round ends on goal entry, on the action
-cap, on a dead-end policy entry, on an invalid action, or on the wall-time
-budget.
+original problem's true transitions. It re-invokes the solver from the
+observed state, warm-starting the shared tables, when that state has no
+zero-exception policy entry or, below the bound (``k > 0``), an entry that
+is not ``solved``: a sweep may write one on a greedy graph that a later
+sweep abandons. A round ends on goal entry, on the action cap, on a
+dead-end policy entry, on an invalid action, or on the wall-time budget.
 """
 
 from __future__ import annotations
@@ -145,10 +146,12 @@ class ReplanSession:
         def policy(s: State, _step: int) -> int | str:
             nonlocal replans
             aug = AugmentedState(s, 0)
-            if aug not in self.tables.pi:
-                ff_lao_star(self.model, self.cfg, self.tables, root=aug)
+            tables = self.tables
+            if aug not in tables.pi or (self.model.k > 0
+                                        and aug not in tables.solved):
+                ff_lao_star(self.model, self.cfg, tables, root=aug)
                 replans += 1
-            action_id = self.tables.pi[aug]
+            action_id = tables.pi[aug]
             return OUTCOME_DEAD_END if action_id == NOP else action_id
 
         report = play_round(self.problem, policy, rng, seed_label, env=env,

@@ -60,7 +60,6 @@ class GroundedProblem:
     problem_name: str
     schema: DomainSchema
     atoms: tuple[str, ...]
-    atom_index: dict[str, int]
     actions: list[GroundAction]
     initial_state: State
     goal_mask: int
@@ -319,7 +318,6 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
         problem_name=problem.name,
         schema=schema,
         atoms=atoms,
-        atom_index=index,
         actions=actions,
         initial_state=State(mask(init_keys)),
         goal_mask=mask(_atom_key(a) for a in problem.goal),

@@ -20,6 +20,7 @@ from .executor import EvalStats, monte_carlo_evaluate
 from .grounding import GroundedProblem, ground
 from .ppddl import DomainSchema, ProblemDef
 from .reduction import Determinization
+from .solver import SolverConfig
 
 DEFAULT_ENUMERATION_CAP = 4096
 
@@ -64,11 +65,12 @@ def enumerate_determinizations(schema: DomainSchema, *,
 def _evaluate_candidate(problem: GroundedProblem, delta: Determinization,
                         index: int, k: int, epsilon: float, rounds: int,
                         seed: int, max_actions: int,
-                        time_budget: float | None) -> DetCandidate:
+                        time_budget: float | None,
+                        cfg: SolverConfig | None) -> DetCandidate:
     start = time.monotonic()
     stats, _ = monte_carlo_evaluate(problem, delta, k, epsilon, rounds, seed,
                                     max_actions=max_actions,
-                                    time_budget=time_budget)
+                                    time_budget=time_budget, cfg=cfg)
     return DetCandidate(index, delta, stats, time.monotonic() - start)
 
 
@@ -76,6 +78,7 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
                  k: int = 0, rounds: int = 50, seed: int = 0,
                  epsilon: float = 1e-3, max_actions: int = 2500,
                  time_budget: float | None = None,
+                 cfg: SolverConfig | None = None,
                  workers: int = 1) -> tuple[Determinization, list[DetCandidate]]:
     """Pick the best determinization for a domain on a training problem.
 
@@ -84,8 +87,9 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
     with remaining ties broken by enumeration order. Returns the winner
     plus the full candidate table ranked best-first. An all-failing table
     is not an error: the same rule applies among zero-probability
-    candidates. A total ``time_budget`` is split evenly across candidates
-    so one pathological choice cannot starve the rest.
+    candidates. The solver runs with ``cfg`` at ``epsilon``, as in
+    ``monte_carlo_evaluate``. A total ``time_budget`` is split evenly
+    across candidates so one pathological choice cannot starve the rest.
     """
     problem = ground(schema, training_problem)
     deltas = enumerate_determinizations(schema)
@@ -95,13 +99,13 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_evaluate_candidate, problem, delta, i, k,
                                    epsilon, rounds, seed, max_actions,
-                                   per_budget)
+                                   per_budget, cfg)
                        for i, delta in enumerate(deltas)]
             candidates = [f.result() for f in futures]  # enumeration order
     else:
         candidates = [_evaluate_candidate(problem, delta, i, k, epsilon,
                                           rounds, seed, max_actions,
-                                          per_budget)
+                                          per_budget, cfg)
                       for i, delta in enumerate(deltas)]
 
     best = min(candidates, key=DetCandidate.sort_key)

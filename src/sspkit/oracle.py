@@ -14,6 +14,7 @@ from .model import applicable_actions, is_goal, successors
 from .reduction import ReducedModel
 
 DEFAULT_STATE_CAP = 100_000
+MAX_SWEEPS = 1_000_000  # value iteration's safety bound
 
 
 @dataclass
@@ -79,15 +80,14 @@ def enumerate_model(source: GroundedProblem | ReducedModel, *,
 
 
 def value_iteration(m: ExplicitModel, *, epsilon: float = 1e-9,
-                    m_cap: float = 500.0,
-                    max_sweeps: int = 1_000_000) -> tuple[list[float], list[int]]:
+                    m_cap: float = 500.0) -> tuple[list[float], list[int]]:
     """Capped value iteration to a fixed point; greedy policy uses the same
     lowest-action-id tie-break as the search solver. Goal values are 0;
     states with no path to the goal converge to exactly the cap."""
     n = m.n_states
     values = [0.0] * n
     policy = [-1] * n
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         residual = 0.0
         for i in range(n):
             if m.goal[i]:

@@ -53,7 +53,9 @@ class SolverTables:
     bound whose last update read values that have not changed since:
     updating one again would write the same value and policy with residual
     0, so the sweeps skip it. A write that changes a stored value removes
-    its readers from ``clean``. Callers must not mutate a record.
+    its readers from ``clean``. ``solved`` holds the zero-exception states
+    on the greedy graph of a converged solve whose entries no write has
+    changed since. Callers must not mutate a record.
     """
 
     v: dict[AugmentedState, float] = field(default_factory=dict)
@@ -64,6 +66,7 @@ class SolverTables:
     readers: dict[AugmentedState, list[AugmentedState]] = field(
         default_factory=dict)
     clean: set[AugmentedState] = field(default_factory=set)
+    solved: set[AugmentedState] = field(default_factory=set)
 
 
 @dataclass
@@ -114,11 +117,12 @@ def _backup_record(tables: SolverTables, model: ReducedModel,
 
 def _store(tables: SolverTables, aug: AugmentedState, value: float,
            action_id: int) -> None:
-    """Write an entry; if its value changed, its readers are no longer
-    clean."""
+    """Write an entry, which is no longer solved; if its value changed,
+    its readers are no longer clean."""
     old = tables.v.get(aug)
     tables.v[aug] = value
     tables.pi[aug] = action_id
+    tables.solved.discard(aug)
     if old != value and tables.readers:
         clean = tables.clean
         for reader in tables.readers.get(aug, ()):
@@ -297,8 +301,10 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
     Expansion sweeps run until no tip node is expanded, then convergence
     sweeps run until the error drops below epsilon (done) or the policy
     changes (back to expansion). Existing tables are reused, which
-    warm-starts replanning calls. Raises IterationLimitError with the
-    best-so-far tables when the sweep safety bound is hit.
+    warm-starts replanning calls. On convergence the zero-exception states
+    of the final greedy graph join ``tables.solved``. Raises
+    IterationLimitError with the best-so-far tables when the sweep safety
+    bound is hit.
     """
     if tables is None:
         tables = SolverTables()
@@ -322,6 +328,9 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
         report.residual_trace.append(error)
         if error < cfg.epsilon:
             report.converged = True
+            tables.solved.update(aug for aug, _ in
+                                 _policy_walk(tables, model, root)
+                                 if aug[1] == 0)
             report.v_root = tables.v[root]
             report.wall_time = time.monotonic() - start
             return tables, report

@@ -16,7 +16,7 @@ from sspkit.reduction import Determinization
 def state_from_atoms(grounded, names) -> State:
     bits = 0
     for name in names:
-        bits |= 1 << grounded.atom_index[name]
+        bits |= 1 << grounded.atoms.index(name)
     return State(bits)
 
 
@@ -27,14 +27,15 @@ def action_by_name(grounded, name: str):
 def validate_plan(d, s: State, result) -> bool:
     """Replay a plan: every action applicable, final state satisfies the goal,
     and suffix costs equal the remaining step-cost sums."""
+    by_id = {a.id: a for a in d.actions}
     bits = s.bits
     for i, (state, action_id) in enumerate(result.steps):
         if state.bits != bits:
             return False
-        a = d.actions_by_id[action_id]
+        a = by_id[action_id]
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
             return False
-        expect = sum(d.actions_by_id[aid].cost for _, aid in result.steps[i:])
+        expect = sum(by_id[aid].cost for _, aid in result.steps[i:])
         if abs(result.suffix_costs[i] - expect) > 1e-9:
             return False
         bits = d.apply(bits, a)

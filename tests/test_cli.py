@@ -66,6 +66,20 @@ def test_plan_report(tmp_path, triangle_files, capsys, k, v_initial,
     assert "wall_time" not in report
 
 
+def test_plan_report_counts_subplanner_timeouts(tmp_path, triangle_files):
+    # at k = 0 the root is at the bound, and one expansion exhausts the
+    # sub-planner's budget: a failure that is a timeout, valued at the cap
+    domain, problem = triangle_files
+    out = tmp_path / "report.json"
+    assert main(["plan", "--domain", domain, "--problem", problem,
+                 "--det-index", "0", "--subplanner-budget", "1",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["subplanner_calls"], report["subplanner_failures"],
+            report["subplanner_timeouts"]) == (1, 1, 1)
+    assert report["converged"] is True and report["v_initial"] == 500.0
+
+
 def test_plan_missing_file_exit_2(capsys):
     assert main(["plan", "--domain", "/nonexistent.ppddl",
                  "--problem", "/nonexistent2.ppddl", "--det-mlo"]) == 2
@@ -342,6 +356,38 @@ def test_simulate_with_det_learn_flag(tmp_path, triangle_files):
     assert payload["stats"]["success_probability"] == 1.0
 
 
+@pytest.mark.parametrize("command,options,max_actions", [
+    ("plan", [], 2500),
+    ("simulate", ["--max-actions", "30", "--time-budget", "600"], 30),
+    ("bench", ["--max-actions", "30", "--time-budget", "600"], 30),
+])
+def test_det_learn_scores_candidates_under_the_command_settings(
+        tmp_path, triangle_files, monkeypatch, command, options,
+        max_actions):
+    from sspkit import learner
+    from sspkit.solver import SolverConfig
+
+    domain, problem = triangle_files
+    settings = []
+    evaluate = learner.monte_carlo_evaluate
+
+    def recording(*args, **kwargs):
+        cfg = kwargs.get("cfg") or SolverConfig()
+        settings.append((cfg.m_cap, cfg.subplanner_budget,
+                         kwargs["max_actions"], kwargs["time_budget"]))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "monte_carlo_evaluate", recording)
+    bench = command == "bench"
+    assert main([command, "--domain", domain,
+                 "--problems" if bench else "--problem", problem,
+                 "--det-learn", problem, "--m-cap", "50",
+                 "--subplanner-budget", "7", *options,
+                 "--csv" if bench else "--out", str(tmp_path / "out")]) == 0
+    # --time-budget bounds the command's evaluation, not the learning
+    assert settings and set(settings) == {(50.0, 7, max_actions, None)}
+
+
 def test_bench_csv_json_equal_numbers(tmp_path):
     domain_text, _ = gen_triangle_tireworld(1)
     domain = tmp_path / "d.ppddl"
@@ -368,6 +414,30 @@ def test_bench_csv_json_equal_numbers(tmp_path):
         assert int(total) == res["rounds_total"]
         assert float(p) == res["success_probability"]
         assert float(cost) == res["expected_cost"]
+
+
+def test_bench_row_of_a_problem_whose_solve_hits_the_sweep_bound(
+        tmp_path, triangle_files, monkeypatch):
+    from dataclasses import replace
+
+    from sspkit import cli
+
+    domain, problem = triangle_files
+    solver_config = cli._solver_config
+    monkeypatch.setattr(cli, "_solver_config",
+                        lambda args: replace(solver_config(args), max_sweeps=1))
+    csv = tmp_path / "bench.csv"
+    out_json = tmp_path / "bench.json"
+    assert main(["bench", "--domain", domain, "--problems", problem,
+                 "--det-mlo", "--k", "1", "--rounds", "3", "--m-cap", "200",
+                 "--csv", str(csv), "--json", str(out_json)]) == 0
+    row, = json.loads(out_json.read_text())["results"]
+    assert row["error"] == "exceeded 1 update sweeps"
+    assert (row["rounds_solved"], row["rounds_total"],
+            row["success_probability"], row["expected_cost"]) == \
+        (0, 3, 0.0, 200.0)
+    assert csv.read_text().splitlines()[2:] == [
+        f"{row['problem']},0,3,0.0,200.0"]
 
 
 def test_bench_empty_problem_list(tmp_path):

@@ -90,6 +90,20 @@ def test_budget_exceeded_is_timeout():
     assert result.expansions >= 50
 
 
+def test_budget_exceeded_in_the_greedy_phase_is_timeout():
+    # the greedy phase walks a 10-step chain one expansion a step, so it
+    # meets the budget before the goal and never gets to the restart
+    atoms = [f"p{i}" for i in range(11)]
+    actions = [(f"step{i}", [f"p{i}"], [], [f"p{i + 1}"], [f"p{i}"], 1.0)
+               for i in range(10)]
+    d, mask = det_problem(atoms, actions, ["p10"])
+    start = State(mask(["p0"]))
+    result = solve_deterministic(d, start, budget=3)
+    assert (result.status, result.expansions) == ("timeout", 3)
+    result = solve_deterministic(d, start, budget=11)
+    assert result.found and result.expansions == 10
+
+
 def test_heuristic_values():
     d, mask = det_problem(*CHAIN)
     h = lambda bits: d.relaxed_task.evaluate(bits)[0]

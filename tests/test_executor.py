@@ -131,22 +131,25 @@ def test_shared_tables_match_fresh_tables(triangle1):
 
 def test_shared_tables_match_fresh_on_random_fixpoints():
     # with an admissible setup the converged values are fixpoints, so table
-    # reuse can never change a round's outcome
+    # reuse can never change a round's outcome, provided a round replans
+    # at every entry no converged solve vouched for: models 56 and 392 each
+    # left such an entry on an abandoned greedy graph, and model 392's
+    # shared round 4 looped on it to the action cap
     import random as random_mod
     from randmodels import random_proper_reduced_setup
     from sspkit.solver import SolverConfig
 
-    rng = random_mod.Random(20250810)
     make_cfg = lambda: SolverConfig(epsilon=1e-6, heuristic="zero",
                                     subplanner_mode="optimal")
-    for i in range(10):
-        grounded, delta, k, model, _ = random_proper_reduced_setup(rng)
+    for m in range(400):
+        grounded, delta, k, model, _ = random_proper_reduced_setup(
+            random_mod.Random(m))
         shared = ReplanSession(grounded, delta, k, cfg=make_cfg())
         for r in range(5):
-            rr, label = round_rng(1000 + i, r)
+            rr, label = round_rng(1000 + m, r)
             a = shared.run_round(rr, label, max_actions=200)
             b = ReplanSession(grounded, delta, k, cfg=make_cfg()).run_round(
-                *round_rng(1000 + i, r), max_actions=200)
+                *round_rng(1000 + m, r), max_actions=200)
             assert (a.outcome, a.actions_taken, a.accumulated_cost) == \
                 (b.outcome, b.actions_taken, b.accumulated_cost)
 
