@@ -81,15 +81,8 @@ class EnvMismatchError(SspkitError):
 
 
 class IterationLimitError(SspkitError):
-    """Solver hit its safety bound on update sweeps.
-
-    Carries the best-so-far tables and report for post-mortem inspection.
-    """
-
-    def __init__(self, message: str, tables=None, report=None):
-        super().__init__(message)
-        self.tables = tables
-        self.report = report
+    """The search solver or value iteration hit its safety bound on sweeps
+    without converging."""
 
 
 class ExternalPlannerError(SspkitError):

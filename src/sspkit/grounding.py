@@ -47,7 +47,6 @@ class GroundAction:
     schema_name: str
     pre_pos_mask: int
     pre_neg_mask: int
-    cost: Fraction
     cost_f: float
     outcomes: list[GroundOutcome]
 
@@ -308,7 +307,6 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
             schema_name=cand.schema.name,
             pre_pos_mask=mask(cand.pre_pos),
             pre_neg_mask=mask(cand.pre_neg),
-            cost=cand.schema.cost,
             cost_f=float(cand.schema.cost),
             outcomes=outcomes,
         ))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -94,19 +95,16 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
     problem = ground(schema, training_problem)
     deltas = enumerate_determinizations(schema)
     per_budget = time_budget / len(deltas) if time_budget is not None else None
-
+    evaluate = partial(_evaluate_candidate, problem, k=k, epsilon=epsilon,
+                       rounds=rounds, seed=seed, max_actions=max_actions,
+                       time_budget=per_budget, cfg=cfg)
+    indices = range(len(deltas))
+    # both maps yield the candidates in enumeration order
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_evaluate_candidate, problem, delta, i, k,
-                                   epsilon, rounds, seed, max_actions,
-                                   per_budget, cfg)
-                       for i, delta in enumerate(deltas)]
-            candidates = [f.result() for f in futures]  # enumeration order
+            candidates = list(pool.map(evaluate, deltas, indices))
     else:
-        candidates = [_evaluate_candidate(problem, delta, i, k, epsilon,
-                                          rounds, seed, max_actions,
-                                          per_budget, cfg)
-                      for i, delta in enumerate(deltas)]
+        candidates = list(map(evaluate, deltas, indices))
 
     best = min(candidates, key=DetCandidate.sort_key)
     ranked = sorted(candidates, key=DetCandidate.sort_key)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, IterationLimitError
 from .grounding import GroundedProblem
 from .model import applicable_actions, is_goal, successors
 from .reduction import ReducedModel
@@ -83,7 +83,8 @@ def value_iteration(m: ExplicitModel, *, epsilon: float = 1e-9,
                     m_cap: float = 500.0) -> tuple[list[float], list[int]]:
     """Capped value iteration to a fixed point; greedy policy uses the same
     lowest-action-id tie-break as the search solver. Goal values are 0;
-    states with no path to the goal converge to exactly the cap."""
+    states with no path to the goal converge to exactly the cap. Raises
+    IterationLimitError when ``MAX_SWEEPS`` sweeps have not converged."""
     n = m.n_states
     values = [0.0] * n
     policy = [-1] * n
@@ -104,5 +105,5 @@ def value_iteration(m: ExplicitModel, *, epsilon: float = 1e-9,
             values[i] = new_v
             policy[i] = best_a
         if residual < epsilon:
-            break
-    return values, policy
+            return values, policy
+    raise IterationLimitError(f"value iteration exceeded {MAX_SWEEPS} sweeps")

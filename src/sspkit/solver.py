@@ -23,16 +23,17 @@ from .reduction import AugmentedState, ReducedModel
 
 NOP = -1  # policy entry for goals, dead ends and planner failures
 INF = math.inf
+MAX_SWEEPS = 1_000_000  # the solver's safety bound on update sweeps
 
 
 @dataclass
 class SolverConfig:
+    """The convergence threshold, the cost cap on every stored value, and
+    the expansion budget of each greedy sub-planner call at the bound."""
+
     epsilon: float = 1e-3
     m_cap: float = 500.0
-    heuristic: str = "relaxed-plan"  # relaxed-plan | zero
     subplanner_budget: int = 100_000
-    subplanner_mode: str = "greedy"  # greedy | optimal
-    max_sweeps: int = 1_000_000
 
     def __post_init__(self):
         # written so that nan fails too
@@ -72,7 +73,6 @@ class SolverTables:
 @dataclass
 class SolveReport:
     v_root: float = 0.0
-    converged: bool = False
     expansions: int = 0
     sweeps: int = 0
     subplanner_calls: int = 0
@@ -83,8 +83,6 @@ class SolveReport:
 
 
 def _heuristic(model: ReducedModel, cfg: SolverConfig, s: State) -> float:
-    if cfg.heuristic == "zero":
-        return 0.0
     h = model.problem.relaxed_task.evaluate(s.bits)[0]
     return min(h, cfg.m_cap)
 
@@ -131,13 +129,14 @@ def _store(tables: SolverTables, aug: AugmentedState, value: float,
 
 def ff_bellman_update(tables: SolverTables, model: ReducedModel,
                       cfg: SolverConfig, aug: AugmentedState,
-                      report: SolveReport | None = None) -> float:
+                      report: SolveReport) -> float:
     """One value/policy update; returns the residual |V_new - V_old|.
 
-    Goals short-circuit to value 0. At the exception bound the sub-planner
-    runs once per base state: a successful plan writes capped suffix costs
-    and actions for every plan state (keeping cheaper existing entries);
-    failure or budget exhaustion writes the cap value and a NOP policy. A
+    Goals short-circuit to value 0. At the exception bound the greedy
+    sub-planner runs once per base state, and ``report`` counts its calls
+    and failures: a successful plan writes capped suffix costs and actions
+    for every plan state (keeping cheaper existing entries); failure or
+    budget exhaustion writes the cap value and a NOP policy. A
     bound state with no entry yet is not valued first, since the
     sub-planner always writes one; its residual is taken against 0.
     Below the bound this is the capped Bellman operator over the state's
@@ -157,11 +156,9 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
         return abs(v_prev or 0.0)
 
     if at_bound:
-        result = solve_deterministic(
-            model.det_problem, s,
-            budget=cfg.subplanner_budget, mode=cfg.subplanner_mode)
-        if report is not None:
-            report.subplanner_calls += 1
+        result = solve_deterministic(model.det_problem, s,
+                                     budget=cfg.subplanner_budget)
+        report.subplanner_calls += 1
         if result.found:
             for (si, ai), suffix in zip(result.steps, result.suffix_costs):
                 aug_i = AugmentedState(si, model.k)
@@ -169,10 +166,9 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
                 if aug_i not in tables.pi or capped < v[aug_i]:
                     _store(tables, aug_i, capped, ai)
         else:
-            if report is not None:
-                report.subplanner_failures += 1
-                if result.status == "timeout":
-                    report.subplanner_timeouts += 1
+            report.subplanner_failures += 1
+            if result.status == "timeout":
+                report.subplanner_timeouts += 1
             _store(tables, aug, cfg.m_cap, NOP)
         return abs(v[aug] - (v_prev or 0.0))
 
@@ -242,8 +238,7 @@ def _policy_walk(tables: SolverTables, model: ReducedModel,
 
 
 def ff_expand(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
-              root: AugmentedState,
-              report: SolveReport | None = None) -> int:
+              root: AugmentedState, report: SolveReport) -> int:
     """One expansion sweep over the policy graph.
 
     Tips get a single update and count as one expansion; every other
@@ -261,7 +256,7 @@ def ff_expand(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
 
 def ff_test_convergence(tables: SolverTables, model: ReducedModel,
                         cfg: SolverConfig, root: AugmentedState,
-                        report: SolveReport | None = None) -> float:
+                        report: SolveReport) -> float:
     """One convergence sweep over the policy graph.
 
     Returns infinity if the walk reaches a tip or any post-order update
@@ -298,13 +293,13 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
                 root: AugmentedState | None = None) -> tuple[SolverTables, SolveReport]:
     """Solve a reduced model from ``root`` (default: its initial state).
 
+    New states are valued by FF's relaxed-plan estimate, capped.
     Expansion sweeps run until no tip node is expanded, then convergence
     sweeps run until the error drops below epsilon (done) or the policy
     changes (back to expansion). Existing tables are reused, which
     warm-starts replanning calls. On convergence the zero-exception states
     of the final greedy graph join ``tables.solved``. Raises
-    IterationLimitError with the best-so-far tables when the sweep safety
-    bound is hit.
+    IterationLimitError when ``MAX_SWEEPS`` sweeps have not converged.
     """
     if tables is None:
         tables = SolverTables()
@@ -314,10 +309,8 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
     start = time.monotonic()
     expanding = True
     while True:
-        if report.sweeps >= cfg.max_sweeps:
-            report.wall_time = time.monotonic() - start
-            raise IterationLimitError(
-                f"exceeded {cfg.max_sweeps} update sweeps", tables, report)
+        if report.sweeps >= MAX_SWEEPS:
+            raise IterationLimitError(f"exceeded {MAX_SWEEPS} update sweeps")
         report.sweeps += 1
         if expanding:
             count = ff_expand(tables, model, cfg, root, report)
@@ -327,7 +320,6 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
         error = ff_test_convergence(tables, model, cfg, root, report)
         report.residual_trace.append(error)
         if error < cfg.epsilon:
-            report.converged = True
             tables.solved.update(aug for aug, _ in
                                  _policy_walk(tables, model, root)
                                  if aug[1] == 0)

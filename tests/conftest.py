@@ -1,14 +1,16 @@
 """Shared fixtures (bundled domains parsed and grounded once per session),
 lookups into a grounded problem by atom and action name, a plan replayer,
-and reference searches on explicit models."""
+reference searches on explicit models, and an exact-solver setup."""
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
 
 import pytest
 
-from sspkit import State, ground, parse_domain, parse_problem
+from sspkit import (State, detplan, ground, parse_domain, parse_problem,
+                    solver)
 from sspkit.domains import gen_chain, gen_retry, gen_trap, gen_triangle_tireworld
 from sspkit.reduction import Determinization
 
@@ -145,6 +147,16 @@ def trap():
 @pytest.fixture(scope="session")
 def chain2():
     return load(*gen_chain(2))
+
+
+@pytest.fixture()
+def exact_solver(monkeypatch):
+    """Make the search solver exact: new states are valued by the zero
+    heuristic, which is admissible, and the sub-planner returns optimal
+    plans at the exception bound."""
+    monkeypatch.setattr(solver, "_heuristic", lambda model, cfg, s: 0.0)
+    monkeypatch.setattr(solver, "solve_deterministic",
+                        partial(detplan.solve_deterministic, mode="optimal"))
 
 
 FLAT_DELTA = Determinization({("move-car", 0): 0, ("loadtire", 0): 0,

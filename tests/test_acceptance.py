@@ -20,7 +20,8 @@ from sspkit.model import State
 from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.reduction import (AugmentedState, Determinization,
                               make_reduction, mlo_determinization)
-from sspkit.solver import NOP, SolverConfig, SolverTables, ff_lao_star
+from sspkit.solver import (NOP, SolveReport, SolverConfig, SolverTables,
+                           ff_lao_star)
 
 from conftest import (FLAT_DELTA, NOFLAT_DELTA, load, optimal_plan,
                       validate_plan)
@@ -34,12 +35,11 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def test_criterion_1_oracle_equivalence():
+def test_criterion_1_oracle_equivalence(exact_solver):
     """Solver agrees with exact VI on random proper reduced models."""
     start = time.monotonic()
     rng = random.Random(20240817)
-    cfg = SolverConfig(epsilon=1e-6, heuristic="zero",
-                       subplanner_mode="optimal")
+    cfg = SolverConfig(epsilon=1e-6)
     tolerance = 1e-3
     worst = 0.0
     checked = 0
@@ -210,7 +210,8 @@ def test_criterion_6_dead_end_cap():
     model = make_reduction(grounded, delta, 0)
     tables = SolverTables()
     from sspkit.solver import ff_bellman_update
-    ff_bellman_update(tables, model, SolverConfig(), model.initial)
+    ff_bellman_update(tables, model, SolverConfig(), model.initial,
+                      SolveReport())
     ff_ok = (tables.v[model.initial] == 500.0
              and tables.pi[model.initial] == NOP)
     report(6, vi_exact and ff_ok,

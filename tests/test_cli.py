@@ -418,14 +418,10 @@ def test_bench_csv_json_equal_numbers(tmp_path):
 
 def test_bench_row_of_a_problem_whose_solve_hits_the_sweep_bound(
         tmp_path, triangle_files, monkeypatch):
-    from dataclasses import replace
-
-    from sspkit import cli
+    from sspkit import solver
 
     domain, problem = triangle_files
-    solver_config = cli._solver_config
-    monkeypatch.setattr(cli, "_solver_config",
-                        lambda args: replace(solver_config(args), max_sweeps=1))
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
     csv = tmp_path / "bench.csv"
     out_json = tmp_path / "bench.json"
     assert main(["bench", "--domain", domain, "--problems", problem,
@@ -586,6 +582,24 @@ def test_oracle_vi_and_enumerate(tmp_path):
     assert payload["states"][0]["goal"] is False
     assert payload["states"][2]["goal"] is True
     assert all(t["cost"] == 1.0 for t in payload["transitions"])
+
+
+def test_oracle_vi_sweep_bound_exit_4(tmp_path, capsys, monkeypatch):
+    from sspkit import oracle
+
+    domain_text, problem_text = gen_retry()
+    domain = tmp_path / "d.ppddl"
+    problem = tmp_path / "p.ppddl"
+    domain.write_text(domain_text)
+    problem.write_text(problem_text)
+    out = tmp_path / "vi.json"
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 5)
+    code = main(["oracle", "vi", "--domain", str(domain), "--problem",
+                 str(problem), "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == \
+        "error: value iteration exceeded 5 sweeps\n"
+    assert not out.exists()
 
 
 # oracle samples and times nothing, --k and a determinization source mean

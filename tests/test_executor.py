@@ -129,7 +129,7 @@ def test_shared_tables_match_fresh_tables(triangle1):
         assert with_shared.accumulated_cost == fresh.accumulated_cost
 
 
-def test_shared_tables_match_fresh_on_random_fixpoints():
+def test_shared_tables_match_fresh_on_random_fixpoints(exact_solver):
     # with an admissible setup the converged values are fixpoints, so table
     # reuse can never change a round's outcome, provided a round replans
     # at every entry no converged solve vouched for: models 56 and 392 each
@@ -139,8 +139,7 @@ def test_shared_tables_match_fresh_on_random_fixpoints():
     from randmodels import random_proper_reduced_setup
     from sspkit.solver import SolverConfig
 
-    make_cfg = lambda: SolverConfig(epsilon=1e-6, heuristic="zero",
-                                    subplanner_mode="optimal")
+    make_cfg = lambda: SolverConfig(epsilon=1e-6)
     for m in range(400):
         grounded, delta, k, model, _ = random_proper_reduced_setup(
             random_mod.Random(m))

@@ -180,6 +180,26 @@ def test_all_failed_is_not_an_error():
     assert delta == ranked[0].delta
 
 
+def test_candidates_share_the_time_budget_and_cfg(triangle1, monkeypatch):
+    from sspkit import learner
+    from sspkit.solver import SolverConfig
+
+    schema, problem, _ = triangle1
+    cfg = SolverConfig(m_cap=50)
+    calls = []
+
+    def recording(problem, delta, k, epsilon, rounds, seed, **kwargs):
+        calls.append((delta, kwargs["time_budget"], kwargs["cfg"]))
+        return EvalStats(rounds, 0, 0.0, 0.0), []
+
+    monkeypatch.setattr(learner, "monte_carlo_evaluate", recording)
+    _, ranked = learning_det(schema, problem, rounds=3, time_budget=10.0,
+                             cfg=cfg)
+    deltas = enumerate_determinizations(schema)
+    assert calls == [(delta, 10.0 / len(deltas), cfg) for delta in deltas]
+    assert [c.index for c in ranked] == list(range(len(deltas)))
+
+
 def test_parallel_workers_match_sequential(retry):
     schema, problem, _ = retry
     seq_delta, seq_ranked = learning_det(schema, problem, rounds=20, seed=6)

@@ -5,8 +5,8 @@ import statistics
 
 import pytest
 
-from sspkit import ground, make_reduction
-from sspkit.errors import CapExceededError
+from sspkit import ground, make_reduction, oracle
+from sspkit.errors import CapExceededError, IterationLimitError
 from sspkit.executor import SimulatedEnvironment, round_rng
 from sspkit.model import is_goal
 from sspkit.oracle import enumerate_model, value_iteration
@@ -74,6 +74,16 @@ def test_vi_geometric_retry(retry):
     explicit = enumerate_model(grounded)
     values, policy = value_iteration(explicit, epsilon=1e-10)
     assert values[explicit.initial] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_vi_raises_at_its_sweep_bound(retry, monkeypatch):
+    # each sweep halves the retry model's gap to its value 2, so five
+    # sweeps end with a residual of 1/16
+    _, _, grounded = retry
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 5)
+    with pytest.raises(IterationLimitError,
+                       match=r"^value iteration exceeded 5 sweeps$"):
+        value_iteration(enumerate_model(grounded), epsilon=1e-10)
 
 
 def test_vi_dead_end_converges_to_exact_cap():

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from sspkit import (NOP, SolverConfig, SolverTables, ff_bellman_update,
-                    ff_expand, ff_lao_star, ff_test_convergence, ground,
-                    make_reduction, mlo_determinization, parse_domain,
-                    parse_problem, solver)
+from sspkit import (NOP, SolveReport, SolverConfig, SolverTables,
+                    ff_bellman_update, ff_expand, ff_lao_star,
+                    ff_test_convergence, ground, make_reduction,
+                    mlo_determinization, parse_domain, parse_problem, solver)
 from sspkit.model import successors
 from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
@@ -67,26 +67,26 @@ def q_value(tables, model, cfg, aug, action_id):
     return total
 
 
-def test_q_value_all_goal_successors():
+def test_q_value_all_goal_successors(exact_solver):
     grounded = build_problem([det_action("win", ["s"], ["g"], ["s"])],
                              init=["s"], goal=["g"])
     model = make_reduction(grounded, trivial_delta(grounded), 0)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero")
+    cfg = SolverConfig()
     assert q_value(tables, model, cfg, model.initial, 0) == 1.0
 
 
-def test_q_value_k0_chain_with_stored_value():
+def test_q_value_k0_chain_with_stored_value(exact_solver):
     grounded, model = chain_model(0)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero")
+    cfg = SolverConfig()
     mid = AugmentedState(state_from_atoms(grounded, ["(m)"]), 0)
     tables.v[mid] = 1.0
     step1 = action_by_name(grounded, "(step1)")
     assert q_value(tables, model, cfg, model.initial, step1.id) == 2.0
 
 
-def test_q_value_split_successors():
+def test_q_value_split_successors(exact_solver):
     clause = ProbabilisticClause((
         Outcome(Fraction(1, 2), (Atom("x"),), (Atom("s"),)),
         Outcome(Fraction(1, 2), (Atom("y"),), (Atom("s"),)),
@@ -95,7 +95,7 @@ def test_q_value_split_successors():
     grounded = build_problem(schemas, init=["s"], goal=["g"])
     model = make_reduction(grounded, trivial_delta(grounded), 2)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero")
+    cfg = SolverConfig()
     x = AugmentedState(state_from_atoms(grounded, ["(x)"]), 0)
     y = AugmentedState(state_from_atoms(grounded, ["(y)"]), 1)
     tables.v[x] = 4.0
@@ -103,11 +103,12 @@ def test_q_value_split_successors():
     assert q_value(tables, model, cfg, model.initial, 0) == 8.0
 
 
-def test_bellman_at_bound_memoizes_whole_plan():
+def test_bellman_at_bound_memoizes_whole_plan(exact_solver):
     grounded, model = chain_model(0)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
-    residual = ff_bellman_update(tables, model, cfg, model.initial)
+    cfg = SolverConfig()
+    report = SolveReport()
+    residual = ff_bellman_update(tables, model, cfg, model.initial, report)
     assert residual == 2.0
     mid = AugmentedState(state_from_atoms(grounded, ["(m)"]), 0)
     assert tables.v[model.initial] == 2.0
@@ -117,86 +118,92 @@ def test_bellman_at_bound_memoizes_whole_plan():
     assert tables.pi[model.initial] == step1.id
     assert tables.pi[mid] == step2.id
     # memoized: a second update does not change anything
-    assert ff_bellman_update(tables, model, cfg, model.initial) == 0.0
+    assert ff_bellman_update(tables, model, cfg, model.initial, report) == 0.0
 
 
-def test_bellman_at_bound_failure_sets_cap_and_nop():
+def test_bellman_at_bound_failure_sets_cap_and_nop(exact_solver):
     grounded = build_problem([det_action("spin", ["s"], ["x"], [])],
                              init=["s"], goal=["g"])
     model = make_reduction(grounded, trivial_delta(grounded), 0)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero")
-    ff_bellman_update(tables, model, cfg, model.initial)
+    cfg = SolverConfig()
+    report = SolveReport()
+    ff_bellman_update(tables, model, cfg, model.initial, report)
     assert tables.v[model.initial] == 500.0
     assert tables.pi[model.initial] == NOP
 
 
-def test_bellman_dead_end_below_bound():
+def test_bellman_dead_end_below_bound(exact_solver):
     grounded = build_problem([det_action("go", ["other"], ["g"], [])],
                              init=["s"], goal=["g"])
     model = make_reduction(grounded, trivial_delta(grounded), 1)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero")
-    ff_bellman_update(tables, model, cfg, model.initial)
+    cfg = SolverConfig()
+    report = SolveReport()
+    ff_bellman_update(tables, model, cfg, model.initial, report)
     assert tables.v[model.initial] == cfg.m_cap
     assert tables.pi[model.initial] == NOP
 
 
-def test_bellman_goal_short_circuits():
+def test_bellman_goal_short_circuits(exact_solver):
     grounded, model = chain_model(1)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero")
+    cfg = SolverConfig()
+    report = SolveReport()
     goal = AugmentedState(state_from_atoms(grounded, ["(g)"]), 1)
     tables.v[goal] = 7.0
-    assert ff_bellman_update(tables, model, cfg, goal) == 7.0
+    assert ff_bellman_update(tables, model, cfg, goal, report) == 7.0
     assert tables.v[goal] == 0.0
     assert tables.pi[goal] == NOP
 
 
-def test_expand_counts():
+def test_expand_counts(exact_solver):
     grounded, model = chain_model(1)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
+    cfg = SolverConfig()
+    report = SolveReport()
     # unexpanded root counts once
-    assert ff_expand(tables, model, cfg, model.initial) == 1
+    assert ff_expand(tables, model, cfg, model.initial, report) == 1
     assert tables.v[model.initial] == 1.0  # zero heuristic below
     # one new frontier state per sweep here; interior states get post-order
     # updates in the same sweep, so the root sees the new child value
-    assert ff_expand(tables, model, cfg, model.initial) == 1
+    assert ff_expand(tables, model, cfg, model.initial, report) == 1
     assert tables.v[model.initial] == 2.0
-    assert ff_expand(tables, model, cfg, model.initial) == 1
+    assert ff_expand(tables, model, cfg, model.initial, report) == 1
     # closed policy: nothing left to expand
-    assert ff_expand(tables, model, cfg, model.initial) == 0
+    assert ff_expand(tables, model, cfg, model.initial, report) == 0
     assert tables.v[model.initial] == 2.0
 
 
-def test_convergence_fixpoint_matches_vi():
+def test_convergence_fixpoint_matches_vi(exact_solver):
     grounded, model = chain_model(1)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
-    while ff_expand(tables, model, cfg, model.initial):
+    cfg = SolverConfig()
+    report = SolveReport()
+    while ff_expand(tables, model, cfg, model.initial, report):
         pass
-    error = ff_test_convergence(tables, model, cfg, model.initial)
+    error = ff_test_convergence(tables, model, cfg, model.initial, report)
     assert error < cfg.epsilon
     values, _ = value_iteration(enumerate_model(model), epsilon=1e-10)
     assert tables.v[model.initial] == pytest.approx(values[0], abs=1e-9)
     assert values[0] == 2.0
 
 
-def test_convergence_cases():
+def test_convergence_cases(exact_solver):
     grounded, model = chain_model(1)
     tables = SolverTables()
-    cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
+    cfg = SolverConfig()
+    report = SolveReport()
     # unexpanded root
-    assert ff_test_convergence(tables, model, cfg, model.initial) \
+    assert ff_test_convergence(tables, model, cfg, model.initial, report) \
         == float("inf")
-    while ff_expand(tables, model, cfg, model.initial):
+    while ff_expand(tables, model, cfg, model.initial, report):
         pass
-    error = ff_test_convergence(tables, model, cfg, model.initial)
+    error = ff_test_convergence(tables, model, cfg, model.initial, report)
     assert error < cfg.epsilon
 
 
-def test_convergence_detects_policy_change():
+def test_convergence_detects_policy_change(exact_solver):
     # two routes; make the stored policy point at the bad one
     grounded = build_problem(
         [det_action("slow1", ["s"], ["m"], ["s"]),
@@ -204,25 +211,25 @@ def test_convergence_detects_policy_change():
          det_action("fast", ["s"], ["g"], ["s"])],
         init=["s"], goal=["g"])
     model = make_reduction(grounded, trivial_delta(grounded), 1)
-    cfg = SolverConfig(heuristic="zero")
+    cfg = SolverConfig()
+    report = SolveReport()
     tables = SolverTables()
-    while ff_expand(tables, model, cfg, model.initial):
+    while ff_expand(tables, model, cfg, model.initial, report):
         pass
     fast = action_by_name(grounded, "(fast)")
     slow1 = action_by_name(grounded, "(slow1)")
     assert tables.pi[model.initial] == fast.id
     tables.pi[model.initial] = slow1.id
     tables.v[model.initial] = 0.0
-    assert ff_test_convergence(tables, model, cfg, model.initial) \
+    assert ff_test_convergence(tables, model, cfg, model.initial, report) \
         == float("inf")
 
 
-def test_lao_immediate_on_initial_goal():
+def test_lao_immediate_on_initial_goal(exact_solver):
     grounded = build_problem([det_action("noop", ["g"], ["g"], [])],
                              init=["g"], goal=["g"])
     model = make_reduction(grounded, trivial_delta(grounded), 0)
-    tables, report = ff_lao_star(model, SolverConfig(heuristic="zero"))
-    assert report.converged
+    tables, report = ff_lao_star(model, SolverConfig())
     assert report.v_root == 0.0
 
 
@@ -245,21 +252,19 @@ def test_lao_tireworld_k0_matches_reduction_oracle(triangle1):
     assert len(seen) == 10
 
 
-def test_lao_matches_vi_on_random_proper_models():
+def test_lao_matches_vi_on_random_proper_models(exact_solver):
     rng = random.Random(123)
-    cfg = SolverConfig(epsilon=1e-6, heuristic="zero",
-                       subplanner_mode="optimal")
+    cfg = SolverConfig(epsilon=1e-6)
     for _ in range(15):
         grounded, delta, k, model, explicit = random_proper_reduced_setup(rng)
         values, _ = value_iteration(explicit, epsilon=1e-9)
         tables, report = ff_lao_star(model, cfg)
-        assert report.converged
         assert report.v_root == pytest.approx(values[0], abs=1e-3)
 
 
-def test_values_capped_and_plan_cache_consistent():
+def test_values_capped_and_plan_cache_consistent(exact_solver):
     rng = random.Random(7)
-    cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal")
+    cfg = SolverConfig()
     for _ in range(15):
         grounded, delta, k, model, _ = random_proper_reduced_setup(rng)
         tables, _ = ff_lao_star(model, cfg)
@@ -297,19 +302,15 @@ def test_warm_start_reuses_tables(triangle1):
                if aug != model.initial and tables.pi[aug] != NOP)
     _, second = ff_lao_star(model, cfg, tables, root=mid)
     assert second.expansions == 0
-    assert second.converged
 
 
-def test_iteration_limit_carries_best_so_far():
+def test_iteration_limit_at_the_sweep_bound(exact_solver, monkeypatch):
     from sspkit.errors import IterationLimitError
     grounded, model = chain_model(1)
-    cfg = SolverConfig(heuristic="zero", subplanner_mode="optimal",
-                       max_sweeps=1)
-    with pytest.raises(IterationLimitError) as err:
-        ff_lao_star(model, cfg)
-    assert err.value.tables is not None
-    assert model.initial in err.value.tables.v
-    assert err.value.report.sweeps == 1
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
+    with pytest.raises(IterationLimitError,
+                       match=r"^exceeded 1 update sweeps$"):
+        ff_lao_star(model, SolverConfig())
 
 
 @pytest.mark.parametrize("field", ["epsilon", "m_cap"])
