@@ -4,7 +4,8 @@ The default search is greedy best-first on the relaxed-plan heuristic,
 expanding helpful-action successors first; if that phase exhausts without
 finding a plan, a uniform-cost restart guarantees completeness within the
 remaining budget. ``mode="optimal"`` skips the greedy phase and returns
-minimal-cost plans (used by tests and the oracle suite).
+minimal-cost plans (used by ``detplan solve --optimal`` and by the tests'
+``exact_solver`` fixture).
 """
 
 from __future__ import annotations

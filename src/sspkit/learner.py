@@ -106,6 +106,5 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
     else:
         candidates = list(map(evaluate, deltas, indices))
 
-    best = min(candidates, key=DetCandidate.sort_key)
     ranked = sorted(candidates, key=DetCandidate.sort_key)
-    return best.delta, ranked
+    return ranked[0].delta, ranked

@@ -1,13 +1,13 @@
 """Heuristic search solver for single-primary reduced models.
 
 The solver alternates depth-first post-order expansion sweeps with
-convergence-test sweeps over the greedy policy graph. States at the
-exception bound are solved by the built-in classical planner; the whole
-returned plan is memoized (cheapest suffix kept) so those states act as
-terminals afterwards. A state below the bound is updated again only when
-a value its last update read has changed since. Dead ends, planner
-failures and all stored values are bounded by the cost cap, which
-guarantees convergence.
+convergence-test sweeps over the greedy policy graph. An expansion sweep
+descends through each tip it expands, so one sweep grows the graph as
+deep as the new greedy actions reach. States at the exception bound are
+solved by the built-in classical planner; the whole returned plan is
+memoized (cheapest suffix kept) so those states act as terminals
+afterwards. Dead ends, planner failures and all stored values are bounded
+by the cost cap, which guarantees convergence.
 """
 
 from __future__ import annotations
@@ -49,24 +49,15 @@ class SolverTables:
 
     A bound state with a policy entry is solved and is never updated again.
     ``records`` holds each state's backup record below the bound, built on
-    its first update; building one registers the state in ``readers``
-    under every successor it names. ``clean`` holds the states below the
-    bound whose last update read values that have not changed since:
-    updating one again would write the same value and policy with residual
-    0, so the sweeps skip it. A write that changes a stored value removes
-    its readers from ``clean``. ``solved`` holds the zero-exception states
-    on the greedy graph of a converged solve whose entries no write has
-    changed since. Callers must not mutate a record.
+    its first update. ``solved`` holds the zero-exception states on the
+    greedy graph of a converged solve whose entries no write has changed
+    since. Callers must not mutate a record.
     """
 
     v: dict[AugmentedState, float] = field(default_factory=dict)
     pi: dict[AugmentedState, int] = field(default_factory=dict)
     # aug -> ((action id, cost, successors), ...) in applicable order
     records: dict[AugmentedState, tuple] = field(default_factory=dict)
-    # successor -> the states whose records name it
-    readers: dict[AugmentedState, list[AugmentedState]] = field(
-        default_factory=dict)
-    clean: set[AugmentedState] = field(default_factory=set)
     solved: set[AugmentedState] = field(default_factory=set)
 
 
@@ -99,32 +90,21 @@ def _value(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
 def _backup_record(tables: SolverTables, model: ReducedModel,
                    aug: AugmentedState):
     """Every applicable action of ``aug`` as (action id, cost,
-    successors), in applicable order; built on the first call, which
-    also registers ``aug`` as a reader of each successor."""
+    successors), in applicable order; built on the first call."""
     record = tables.records.get(aug)
     if record is None:
         record = tuple((a, model.cost(a), model.reduced_successors(aug, a))
                        for a in model.applicable(aug))
-        readers = tables.readers
-        for _, _, succs in record:
-            for succ, _ in succs:
-                readers.setdefault(succ, []).append(aug)
         tables.records[aug] = record
     return record
 
 
 def _store(tables: SolverTables, aug: AugmentedState, value: float,
            action_id: int) -> None:
-    """Write an entry, which is no longer solved; if its value changed,
-    its readers are no longer clean."""
-    old = tables.v.get(aug)
+    """Write an entry, which is no longer solved."""
     tables.v[aug] = value
     tables.pi[aug] = action_id
     tables.solved.discard(aug)
-    if old != value and tables.readers:
-        clean = tables.clean
-        for reader in tables.readers.get(aug, ()):
-            clean.discard(reader)
 
 
 def ff_bellman_update(tables: SolverTables, model: ReducedModel,
@@ -140,8 +120,7 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     bound state with no entry yet is not valued first, since the
     sub-planner always writes one; its residual is taken against 0.
     Below the bound this is the capped Bellman operator over the state's
-    backup record, with argmin tie-breaking by lowest action id, after
-    which the state is clean.
+    backup record, with argmin tie-breaking by lowest action id.
     """
     s, j = aug
     at_bound = j >= model.k
@@ -150,8 +129,6 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     v = tables.v
     v_prev = v.get(aug)
     if model.is_goal(aug):
-        if not at_bound:
-            tables.clean.add(aug)
         _store(tables, aug, 0.0, NOP)
         return abs(v_prev or 0.0)
 
@@ -187,7 +164,6 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
             best_a = action_id
     # best_a stays NOP at a dead end, a state with no applicable action
     value = cfg.m_cap if best_a == NOP else min(cfg.m_cap, best_q)
-    tables.clean.add(aug)  # before the write, which unsettles a self-reader
     _store(tables, aug, value, best_a)
     return abs(value - v_prev)
 
@@ -201,8 +177,11 @@ def _policy_walk(tables: SolverTables, model: ReducedModel,
     with the entry it had when reached. The walk goes on through policy
     actions below the bound, whose successors it takes from the backup
     record, or everywhere with ``past_bound``; callers may update the
-    tables between yields. An explicit stack keeps policy-graph depth
-    unbounded by the interpreter.
+    tables between yields. A tip that the caller gave a policy action
+    below the bound is then walked like any other such state, so it is
+    yielded again in post-order; a tip at the bound or with ``NOP`` is
+    not. An explicit stack keeps policy-graph depth unbounded by the
+    interpreter.
     """
     visited: set[AugmentedState] = set()
     # (state, None) enters a state; (state, action) leaves it
@@ -220,7 +199,12 @@ def _policy_walk(tables: SolverTables, model: ReducedModel,
             continue
         visited.add(aug)
         action_id = policy(aug)
-        if action_id is None or action_id == NOP:  # a tip, or a leaf
+        if action_id is None:  # a tip; descend if the caller expanded it
+            yield aug, None
+            action_id = policy(aug)
+            if action_id is None or action_id == NOP or aug[1] >= k:
+                continue
+        elif action_id == NOP:  # a leaf
             yield aug, action_id
             continue
         if aug[1] < k:
@@ -241,14 +225,14 @@ def ff_expand(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
               root: AugmentedState, report: SolveReport) -> int:
     """One expansion sweep over the policy graph.
 
-    Tips get a single update and count as one expansion; every other
-    reached state gets a post-order update unless it is clean.
+    Each tip is updated and counts as one expansion; the walk then
+    descends through the policy action it got below the bound, so the
+    tip's new successors are reached in the same sweep. Every other
+    reached state gets a post-order update.
     """
     count = 0
-    clean = tables.clean
     for aug, action_id in _policy_walk(tables, model, root):
-        if aug not in clean:
-            ff_bellman_update(tables, model, cfg, aug, report)
+        ff_bellman_update(tables, model, cfg, aug, report)
         if action_id is None:
             count += 1
     return count
@@ -262,16 +246,14 @@ def ff_test_convergence(tables: SolverTables, model: ReducedModel,
     Returns infinity if the walk reaches a tip or any post-order update
     changes the policy; otherwise the maximum residual. The walk is not
     short-circuited, matching the post-order update discipline of the
-    expansion sweep. A clean state is skipped: its update would change
-    nothing.
+    expansion sweep.
     """
     error = 0.0
     blocked = False  # tip reached or policy changed
-    clean = tables.clean
     for aug, action_id in _policy_walk(tables, model, root):
         if action_id is None:
             blocked = True
-        elif aug not in clean:
+        else:
             error = max(error,
                         ff_bellman_update(tables, model, cfg, aug, report))
             if tables.pi[aug] != action_id:

@@ -1,6 +1,6 @@
 """Solver tests: Q values, the two update regimes, sweep procedures,
-agreement with exact value iteration on small models, and skipping clean
-states against performing every update."""
+agreement with exact value iteration on small models, and solves from
+many roots into shared tables."""
 
 import random
 from collections import Counter
@@ -162,14 +162,11 @@ def test_expand_counts(exact_solver):
     tables = SolverTables()
     cfg = SolverConfig()
     report = SolveReport()
-    # unexpanded root counts once
-    assert ff_expand(tables, model, cfg, model.initial, report) == 1
-    assert tables.v[model.initial] == 1.0  # zero heuristic below
-    # one new frontier state per sweep here; interior states get post-order
-    # updates in the same sweep, so the root sees the new child value
-    assert ff_expand(tables, model, cfg, model.initial, report) == 1
+    # the sweep descends through each tip it expands, so s, m and the goal
+    # are all tips of the first one; the post-order updates of m and s then
+    # bring the root its child's new value
+    assert ff_expand(tables, model, cfg, model.initial, report) == 3
     assert tables.v[model.initial] == 2.0
-    assert ff_expand(tables, model, cfg, model.initial, report) == 1
     # closed policy: nothing left to expand
     assert ff_expand(tables, model, cfg, model.initial, report) == 0
     assert tables.v[model.initial] == 2.0
@@ -321,41 +318,40 @@ def test_solver_config_rejects_non_positive(field, value):
         SolverConfig(**{field: value})
 
 
-# ── skipping clean states is exact ──────────────────────────────────────────
+@pytest.mark.parametrize("k", [0, 1], ids=["k0", "k1"])
+def test_expansion_updates_a_bound_tip_once(monkeypatch, triangle2, k):
+    """An expansion sweep descends through a tip that its update gives a
+    policy action below the bound, which updates that tip again in
+    post-order. A tip at the bound is not entered again: its sub-planner
+    call already wrote its entry."""
+    schema, _, grounded = triangle2
+    model = make_reduction(grounded, mlo_determinization(schema), k)
+    tables, cfg, report = SolverTables(), SolverConfig(), SolveReport()
+    update = solver.ff_bellman_update
+    sweeps: list[Counter] = []
+    bound_tips = 0
+
+    def counted(tables, model, cfg, aug, report):
+        nonlocal bound_tips
+        bound_tips += aug.j == model.k and aug not in tables.pi
+        sweeps[-1][aug] += 1
+        return update(tables, model, cfg, aug, report)
+
+    monkeypatch.setattr(solver, "ff_bellman_update", counted)
+    expanded = True
+    while expanded:
+        sweeps.append(Counter())
+        expanded = ff_expand(tables, model, cfg, model.initial, report)
+    assert bound_tips > 0
+    assert all(n == 1 for calls in sweeps for aug, n in calls.items()
+               if aug.j == k)
+    below = {n for calls in sweeps for aug, n in calls.items() if aug.j < k}
+    assert below == ({1, 2} if k else set())
+
+
+# ── solves from many roots into shared tables ───────────────────────────────
 
 INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
-
-
-class EveryUpdate(set):
-    """A clean set no state ever joins, so the sweeps perform every update."""
-
-    def add(self, item):
-        pass
-
-
-class UnsettlingWrites:
-    """Counts the writes that change a value some clean state has read,
-    per write site, by wrapping ``solver._store``."""
-
-    def __init__(self, monkeypatch):
-        self.sites = Counter()
-        store = solver._store
-
-        def counted(tables, aug, value, action_id):
-            old = tables.v.get(aug)
-            if old is not None and old != value and any(
-                    r in tables.clean for r in tables.readers.get(aug, ())):
-                if aug in tables.records:
-                    self.sites["below-bound update"] += 1
-                elif action_id == NOP:
-                    self.sites["failure cap"] += 1
-                elif aug in tables.pi:
-                    self.sites["plan lowers an entry"] += 1
-                else:
-                    self.sites["plan write"] += 1
-            store(tables, aug, value, action_id)
-
-        monkeypatch.setattr(solver, "_store", counted)
 
 
 def assert_policy_below_bound_from_records(model, tables):
@@ -366,26 +362,19 @@ def assert_policy_below_bound_from_records(model, tables):
             assert action_id in [a for a, _, _ in tables.records[aug]]
 
 
-def assert_same_solves(model, roots_of, plant=lambda tables: None):
-    """Solve one model from the same roots with the skip and with every
-    update, both from tables given the same ``plant``; tables and reports
-    must agree after every solve, and the model holds no search state."""
+def assert_solves(model, roots_of, plant=lambda tables: None):
+    """Solve one model from each root into one set of tables given
+    ``plant``. After every solve each policy action below the bound comes
+    from its state's record, and the model holds no search state."""
     cfg = SolverConfig()
-    skip, ref = SolverTables(), SolverTables(clean=EveryUpdate())
-    plant(skip)
-    plant(ref)
-    for root in roots_of(model, skip):
-        _, skip_report = ff_lao_star(model, cfg, skip, root)
-        _, ref_report = ff_lao_star(model, cfg, ref, root)
-        skip_report.wall_time = ref_report.wall_time = 0.0
-        assert skip_report == ref_report
-        assert (skip.v, skip.pi, skip.records) == (ref.v, ref.pi, ref.records)
-        for tables in (skip, ref):
-            assert_policy_below_bound_from_records(model, tables)
-    assert not ref.clean
-    assert set(vars(model)) <= {"problem", "k", "primary", "initial",
-                                "det_problem"}
-    return skip
+    tables = SolverTables()
+    plant(tables)
+    for root in roots_of(model, tables):
+        ff_lao_star(model, cfg, tables, root)
+        assert_policy_below_bound_from_records(model, tables)
+        assert set(vars(model)) <= {"problem", "k", "primary", "initial",
+                                    "det_problem"}
+    return tables
 
 
 def rollout_roots(seed: int, count: int):
@@ -422,30 +411,19 @@ def benchmark_input(domain, problem, k):
     ("triangle", "triangle-4", 1), ("triangle", "triangle-4", 2),
     ("trap", "trap-10", 1)], ids=["triangle-4-k1", "triangle-4-k2",
                                    "trap-10-k1"])
-def test_skip_matches_every_update_on_instances(monkeypatch, domain,
-                                                problem, k):
-    writes = UnsettlingWrites(monkeypatch)
-    assert_same_solves(benchmark_input(domain, problem, k),
-                       rollout_roots(7, 12))
-    if domain == "triangle":
-        assert writes.sites["below-bound update"] > 0
-        assert writes.sites["plan write"] > 0
+def test_skip_matches_every_update_on_instances(domain, problem, k):
+    assert_solves(benchmark_input(domain, problem, k), rollout_roots(7, 12))
 
 
-def test_skip_matches_every_update_on_random_models(monkeypatch):
-    writes = UnsettlingWrites(monkeypatch)
+def test_skip_matches_every_update_on_random_models():
     rng = random.Random(1)
     for _ in range(40):
         grounded, delta, k, _ = random_reduced_setup(rng, n_atoms=7)
-        assert_same_solves(make_reduction(grounded, delta, k),
-                           rollout_roots(rng.random(), 6))
-    assert writes.sites["below-bound update"] > 0
-    assert writes.sites["plan write"] > 0
-    assert writes.sites["failure cap"] > 0
+        assert_solves(make_reduction(grounded, delta, k),
+                      rollout_roots(rng.random(), 6))
 
 
-def test_skip_matches_every_update_when_a_plan_lowers_a_read_entry(
-        monkeypatch):
+def test_skip_matches_every_update_when_a_plan_lowers_a_read_entry():
     """``s`` reads the bound state ``b`` through ``go``'s exception, while
     ``b`` holds the cost 5 an earlier, costlier plan left. ``go2`` wins at
     first; expanding it plans from ``c`` through ``b`` and lowers ``b`` to
@@ -464,13 +442,11 @@ def test_skip_matches_every_update_when_a_plan_lowers_a_read_entry(
         init=["s"], goal=["g"])
     b = AugmentedState(state_from_atoms(grounded, ["(b)"]), 1)
     model = make_reduction(grounded, trivial_delta(grounded), 1)
-    writes = UnsettlingWrites(monkeypatch)
 
     def plant(tables):
         tables.v[b] = 5.0
         tables.pi[b] = action_by_name(grounded, "(b2g)").id
 
-    skip = assert_same_solves(model, lambda model, _: [model.initial], plant)
-    assert writes.sites["plan lowers an entry"] == 1
-    assert skip.v[b] == 1.0
-    assert skip.pi[model.initial] == action_by_name(grounded, "(go)").id
+    tables = assert_solves(model, lambda model, _: [model.initial], plant)
+    assert tables.v[b] == 1.0
+    assert tables.pi[model.initial] == action_by_name(grounded, "(go)").id

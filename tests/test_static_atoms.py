@@ -198,8 +198,7 @@ def reduced_cases():
 
 def test_memoized_successors_equal_a_fresh_computation():
     """Each backup record holds every applicable action's cost and fresh
-    successor list, is built once, and registers its state as a reader of
-    every successor it names."""
+    successor list, and is built once."""
     checked = 0
     for model, states in reduced_cases():
         tables = SolverTables()
@@ -211,8 +210,6 @@ def test_memoized_successors_equal_a_fresh_computation():
                 for action_id, cost, succs in record:
                     assert cost == model.cost(action_id)
                     assert succs == model.reduced_successors(aug, action_id)
-                    for succ, _ in succs:
-                        assert aug in tables.readers[succ]
                     checked += 1
                 # a repeated call returns the stored record itself
                 assert _backup_record(tables, model, aug) is record
