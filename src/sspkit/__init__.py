@@ -28,7 +28,7 @@ from .ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
 from .reduction import (AugmentedState, Determinization, ReducedModel,
                         make_reduction, mlo_determinization)
 from .solver import (NOP, SolveReport, SolverConfig, SolverTables,
-                     ff_bellman_update, ff_expand, ff_lao_star,
-                     ff_test_convergence, policy_size)
+                     ff_bellman_update, ff_lao_star, ff_sweep,
+                     policy_size)
 
 __version__ = "0.1.0"

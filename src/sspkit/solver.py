@@ -1,13 +1,14 @@
 """Heuristic search solver for single-primary reduced models.
 
-The solver alternates depth-first post-order expansion sweeps with
-convergence-test sweeps over the greedy policy graph. An expansion sweep
-descends through each tip it expands, so one sweep grows the graph as
-deep as the new greedy actions reach. States at the exception bound are
-solved by the built-in classical planner; the whole returned plan is
-memoized (cheapest suffix kept) so those states act as terminals
-afterwards. Dead ends, planner failures and all stored values are bounded
-by the cost cap, which guarantees convergence.
+The solver repeats one kind of sweep over the greedy policy graph: a
+depth-first walk that expands each tip it reaches, descends through it,
+and updates every other state in post-order. One sweep grows the graph as
+deep as the new greedy actions reach, and a sweep that expands nothing is
+the convergence test. States at the exception bound are solved by the
+built-in classical planner; the whole returned plan is memoized (cheapest
+suffix kept) so those states act as terminals afterwards. Dead ends,
+planner failures and all stored values are bounded by the cost cap, which
+guarantees convergence.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ class SolverConfig:
 class SolverTables:
     """Mutable per-solve state, reusable across replanning calls.
 
-    A bound state with a policy entry is solved and is never updated again.
-    ``records`` holds each state's backup record below the bound, built on
-    its first update. ``solved`` holds the zero-exception states on the
-    greedy graph of a converged solve whose entries no write has changed
-    since. Callers must not mutate a record.
+    A bound state with a policy entry is solved: no sweep updates it again,
+    nor a state whose entry is ``NOP``. ``records`` holds each state's
+    backup record below the bound, built on its first update. ``solved``
+    holds the zero-exception states on the greedy graph of a converged
+    solve whose entries no write has changed since. Callers must not mutate
+    a record.
     """
 
     v: dict[AugmentedState, float] = field(default_factory=dict)
@@ -113,26 +115,24 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     """One value/policy update; returns the residual |V_new - V_old|.
 
     Goals short-circuit to value 0. At the exception bound the greedy
-    sub-planner runs once per base state, and ``report`` counts its calls
-    and failures: a successful plan writes capped suffix costs and actions
-    for every plan state (keeping cheaper existing entries); failure or
-    budget exhaustion writes the cap value and a NOP policy. A
-    bound state with no entry yet is not valued first, since the
-    sub-planner always writes one; its residual is taken against 0.
+    sub-planner runs on every call (sweeps make one only at a bound state
+    without an entry), and ``report`` counts its calls and failures: a
+    successful plan writes capped suffix costs and actions for every plan
+    state (keeping cheaper existing entries); failure or budget exhaustion
+    writes the cap value and a NOP policy. A bound state with no entry yet
+    is not valued first, since the sub-planner always writes one; its
+    residual is taken against 0.
     Below the bound this is the capped Bellman operator over the state's
     backup record, with argmin tie-breaking by lowest action id.
     """
     s, j = aug
-    at_bound = j >= model.k
-    if at_bound and aug in tables.pi:
-        return 0.0  # the update would leave its entry as it is
     v = tables.v
     v_prev = v.get(aug)
     if model.is_goal(aug):
         _store(tables, aug, 0.0, NOP)
         return abs(v_prev or 0.0)
 
-    if at_bound:
+    if j >= model.k:
         result = solve_deterministic(model.det_problem, s,
                                      budget=cfg.subplanner_budget)
         report.subplanner_calls += 1
@@ -221,44 +221,39 @@ def _policy_walk(tables: SolverTables, model: ReducedModel,
             push((succ, None))
 
 
-def ff_expand(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
-              root: AugmentedState, report: SolveReport) -> int:
-    """One expansion sweep over the policy graph.
+def ff_sweep(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
+             root: AugmentedState, report: SolveReport) -> float:
+    """One depth-first sweep over the greedy policy graph from ``root``.
 
-    Each tip is updated and counts as one expansion; the walk then
-    descends through the policy action it got below the bound, so the
-    tip's new successors are reached in the same sweep. Every other
-    reached state gets a post-order update.
-    """
-    count = 0
-    for aug, action_id in _policy_walk(tables, model, root):
-        ff_bellman_update(tables, model, cfg, aug, report)
-        if action_id is None:
-            count += 1
-    return count
-
-
-def ff_test_convergence(tables: SolverTables, model: ReducedModel,
-                        cfg: SolverConfig, root: AugmentedState,
-                        report: SolveReport) -> float:
-    """One convergence sweep over the policy graph.
-
-    Returns infinity if the walk reaches a tip or any post-order update
-    changes the policy; otherwise the maximum residual. The walk is not
-    short-circuited, matching the post-order update discipline of the
-    expansion sweep.
+    Each tip is updated as it is reached and counts as one expansion; the
+    walk then descends through the policy action it got below the bound.
+    Every other reached state gets a post-order update, apart from final
+    leaves (a ``NOP`` entry or an entry at the bound), whose update would
+    leave them as they are. Returns infinity if a tip was expanded or a
+    policy changed, otherwise the largest residual. Below epsilon, the
+    sweep walked the final greedy graph, and its zero-exception states
+    join ``tables.solved``.
     """
     error = 0.0
-    blocked = False  # tip reached or policy changed
+    changed = False  # a tip expanded or a policy changed
+    reached = []  # the zero-exception states
+    k = model.k
     for aug, action_id in _policy_walk(tables, model, root):
+        if aug[1] == 0:
+            reached.append(aug)
         if action_id is None:
-            blocked = True
-        else:
+            ff_bellman_update(tables, model, cfg, aug, report)
+            report.expansions += 1
+            changed = True
+        elif action_id != NOP and aug[1] < k:
             error = max(error,
                         ff_bellman_update(tables, model, cfg, aug, report))
-            if tables.pi[aug] != action_id:
-                blocked = True
-    return INF if blocked else error
+            changed = changed or tables.pi[aug] != action_id
+    if changed:
+        return INF
+    if error < cfg.epsilon:
+        tables.solved.update(reached)
+    return error
 
 
 def policy_size(tables: SolverTables, model: ReducedModel,
@@ -275,13 +270,14 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
                 root: AugmentedState | None = None) -> tuple[SolverTables, SolveReport]:
     """Solve a reduced model from ``root`` (default: its initial state).
 
-    New states are valued by FF's relaxed-plan estimate, capped.
-    Expansion sweeps run until no tip node is expanded, then convergence
-    sweeps run until the error drops below epsilon (done) or the policy
-    changes (back to expansion). Existing tables are reused, which
-    warm-starts replanning calls. On convergence the zero-exception states
-    of the final greedy graph join ``tables.solved``. Raises
-    IterationLimitError when ``MAX_SWEEPS`` sweeps have not converged.
+    New states are valued by FF's relaxed-plan estimate, capped. Sweeps
+    (``ff_sweep``) run until one's error drops below epsilon, and
+    ``residual_trace`` holds each sweep's error; a sweep that expands a tip
+    or changes a policy has error infinity. So the last sweep walked the
+    final greedy graph, whose zero-exception states it adds to
+    ``tables.solved``. Existing tables are reused, which warm-starts
+    replanning calls. Raises IterationLimitError when ``MAX_SWEEPS`` sweeps
+    have not converged.
     """
     if tables is None:
         tables = SolverTables()
@@ -289,23 +285,13 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
         root = model.initial
     report = SolveReport()
     start = time.monotonic()
-    expanding = True
     while True:
         if report.sweeps >= MAX_SWEEPS:
             raise IterationLimitError(f"exceeded {MAX_SWEEPS} update sweeps")
         report.sweeps += 1
-        if expanding:
-            count = ff_expand(tables, model, cfg, root, report)
-            report.expansions += count
-            expanding = count > 0
-            continue
-        error = ff_test_convergence(tables, model, cfg, root, report)
+        error = ff_sweep(tables, model, cfg, root, report)
         report.residual_trace.append(error)
         if error < cfg.epsilon:
-            tables.solved.update(aug for aug, _ in
-                                 _policy_walk(tables, model, root)
-                                 if aug[1] == 0)
             report.v_root = tables.v[root]
             report.wall_time = time.monotonic() - start
             return tables, report
-        expanding = error == INF

@@ -63,6 +63,9 @@ def test_plan_report(tmp_path, triangle_files, capsys, k, v_initial,
     assert report["v_initial"] == v_initial
     assert report["subplanner_calls"] == subplanner_calls
     assert report["policy_size"] == policy_size
+    # one sweep expands the whole graph, the next one finds it converged
+    assert report["sweeps"] == 2
+    assert report["residual_trace"] == [None, 0.0]
     assert "wall_time" not in report
 
 

@@ -10,15 +10,15 @@ from pathlib import Path
 import pytest
 
 from sspkit import (NOP, SolveReport, SolverConfig, SolverTables,
-                    ff_bellman_update, ff_expand, ff_lao_star,
-                    ff_test_convergence, ground, make_reduction,
-                    mlo_determinization, parse_domain, parse_problem, solver)
+                    ff_bellman_update, ff_lao_star, ff_sweep, ground,
+                    make_reduction, mlo_determinization, parse_domain,
+                    parse_problem, solver)
 from sspkit.model import successors
 from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 from sspkit.reduction import AugmentedState, Determinization
-from sspkit.solver import _value
+from sspkit.solver import INF, _policy_walk, _value
 
 from conftest import FLAT_DELTA, action_by_name, state_from_atoms
 from randmodels import random_proper_reduced_setup, random_reduced_setup
@@ -157,6 +157,14 @@ def test_bellman_goal_short_circuits(exact_solver):
     assert tables.pi[goal] == NOP
 
 
+def converge(tables, model, cfg, report):
+    """Sweep from the initial state until the error is below epsilon."""
+    for _ in range(100):
+        if ff_sweep(tables, model, cfg, model.initial, report) < cfg.epsilon:
+            return
+    raise AssertionError("no convergence in 100 sweeps")
+
+
 def test_expand_counts(exact_solver):
     grounded, model = chain_model(1)
     tables = SolverTables()
@@ -165,11 +173,15 @@ def test_expand_counts(exact_solver):
     # the sweep descends through each tip it expands, so s, m and the goal
     # are all tips of the first one; the post-order updates of m and s then
     # bring the root its child's new value
-    assert ff_expand(tables, model, cfg, model.initial, report) == 3
+    assert ff_sweep(tables, model, cfg, model.initial, report) == INF
+    assert report.expansions == 3
     assert tables.v[model.initial] == 2.0
-    # closed policy: nothing left to expand
-    assert ff_expand(tables, model, cfg, model.initial, report) == 0
+    assert not tables.solved
+    # closed policy: nothing left to expand, and the graph is solved
+    assert ff_sweep(tables, model, cfg, model.initial, report) == 0.0
+    assert report.expansions == 3
     assert tables.v[model.initial] == 2.0
+    assert tables.solved == set(tables.pi)
 
 
 def test_convergence_fixpoint_matches_vi(exact_solver):
@@ -177,10 +189,7 @@ def test_convergence_fixpoint_matches_vi(exact_solver):
     tables = SolverTables()
     cfg = SolverConfig()
     report = SolveReport()
-    while ff_expand(tables, model, cfg, model.initial, report):
-        pass
-    error = ff_test_convergence(tables, model, cfg, model.initial, report)
-    assert error < cfg.epsilon
+    converge(tables, model, cfg, report)
     values, _ = value_iteration(enumerate_model(model), epsilon=1e-10)
     assert tables.v[model.initial] == pytest.approx(values[0], abs=1e-9)
     assert values[0] == 2.0
@@ -192,12 +201,8 @@ def test_convergence_cases(exact_solver):
     cfg = SolverConfig()
     report = SolveReport()
     # unexpanded root
-    assert ff_test_convergence(tables, model, cfg, model.initial, report) \
-        == float("inf")
-    while ff_expand(tables, model, cfg, model.initial, report):
-        pass
-    error = ff_test_convergence(tables, model, cfg, model.initial, report)
-    assert error < cfg.epsilon
+    assert ff_sweep(tables, model, cfg, model.initial, report) == INF
+    converge(tables, model, cfg, report)
 
 
 def test_convergence_detects_policy_change(exact_solver):
@@ -211,15 +216,13 @@ def test_convergence_detects_policy_change(exact_solver):
     cfg = SolverConfig()
     report = SolveReport()
     tables = SolverTables()
-    while ff_expand(tables, model, cfg, model.initial, report):
-        pass
+    converge(tables, model, cfg, report)
     fast = action_by_name(grounded, "(fast)")
     slow1 = action_by_name(grounded, "(slow1)")
     assert tables.pi[model.initial] == fast.id
     tables.pi[model.initial] = slow1.id
     tables.v[model.initial] = 0.0
-    assert ff_test_convergence(tables, model, cfg, model.initial, report) \
-        == float("inf")
+    assert ff_sweep(tables, model, cfg, model.initial, report) == INF
 
 
 def test_lao_immediate_on_initial_goal(exact_solver):
@@ -320,29 +323,34 @@ def test_solver_config_rejects_non_positive(field, value):
 
 @pytest.mark.parametrize("k", [0, 1], ids=["k0", "k1"])
 def test_expansion_updates_a_bound_tip_once(monkeypatch, triangle2, k):
-    """An expansion sweep descends through a tip that its update gives a
-    policy action below the bound, which updates that tip again in
-    post-order. A tip at the bound is not entered again: its sub-planner
-    call already wrote its entry."""
+    """A sweep descends through a tip that its update gives a policy
+    action below the bound, which updates that tip again in post-order.
+    A tip at the bound is not entered again: its sub-planner call already
+    wrote its entry. No sweep updates a final leaf, a state whose entry is
+    ``NOP`` or at the bound."""
     schema, _, grounded = triangle2
     model = make_reduction(grounded, mlo_determinization(schema), k)
     tables, cfg, report = SolverTables(), SolverConfig(), SolveReport()
     update = solver.ff_bellman_update
     sweeps: list[Counter] = []
-    bound_tips = 0
+    bound_tips = final_leaves = 0
 
     def counted(tables, model, cfg, aug, report):
-        nonlocal bound_tips
-        bound_tips += aug.j == model.k and aug not in tables.pi
+        nonlocal bound_tips, final_leaves
+        action_id = tables.pi.get(aug)
+        bound_tips += aug.j == model.k and action_id is None
+        final_leaves += action_id is not None and (action_id == NOP
+                                                   or aug.j == model.k)
         sweeps[-1][aug] += 1
         return update(tables, model, cfg, aug, report)
 
     monkeypatch.setattr(solver, "ff_bellman_update", counted)
-    expanded = True
-    while expanded:
+    error = INF
+    while error >= cfg.epsilon:
         sweeps.append(Counter())
-        expanded = ff_expand(tables, model, cfg, model.initial, report)
+        error = ff_sweep(tables, model, cfg, model.initial, report)
     assert bound_tips > 0
+    assert final_leaves == 0
     assert all(n == 1 for calls in sweeps for aug, n in calls.items()
                if aug.j == k)
     below = {n for calls in sweeps for aug, n in calls.items() if aug.j < k}
@@ -365,13 +373,16 @@ def assert_policy_below_bound_from_records(model, tables):
 def assert_solves(model, roots_of, plant=lambda tables: None):
     """Solve one model from each root into one set of tables given
     ``plant``. After every solve each policy action below the bound comes
-    from its state's record, and the model holds no search state."""
+    from its state's record, the zero-exception states of the greedy graph
+    from the root are solved, and the model holds no search state."""
     cfg = SolverConfig()
     tables = SolverTables()
     plant(tables)
     for root in roots_of(model, tables):
         ff_lao_star(model, cfg, tables, root)
         assert_policy_below_bound_from_records(model, tables)
+        assert {aug for aug, _ in _policy_walk(tables, model, root)
+                if aug.j == 0} <= tables.solved
         assert set(vars(model)) <= {"problem", "k", "primary", "initial",
                                     "det_problem"}
     return tables
@@ -411,11 +422,11 @@ def benchmark_input(domain, problem, k):
     ("triangle", "triangle-4", 1), ("triangle", "triangle-4", 2),
     ("trap", "trap-10", 1)], ids=["triangle-4-k1", "triangle-4-k2",
                                    "trap-10-k1"])
-def test_skip_matches_every_update_on_instances(domain, problem, k):
+def test_rollout_root_solves_on_instances(domain, problem, k):
     assert_solves(benchmark_input(domain, problem, k), rollout_roots(7, 12))
 
 
-def test_skip_matches_every_update_on_random_models():
+def test_rollout_root_solves_on_random_models():
     rng = random.Random(1)
     for _ in range(40):
         grounded, delta, k, _ = random_reduced_setup(rng, n_atoms=7)
@@ -423,7 +434,7 @@ def test_skip_matches_every_update_on_random_models():
                       rollout_roots(rng.random(), 6))
 
 
-def test_skip_matches_every_update_when_a_plan_lowers_a_read_entry():
+def test_rollout_root_solves_when_a_plan_lowers_a_read_entry():
     """``s`` reads the bound state ``b`` through ``go``'s exception, while
     ``b`` holds the cost 5 an earlier, costlier plan left. ``go2`` wins at
     first; expanding it plans from ``c`` through ``b`` and lowers ``b`` to

@@ -37,7 +37,8 @@ def test_tracer_wraps_every_traced_name_and_sees_its_calls():
     assert metrics["executor.rounds"] == 2
     for name in ("grounding.actions", "reduction.successor_calls",
                  "reduction.applicable_calls", "detplan.h_calls",
-                 "detplan.plan_calls", "solver.solves",
-                 "solver.bellman_updates", "executor.actions"):
+                 "detplan.plan_calls", "solver.solves", "solver.sweeps",
+                 "solver.expansions", "solver.bellman_updates",
+                 "executor.actions"):
         assert metrics[name] > 0, name
     assert metrics["ppddl.parse_s"] > 0 and metrics["reduction.reduce_s"] > 0
