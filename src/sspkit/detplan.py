@@ -45,8 +45,9 @@ class DeterministicProblem:
     """A classical planning problem over the grounded atom universe.
 
     ``static_mask`` holds the atoms true in every state searched, and
-    ``init_bits`` an initial state; both only steer the applicability
-    index's key choice and the heuristic's stripping of static atoms.
+    ``init_bits`` an initial state. Both only steer: the applicability
+    index's key choice, the heuristic's stripping of static atoms and the
+    order of its layer-0 groups.
     """
 
     atom_names: tuple[str, ...]
@@ -75,7 +76,7 @@ class DeterministicProblem:
         entries = [(a.id, a.cost, a.pre_pos_mask, a.add_mask)
                    for a in self.actions if a.add_mask]
         return RelaxedTask(self.atom_names, entries, self.goal_mask,
-                           self.static_mask)
+                           self.static_mask, self.init_bits)
 
 
 @dataclass
@@ -119,21 +120,25 @@ class RelaxedTask:
     atom (then the estimate is inf).
 
     Layer 0 is not reached atom by atom. The precondition atoms are grouped
-    by predicate; per group, the state's atoms in it key a memo of their
-    thermometer, with a ``k``-th row for the entries they complete. Layer 0
-    is the presets (where an entry without preconditions fills all ``k``
-    rows) plus the groups' thermometers, added row by row. Counts
-    add over any partition of the atoms, so the grouping decides only how
-    often the memo hits, never a result.
+    by predicate, and the group with the most atoms true in ``init_bits``
+    (on ties the last in atom order) comes last: in the triangle domains it
+    is ``(spare-in …)``, whose atoms vary most from state to state. A
+    thermometer of some atoms has a ``k``-th row for the entries they
+    complete, and two thermometers add row by row. Layer 0 is the presets
+    (where an entry without preconditions fills all ``k`` rows) plus the
+    thermometer of the state's atoms in the other groups, that sum
+    memoized under those atoms, plus the memoized thermometer of its atoms
+    in the last group. Counts add over any partition of the atoms, so
+    ``init_bits`` decides only how often the memos hit, never a result.
 
     The extraction walks the layers down with one bitset of the atoms
     wanted so far: the goal and the preconditions of the achievers chosen.
     The subgoals of a layer are the wanted atoms first reached there,
     popped lowest first; the achiever of an atom at layer ``lvl`` is the
     lowest entry index among ``achievers[atom]`` that entered at layer
-    ``lvl - 1``. The returned helpful actions steer the greedy
-    sub-planner, so this tie-break is what keeps its plans, and every
-    output, byte-identical.
+    ``lvl - 1``. The helpful actions, returned as a bitmask over action
+    ids, steer the greedy sub-planner, so this tie-break is what keeps its
+    plans, and every output, byte-identical.
 
     Evaluations are cached per state bitset; negative preconditions are
     ignored, which keeps an infinite estimate sound for real unreachability.
@@ -148,7 +153,7 @@ class RelaxedTask:
 
     def __init__(self, atom_names: tuple[str, ...],
                  entries: list[tuple[int, float, int, int]],
-                 goal_mask: int, static_mask: int = 0):
+                 goal_mask: int, static_mask: int = 0, init_bits: int = 0):
         self.atom_names = atom_names
         self.goal_mask = goal_mask
         self.static_mask = static_mask
@@ -179,13 +184,19 @@ class RelaxedTask:
             if entry_bits:
                 name = predicate_of(atom_names[atom])
                 groups[name] = groups.get(name, 0) | 1 << atom
-        self.groups = [(mask, {}) for mask in groups.values()]
-        self._cache: dict[int, tuple[float, frozenset[int]]] = {}
+        masks = sorted(groups.values(),
+                       key=lambda mask: (mask & init_bits).bit_count())
+        self.last_mask = masks.pop() if masks else 0
+        self.prefix_mask = sum(masks)
+        self._prefix_rows: dict[int, list[int]] = {}
+        self._last_rows: dict[int, list[int]] = {}
+        self._cache: dict[int, tuple[float, int]] = {}
 
-    def evaluate(self, bits: int) -> tuple[float, frozenset[int]]:
-        """Relaxed-plan cost from ``bits`` and the helpful action ids.
+    def evaluate(self, bits: int) -> tuple[float, int]:
+        """Relaxed-plan cost from ``bits`` and the helpful actions, as a
+        bitmask with bit ``id`` set for each helpful action id.
 
-        Returns (0, {}) when the goal already holds, (inf, {}) when it is
+        Returns (0, 0) when the goal already holds, (inf, 0) when it is
         unreachable even ignoring deletes.
         """
         hit = self._cache.get(bits)
@@ -209,18 +220,22 @@ class RelaxedTask:
             rows[0] |= dep
         return rows
 
-    def _compute(self, bits: int) -> tuple[float, frozenset[int]]:
+    def _compute(self, bits: int) -> tuple[float, int]:
         goal_mask = self.goal_mask
         if bits & goal_mask == goal_mask:
-            return 0.0, frozenset()
-        rows = self.preset
-        for mask, memo in self.groups:
-            key = bits & mask
-            if key:
-                part = memo.get(key)
-                if part is None:
-                    part = memo[key] = self._thermometer(key)
-                rows = _thermometer_sum(rows, part)
+            return 0.0, 0
+        prefix = bits & self.prefix_mask
+        rows = self._prefix_rows.get(prefix)
+        if rows is None:
+            rows = self._prefix_rows[prefix] = _thermometer_sum(
+                self.preset, self._thermometer(prefix))
+        key = bits & self.last_mask
+        if key:
+            part = self._last_rows.get(key)
+            if part is None:
+                part = self._last_rows[key] = self._thermometer(key)
+            rows = _thermometer_sum(rows, part)
+        # unpacking copies, so the memoized rows stay as they are
         *held, fired = rows
         adds = self.adds
         new_bits = bits
@@ -239,7 +254,7 @@ class RelaxedTask:
         reached = bits
         while True:
             if new_bits == reached:
-                return INF, frozenset()
+                return INF, 0
             fresh = new_bits & ~reached
             fresh_at.append(fresh)
             reached = new_bits
@@ -274,7 +289,7 @@ class RelaxedTask:
         wanted_anywhere = goal_mask
         cost = 0.0
         selected = 0
-        helpful: set[int] = set()
+        helpful = 0
         for lvl in range(len(fired_at), 0, -1):
             entered = fired_at[lvl - 1]
             wanted = wanted_anywhere & fresh_at[lvl]
@@ -290,9 +305,9 @@ class RelaxedTask:
                 orig_id, act_cost, _, _ = entries[ei]
                 cost += act_cost
                 if lvl == 1:
-                    helpful.add(orig_id)
+                    helpful |= 1 << orig_id
                 wanted_anywhere |= pre_masks[ei]
-        return cost, frozenset(helpful)
+        return cost, helpful
 
 
 def _thermometer_sum(a: list[int], b: list[int]) -> list[int]:
@@ -365,7 +380,7 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
                 return PlanResult("timeout", [], [], expansions)
             _, helpful = task.evaluate(bits)
             apps = d.applicable(bits)
-            use = [a for a in apps if a.id in helpful] or apps
+            use = [a for a in apps if helpful >> a.id & 1] or apps
             for a in use:
                 nb = d.apply(bits, a)
                 if nb in parents:

@@ -85,7 +85,7 @@ class GroundedProblem:
         entries = [(a.id, a.cost_f, a.pre_pos_mask, o.add_mask)
                    for a in self.actions for o in a.outcomes if o.add_mask]
         return RelaxedTask(self.atoms, entries, self.goal_mask,
-                           self.static_mask)
+                           self.static_mask, self.initial_state.bits)
 
     def atom_names(self, s: State) -> list[str]:
         """True atoms of a state, in universe (sorted-name) order."""

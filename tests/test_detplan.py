@@ -18,6 +18,7 @@ from sspkit.domains import gen_triangle_tireworld
 from sspkit.errors import EnumerationBlowupError, ExternalPlannerError
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import enumerate_determinizations
+from sspkit.model import iter_bits, predicate_of
 from sspkit.oracle import enumerate_model
 from sspkit.ppddl import parse_domain, parse_problem
 from sspkit.reduction import Determinization, mlo_determinization
@@ -129,10 +130,11 @@ def layered_reference(task: RelaxedTask, bits: int):
     """The relaxed planning graph built by rescanning every pending entry on
     every layer, with the same extraction: the construction the bitset
     ``RelaxedTask.evaluate`` must agree with exactly. It reads only the
-    task's entries and goal, none of its indexes, bitsets or memos."""
+    task's entries and goal, none of its indexes, bitsets or memos. The
+    helpful action ids come back as a bitmask, bit ``id`` set for each."""
     goal_mask = task.goal_mask
     if bits & goal_mask == goal_mask:
-        return 0.0, frozenset()
+        return 0.0, 0
     n_atoms = len(task.atom_names)
     level_of = {atom: 0 for atom in range(n_atoms) if bits >> atom & 1}
     entry_level = {}
@@ -151,7 +153,7 @@ def layered_reference(task: RelaxedTask, bits: int):
                 remaining.append(ei)
         pending = remaining
         if new_bits == reached:
-            return math.inf, frozenset()
+            return math.inf, 0
         for atom in range(n_atoms):
             if (new_bits & ~reached) >> atom & 1:
                 level_of[atom] = level + 1
@@ -168,7 +170,7 @@ def layered_reference(task: RelaxedTask, bits: int):
             subgoals[level_of[atom]].add(atom)
     cost = 0.0
     selected = set()
-    helpful = set()
+    helpful = 0
     for lvl in range(max_level, 0, -1):
         for atom in sorted(subgoals[lvl]):
             achiever = next((ei for ei, (_, _, _, add) in enumerate(task.entries)
@@ -180,11 +182,11 @@ def layered_reference(task: RelaxedTask, bits: int):
             orig_id, act_cost, pre, _ = task.entries[achiever]
             cost += act_cost
             if lvl == 1:
-                helpful.add(orig_id)
+                helpful |= 1 << orig_id
             for pre_atom in range(n_atoms):
                 if pre >> pre_atom & 1 and level_of[pre_atom] > 0:
                     subgoals[level_of[pre_atom]].add(pre_atom)
-    return cost, frozenset(helpful)
+    return cost, helpful
 
 
 def assert_matches_reference(task: RelaxedTask, states) -> int:
@@ -193,12 +195,12 @@ def assert_matches_reference(task: RelaxedTask, states) -> int:
     return len(states)
 
 
-def test_heuristic_matches_reference_on_random_domains():
-    # every reachable state, on the all-outcomes task and on the task of
-    # every determinization
+def random_domain_tasks(count: int):
+    """(task, every reachable state) of ``count`` random domains, for the
+    all-outcomes task and the task of every determinization."""
     rng = random.Random(11)
-    domains = checked = deepest = 0
-    while domains < 36:
+    domains = 0
+    while domains < count:
         schema, prob = random_domain(rng, n_atoms=6)
         try:
             deltas = enumerate_determinizations(schema, cap=64)
@@ -209,14 +211,64 @@ def test_heuristic_matches_reference_on_random_domains():
         if len(states) < 4:
             continue
         domains += 1
-        checked += assert_matches_reference(grounded.relaxed_task, states)
-        deepest = max(deepest, grounded.relaxed_task.k)
+        yield grounded.relaxed_task, states
         for delta in deltas:
-            det = make_reduction(grounded, delta, 0).det_problem
-            checked += assert_matches_reference(det.relaxed_task, states)
+            yield make_reduction(grounded, delta, 0).det_problem.relaxed_task, states
+
+
+def test_heuristic_matches_reference_on_random_domains():
+    checked = deepest = 0
+    for task, states in random_domain_tasks(36):
+        checked += assert_matches_reference(task, states)
+        deepest = max(deepest, task.k)
     assert checked > 5000
     # some entry has three preconditions, so the thermometer has a middle row
     assert deepest >= 3
+
+
+def predicate_groups(task: RelaxedTask) -> list[int]:
+    """The atoms outside the static mask that some entry needs, one mask
+    per predicate: the heuristic's layer-0 groups."""
+    groups: dict[str, int] = {}
+    for _, _, pre, _ in task.entries:
+        for atom in iter_bits(pre & ~task.static_mask):
+            name = predicate_of(task.atom_names[atom])
+            groups[name] = groups.get(name, 0) | 1 << atom
+    return list(groups.values())
+
+
+def assert_every_group_last_matches_reference(task: RelaxedTask, states) -> int:
+    """Rebuilds ``task`` once per layer-0 group, with an initial state that
+    holds just that group's atoms so that the group comes last, and checks
+    each state without that group's atoms (an empty last-group key: the
+    memoized prefix rows are used as they are) and then the state itself
+    against the reference; returns the evaluations checked."""
+    checked = 0
+    for group in predicate_groups(task):
+        ordered = RelaxedTask(task.atom_names, task.entries, task.goal_mask,
+                              task.static_mask, init_bits=group)
+        assert ordered.last_mask == group
+        for bits in states:
+            for probe in (bits & ~group, bits):
+                assert ordered.evaluate(probe) == layered_reference(
+                    ordered, probe), (bin(group), bin(probe))
+                checked += 1
+    return checked
+
+
+def test_heuristic_group_order_never_changes_a_result():
+    checked = 0
+    for task, states in random_domain_tasks(36):
+        checked += assert_every_group_last_matches_reference(task, states)
+    # triangle-2 has four groups; (spare-in ...) comes last from :init
+    _, _, grounded = load(*gen_triangle_tireworld(2))
+    states = [s.bits for s in enumerate_model(grounded).labels]
+    det = make_reduction(grounded, FLAT_DELTA, 0).det_problem
+    for task in (grounded.relaxed_task, det.relaxed_task):
+        last_atom = task.atom_names[task.last_mask.bit_length() - 1]
+        assert predicate_of(last_atom) == "spare-in"
+        checked += assert_every_group_last_matches_reference(task, states)
+    assert checked > 50_000
 
 
 def test_heuristic_memo_is_order_independent():
@@ -270,41 +322,41 @@ def test_heuristic_matches_reference_on_wide_triangle(monkeypatch):
     # helpful, though the other is cheaper
     (["s", "g"], [("dear", ["s"], [], ["g"], [], 3.0),
                   ("cheap", ["s"], [], ["g"], [], 1.0)],
-     ["s"], (3.0, frozenset({0}))),
+     ["s"], (3.0, 1 << 0)),
     (["m", "g"], [("use", ["m"], [], ["g"], [], 1.0),
                   ("free", [], [], ["m"], [], 2.0)],
-     [], (3.0, frozenset({1}))),
+     [], (3.0, 1 << 1)),
     # "again" enters at layer 0 and adds no new atom; it is never chosen
     (["s", "m", "g"], [("again", ["s"], [], ["s"], [], 1.0),
                        ("step1", ["s"], [], ["m"], [], 1.0),
                        ("step2", ["m"], [], ["g"], [], 1.0)],
-     ["s"], (2.0, frozenset({1}))),
-    (*CHAIN[:2], [], (math.inf, frozenset())),
-    (*CHAIN[:2], ["s", "g"], (0.0, frozenset())),
+     ["s"], (2.0, 1 << 1)),
+    (*CHAIN[:2], [], (math.inf, 0)),
+    (*CHAIN[:2], ["s", "g"], (0.0, 0)),
     # three preconditions: "finish" enters once "make-b" and "make-c" have
     # added the last two
     (["a", "b", "c", "g"], [("make-a", [], [], ["a"], [], 1.0),
                             ("make-b", ["a"], [], ["b"], [], 2.0),
                             ("make-c", ["a"], [], ["c"], [], 3.0),
                             ("finish", ["a", "b", "c"], [], ["g"], [], 4.0)],
-     [], (10.0, frozenset({0}))),
+     [], (10.0, 1 << 0)),
     # three preconditions of one predicate, two of them true at layer 0
     (["(on a)", "(on b)", "(on c)", "g"],
      [("put-c", ["(on a)"], [], ["(on c)"], [], 1.0),
       ("stack", ["(on a)", "(on b)", "(on c)"], [], ["g"], [], 2.0)],
-     ["(on a)", "(on b)"], (3.0, frozenset({0}))),
+     ["(on a)", "(on b)"], (3.0, 1 << 0)),
     # one to four preconditions: each entry enters one layer later
     (["p", "q", "r", "s", "g"], [("q", ["p"], [], ["q"], [], 1.0),
                                  ("r", ["p", "q"], [], ["r"], [], 1.0),
                                  ("s", ["p", "q", "r"], [], ["s"], [], 1.0),
                                  ("g", ["p", "q", "r", "s"], [], ["g"], [],
                                   1.0)],
-     ["p"], (4.0, frozenset({0}))),
+     ["p"], (4.0, 1 << 0)),
     # four preconditions, all but one true at layer 0
     (["p", "q", "r", "s", "g"], [("s", ["p"], [], ["s"], [], 2.0),
                                  ("g", ["p", "q", "r", "s"], [], ["g"], [],
                                   1.0)],
-     ["p", "q", "r"], (3.0, frozenset({0}))),
+     ["p", "q", "r"], (3.0, 1 << 0)),
 ], ids=["same-layer-achievers", "no-preconditions", "adds-only-reached",
         "unreachable-goal", "satisfied-goal", "three-preconditions",
         "three-in-one-predicate", "one-to-four-preconditions",

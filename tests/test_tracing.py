@@ -2,7 +2,8 @@
 
 ``benchmark/tracing.py`` replaces sspkit callables at the names their
 callers look them up by; a renamed or inlined callable makes ``install``
-fail, or leaves its wrapper uncalled and its counts at zero."""
+fail, or leaves its wrapper uncalled and its counts at zero. The same
+run pins the heuristic's and the sub-planner's exact work."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +43,10 @@ def test_tracer_wraps_every_traced_name_and_sees_its_calls():
                  "executor.actions"):
         assert metrics[name] > 0, name
     assert metrics["ppddl.parse_s"] > 0 and metrics["reduction.reduce_s"] > 0
+    # the search work of this run: a change to the heuristic or the
+    # sub-planner that is meant to keep every result exact keeps these too
+    assert {name: metrics[name] for name in (
+        "detplan.h_calls", "detplan.h_states", "detplan.plan_calls",
+        "detplan.plan_expansions")} == {
+        "detplan.h_calls": 71, "detplan.h_states": 53,
+        "detplan.plan_calls": 7, "detplan.plan_expansions": 21}
