@@ -10,22 +10,20 @@ determinization of a domain by exhaustive search with Monte-Carlo scoring.
 from .detplan import (DetAction, DeterministicProblem, PlanResult,
                       solve_deterministic)
 from .errors import (CapExceededError, EnumerationBlowupError,
-                     EnvMismatchError, GroundingBlowupError,
-                     IncompleteDeterminizationError, IterationLimitError,
-                     NotApplicableError, ParseError, SspkitError,
-                     TypeMismatchError, UnsupportedFeatureError)
+                     GroundingBlowupError, IncompleteDeterminizationError,
+                     IterationLimitError, NotApplicableError, ParseError,
+                     SspkitError, TypeMismatchError, UnsupportedFeatureError)
 from .executor import (EvalStats, ReplanSession, RoundReport,
-                       SimulatedEnvironment, monte_carlo_evaluate,
-                       serve_rounds)
+                       monte_carlo_evaluate, serve_rounds)
 from .grounding import GroundAction, GroundedProblem, ground
 from .learner import (DetCandidate, enumerate_determinizations, learning_det)
-from .model import (State, applicable_actions, is_goal, successors)
+from .model import applicable_actions, is_goal, successors
 from .oracle import ExplicitModel, enumerate_model, value_iteration
 from .ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                     Predicate, ProbabilisticClause, ProblemDef,
                     domain_to_text, parse_domain, parse_problem,
                     problem_to_text)
-from .reduction import (AugmentedState, Determinization, ReducedModel,
+from .reduction import (AugmentedState, Determinization, ReducedModel, State,
                         make_reduction, mlo_determinization)
 from .solver import (NOP, SolveReport, SolverConfig, SolverTables,
                      ff_bellman_update, ff_lao_star, ff_sweep,

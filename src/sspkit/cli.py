@@ -22,7 +22,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .detplan import solve_deterministic, solve_with_external
+from .detplan import (DEFAULT_EXPANSION_BUDGET, solve_deterministic,
+                      solve_with_external)
 from .domains import GENERATORS
 from .errors import (CapExceededError, ExternalPlannerError,
                      GroundingBlowupError, IterationLimitError, SspkitError)
@@ -30,10 +31,11 @@ from .executor import (DEFAULT_ACTION_CAP, DEFAULT_TIME_BUDGET, RoundReport,
                        monte_carlo_evaluate, serve_rounds)
 from .grounding import GroundedProblem, ground
 from .learner import enumerate_determinizations, learning_det
-from .oracle import enumerate_model, value_iteration
+from .oracle import DEFAULT_STATE_CAP, enumerate_model, value_iteration
 from .ppddl import DomainSchema, parse_domain, parse_problem
 from .reduction import Determinization, make_reduction, mlo_determinization
-from .solver import SolverConfig, ff_lao_star, policy_size
+from .solver import (DEFAULT_EPSILON, DEFAULT_M_CAP, SolverConfig, ff_lao_star,
+                     policy_size)
 
 SCHEMA_VERSION = 1
 
@@ -76,7 +78,7 @@ def _pos_float(text: str) -> float:
 
 def _add_common(parser: argparse.ArgumentParser, *, problem: bool = True,
                 epsilon: bool = True, m_cap: bool = True, seed: bool = True,
-                timings: bool = True) -> None:
+                timings: bool = True, budget: bool = True) -> None:
     """The shared options; a subcommand leaves out those it never reads."""
     parser.add_argument("--domain", required=True, help="domain file")
     if problem:
@@ -84,11 +86,15 @@ def _add_common(parser: argparse.ArgumentParser, *, problem: bool = True,
     parser.add_argument("--k", type=_nonneg_int, default=0,
                         help="exception bound (default 0)")
     if epsilon:
-        parser.add_argument("--epsilon", type=_pos_float, default=1e-3,
-                            help="convergence tolerance (default 1e-3)")
+        parser.add_argument("--epsilon", type=_pos_float,
+                            default=DEFAULT_EPSILON,
+                            help="convergence tolerance (default %(default)g)")
     if m_cap:
-        parser.add_argument("--m-cap", type=_pos_float, default=500.0,
-                            help="dead-end cost cap (default 500)")
+        parser.add_argument("--m-cap", type=_pos_float, default=DEFAULT_M_CAP,
+                            help="dead-end cost cap (default %(default)g)")
+    if budget:
+        parser.add_argument("--subplanner-budget", type=_pos_int,
+                            default=DEFAULT_EXPANSION_BUDGET)
     if seed:
         _add_seed(parser)
     if timings:
@@ -194,7 +200,7 @@ def _solver_config(args) -> SolverConfig:
     """The solver settings of the command's options; ``detplan solve``
     has no ``--m-cap`` and keeps the default cap."""
     return SolverConfig(epsilon=args.epsilon,
-                        m_cap=getattr(args, "m_cap", SolverConfig.m_cap),
+                        m_cap=getattr(args, "m_cap", DEFAULT_M_CAP),
                         subplanner_budget=args.subplanner_budget)
 
 
@@ -374,6 +380,8 @@ def cmd_bench(args) -> int:
 # ── detplan ─────────────────────────────────────────────────────────────────
 
 def cmd_detplan_solve(args) -> int:
+    if args.external and args.optimal:
+        raise ValueError("--external does not take --optimal")
     grounded = _load_grounded(args)
     delta = _resolve_delta(args, grounded.schema)
     model = make_reduction(grounded, delta, args.k)
@@ -434,7 +442,7 @@ def cmd_oracle_enumerate(args) -> int:
     states = []
     for i, label in enumerate(explicit.labels):
         if args.reduced:
-            entry = {"index": i, "atoms": grounded.atom_names(label.state),
+            entry = {"index": i, "atoms": grounded.atom_names(label.state.bits),
                      "j": label.j, "goal": explicit.goal[i]}
         else:
             entry = {"index": i, "atoms": grounded.atom_names(label),
@@ -483,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="solve a reduced model")
     _add_common(p)
     _add_det_source(p)
-    p.add_argument("--subplanner-budget", type=_pos_int, default=100_000)
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.set_defaults(func=cmd_plan)
 
@@ -494,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-actions", type=_pos_int, default=DEFAULT_ACTION_CAP)
     p.add_argument("--time-budget", type=_pos_float, default=DEFAULT_TIME_BUDGET,
                    help="wall-clock budget for all rounds (seconds)")
-    p.add_argument("--subplanner-budget", type=_pos_int, default=100_000)
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.add_argument("--csv", help="per-round CSV path")
     p.add_argument("--serve-stdio", action="store_true",
@@ -512,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--training-problem", required=True)
     p.add_argument("--k", type=_nonneg_int, default=0)
-    p.add_argument("--epsilon", type=_pos_float, default=1e-3)
+    p.add_argument("--epsilon", type=_pos_float, default=DEFAULT_EPSILON)
     p.add_argument("--rounds", type=_pos_int, default=50)
     p.add_argument("--max-actions", type=_pos_int, default=DEFAULT_ACTION_CAP)
     p.add_argument("--time-budget", type=_pos_float, default=None)
@@ -532,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-actions", type=_pos_int, default=DEFAULT_ACTION_CAP)
     p.add_argument("--time-budget", type=_pos_float, default=DEFAULT_TIME_BUDGET,
                    help="wall-clock budget per problem (seconds)")
-    p.add_argument("--subplanner-budget", type=_pos_int, default=100_000)
     p.add_argument("--csv", help="results CSV path (default stdout)")
     p.add_argument("--json", help="results JSON path")
     p.set_defaults(func=cmd_bench)
@@ -545,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_det_source(ps)
     ps.add_argument("--optimal", action="store_true",
                     help="uniform-cost search (minimal-cost plans)")
-    ps.add_argument("--subplanner-budget", type=_pos_int, default=100_000)
     ps.add_argument("--external", metavar="CMD",
                     help="shell out to an external planner command")
     ps.add_argument("--out", help="plan text path (default stdout)")
@@ -556,12 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("vi", cmd_oracle_vi), ("enumerate", cmd_oracle_enumerate)):
         po = oracle_sub.add_parser(name)
         _add_common(po, epsilon=name == "vi", m_cap=name == "vi", seed=False,
-                    timings=False)
+                    timings=False, budget=False)
         po.set_defaults(k=None)  # so that --k without --reduced is seen
         po.add_argument("--reduced", action="store_true",
                         help="enumerate the reduced model instead of the base SSP")
         _add_det_source(po, required=False, learn=False)
-        po.add_argument("--cap-states", type=_pos_int, default=100_000)
+        po.add_argument("--cap-states", type=_pos_int,
+                        default=DEFAULT_STATE_CAP)
         po.add_argument("--out", help="JSON path (default stdout)")
         if name == "vi":
             po.add_argument("--full", action="store_true",

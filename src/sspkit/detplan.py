@@ -21,12 +21,13 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ExternalPlannerError
-from .model import ApplicabilityIndex, State, iter_bits, predicate_of
+from .model import ApplicabilityIndex, iter_bits, predicate_of
 from .ppddl import (ROOT_TYPE, ActionSchema, Atom, DomainSchema, Literal,
                     Outcome, Predicate, ProbabilisticClause, ProblemDef,
                     domain_to_text, problem_to_text)
 
 INF = math.inf
+DEFAULT_EXPANSION_BUDGET = 100_000  # per solve_deterministic call
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,15 @@ class DeterministicProblem:
 class PlanResult:
     """Outcome of one deterministic solve.
 
-    ``steps`` pairs each visited state with the action taken from it;
-    ``suffix_costs[i]`` is the remaining plan cost from ``steps[i]`` on.
+    ``steps`` pairs each visited state, as its ``int`` bitset, with the id
+    of the action taken from it; ``suffix_costs[i]`` is the remaining plan
+    cost from ``steps[i]`` on.
     Status ``timeout`` (budget exhausted) is distinct from ``failure``
     (search space exhausted, goal provably unreachable).
     """
 
     status: str  # plan | failure | timeout
-    steps: list[tuple[State, int]]
+    steps: list[tuple[int, int]]
     suffix_costs: list[float]
     expansions: int = 0
 
@@ -332,8 +334,8 @@ def _plan(chain: list[tuple[int, DetAction]],
         total += action.cost
         suffix_costs.append(total)
     suffix_costs.reverse()
-    return PlanResult("plan", [(State(b), a.id) for b, a in chain],
-                      suffix_costs, expansions)
+    return PlanResult("plan", [(b, a.id) for b, a in chain], suffix_costs,
+                      expansions)
 
 
 def _reconstruct(parents: dict, goal_bits: int, expansions: int) -> PlanResult:
@@ -345,10 +347,11 @@ def _reconstruct(parents: dict, goal_bits: int, expansions: int) -> PlanResult:
     return _plan(chain[::-1], expansions)
 
 
-def solve_deterministic(d: DeterministicProblem, s: State, *,
-                        budget: int = 100_000,
+def solve_deterministic(d: DeterministicProblem, bits0: int, *,
+                        budget: int = DEFAULT_EXPANSION_BUDGET,
                         mode: str = "greedy") -> PlanResult:
-    """Find a plan from ``s`` to the goal, or prove there is none.
+    """Find a plan from the state ``bits0`` to the goal, or prove there is
+    none; ``budget`` bounds the expansions.
 
     Plans from the default mode are valid but not necessarily optimal;
     ``mode="optimal"`` runs plain uniform-cost search.
@@ -358,7 +361,6 @@ def solve_deterministic(d: DeterministicProblem, s: State, *,
     the uniform-cost phase finds superseded in ``best_g`` are exactly those
     of states already expanded.
     """
-    bits0 = s.bits
     if d.is_goal(bits0):
         return PlanResult("plan", [], [])
     expansions = 0
@@ -477,15 +479,15 @@ def parse_plan_text(text: str) -> list[str]:
     return names
 
 
-def solve_with_external(d: DeterministicProblem, s: State,
+def solve_with_external(d: DeterministicProblem, bits: int,
                         command: list[str]) -> PlanResult:
     """Shell out to an external classical planner.
 
     The command is invoked as ``command + [domain.pddl, problem.pddl]`` and
     must follow the plan-text format described above. The returned plan is
-    validated by replay before being accepted.
+    validated by replay from the state ``bits`` before being accepted.
     """
-    domain_text, problem_text = det_to_pddl(d, s.bits)
+    domain_text, problem_text = det_to_pddl(d, bits)
     with tempfile.TemporaryDirectory(prefix="sspkit-ext-") as tmp:
         domain_path = Path(tmp) / "domain.pddl"
         problem_path = Path(tmp) / "problem.pddl"
@@ -500,7 +502,6 @@ def solve_with_external(d: DeterministicProblem, s: State,
             f"external planner exited with {proc.returncode}: "
             f"{proc.stderr.strip()[:200]}")
     by_sanitized = {sanitize_action_name(a.name): a for a in d.actions}
-    bits = s.bits
     chain: list[tuple[int, DetAction]] = []
     for token in parse_plan_text(proc.stdout):
         a = by_sanitized.get(token)

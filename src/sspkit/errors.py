@@ -76,10 +76,6 @@ class CapExceededError(SspkitError):
     """Explicit state enumeration hit the state cap."""
 
 
-class EnvMismatchError(SspkitError):
-    """Environment rejected an action the model considers applicable."""
-
-
 class IterationLimitError(SspkitError):
     """The search solver or value iteration hit its safety bound on sweeps
     without converging."""

@@ -1,8 +1,8 @@
 """Policy execution with replanning, Monte-Carlo evaluation, and a
 newline-delimited JSON state/action protocol for external planners.
 
-A round executes the solver's policy in an environment that samples the
-original problem's true transitions. It re-invokes the solver from the
+A round executes the solver's policy on the original problem, sampling
+its true transitions (``sample_successor``). It re-invokes the solver from the
 observed state, warm-starting the shared tables, when that state has no
 zero-exception policy entry or, below the bound (``k > 0``), an entry that
 is not ``solved``: a sweep may write one on a greedy graph that a later
@@ -17,11 +17,11 @@ import random
 import time
 from dataclasses import asdict, dataclass, replace
 
-from .errors import EnvMismatchError, NotApplicableError
+from .errors import NotApplicableError
 from .grounding import GroundedProblem
-from .model import State, is_goal, successors
-from .reduction import AugmentedState, Determinization, make_reduction
-from .solver import NOP, SolverConfig, SolverTables, ff_lao_star
+from .model import is_goal, successors
+from .reduction import AugmentedState, Determinization, State, make_reduction
+from .solver import DEFAULT_M_CAP, NOP, SolverConfig, SolverTables, ff_lao_star
 
 OUTCOME_GOAL = "goal"
 OUTCOME_ACTION_CAP = "action_cap"
@@ -63,43 +63,34 @@ class EvalStats:
         return asdict(self)
 
 
-class SimulatedEnvironment:
-    """Samples successor states according to the problem's true transitions."""
-
-    def __init__(self, problem: GroundedProblem):
-        self.problem = problem
-
-    def reset(self) -> State:
-        return self.problem.initial_state
-
-    def step(self, s: State, action_id: int, rng: random.Random) -> State:
-        try:
-            dist = successors(s, action_id, self.problem)
-        except NotApplicableError as exc:
-            raise EnvMismatchError(str(exc)) from exc
-        r = rng.random()
-        acc = 0.0
-        for nxt, p in dist:
-            acc += p
-            if r < acc:
-                return nxt
-        return dist[-1][0]
+def sample_successor(problem: GroundedProblem, bits: int, action_id: int,
+                     rng: random.Random) -> int:
+    """One successor of the state ``bits`` under the problem's true
+    transitions; raises NotApplicableError if the action is not
+    applicable."""
+    dist = successors(bits, action_id, problem)
+    r = rng.random()
+    acc = 0.0
+    for nxt, p in dist:
+        acc += p
+        if r < acc:
+            return nxt
+    return dist[-1][0]
 
 
 def play_round(problem: GroundedProblem, choose, rng: random.Random,
-               seed_label: str, *, env: SimulatedEnvironment | None = None,
-               max_actions: int = DEFAULT_ACTION_CAP,
+               seed_label: str, *, max_actions: int = DEFAULT_ACTION_CAP,
                deadline: float | None = None) -> RoundReport:
     """Play one round from the initial state.
 
-    ``choose(s, step)`` names the next action: an action id, or an
-    outcome string that ends the round. The round also ends on goal
-    entry, on the action cap, once ``time.monotonic()`` has passed
-    ``deadline``, or when the environment rejects the action.
+    ``choose(bits, step)`` gets the state as its ``int`` bitset and names
+    the next action: an action id, or an outcome string that ends the
+    round. The round also ends on goal entry, on the action cap, once
+    ``time.monotonic()`` has passed ``deadline``, or on an action that is
+    not applicable (``invalid_action``).
     """
-    env = env if env is not None else SimulatedEnvironment(problem)
     start = time.monotonic()
-    s = env.reset()
+    s = problem.initial_state
     cost = 0.0
     taken = 0
     while True:
@@ -117,8 +108,8 @@ def play_round(problem: GroundedProblem, choose, rng: random.Random,
             outcome = action_id
             break
         try:
-            s = env.step(s, action_id, rng)
-        except EnvMismatchError:
+            s = sample_successor(problem, s, action_id, rng)
+        except NotApplicableError:
             outcome = OUTCOME_INVALID
             break
         cost += problem.actions[action_id].cost_f
@@ -138,14 +129,13 @@ class ReplanSession:
         self.tables = SolverTables()
 
     def run_round(self, rng: random.Random, seed_label: str, *,
-                  env: SimulatedEnvironment | None = None,
                   max_actions: int = DEFAULT_ACTION_CAP,
                   deadline: float | None = None) -> RoundReport:
         replans = 0
 
-        def policy(s: State, _step: int) -> int | str:
+        def policy(bits: int, _step: int) -> int | str:
             nonlocal replans
-            aug = AugmentedState(s, 0)
+            aug = AugmentedState(State(bits), 0)
             tables = self.tables
             if aug not in tables.pi or (self.model.k > 0
                                         and aug not in tables.solved):
@@ -154,7 +144,7 @@ class ReplanSession:
             action_id = tables.pi[aug]
             return OUTCOME_DEAD_END if action_id == NOP else action_id
 
-        report = play_round(self.problem, policy, rng, seed_label, env=env,
+        report = play_round(self.problem, policy, rng, seed_label,
                             max_actions=max_actions, deadline=deadline)
         report.replans = replans
         return report
@@ -223,7 +213,7 @@ PROTOCOL_VERSION = 1
 
 def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
                  seed: int, max_actions: int = DEFAULT_ACTION_CAP,
-                 m_cap: float = 500.0) -> EvalStats:
+                 m_cap: float = DEFAULT_M_CAP) -> EvalStats:
     """Drive the stdio protocol: the remote side supplies the actions."""
 
     def send(obj: dict) -> None:
@@ -237,10 +227,10 @@ def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
     reports: list[RoundReport] = []
     hung_up = False
 
-    def client(s: State, step: int) -> int | str:
+    def client(bits: int, step: int) -> int | str:
         nonlocal hung_up
         send({"type": "state", "round": r, "step": step,
-              "atoms": problem.atom_names(s), "goal": False})
+              "atoms": problem.atom_names(bits), "goal": False})
         line = reader.readline()
         if not line:
             hung_up = True

@@ -3,7 +3,7 @@
 Bindings come from a depth-first join of each schema's parameters with the
 static facts of ``:init`` (atoms of predicates no outcome adds); only they
 are instantiated, filtered by equality constraints and pruned with a
-delete-relaxation reachability check. The action cap bounds the bindings
+delete-relaxation reachability check. The binding cap bounds the bindings
 the join visits, partial ones included.
 Outcome distributions are exact rationals and sum to 1 per ground action
 (residual probability mass becomes an explicit no-op outcome).
@@ -18,10 +18,10 @@ from itertools import product
 
 from .detplan import RelaxedTask
 from .errors import GroundingBlowupError
-from .model import ApplicabilityIndex, State
+from .model import ApplicabilityIndex
 from .ppddl import ActionSchema, Atom, DomainSchema, ProblemDef
 
-DEFAULT_ACTION_CAP = 10 ** 6
+DEFAULT_BINDING_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,15 @@ class GroundAction:
 
 @dataclass
 class GroundedProblem:
-    """A factored stochastic shortest path problem over ground atoms."""
+    """A factored stochastic shortest path problem over ground atoms; a
+    state, ``initial_state`` included, is an ``int`` bitset over ``atoms``."""
 
     domain_name: str
     problem_name: str
     schema: DomainSchema
     atoms: tuple[str, ...]
     actions: list[GroundAction]
-    initial_state: State
+    initial_state: int
     goal_mask: int
 
     @cached_property
@@ -71,12 +72,12 @@ class GroundedProblem:
         for a in self.actions:
             for o in a.outcomes:
                 changed |= o.add_mask | o.del_mask
-        return self.initial_state.bits & ~changed
+        return self.initial_state & ~changed
 
     @cached_property
     def applicability(self) -> ApplicabilityIndex:
         return ApplicabilityIndex(self.actions, self.atoms, self.static_mask,
-                                  self.initial_state.bits)
+                                  self.initial_state)
 
     @cached_property
     def relaxed_task(self) -> RelaxedTask:
@@ -85,11 +86,11 @@ class GroundedProblem:
         entries = [(a.id, a.cost_f, a.pre_pos_mask, o.add_mask)
                    for a in self.actions for o in a.outcomes if o.add_mask]
         return RelaxedTask(self.atoms, entries, self.goal_mask,
-                           self.static_mask, self.initial_state.bits)
+                           self.static_mask, self.initial_state)
 
-    def atom_names(self, s: State) -> list[str]:
+    def atom_names(self, bits: int) -> list[str]:
         """True atoms of a state, in universe (sorted-name) order."""
-        return [name for i, name in enumerate(self.atoms) if s.bits >> i & 1]
+        return [name for i, name in enumerate(self.atoms) if bits >> i & 1]
 
 
 def _atom_key(atom: Atom) -> str:
@@ -217,7 +218,7 @@ def _relaxed_reachable(candidates: list[_Candidate], init: set[str]) -> set[str]
 
 
 def ground(schema: DomainSchema, problem: ProblemDef, *,
-           max_actions: int = DEFAULT_ACTION_CAP) -> GroundedProblem:
+           max_bindings: int = DEFAULT_BINDING_CAP) -> GroundedProblem:
     """Ground a domain/problem pair into a GroundedProblem.
 
     Action order is deterministic: lexicographic by schema name, then by
@@ -225,7 +226,7 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     instantiated (see ``_static_bindings``); an atom no outcome adds is
     relaxed-reachable iff it is in ``:init``, so the result is the one the
     full product would give. Raises GroundingBlowupError as soon as the
-    join has visited more than ``max_actions`` bindings over all schemas,
+    join has visited more than ``max_bindings`` bindings over all schemas,
     partial ones included, before any of them is instantiated.
     """
     objects = sorted(problem.objects)
@@ -234,9 +235,9 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     def visit(n: int) -> None:
         nonlocal visited
         visited += n
-        if visited > max_actions:
+        if visited > max_bindings:
             raise GroundingBlowupError(
-                f"the grounding join exceeds its cap of {max_actions} "
+                f"the grounding join exceeds its cap of {max_bindings} "
                 f"candidate bindings")
 
     added = {atom.pred for action in schema.action_schemas
@@ -317,6 +318,6 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
         schema=schema,
         atoms=atoms,
         actions=actions,
-        initial_state=State(mask(init_keys)),
+        initial_state=mask(init_keys),
         goal_mask=mask(_atom_key(a) for a in problem.goal),
     )

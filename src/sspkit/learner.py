@@ -17,11 +17,11 @@ from itertools import product
 from math import prod
 
 from .errors import EnumerationBlowupError
-from .executor import EvalStats, monte_carlo_evaluate
+from .executor import DEFAULT_ACTION_CAP, EvalStats, monte_carlo_evaluate
 from .grounding import GroundedProblem, ground
 from .ppddl import DomainSchema, ProblemDef
 from .reduction import Determinization
-from .solver import SolverConfig
+from .solver import DEFAULT_EPSILON, SolverConfig
 
 DEFAULT_ENUMERATION_CAP = 4096
 
@@ -77,7 +77,8 @@ def _evaluate_candidate(problem: GroundedProblem, delta: Determinization,
 
 def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
                  k: int = 0, rounds: int = 50, seed: int = 0,
-                 epsilon: float = 1e-3, max_actions: int = 2500,
+                 epsilon: float = DEFAULT_EPSILON,
+                 max_actions: int = DEFAULT_ACTION_CAP,
                  time_budget: float | None = None,
                  cfg: SolverConfig | None = None,
                  workers: int = 1) -> tuple[Determinization, list[DetCandidate]]:

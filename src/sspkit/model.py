@@ -1,25 +1,18 @@
-"""States over the grounded atom universe and successor generation."""
+"""States over the grounded atom universe, as ``int`` bitsets (bit ``i``
+set iff atom ``i`` is true), and successor generation."""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import NotApplicableError
 
 if TYPE_CHECKING:
     from .grounding import GroundedProblem
 
-# (state, probability) pairs summing to 1; duplicates merged
-SuccessorDistribution = list[tuple["State", float]]
-
-
-class State(NamedTuple):
-    """An immutable set of true atoms, stored as a bitset over atom indices.
-    Hashing and equality are the tuple's: bitsets whose hashes alias (bits
-    i and i+61) stay distinct keys at the cost of one compare."""
-
-    bits: int
+# (state bits, probability) pairs summing to 1; duplicates merged
+SuccessorDistribution = list[tuple[int, float]]
 
 
 def iter_bits(x: int):
@@ -88,32 +81,32 @@ class ApplicabilityIndex:
         return result
 
 
-def applicable_actions(s: State, p: GroundedProblem) -> list[int]:
-    """Ids of actions whose precondition holds in ``s``, in grounding order."""
-    return [a.id for a in p.applicability.applicable(s.bits)]
+def applicable_actions(bits: int, p: GroundedProblem) -> list[int]:
+    """Ids of the actions applicable in ``bits``, in grounding order."""
+    return [a.id for a in p.applicability.applicable(bits)]
 
 
-def outcome_bits(s: State, action_id: int, p: GroundedProblem) -> list[int]:
-    """The successor bits of each outcome of one action in ``s``,
+def outcome_bits(bits: int, action_id: int, p: GroundedProblem) -> list[int]:
+    """The successor bits of each outcome of one action in ``bits``,
     delete-then-add, in outcome order; raises if the action is not
     applicable."""
     a = p.actions[action_id]
-    bits = s.bits
     if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
         raise NotApplicableError(f"action {a.name} not applicable")
     return [(bits & ~o.del_mask) | o.add_mask for o in a.outcomes]
 
 
-def successors(s: State, action_id: int, p: GroundedProblem) -> SuccessorDistribution:
+def successors(bits: int, action_id: int,
+               p: GroundedProblem) -> SuccessorDistribution:
     """Successor distribution of one action, with outcomes mapping to the
     same state merged by summing probabilities."""
     merged: dict[int, float] = {}
     for o, succ in zip(p.actions[action_id].outcomes,
-                       outcome_bits(s, action_id, p)):
+                       outcome_bits(bits, action_id, p)):
         merged[succ] = merged.get(succ, 0.0) + o.probability_f
-    return [(State(b), prob) for b, prob in merged.items()]
+    return list(merged.items())
 
 
-def is_goal(s: State, p: GroundedProblem) -> bool:
+def is_goal(bits: int, p: GroundedProblem) -> bool:
     """True iff the goal conjunction is satisfied (vacuously true if empty)."""
-    return s.bits & p.goal_mask == p.goal_mask
+    return bits & p.goal_mask == p.goal_mask

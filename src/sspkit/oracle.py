@@ -12,6 +12,7 @@ from .errors import CapExceededError, IterationLimitError
 from .grounding import GroundedProblem
 from .model import applicable_actions, is_goal, successors
 from .reduction import ReducedModel
+from .solver import DEFAULT_M_CAP
 
 DEFAULT_STATE_CAP = 100_000
 MAX_SWEEPS = 1_000_000  # value iteration's safety bound
@@ -80,7 +81,8 @@ def enumerate_model(source: GroundedProblem | ReducedModel, *,
 
 
 def value_iteration(m: ExplicitModel, *, epsilon: float = 1e-9,
-                    m_cap: float = 500.0) -> tuple[list[float], list[int]]:
+                    m_cap: float = DEFAULT_M_CAP
+                    ) -> tuple[list[float], list[int]]:
     """Capped value iteration to a fixed point; greedy policy uses the same
     lowest-action-id tie-break as the search solver. Goal values are 0;
     states with no path to the goal converge to exactly the cap. Raises

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .detplan import DetAction, DeterministicProblem
 from .errors import IncompleteDeterminizationError
 from .grounding import GroundedProblem
-from .model import State, applicable_actions, is_goal, outcome_bits
+from .model import applicable_actions, is_goal, outcome_bits
 from .ppddl import DomainSchema
 
 
@@ -92,7 +92,17 @@ def mlo_determinization(schema: DomainSchema) -> Determinization:
     return Determinization(choices)
 
 
+class State(NamedTuple):
+    """The base state of a reduced-model key: its ``int`` bitset over atom
+    indices. Hashing and equality are the tuple's: bitsets whose hashes
+    alias (bits i and i+61) stay distinct keys at the cost of one compare."""
+
+    bits: int
+
+
 class AugmentedState(NamedTuple):
+    """A reduced-model state: a base state and its exception count."""
+
     state: State
     j: int
 
@@ -113,31 +123,32 @@ class ReducedModel:
         self.problem = problem
         self.k = k
         self.primary = primary
-        self.initial = AugmentedState(problem.initial_state, 0)
+        self.initial = AugmentedState(State(problem.initial_state), 0)
 
     def is_goal(self, aug: AugmentedState) -> bool:
-        return is_goal(aug.state, self.problem)
+        return is_goal(aug.state.bits, self.problem)
 
     def cost(self, action_id: int) -> float:
         return self.problem.actions[action_id].cost_f
 
     def applicable(self, aug: AugmentedState) -> list[int]:
         """Applicable actions at an augmented state (the same at every j)."""
-        return applicable_actions(aug.state, self.problem)
+        return applicable_actions(aug.state.bits, self.problem)
 
     def reduced_successors(self, aug: AugmentedState,
                            action_id: int) -> list[tuple[AugmentedState, float]]:
         """Successor distribution over augmented states for one action;
         raises if the action is not applicable."""
         s, j = aug
-        succ_bits = outcome_bits(s, action_id, self.problem)
+        succ_bits = outcome_bits(s.bits, action_id, self.problem)
         primary = self.primary[action_id]
-        if j >= self.k:
-            return [(AugmentedState(State(succ_bits[primary]), self.k), 1.0)]
         merged: dict[tuple[int, int], float] = {}
-        for idx, o in enumerate(self.problem.actions[action_id].outcomes):
-            pair = (succ_bits[idx], j if idx == primary else j + 1)
-            merged[pair] = merged.get(pair, 0.0) + o.probability_f
+        if j >= self.k:
+            merged[succ_bits[primary], self.k] = 1.0
+        else:
+            for idx, o in enumerate(self.problem.actions[action_id].outcomes):
+                pair = (succ_bits[idx], j if idx == primary else j + 1)
+                merged[pair] = merged.get(pair, 0.0) + o.probability_f
         return [(AugmentedState(State(bits), j2), p)
                 for (bits, j2), p in merged.items()]
 
@@ -163,7 +174,7 @@ class ReducedModel:
             actions=det_actions,
             goal_mask=self.problem.goal_mask,
             static_mask=self.problem.static_mask,
-            init_bits=self.problem.initial_state.bits)
+            init_bits=self.problem.initial_state)
 
 
 def make_reduction(problem: GroundedProblem, delta: Determinization,

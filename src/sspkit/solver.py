@@ -17,14 +17,15 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .detplan import solve_deterministic
+from .detplan import DEFAULT_EXPANSION_BUDGET, solve_deterministic
 from .errors import IterationLimitError
-from .model import State
-from .reduction import AugmentedState, ReducedModel
+from .reduction import AugmentedState, ReducedModel, State
 
 NOP = -1  # policy entry for goals, dead ends and planner failures
 INF = math.inf
 MAX_SWEEPS = 1_000_000  # the solver's safety bound on update sweeps
+DEFAULT_EPSILON = 1e-3
+DEFAULT_M_CAP = 500.0
 
 
 @dataclass
@@ -32,9 +33,9 @@ class SolverConfig:
     """The convergence threshold, the cost cap on every stored value, and
     the expansion budget of each greedy sub-planner call at the bound."""
 
-    epsilon: float = 1e-3
-    m_cap: float = 500.0
-    subplanner_budget: int = 100_000
+    epsilon: float = DEFAULT_EPSILON
+    m_cap: float = DEFAULT_M_CAP
+    subplanner_budget: int = DEFAULT_EXPANSION_BUDGET
 
     def __post_init__(self):
         # written so that nan fails too
@@ -75,8 +76,8 @@ class SolveReport:
     wall_time: float = 0.0
 
 
-def _heuristic(model: ReducedModel, cfg: SolverConfig, s: State) -> float:
-    h = model.problem.relaxed_task.evaluate(s.bits)[0]
+def _heuristic(model: ReducedModel, cfg: SolverConfig, bits: int) -> float:
+    h = model.problem.relaxed_task.evaluate(bits)[0]
     return min(h, cfg.m_cap)
 
 
@@ -84,7 +85,7 @@ def _value(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
            aug: AugmentedState) -> float:
     v = tables.v.get(aug)
     if v is None:
-        v = 0.0 if model.is_goal(aug) else _heuristic(model, cfg, aug.state)
+        v = 0.0 if model.is_goal(aug) else _heuristic(model, cfg, aug.state.bits)
         tables.v[aug] = v
     return v
 
@@ -133,12 +134,12 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
         return abs(v_prev or 0.0)
 
     if j >= model.k:
-        result = solve_deterministic(model.det_problem, s,
+        result = solve_deterministic(model.det_problem, s.bits,
                                      budget=cfg.subplanner_budget)
         report.subplanner_calls += 1
         if result.found:
-            for (si, ai), suffix in zip(result.steps, result.suffix_costs):
-                aug_i = AugmentedState(si, model.k)
+            for (bits, ai), suffix in zip(result.steps, result.suffix_costs):
+                aug_i = AugmentedState(State(bits), model.k)
                 capped = min(suffix, cfg.m_cap)
                 if aug_i not in tables.pi or capped < v[aug_i]:
                     _store(tables, aug_i, capped, ai)

@@ -9,30 +9,29 @@ from functools import partial
 
 import pytest
 
-from sspkit import (State, detplan, ground, parse_domain, parse_problem,
-                    solver)
+from sspkit import detplan, ground, parse_domain, parse_problem, solver
 from sspkit.domains import gen_chain, gen_retry, gen_trap, gen_triangle_tireworld
 from sspkit.reduction import Determinization
 
 
-def state_from_atoms(grounded, names) -> State:
+def state_from_atoms(grounded, names) -> int:
     bits = 0
     for name in names:
         bits |= 1 << grounded.atoms.index(name)
-    return State(bits)
+    return bits
 
 
 def action_by_name(grounded, name: str):
     return next((a for a in grounded.actions if a.name == name), None)
 
 
-def validate_plan(d, s: State, result) -> bool:
-    """Replay a plan: every action applicable, final state satisfies the goal,
-    and suffix costs equal the remaining step-cost sums."""
+def validate_plan(d, bits: int, result) -> bool:
+    """Replay a plan from the state ``bits``: every action applicable, final
+    state satisfies the goal, and suffix costs equal the remaining step-cost
+    sums."""
     by_id = {a.id: a for a in d.actions}
-    bits = s.bits
     for i, (state, action_id) in enumerate(result.steps):
-        if state.bits != bits:
+        if state != bits:
             return False
         a = by_id[action_id]
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:

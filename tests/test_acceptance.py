@@ -16,9 +16,8 @@ from sspkit.detplan import solve_deterministic
 from sspkit.domains import gen_retry, gen_trap, gen_triangle_tireworld
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import learning_det
-from sspkit.model import State
 from sspkit.oracle import enumerate_model, value_iteration
-from sspkit.reduction import (AugmentedState, Determinization,
+from sspkit.reduction import (AugmentedState, Determinization, State,
                               make_reduction, mlo_determinization)
 from sspkit.solver import (NOP, SolveReport, SolverConfig, SolverTables,
                            ff_lao_star)

@@ -172,6 +172,19 @@ def test_external_planner_error_exit_4(triangle_files, capsys):
     assert "external planner exited with 1" in capsys.readouterr().err
 
 
+def test_external_planner_rejects_optimal(triangle_files, capsys, tmp_path):
+    # the external planner's search is its own, so --optimal would be ignored
+    domain, problem = triangle_files
+    ran = tmp_path / "ran"
+    planner = shlex.join([sys.executable, "-c", f"open({str(ran)!r}, 'w')"])
+    code = main(["detplan", "solve", "--domain", domain, "--problem", problem,
+                 "--det-mlo", "--external", planner, "--optimal"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --external does not take --optimal\n"
+    assert not ran.exists()  # rejected before the planner runs
+
+
 def test_unsupported_feature_exit_2(tmp_path):
     bad = tmp_path / "bad.ppddl"
     bad.write_text("""

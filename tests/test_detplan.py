@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from sspkit import State, ground, make_reduction
+from sspkit import ground, make_reduction
 from sspkit.detplan import (DetAction, DeterministicProblem, RelaxedTask,
                             det_to_pddl, sanitize_action_name, solve_deterministic,
                             solve_with_external)
@@ -50,13 +50,13 @@ CHAIN = ( ["s", "m", "g"],
 
 def test_goal_already_satisfied():
     d, mask = det_problem(*CHAIN)
-    result = solve_deterministic(d, State(mask(["g"])))
+    result = solve_deterministic(d, mask(["g"]))
     assert result.found and len(result.steps) == 0 and result.cost == 0.0
 
 
 def test_chain_plan_and_suffix_costs():
     d, mask = det_problem(*CHAIN)
-    start = State(mask(["s"]))
+    start = mask(["s"])
     result = solve_deterministic(d, start)
     assert result.found
     assert [aid for _, aid in result.steps] == [0, 1]
@@ -72,7 +72,7 @@ def test_unreachable_goal_is_provable_failure():
     atoms = ["s", "g"]
     actions = [("noop", ["s"], [], ["s"], [], 1.0)]
     d, mask = det_problem(atoms, actions, ["g"])
-    result = solve_deterministic(d, State(mask(["s"])))
+    result = solve_deterministic(d, mask(["s"]))
     assert result.status == "failure"
 
 
@@ -86,7 +86,7 @@ def test_budget_exceeded_is_timeout():
         actions.append((f"inc{i}", pre, [f"b{i}"], [f"b{i}"],
                         [f"b{j}" for j in range(i)], 1.0))
     d, mask = det_problem(atoms, actions, [f"b{i}" for i in range(n)])
-    result = solve_deterministic(d, State(0), budget=50, mode="optimal")
+    result = solve_deterministic(d, 0, budget=50, mode="optimal")
     assert result.status == "timeout"
     assert result.expansions >= 50
 
@@ -98,7 +98,7 @@ def test_budget_exceeded_in_the_greedy_phase_is_timeout():
     actions = [(f"step{i}", [f"p{i}"], [], [f"p{i + 1}"], [f"p{i}"], 1.0)
                for i in range(10)]
     d, mask = det_problem(atoms, actions, ["p10"])
-    start = State(mask(["p0"]))
+    start = mask(["p0"])
     result = solve_deterministic(d, start, budget=3)
     assert (result.status, result.expansions) == ("timeout", 3)
     result = solve_deterministic(d, start, budget=11)
@@ -116,12 +116,12 @@ def test_heuristic_values():
 def test_heuristic_infinite_implies_solver_failure():
     d, mask = det_problem(*CHAIN)
     assert d.relaxed_task.evaluate(0)[0] == math.inf
-    assert solve_deterministic(d, State(0)).status == "failure"
+    assert solve_deterministic(d, 0).status == "failure"
 
 
 def test_all_outcomes_heuristic_on_probabilistic_problem(triangle1):
     _, _, grounded = triangle1
-    h, _ = grounded.relaxed_task.evaluate(grounded.initial_state.bits)
+    h, _ = grounded.relaxed_task.evaluate(grounded.initial_state)
     # direct route is two moves under the delete relaxation
     assert h == 2.0
 
@@ -207,7 +207,7 @@ def random_domain_tasks(count: int):
         except EnumerationBlowupError:
             continue
         grounded = ground(schema, prob)
-        states = [s.bits for s in enumerate_model(grounded).labels]
+        states = enumerate_model(grounded).labels
         if len(states) < 4:
             continue
         domains += 1
@@ -262,7 +262,7 @@ def test_heuristic_group_order_never_changes_a_result():
         checked += assert_every_group_last_matches_reference(task, states)
     # triangle-2 has four groups; (spare-in ...) comes last from :init
     _, _, grounded = load(*gen_triangle_tireworld(2))
-    states = [s.bits for s in enumerate_model(grounded).labels]
+    states = enumerate_model(grounded).labels
     det = make_reduction(grounded, FLAT_DELTA, 0).det_problem
     for task in (grounded.relaxed_task, det.relaxed_task):
         last_atom = task.atom_names[task.last_mask.bit_length() - 1]
@@ -273,7 +273,7 @@ def test_heuristic_group_order_never_changes_a_result():
 
 def test_heuristic_memo_is_order_independent():
     _, _, grounded = load(*gen_triangle_tireworld(2))
-    states = [s.bits for s in enumerate_model(grounded).labels]
+    states = enumerate_model(grounded).labels
     task = grounded.relaxed_task
     forward, backward = (RelaxedTask(task.atom_names, task.entries,
                                      task.goal_mask, task.static_mask)
@@ -379,7 +379,7 @@ def test_greedy_fallback_to_uniform_cost():
         ("use-m2", ["m2"], [], ["g"], [], 1.0),
     ]
     d, mask = det_problem(atoms, actions, ["g"])
-    start = State(mask(["s", "y"]))
+    start = mask(["s", "y"])
     result = solve_deterministic(d, start)
     assert result.found
     assert validate_plan(d, start, result)
@@ -459,7 +459,7 @@ def assert_det_at_k0_matches(instance):
     schema, _, grounded = instance
     det = make_reduction(grounded, mlo_determinization(schema), 0).det_problem
     assert det.actions
-    assert_pddl_matches(det, grounded.initial_state.bits)
+    assert_pddl_matches(det, grounded.initial_state)
 
 
 def test_det_to_pddl_reparses(chain2):

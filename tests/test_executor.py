@@ -7,11 +7,10 @@ import time
 
 import pytest
 
-from sspkit.errors import EnvMismatchError
 from sspkit.executor import (OUTCOME_ACTION_CAP, OUTCOME_DEAD_END,
                              OUTCOME_GOAL, OUTCOME_INVALID, ReplanSession,
-                             SimulatedEnvironment, monte_carlo_evaluate,
-                             round_rng, serve_rounds)
+                             monte_carlo_evaluate, play_round, round_rng,
+                             serve_rounds)
 from sspkit.reduction import Determinization
 
 from conftest import FLAT_DELTA, NOFLAT_DELTA, load
@@ -153,18 +152,13 @@ def test_shared_tables_match_fresh_on_random_fixpoints(exact_solver):
                 (b.outcome, b.actions_taken, b.accumulated_cost)
 
 
-def test_env_mismatch_reports_invalid_action(chain2):
+def test_inapplicable_action_reports_invalid_action(chain2):
     _, _, grounded = chain2
-
-    class RejectingEnv(SimulatedEnvironment):
-        def step(self, s, action_id, rng):
-            raise EnvMismatchError("rejected")
-
-    delta = Determinization({("step", 0): 0})
-    session = ReplanSession(grounded, delta, 0)
-    rng, label = round_rng(0, 0)
-    report = session.run_round(rng, label, env=RejectingEnv(grounded))
+    # from (at p0), (step p1 p2) is not applicable
+    late = next(a.id for a in grounded.actions if a.name == "(step p1 p2)")
+    report = play_round(grounded, lambda bits, step: late, *round_rng(0, 0))
     assert report.outcome == OUTCOME_INVALID
+    assert report.actions_taken == 0 and report.accumulated_cost == 0.0
 
 
 def test_time_budget_diagnostic(retry):

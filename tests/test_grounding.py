@@ -121,7 +121,7 @@ def test_grounding_blowup_cap():
         f"(define (problem p) (:domain big) (:objects {objects} - object)"
         "(:init) (:goal (and)))", schema)
     with pytest.raises(GroundingBlowupError):
-        ground(schema, problem, max_actions=1000)
+        ground(schema, problem, max_bindings=1000)
 
 
 def test_grounding_cap_counts_the_join_not_the_product():
@@ -147,8 +147,8 @@ def test_grounding_cap_counts_partial_bindings():
         f"(define (problem p) (:domain pits) (:objects {objects} - object)"
         "(:init (at o0)) (:goal (at o1)))", schema)
     with pytest.raises(GroundingBlowupError, match="cap of 1639 "):
-        ground(schema, problem, max_actions=1639)
-    assert ground(schema, problem, max_actions=1640).actions == []
+        ground(schema, problem, max_bindings=1639)
+    assert ground(schema, problem, max_bindings=1640).actions == []
 
 
 def test_grounding_cap_fires_before_listing_unchecked_bindings():

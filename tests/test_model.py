@@ -118,9 +118,8 @@ def test_successor_probabilities_sum_to_one_random():
         grounded = ground(schema, prob)
         for sample in range(10):
             bits = rng.getrandbits(len(grounded.atoms))
-            s = State(bits)
-            for action_id in applicable_actions(s, grounded):
-                dist = successors(s, action_id, grounded)
+            for action_id in applicable_actions(bits, grounded):
+                dist = successors(bits, action_id, grounded)
                 assert dist, "applicable action returned empty distribution"
                 assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-9)
 
@@ -144,7 +143,7 @@ def test_is_goal_cases(triangle1):
 def test_empty_goal_always_true():
     grounded = build([act("a", [], [det_clause(add=["p"])])], goal=())
     assert is_goal(grounded.initial_state, grounded)
-    assert is_goal(State(0), grounded)
+    assert is_goal(0, grounded)
 
 
 def test_state_equality_and_hash():

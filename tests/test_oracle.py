@@ -7,7 +7,7 @@ import pytest
 
 from sspkit import ground, make_reduction, oracle
 from sspkit.errors import CapExceededError, IterationLimitError
-from sspkit.executor import SimulatedEnvironment, round_rng
+from sspkit.executor import round_rng, sample_successor
 from sspkit.model import is_goal
 from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.reduction import Determinization
@@ -160,7 +160,6 @@ def test_vi_greedy_policy_matches_simulation(retry):
     explicit = enumerate_model(grounded)
     values, policy = value_iteration(explicit, epsilon=1e-10)
     index = {explicit.labels[i]: i for i in range(explicit.n_states)}
-    env = SimulatedEnvironment(grounded)
     costs = []
     for r in range(10_000):
         rng, _ = round_rng(77, r)
@@ -171,7 +170,7 @@ def test_vi_greedy_policy_matches_simulation(retry):
                 break
             action_id = policy[index[s]]
             total += grounded.actions[action_id].cost_f
-            s = env.step(s, action_id, rng)
+            s = sample_successor(grounded, s, action_id, rng)
         costs.append(total)
     mean = statistics.fmean(costs)
     se = statistics.stdev(costs) / len(costs) ** 0.5

@@ -6,8 +6,7 @@ import pytest
 
 from sspkit import (IncompleteDeterminizationError, make_reduction,
                     mlo_determinization)
-from sspkit.model import State
-from sspkit.reduction import AugmentedState, Determinization
+from sspkit.reduction import AugmentedState, Determinization, State
 
 from conftest import FLAT_DELTA, action_by_name, state_from_atoms
 from randmodels import random_reduced_setup
@@ -17,26 +16,26 @@ def test_transition_below_bound(triangle1):
     _, _, grounded = triangle1
     model = make_reduction(grounded, FLAT_DELTA, 3)
     move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
-    aug = AugmentedState(grounded.initial_state, 1)
+    aug = AugmentedState(State(grounded.initial_state), 1)
     succs = model.reduced_successors(aug, move.id)
     assert len(succs) == 2
     by_j = {s.j: p for s, p in succs}
     # primary (flat tire) keeps j=1; the exception moves to j=2
     assert by_j == {1: 0.5, 2: 0.5}
     for s, _ in succs:
-        assert "(vehicle-at l-2-1)" in grounded.atom_names(s.state)
+        assert "(vehicle-at l-2-1)" in grounded.atom_names(s.state.bits)
 
 
 def test_transition_at_bound_single_primary(triangle1):
     _, _, grounded = triangle1
     model = make_reduction(grounded, FLAT_DELTA, 2)
     move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
-    aug = AugmentedState(grounded.initial_state, 2)
+    aug = AugmentedState(State(grounded.initial_state), 2)
     succs = model.reduced_successors(aug, move.id)
     assert len(succs) == 1
     (s, p), = succs
     assert p == 1.0 and s.j == 2
-    assert "(not-flattire)" not in grounded.atom_names(s.state)
+    assert "(not-flattire)" not in grounded.atom_names(s.state.bits)
 
 
 def test_k0_reduction_deterministic_everywhere():
@@ -72,7 +71,7 @@ def test_goal_independent_of_j(triangle1):
     model = make_reduction(grounded, FLAT_DELTA, 2)
     goal_state = state_from_atoms(grounded, ["(vehicle-at l-1-3)"])
     for j in range(3):
-        assert model.is_goal(AugmentedState(goal_state, j))
+        assert model.is_goal(AugmentedState(State(goal_state), j))
 
 
 def test_incomplete_determinization_rejected(triangle1):

@@ -13,11 +13,13 @@ from sspkit import (NOP, SolveReport, SolverConfig, SolverTables,
                     ff_bellman_update, ff_lao_star, ff_sweep, ground,
                     make_reduction, mlo_determinization, parse_domain,
                     parse_problem, solver)
+from sspkit.detplan import solve_deterministic
+from sspkit.executor import sample_successor
 from sspkit.model import successors
 from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
-from sspkit.reduction import AugmentedState, Determinization
+from sspkit.reduction import AugmentedState, Determinization, State
 from sspkit.solver import INF, _policy_walk, _value
 
 from conftest import FLAT_DELTA, action_by_name, state_from_atoms
@@ -80,7 +82,7 @@ def test_q_value_k0_chain_with_stored_value(exact_solver):
     grounded, model = chain_model(0)
     tables = SolverTables()
     cfg = SolverConfig()
-    mid = AugmentedState(state_from_atoms(grounded, ["(m)"]), 0)
+    mid = AugmentedState(State(state_from_atoms(grounded, ["(m)"])), 0)
     tables.v[mid] = 1.0
     step1 = action_by_name(grounded, "(step1)")
     assert q_value(tables, model, cfg, model.initial, step1.id) == 2.0
@@ -96,8 +98,8 @@ def test_q_value_split_successors(exact_solver):
     model = make_reduction(grounded, trivial_delta(grounded), 2)
     tables = SolverTables()
     cfg = SolverConfig()
-    x = AugmentedState(state_from_atoms(grounded, ["(x)"]), 0)
-    y = AugmentedState(state_from_atoms(grounded, ["(y)"]), 1)
+    x = AugmentedState(State(state_from_atoms(grounded, ["(x)"])), 0)
+    y = AugmentedState(State(state_from_atoms(grounded, ["(y)"])), 1)
     tables.v[x] = 4.0
     tables.v[y] = 10.0
     assert q_value(tables, model, cfg, model.initial, 0) == 8.0
@@ -110,7 +112,7 @@ def test_bellman_at_bound_memoizes_whole_plan(exact_solver):
     report = SolveReport()
     residual = ff_bellman_update(tables, model, cfg, model.initial, report)
     assert residual == 2.0
-    mid = AugmentedState(state_from_atoms(grounded, ["(m)"]), 0)
+    mid = AugmentedState(State(state_from_atoms(grounded, ["(m)"])), 0)
     assert tables.v[model.initial] == 2.0
     assert tables.v[mid] == 1.0
     step1 = action_by_name(grounded, "(step1)")
@@ -150,7 +152,7 @@ def test_bellman_goal_short_circuits(exact_solver):
     tables = SolverTables()
     cfg = SolverConfig()
     report = SolveReport()
-    goal = AugmentedState(state_from_atoms(grounded, ["(g)"]), 1)
+    goal = AugmentedState(State(state_from_atoms(grounded, ["(g)"])), 1)
     tables.v[goal] = 7.0
     assert ff_bellman_update(tables, model, cfg, goal, report) == 7.0
     assert tables.v[goal] == 0.0
@@ -163,6 +165,34 @@ def converge(tables, model, cfg, report):
         if ff_sweep(tables, model, cfg, model.initial, report) < cfg.epsilon:
             return
     raise AssertionError("no convergence in 100 sweeps")
+
+
+def test_states_are_bitsets_outside_the_reduced_model(triangle1):
+    """The base model, the simulator and the sub-planner pass ``int``
+    bitsets; only the solver's keys wrap them in ``State``."""
+    _, _, grounded = triangle1
+    start = grounded.initial_state
+    assert type(start) is int
+    move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
+    assert all(type(bits) is int
+               for bits, _ in successors(start, move.id, grounded))
+    rng = random.Random(0)
+    assert all(type(sample_successor(grounded, start, move.id, rng)) is int
+               for _ in range(10))
+    model = make_reduction(grounded, FLAT_DELTA, 0)
+    result = solve_deterministic(model.det_problem, start)
+    assert result.found and result.steps[0][0] == start
+    assert all(type(bits) is int for bits, _ in result.steps)
+    tables = SolverTables()
+    report = SolveReport()
+    ff_bellman_update(tables, model, SolverConfig(), model.initial, report)
+    assert report.subplanner_calls == 1
+    assert model.initial == AugmentedState(State(start), 0)
+    assert {aug: (tables.v[aug], tables.pi[aug]) for aug in tables.pi} == {
+        AugmentedState(State(bits), 0): (suffix, action_id)
+        for (bits, action_id), suffix in zip(result.steps,
+                                             result.suffix_costs)}
+    assert all(type(aug.state) is State for aug in tables.pi)
 
 
 def test_expand_counts(exact_solver):
@@ -400,10 +430,10 @@ def rollout_roots(seed: int, count: int):
                 action_id = tables.pi[aug]
                 if action_id == NOP:
                     break
-                dist = successors(aug.state, action_id, model.problem)
-                s = rng.choices([t for t, _ in dist],
-                                [p for _, p in dist])[0]
-                aug = AugmentedState(s, 0)
+                dist = successors(aug.state.bits, action_id, model.problem)
+                bits = rng.choices([t for t, _ in dist],
+                                   [p for _, p in dist])[0]
+                aug = AugmentedState(State(bits), 0)
                 if aug not in tables.pi:
                     break
             if aug in tables.pi or model.is_goal(aug):
@@ -451,7 +481,7 @@ def test_rollout_root_solves_when_a_plan_lowers_a_read_entry():
          det_action("b2g", ["b"], ["g"], ["b"]),
          det_action("c2b", ["c"], ["b"], ["c"])],
         init=["s"], goal=["g"])
-    b = AugmentedState(state_from_atoms(grounded, ["(b)"]), 1)
+    b = AugmentedState(State(state_from_atoms(grounded, ["(b)"])), 1)
     model = make_reduction(grounded, trivial_delta(grounded), 1)
 
     def plant(tables):

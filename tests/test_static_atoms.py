@@ -40,16 +40,16 @@ def scan(actions, bits: int) -> list:
 def reachable(grounded, cap: int) -> list[int]:
     """Breadth-first states from ``:init``, through the reference scan;
     at most ``cap`` of them."""
-    start = grounded.initial_state.bits
+    start = grounded.initial_state
     seen = {start: None}
     frontier = [start]
     while frontier and len(seen) < cap:
         bits = frontier.pop(0)
         for a in scan(grounded.actions, bits):
-            for succ, _ in successors(State(bits), a.id, grounded):
-                if succ.bits not in seen and len(seen) < cap:
-                    seen[succ.bits] = None
-                    frontier.append(succ.bits)
+            for succ, _ in successors(bits, a.id, grounded):
+                if succ not in seen and len(seen) < cap:
+                    seen[succ] = None
+                    frontier.append(succ)
     return list(seen)
 
 
