@@ -19,6 +19,7 @@ import os
 import shlex
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -51,6 +52,7 @@ EXIT_CODES = (((GroundingBlowupError, CapExceededError), EXIT_GROUND),
 
 # The determinization sources, in the order the options are declared.
 DET_SOURCES = ("file", "mlo", "index", "learn")
+DET_FLAGS = tuple(f"--det-{source}" for source in DET_SOURCES)
 
 
 def _nonneg_int(text: str) -> int:
@@ -76,65 +78,32 @@ def _pos_float(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, problem: bool = True,
-                epsilon: bool = True, m_cap: bool = True, seed: bool = True,
-                timings: bool = True, budget: bool = True) -> None:
-    """The shared options; a subcommand leaves out those it never reads."""
-    parser.add_argument("--domain", required=True, help="domain file")
-    if problem:
-        parser.add_argument("--problem", required=True, help="problem file")
-    parser.add_argument("--k", type=_nonneg_int, default=0,
-                        help="exception bound (default 0)")
-    if epsilon:
-        parser.add_argument("--epsilon", type=_pos_float,
-                            default=DEFAULT_EPSILON,
-                            help="convergence tolerance (default %(default)g)")
-    if m_cap:
-        parser.add_argument("--m-cap", type=_pos_float, default=DEFAULT_M_CAP,
-                            help="dead-end cost cap (default %(default)g)")
-    if budget:
-        parser.add_argument("--subplanner-budget", type=_pos_int,
-                            default=DEFAULT_EXPANSION_BUDGET)
-    if seed:
-        _add_seed(parser)
-    if timings:
-        parser.add_argument("--timings", action="store_true",
-                            help="include wall-clock fields in outputs")
+class _Given(argparse.Action):
+    """Store the value (``const`` for a flag) and append the first flag to
+    ``args.given``: an option set to its default value is given all the same."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given += tuple(self.option_strings[:1])
 
 
-def _add_seed(parser: argparse.ArgumentParser) -> None:
-    # A string default goes through type=int only when --seed is absent,
-    # so a malformed SSPKIT_SEED is a usage error (exit 2), not seed 0.
-    parser.add_argument("--seed", type=int,
-                        default=os.environ.get("SSPKIT_SEED", "0"),
-                        help="master seed (default: SSPKIT_SEED or 0)")
+class _Parser(argparse.ArgumentParser):
+    """A parser whose "store" and "store_true" options, its subcommands'
+    included, record themselves in ``args.given``."""
 
-
-def _add_det_source(parser: argparse.ArgumentParser, *,
-                    required: bool = True, learn: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("--det-file", metavar="FILE",
-                       help="determinization file (schema/clause -> outcome)")
-    group.add_argument("--det-mlo", action="store_true",
-                       help="most-likely-outcome determinization")
-    group.add_argument("--det-index", type=_nonneg_int, metavar="N",
-                       help="the N-th enumerated determinization")
-    if learn:
-        group.add_argument("--det-learn", metavar="PROBLEM",
-                           help="learn the determinization on this training "
-                                "problem")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Given)
+        self.register("action", "store_true",
+                      partial(_Given, nargs=0, const=True, default=False))
+        self.set_defaults(given=())
 
 
 def _det_source(args) -> tuple[str, str | int | bool] | None:
-    """The determinization source given, as (source, option value), or None.
-
-    The value of ``--det-mlo`` is True; a source the subcommand does not
-    offer has no attribute on ``args`` and counts as not given.
-    """
+    """The determinization source given, as (source, option value), or None."""
     for source in DET_SOURCES:
-        value = getattr(args, f"det_{source}", None)
-        if value is not None and value is not False:
-            return source, value
+        if f"--det-{source}" in args.given:
+            return source, getattr(args, f"det_{source}")
     return None
 
 
@@ -173,13 +142,13 @@ def _resolve_delta(args, schema: DomainSchema) -> Determinization:
                              f"({len(deltas)} determinizations)")
         return deltas[value]
     training = parse_problem(_read(value), schema, filename=value)
-    # the command's own settings, apart from --time-budget, which bounds
-    # the command's evaluation and not the learning
-    delta, _ = learning_det(
-        schema, training, k=args.k, rounds=getattr(args, "rounds", 50),
-        seed=args.seed, epsilon=args.epsilon,
-        max_actions=getattr(args, "max_actions", DEFAULT_ACTION_CAP),
-        cfg=_solver_config(args))
+    # the command's settings where it has them, learning_det's defaults
+    # otherwise; --time-budget bounds the command's evaluation, not learning
+    counts = {key: getattr(args, key) for key in ("rounds", "max_actions")
+              if hasattr(args, key)}
+    delta, _ = learning_det(schema, training, k=args.k, seed=args.seed,
+                            epsilon=args.epsilon, cfg=_solver_config(args),
+                            **counts)
     return delta
 
 
@@ -197,8 +166,7 @@ def _config_echo(args) -> dict:
 
 
 def _solver_config(args) -> SolverConfig:
-    """The solver settings of the command's options; ``detplan solve``
-    has no ``--m-cap`` and keeps the default cap."""
+    """The command's solver settings; ``detplan solve`` has no ``--m-cap``."""
     return SolverConfig(epsilon=args.epsilon,
                         m_cap=getattr(args, "m_cap", DEFAULT_M_CAP),
                         subplanner_budget=args.subplanner_budget)
@@ -218,10 +186,6 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _finite(x: float) -> float | None:
-    return None if math.isinf(x) or math.isnan(x) else x
 
 
 # ── plan ─────────────────────────────────────────────────────────────────────
@@ -244,7 +208,8 @@ def cmd_plan(args) -> int:
         "subplanner_calls": report.subplanner_calls,
         "subplanner_failures": report.subplanner_failures,
         "subplanner_timeouts": report.subplanner_timeouts,
-        "residual_trace": [_finite(r) for r in report.residual_trace],
+        "residual_trace": [r if math.isfinite(r) else None
+                           for r in report.residual_trace],
         "policy_size": policy_size(tables, model, model.initial),
     }
     if args.timings:
@@ -266,25 +231,12 @@ def _rounds_csv(reports, timings: bool) -> str:
 
 
 def cmd_simulate(args) -> int:
+    grounded = _load_grounded(args)
     if args.serve_stdio:
-        source = _det_source(args)
-        unused = [f"--det-{source[0]}"] if source else []
-        unused += ["--" + name.replace("_", "-")
-                   for name in args.planning_defaults
-                   if getattr(args, name) is not None]
-        unused += [option for option, value in (("--out", args.out),
-                                                ("--csv", args.csv)) if value]
-        if unused:
-            raise ValueError(f"--serve-stdio does not take {', '.join(unused)}")
-        grounded = _load_grounded(args)
         serve_rounds(grounded, sys.stdin, sys.stdout, rounds=args.rounds,
                      seed=args.seed, max_actions=args.max_actions,
                      m_cap=args.m_cap)
         return EXIT_OK
-    for name, default in args.planning_defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-    grounded = _load_grounded(args)
     delta = _resolve_delta(args, grounded.schema)
     stats, reports = monte_carlo_evaluate(
         grounded, delta, args.k, args.epsilon, args.rounds, args.seed,
@@ -344,35 +296,25 @@ def cmd_bench(args) -> int:
                 grounded, delta, args.k, args.epsilon, args.rounds, args.seed,
                 max_actions=args.max_actions, time_budget=args.time_budget,
                 cfg=_solver_config(args))
-            row.update({
-                "rounds_solved": stats.successes,
-                "rounds_total": stats.rounds,
-                "success_probability": stats.success_probability,
-                "expected_cost": stats.expected_cost,
-            })
+            row.update(rounds_solved=stats.successes, rounds_total=stats.rounds,
+                       success_probability=stats.success_probability,
+                       expected_cost=stats.expected_cost)
             if args.timings:
                 row["wall_time"] = sum(r.wall_time for r in reports)
         except IterationLimitError as exc:
-            row.update({"error": str(exc), "rounds_solved": 0,
-                        "rounds_total": args.rounds,
-                        "success_probability": 0.0,
-                        "expected_cost": args.m_cap})
+            row.update(error=str(exc), rounds_solved=0, rounds_total=args.rounds,
+                       success_probability=0.0, expected_cost=args.m_cap)
         rows.append(row)
     payload = {"schema_version": SCHEMA_VERSION, "domain": schema.name,
                "config": _config_echo(args), "results": rows}
     if args.json:
         Path(args.json).write_text(_json_dump(payload))
-    lines = [f"# schema_version: {SCHEMA_VERSION}",
-             "problem,rounds_solved,rounds_total,success_probability,expected_cost"
-             + (",wall_time" if args.timings else "")]
-    for row in rows:
-        line = (f"{row['problem']},{row['rounds_solved']},"
-                f"{row['rounds_total']},{row['success_probability']!r},"
-                f"{row['expected_cost']!r}")
-        if args.timings:
-            # a row whose evaluation failed has no wall time
-            line += f",{row.get('wall_time', 0.0)!r}"
-        lines.append(line)
+    columns = ["problem", "rounds_solved", "rounds_total", "success_probability",
+               "expected_cost", *(["wall_time"] if args.timings else [])]
+    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(columns)]
+    # a row whose evaluation failed has no wall time
+    lines += [",".join(str(row.get(column, 0.0)) for column in columns)
+              for row in rows]
     _write_output("\n".join(lines) + "\n", args.csv)
     return EXIT_OK
 
@@ -380,12 +322,9 @@ def cmd_bench(args) -> int:
 # ── detplan ─────────────────────────────────────────────────────────────────
 
 def cmd_detplan_solve(args) -> int:
-    if args.external and args.optimal:
-        raise ValueError("--external does not take --optimal")
     grounded = _load_grounded(args)
     delta = _resolve_delta(args, grounded.schema)
-    model = make_reduction(grounded, delta, args.k)
-    det = model.det_problem
+    det = make_reduction(grounded, delta, args.k).det_problem
     if args.external:
         result = solve_with_external(det, grounded.initial_state,
                                      shlex.split(args.external))
@@ -406,15 +345,9 @@ def cmd_detplan_solve(args) -> int:
 # ── oracle ──────────────────────────────────────────────────────────────────
 
 def _oracle_model(args):
-    given = _det_source(args)
-    if not args.reduced and (args.k is not None or given):
-        option = "--k" if args.k is not None else f"--det-{given[0]}"
-        raise ValueError(f"{option} requires --reduced")
     grounded = _load_grounded(args)
-    source = grounded
-    if args.reduced:
-        delta = _resolve_delta(args, grounded.schema)
-        source = make_reduction(grounded, delta, args.k or 0)
+    source = (make_reduction(grounded, _resolve_delta(args, grounded.schema), args.k)
+              if args.reduced else grounded)
     return grounded, enumerate_model(source, cap=args.cap_states)
 
 
@@ -439,24 +372,14 @@ def cmd_oracle_vi(args) -> int:
 
 def cmd_oracle_enumerate(args) -> int:
     grounded, explicit = _oracle_model(args)
-    states = []
-    for i, label in enumerate(explicit.labels):
-        if args.reduced:
-            entry = {"index": i, "atoms": grounded.atom_names(label.state.bits),
-                     "j": label.j, "goal": explicit.goal[i]}
-        else:
-            entry = {"index": i, "atoms": grounded.atom_names(label),
-                     "goal": explicit.goal[i]}
-        states.append(entry)
-    transitions = []
-    for i, rows in enumerate(explicit.actions):
-        for action_id, succs, cost in rows:
-            transitions.append({
-                "state": i,
-                "action": grounded.actions[action_id].name,
-                "successors": [[s2, p] for s2, p in succs],
-                "cost": cost,
-            })
+    states = [{"index": i, "atoms": grounded.atom_names(label.state.bits),
+               "j": label.j, "goal": goal} if args.reduced else
+              {"index": i, "atoms": grounded.atom_names(label), "goal": goal}
+              for i, (label, goal) in enumerate(zip(explicit.labels, explicit.goal))]
+    transitions = [{"state": i, "action": grounded.actions[action_id].name,
+                    "successors": [[s2, p] for s2, p in succs], "cost": cost}
+                   for i, rows in enumerate(explicit.actions)
+                   for action_id, succs, cost in rows]
     payload = {"schema_version": SCHEMA_VERSION,
                "problem": grounded.problem_name,
                "states": states, "transitions": transitions}
@@ -479,65 +402,122 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# ── options a mode does not read ────────────────────────────────────────────
+
+def _unread(args):
+    """The modes the command line selects, each as (an error message whose {}
+    stands for the options it names, the options the mode does not read)."""
+    if args.func is cmd_simulate and args.serve_stdio:
+        # the client chooses the actions, and the server writes no report
+        yield "--serve-stdio does not take {}", (
+            *DET_FLAGS, "--k", "--epsilon", "--time-budget", "--subplanner-budget",
+            "--out", "--csv", "--timings")
+    if args.func in (cmd_oracle_vi, cmd_oracle_enumerate) and not args.reduced:
+        yield "{} require{s} --reduced", ("--k", *DET_FLAGS)
+    if args.func is cmd_detplan_solve:
+        # the induced deterministic problem does not depend on --k, and the
+        # external planner runs its own search; learning reads the rest
+        if args.external:
+            yield "--external does not take {}", (
+                "--optimal", *(() if args.det_learn else ("--subplanner-budget",)))
+        if not args.det_learn:
+            yield "{} require{s} --det-learn", ("--k", "--epsilon", "--seed")
+    if args.func is cmd_gen:
+        own = GENERATORS[args.kind][1]
+        yield "gen " + args.kind + " does not take {}", tuple(
+            "--" + size.replace("_", "-") for _, size in GENERATORS.values()
+            if size not in (None, own))
+
+
+def _reject_unread(args) -> None:
+    """Raise naming the options given that the selected mode does not read."""
+    for message, options in _unread(args):
+        named = [option for option in options if option in args.given]
+        if named:
+            raise ValueError(message.format(", ".join(named),
+                                            s="s" if len(named) == 1 else ""))
+
+
 # ── parser assembly ─────────────────────────────────────────────────────────
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # The options more than one subcommand takes. A string default goes
+    # through type=int only when --seed is absent, so a malformed
+    # SSPKIT_SEED is a usage error (exit 2), not seed 0.
+    shared = {
+        "--det-file": dict(metavar="FILE",
+                           help="determinization file (schema/clause -> outcome)"),
+        "--det-mlo": dict(action="store_true", help="most-likely-outcome determinization"),
+        "--det-index": dict(type=_nonneg_int, metavar="N",
+                            help="the N-th enumerated determinization"),
+        "--det-learn": dict(metavar="PROBLEM", help="learn the determinization on PROBLEM"),
+        "--domain": dict(required=True, help="domain file"),
+        "--problem": dict(required=True, help="problem file"),
+        "--k": dict(type=_nonneg_int, default=0, help="exception bound (default 0)"),
+        "--epsilon": dict(type=_pos_float, default=DEFAULT_EPSILON,
+                          help="convergence tolerance (default %(default)g)"),
+        "--m-cap": dict(type=_pos_float, default=DEFAULT_M_CAP,
+                        help="dead-end cost cap (default %(default)g)"),
+        "--subplanner-budget": dict(
+            type=_pos_int, default=DEFAULT_EXPANSION_BUDGET,
+            help="expansions per sub-planner call (default %(default)s)"),
+        "--seed": dict(type=int, default=os.environ.get("SSPKIT_SEED", "0"),
+                       help="master seed (default: SSPKIT_SEED or 0)"),
+        "--timings": dict(action="store_true", help="add wall-clock fields to outputs"),
+        "--rounds": dict(type=_pos_int, default=50,
+                         help="rounds per evaluation (default %(default)s)"),
+        "--max-actions": dict(type=_pos_int, default=DEFAULT_ACTION_CAP,
+                              help="actions per round (default %(default)s)"),
+        "--time-budget": dict(type=_pos_float, default=DEFAULT_TIME_BUDGET,
+                              help="seconds per evaluation (default %(default)s)"),
+    }
+    planning = ("--k", "--epsilon", "--m-cap", "--subplanner-budget", "--seed",
+                "--timings")
+
+    def take(parser, *flags):
+        for flag in flags:
+            parser.add_argument(flag, **shared[flag])
+
+    parser = _Parser(
         prog="sspkit",
         description="Stochastic shortest path planning with reduced models")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="solve a reduced model")
-    _add_common(p)
-    _add_det_source(p)
+    take(p, "--domain", "--problem", *planning)
+    take(p.add_mutually_exclusive_group(required=True), *DET_FLAGS)
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="execute a policy with replanning")
-    _add_common(p)
-    _add_det_source(p, required=False)
-    p.add_argument("--rounds", type=_pos_int, default=50)
-    p.add_argument("--max-actions", type=_pos_int, default=DEFAULT_ACTION_CAP)
-    p.add_argument("--time-budget", type=_pos_float, default=DEFAULT_TIME_BUDGET,
-                   help="wall-clock budget for all rounds (seconds)")
+    take(p, "--domain", "--problem", *planning, "--rounds", "--max-actions",
+         "--time-budget")
+    take(p.add_mutually_exclusive_group(), *DET_FLAGS)
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.add_argument("--csv", help="per-round CSV path")
     p.add_argument("--serve-stdio", action="store_true",
                    help="serve the stdio state/action protocol instead of "
-                        "planning (the client chooses actions; takes no "
-                        "determinization source, --k, --epsilon, "
-                        "--time-budget, --subplanner-budget, --out or --csv)")
-    # None until cmd_simulate knows whether it serves, which rejects them
-    planning = ("k", "epsilon", "time_budget", "subplanner_budget")
-    p.set_defaults(func=cmd_simulate, planning_defaults={
-        name: p.get_default(name) for name in planning})
-    p.set_defaults(**dict.fromkeys(planning))
+                        "planning (reads only --domain, --problem, --rounds, "
+                        "--max-actions, --m-cap and --seed)")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("learn-det", help="learn the best determinization")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--training-problem", required=True)
-    p.add_argument("--k", type=_nonneg_int, default=0)
-    p.add_argument("--epsilon", type=_pos_float, default=DEFAULT_EPSILON)
-    p.add_argument("--rounds", type=_pos_int, default=50)
-    p.add_argument("--max-actions", type=_pos_int, default=DEFAULT_ACTION_CAP)
-    p.add_argument("--time-budget", type=_pos_float, default=None)
-    _add_seed(p)
-    p.add_argument("--workers", type=_pos_int, default=1)
-    p.add_argument("--timings", action="store_true")
+    take(p, "--domain")
+    p.add_argument("--training-problem", required=True,
+                   help="problem the candidates are scored on")
+    take(p, "--k", "--epsilon", "--rounds", "--max-actions", "--time-budget",
+         "--seed", "--timings")
+    p.add_argument("--workers", type=_pos_int, default=1, help="worker processes")
     p.add_argument("--out", help="winning determinization file")
     p.add_argument("--report-csv", help="ranked CSV path (default stdout)")
-    p.set_defaults(func=cmd_learn_det)
+    p.set_defaults(func=cmd_learn_det, time_budget=None)
 
     p = sub.add_parser("bench", help="run an ordered list of problems")
-    _add_common(p, problem=False)
-    _add_det_source(p)
+    take(p, "--domain", *planning, "--rounds", "--max-actions", "--time-budget")
+    take(p.add_mutually_exclusive_group(required=True), *DET_FLAGS)
     p.add_argument("--problems", nargs="*", default=[],
                    help="problem files, ordered by size")
-    p.add_argument("--rounds", type=_pos_int, default=50)
-    p.add_argument("--max-actions", type=_pos_int, default=DEFAULT_ACTION_CAP)
-    p.add_argument("--time-budget", type=_pos_float, default=DEFAULT_TIME_BUDGET,
-                   help="wall-clock budget per problem (seconds)")
     p.add_argument("--csv", help="results CSV path (default stdout)")
     p.add_argument("--json", help="results JSON path")
     p.set_defaults(func=cmd_bench)
@@ -545,9 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detplan", help="deterministic sub-planner tools")
     det_sub = p.add_subparsers(dest="detplan_command", required=True)
     ps = det_sub.add_parser("solve", help="solve the induced deterministic problem")
-    # --seed and --epsilon are read by --det-learn
-    _add_common(ps, m_cap=False, timings=False)
-    _add_det_source(ps)
+    take(ps, "--domain", "--problem", "--k", "--epsilon", "--subplanner-budget",
+         "--seed")
+    take(ps.add_mutually_exclusive_group(required=True), *DET_FLAGS)
     ps.add_argument("--optimal", action="store_true",
                     help="uniform-cost search (minimal-cost plans)")
     ps.add_argument("--external", metavar="CMD",
@@ -559,14 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     for name, func in (("vi", cmd_oracle_vi), ("enumerate", cmd_oracle_enumerate)):
         po = oracle_sub.add_parser(name)
-        _add_common(po, epsilon=name == "vi", m_cap=name == "vi", seed=False,
-                    timings=False, budget=False)
-        po.set_defaults(k=None)  # so that --k without --reduced is seen
+        take(po, "--domain", "--problem", "--k",
+             *(("--epsilon", "--m-cap") if name == "vi" else ()))
         po.add_argument("--reduced", action="store_true",
                         help="enumerate the reduced model instead of the base SSP")
-        _add_det_source(po, required=False, learn=False)
-        po.add_argument("--cap-states", type=_pos_int,
-                        default=DEFAULT_STATE_CAP)
+        take(po.add_mutually_exclusive_group(), *DET_FLAGS[:3])
+        po.add_argument("--cap-states", type=_pos_int, default=DEFAULT_STATE_CAP)
         po.add_argument("--out", help="JSON path (default stdout)")
         if name == "vi":
             po.add_argument("--full", action="store_true",
@@ -577,8 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=sorted(GENERATORS))
     p.add_argument("--n", type=_pos_int, default=1, help="triangle size")
     p.add_argument("--length", type=_pos_int, default=2, help="chain length")
-    p.add_argument("--walk-length", type=_pos_int, default=10,
-                   help="trap walkway length")
+    p.add_argument("--walk-length", type=_pos_int, default=10, help="trap walkway length")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_gen)
 
@@ -588,6 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _reject_unread(args)
         return args.func(args)
     except (SspkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

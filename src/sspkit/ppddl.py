@@ -200,14 +200,25 @@ _UNSUPPORTED_HEADS = {
 
 
 class _Ctx:
-    def __init__(self, filename: str):
-        self.filename = filename
+    def __init__(self, filename: str, text: str, forms: list):
+        self.filename, self.text, self.forms = filename, text, forms
         self.seen: set[str] = set()
 
     def fail(self, message: str, at=None, error=ParseError) -> ParseError:
-        tok = _first_token(at)
+        tok = _first_token(at) or self._opening(at)
         position = (tok.line, tok.col) if tok is not None else ()
         return error(message, self.filename, *position)
+
+    def _opening(self, at) -> Token | None:
+        """The '(' of ``at`` if it is a form of the text, such as ``()``: the
+        reader makes the forms in the order of their opening parentheses."""
+        text = self.text
+        opens = (m.start() for m in _TOKEN_RE.finditer(text) if m.group() == "(")
+        for form, pos in zip(_forms(self.forms), opens):
+            if form is at:
+                return Token("(", text.count("\n", 0, pos) + 1,
+                             pos - text.rfind("\n", 0, pos))
+        return None
 
     def unsupported(self, feature: str, at=None) -> UnsupportedFeatureError:
         return self.fail(feature, at, UnsupportedFeatureError)
@@ -228,6 +239,14 @@ def _first_token(node):
             if tok is not None:
                 return tok
     return None
+
+
+def _forms(node):
+    """The forms within ``node``, each before those inside it."""
+    for item in node:
+        if isinstance(item, list):
+            yield item
+            yield from _forms(item)
 
 
 def _word(node, ctx: _Ctx, what: str) -> str:
@@ -400,8 +419,8 @@ def _check_atom(schema: DomainSchema, atom: Atom, where: str, fail) -> Predicate
 def _read_define(text: str, filename: str, kind: str):
     """Read ``(define (<kind> <name>) <section>...)`` into the error context,
     the name and a generator of (keyword, section) pairs."""
-    ctx = _Ctx(filename)
     forms = read_sexps(text, filename)
+    ctx = _Ctx(filename, text, forms)
     if len(forms) != 1 or not isinstance(forms[0], list):
         raise ctx.fail("expected a single (define ...) form", forms)
     top = forms[0]

@@ -31,6 +31,17 @@ def run_cli(args):
     return proc
 
 
+# a help text that formats a default the parser does not hold crashes
+@pytest.mark.parametrize("command", [
+    ["plan"], ["simulate"], ["learn-det"], ["bench"], ["detplan", "solve"],
+    ["oracle", "vi"], ["oracle", "enumerate"], ["gen"],
+], ids=lambda command: "-".join(command))
+def test_help_exit_0(command):
+    proc = run_cli([*command, "--help"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"usage: sspkit {' '.join(command)} ")
+
+
 @pytest.mark.parametrize("args,stem", [
     (["triangle", "--n", "2"], "triangle-2"),
     (["chain", "--length", "3"], "chain-3"),
@@ -67,6 +78,19 @@ def test_plan_report(tmp_path, triangle_files, capsys, k, v_initial,
     assert report["sweeps"] == 2
     assert report["residual_trace"] == [None, 0.0]
     assert "wall_time" not in report
+
+
+def test_plan_timings_add_only_wall_time(tmp_path, triangle_files):
+    domain, problem = triangle_files
+    reports = []
+    for options in ([], ["--timings"]):
+        out = tmp_path / "report.json"
+        assert main(["plan", "--domain", domain, "--problem", problem,
+                     "--det-mlo", "--k", "1", "--out", str(out), *options]) == 0
+        reports.append(json.loads(out.read_text()))
+    untimed, timed = reports
+    assert timed.pop("wall_time") >= 0.0
+    assert timed == untimed
 
 
 def test_plan_report_counts_subplanner_timeouts(tmp_path, triangle_files):
@@ -432,6 +456,25 @@ def test_bench_csv_json_equal_numbers(tmp_path):
         assert float(cost) == res["expected_cost"]
 
 
+def test_bench_timings_add_wall_time_to_json_and_csv(tmp_path, triangle_files):
+    domain, problem = triangle_files
+    payloads, csvs = [], []
+    for tag, options in (("untimed", []), ("timed", ["--timings"])):
+        csv, out_json = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        assert main(["bench", "--domain", domain, "--problems", problem,
+                     problem, "--det-mlo", "--rounds", "3", "--csv", str(csv),
+                     "--json", str(out_json), *options]) == 0
+        payloads.append(json.loads(out_json.read_text()))
+        csvs.append(csv.read_text().splitlines())
+    (untimed, timed), (untimed_csv, timed_csv) = payloads, csvs
+    wall_times = [row.pop("wall_time") for row in timed["results"]]
+    assert timed == untimed
+    assert all(t >= 0.0 for t in wall_times)
+    assert timed_csv[:2] == [untimed_csv[0], untimed_csv[1] + ",wall_time"]
+    assert timed_csv[2:] == [f"{row},{t!r}"
+                             for row, t in zip(untimed_csv[2:], wall_times)]
+
+
 def test_bench_row_of_a_problem_whose_solve_hits_the_sweep_bound(
         tmp_path, triangle_files, monkeypatch):
     from sspkit import solver
@@ -575,6 +618,72 @@ def test_detplan_solve_rejects_options_it_ignores(triangle_files, capsys,
     assert options[0] in err
 
 
+# each option given in a mode that does not read it: exit 2 before anything
+# is loaded, run or written; {planner} leaves a file behind when it runs
+UNREAD = {
+    "detplan-k0": (["detplan", "solve", "--det-mlo", "--k", "0"],
+                   "--k requires --det-learn"),
+    "detplan-k3": (["detplan", "solve", "--det-index", "0", "--k", "3"],
+                   "--k requires --det-learn"),
+    "detplan-epsilon-seed": (["detplan", "solve", "--det-mlo", "--epsilon",
+                              "0.5", "--seed", "7"],
+                             "--epsilon, --seed require --det-learn"),
+    "external-subplanner-budget": (
+        ["detplan", "solve", "--det-mlo", "--external", "{planner}",
+         "--subplanner-budget", "1"],
+        "--external does not take --subplanner-budget"),
+    "external-optimal-subplanner-budget": (
+        ["detplan", "solve", "--det-learn", "{problem}", "--external",
+         "{planner}", "--optimal", "--subplanner-budget", "1"],
+        "--external does not take --optimal"),
+    "oracle-k-det": (["oracle", "vi", "--k", "1", "--det-mlo"],
+                     "--k, --det-mlo require --reduced"),
+    "gen-chain-n": (["gen", "chain", "--n", "7"], "gen chain does not take --n"),
+    "gen-triangle-length": (["gen", "triangle", "--length", "3"],
+                            "gen triangle does not take --length"),
+    "gen-trap-n": (["gen", "trap", "--walk-length", "3", "--n", "2"],
+                   "gen trap does not take --n"),
+    "gen-retry-sizes": (["gen", "retry", "--walk-length", "3", "--length",
+                         "2"], "gen retry does not take --length, --walk-length"),
+}
+
+
+@pytest.mark.parametrize("command,message", UNREAD.values(), ids=UNREAD)
+def test_option_the_mode_does_not_read_exit_2(tmp_path, triangle_files,
+                                              capsys, command, message):
+    domain, problem = triangle_files
+    ran = tmp_path / "ran"
+    planner = shlex.join([sys.executable, "-c", f"open({str(ran)!r}, 'w')"])
+    files = (["--out-dir", str(tmp_path / "gen")] if command[0] == "gen" else
+             ["--domain", domain, "--problem", problem])
+    code = main([*(arg.format(planner=planner, problem=problem)
+                   for arg in command), *files])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not ran.exists() and not (tmp_path / "gen").exists()
+
+
+def test_detplan_solve_reads_learning_options_with_det_learn(
+        tmp_path, triangle_files, capsys, monkeypatch):
+    domain, problem = triangle_files
+    solve = ["detplan", "solve", "--domain", domain, "--problem", problem]
+    assert main([*solve, "--det-learn", problem, "--k", "1",
+                 "--epsilon", "0.5", "--seed", "7"]) == 0
+    # learning takes the sub-planner budget, so the external planner runs
+    ran = tmp_path / "ran"
+    planner = shlex.join([sys.executable, "-c",
+                          f"open({str(ran)!r}, 'w'); raise SystemExit(1)"])
+    assert main([*solve, "--det-learn", problem, "--external", planner,
+                 "--subplanner-budget", "50"]) == 4
+    assert ran.exists()
+    # a seed from the environment is not given on the command line
+    monkeypatch.setenv("SSPKIT_SEED", "7")
+    capsys.readouterr()
+    assert main([*solve, "--det-mlo"]) == 0
+    assert capsys.readouterr().out.startswith("; status = plan\n")
+
+
 def test_oracle_vi_and_enumerate(tmp_path):
     domain_text, problem_text = gen_chain(2)
     domain = tmp_path / "d.ppddl"
@@ -706,8 +815,9 @@ def test_simulate_serve_stdio(tmp_path):
     (["--epsilon", "0.001"], "--epsilon"),
     (["--time-budget", "5"], "--time-budget"),
     (["--subplanner-budget", "100000"], "--subplanner-budget"),
+    (["--timings"], "--timings"),
 ], ids=["det-mlo", "out", "csv", "all", "k", "epsilon", "time-budget",
-        "subplanner-budget"])
+        "subplanner-budget", "timings"])
 def test_serve_stdio_rejects_source_and_outputs(tmp_path, triangle_files,
                                                 monkeypatch, capsys, options,
                                                 named):

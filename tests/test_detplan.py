@@ -105,6 +105,21 @@ def test_budget_exceeded_in_the_greedy_phase_is_timeout():
     assert result.found and result.expansions == 10
 
 
+def test_uniform_cost_search_skips_superseded_heap_entries():
+    # b is pushed at cost 5 from s0, then at 2 through a and expanded; the
+    # cost-5 entry, popped later, stands for no state still to expand
+    atoms = ["s0", "a", "b", "g"]
+    actions = [("s0-a", ["s0"], [], ["a"], ["s0"], 1.0),
+               ("s0-b", ["s0"], [], ["b"], ["s0"], 5.0),
+               ("a-b", ["a"], [], ["b"], ["a"], 1.0),
+               ("b-g", ["b"], [], ["g"], ["b"], 10.0)]
+    d, mask = det_problem(atoms, actions, ["g"])
+    result = solve_deterministic(d, mask(["s0"]), mode="optimal")
+    assert result.cost == 12.0
+    assert [aid for _, aid in result.steps] == [0, 2, 3]
+    assert result.expansions == 3
+
+
 def test_heuristic_values():
     d, mask = det_problem(*CHAIN)
     h = lambda bits: d.relaxed_task.evaluate(bits)[0]

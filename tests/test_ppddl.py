@@ -355,6 +355,51 @@ DEEP = 2_000  # past the interpreter's default recursion limit
                  + "(and " * DEEP + "(p)" + ")" * DEEP + "))",
                  "form nested deeper than 100 levels", 1, 51 + 98 * 5,
                  id="deep-goal"),
+    # an empty form holds no token, so the error points at its '('
+    pytest.param(PRECONDITION.format("(not ())"), "expected atom", 2, 53,
+                 id="empty-negated-precondition"),
+    pytest.param(PRECONDITION.format("(and (p ?x) ())"),
+                 "expected precondition literal", 2, 60,
+                 id="empty-precondition-conjunct"),
+    pytest.param("(define (domain d) (:predicates (p))\n"
+                 "  (:action a :parameters () :effect (and (p) ())))",
+                 "expected effect", 2, 46, id="empty-effect-conjunct"),
+    pytest.param("(define (domain d) (:predicates (p)\n  ()))",
+                 "expected predicate declaration", 2, 3,
+                 id="empty-predicate-declaration"),
+    pytest.param("(define (domain d)\n  ())", "expected a domain section",
+                 2, 3, id="empty-domain-section"),
+    pytest.param("(define (problem p) (:domain mini)\n  (:init (p) ()))",
+                 "expected init atom", 2, 14, id="empty-init-atom"),
+    pytest.param("(define (problem p) (:domain mini)\n  ())",
+                 "expected a problem section", 2, 3, id="empty-problem-section"),
+    pytest.param("(define (domain d) (:predicates (p)\n  (())))",
+                 "expected predicate name", 2, 4, id="empty-predicate-name"),
+    # one case per remaining error branch of the reader and parser
+    pytest.param("(define (domain d)\x0b)", "stray character '\\x0b'", 1, 19,
+                 id="stray-vertical-tab"),
+    pytest.param("(define (domain d)\n  (:types a -))",
+                 "expected type after '-'", 2, 13, id="type-after-dash"),
+    pytest.param("(define (domain d)\n  (:types a - (either b c)))",
+                 "unsupported construct: either", 2, 16, id="either-type"),
+    pytest.param("(define (problem p) (:domain mini)\n  (:objects o ?x))",
+                 "unexpected variable '?x'", 2, 15, id="variable-object"),
+    pytest.param("(define (domain d) (:predicates (p))\n"
+                 "  (:action a :parameters () :effect (probabilistic 0.5)))",
+                 "probabilistic effect needs (p effect) pairs", 2, 38,
+                 id="probabilistic-without-effect"),
+    pytest.param("(define (domain d)\n  (:action))", "expected action name",
+                 2, 4, id="action-without-name"),
+    pytest.param("(define (problem p) (:domain mini)\n  (:init (not (p))))",
+                 "unsupported construct: not in :init", 2, 11,
+                 id="negative-init"),
+    pytest.param("(define (problem p) (:domain mini) (:init)\n"
+                 "  (:goal (and (p) q)))", "expected goal atom", 2, 19,
+                 id="bare-word-goal"),
+    pytest.param("(define (problem p) (:domain mini) (:init)\n"
+                 "  (:goal (and (p) (not (q)))))",
+                 "unsupported construct: negative goal", 2, 20,
+                 id="negative-goal"),
 ])
 def test_malformed_form_is_positioned(text, message, line, col):
     with pytest.raises(ParseError) as err:
