@@ -27,7 +27,8 @@ from .detplan import (DEFAULT_EXPANSION_BUDGET, solve_deterministic,
                       solve_with_external)
 from .domains import GENERATORS
 from .errors import (CapExceededError, ExternalPlannerError,
-                     GroundingBlowupError, IterationLimitError, SspkitError)
+                     GroundingBlowupError, IterationLimitError, ParseError,
+                     SspkitError)
 from .executor import (DEFAULT_ACTION_CAP, DEFAULT_TIME_BUDGET, RoundReport,
                        monte_carlo_evaluate, serve_rounds)
 from .grounding import GroundedProblem, ground
@@ -108,7 +109,15 @@ def _det_source(args) -> tuple[str, str | int | bool] | None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    """The file's text, decoded as UTF-8 whatever the locale."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        col = len(data[line_start:exc.start].decode("utf-8")) + 1
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", path,
+                         data.count(b"\n", 0, line_start) + 1, col) from None
 
 
 def _load_domain(path: str) -> DomainSchema:
@@ -177,9 +186,10 @@ def _delta_text(delta: Determinization) -> str:
                     for (name, c), idx in sorted(delta.choices.items()))
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(text: str, path: str | Path | None) -> None:
+    """Write ``text`` to ``path`` as UTF-8, or to stdout without a path."""
     if path:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -253,7 +263,7 @@ def cmd_simulate(args) -> int:
     }
     _write_output(_json_dump(payload), args.out)
     if args.csv:
-        Path(args.csv).write_text(_rounds_csv(reports, args.timings))
+        _write_output(_rounds_csv(reports, args.timings), args.csv)
     return EXIT_OK
 
 
@@ -268,7 +278,7 @@ def cmd_learn_det(args) -> int:
         epsilon=args.epsilon, max_actions=args.max_actions,
         time_budget=args.time_budget, workers=args.workers)
     if args.out:
-        Path(args.out).write_text(delta.to_text())
+        _write_output(delta.to_text(), args.out)
     lines = [f"# schema_version: {SCHEMA_VERSION}",
              "rank,index,determinization,success_probability,expected_cost,solve_time"]
     for rank, cand in enumerate(ranked):
@@ -308,7 +318,7 @@ def cmd_bench(args) -> int:
     payload = {"schema_version": SCHEMA_VERSION, "domain": schema.name,
                "config": _config_echo(args), "results": rows}
     if args.json:
-        Path(args.json).write_text(_json_dump(payload))
+        _write_output(_json_dump(payload), args.json)
     columns = ["problem", "rounds_solved", "rounds_total", "success_probability",
                "expected_cost", *(["wall_time"] if args.timings else [])]
     lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(columns)]
@@ -397,7 +407,7 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for part, text in zip(("domain", "problem"), generator(*sizes)):
         path = out_dir / f"{tag}-{part}.ppddl"
-        path.write_text(text)
+        _write_output(text, path)
         print(path)
     return EXIT_OK
 

@@ -491,19 +491,25 @@ def solve_with_external(d: DeterministicProblem, bits: int,
     with tempfile.TemporaryDirectory(prefix="sspkit-ext-") as tmp:
         domain_path = Path(tmp) / "domain.pddl"
         problem_path = Path(tmp) / "problem.pddl"
-        domain_path.write_text(domain_text)
-        problem_path.write_text(problem_text)
+        domain_path.write_text(domain_text, encoding="utf-8")
+        problem_path.write_text(problem_text, encoding="utf-8")
         proc = subprocess.run(command + [str(domain_path), str(problem_path)],
-                              capture_output=True, text=True)
+                              capture_output=True)
     if proc.returncode == 10:
         return PlanResult("failure", [], [])
     if proc.returncode != 0:
+        stderr = proc.stderr.decode("utf-8", "replace")
         raise ExternalPlannerError(
             f"external planner exited with {proc.returncode}: "
-            f"{proc.stderr.strip()[:200]}")
+            f"{stderr.strip()[:200]}")
+    try:
+        stdout = proc.stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ExternalPlannerError(
+            f"external planner output is not UTF-8 at byte {exc.start}") from None
     by_sanitized = {sanitize_action_name(a.name): a for a in d.actions}
     chain: list[tuple[int, DetAction]] = []
-    for token in parse_plan_text(proc.stdout):
+    for token in parse_plan_text(stdout):
         a = by_sanitized.get(token)
         if a is None:
             raise ExternalPlannerError(f"unknown action {token!r} in plan")

@@ -231,7 +231,10 @@ def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
         nonlocal hung_up
         send({"type": "state", "round": r, "step": step,
               "atoms": problem.atom_names(bits), "goal": False})
-        line = reader.readline()
+        try:
+            line = reader.readline()
+        except UnicodeDecodeError:  # not in the reader's encoding
+            return OUTCOME_INVALID
         if not line:
             hung_up = True
             return OUTCOME_DEAD_END

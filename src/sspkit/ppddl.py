@@ -34,8 +34,14 @@ class Token:
     col: int
 
 
+class _Form(list):
+    """A parenthesized form; ``open`` is its '(' Token."""
+
+    __slots__ = ("open",)
+
+
 def read_sexps(text: str, filename: str = "<input>") -> list:
-    """Read PPDDL text into nested lists whose leaves are word Tokens.
+    """Read PPDDL text into nested forms whose leaves are word Tokens.
 
     Words are case-insensitive and lowercased here; ';' starts a comment
     running to end of line. A stray character is reported before any
@@ -43,7 +49,6 @@ def read_sexps(text: str, filename: str = "<input>") -> list:
     deeper than ``MAX_NESTING`` at its opening parenthesis.
     """
     stack: list[list] = [[]]
-    opens: list[Token] = []
     unbalanced = None
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
@@ -58,14 +63,13 @@ def read_sexps(text: str, filename: str = "<input>") -> list:
         if word.isspace():
             raise ParseError(f"stray character {word!r}", filename, tok.line, tok.col)
         if word == "(":
-            if len(opens) == MAX_NESTING:
+            if len(stack) > MAX_NESTING:
                 raise ParseError(f"form nested deeper than {MAX_NESTING} levels",
                                  filename, tok.line, tok.col)
-            stack.append([])
-            opens.append(tok)
+            stack.append(_Form())
+            stack[-1].open = tok
         elif word == ")":
             if len(stack) > 1:
-                opens.pop()
                 done = stack.pop()
                 stack[-1].append(done)
             elif unbalanced is None:
@@ -74,8 +78,9 @@ def read_sexps(text: str, filename: str = "<input>") -> list:
             stack[-1].append(tok)
     if unbalanced is not None:
         raise ParseError("unbalanced ')'", filename, unbalanced.line, unbalanced.col)
-    if opens:
-        raise ParseError("unclosed '('", filename, opens[-1].line, opens[-1].col)
+    if len(stack) > 1:
+        tok = stack[-1].open
+        raise ParseError("unclosed '('", filename, tok.line, tok.col)
     return stack[0]
 
 
@@ -200,25 +205,16 @@ _UNSUPPORTED_HEADS = {
 
 
 class _Ctx:
-    def __init__(self, filename: str, text: str, forms: list):
-        self.filename, self.text, self.forms = filename, text, forms
+    def __init__(self, filename: str):
+        self.filename = filename
         self.seen: set[str] = set()
 
     def fail(self, message: str, at=None, error=ParseError) -> ParseError:
-        tok = _first_token(at) or self._opening(at)
+        """An error at the first token of ``at``, or else at its '(' if
+        ``at`` is a form of the text, such as ``()``."""
+        tok = _first_token(at) or getattr(at, "open", None)
         position = (tok.line, tok.col) if tok is not None else ()
         return error(message, self.filename, *position)
-
-    def _opening(self, at) -> Token | None:
-        """The '(' of ``at`` if it is a form of the text, such as ``()``: the
-        reader makes the forms in the order of their opening parentheses."""
-        text = self.text
-        opens = (m.start() for m in _TOKEN_RE.finditer(text) if m.group() == "(")
-        for form, pos in zip(_forms(self.forms), opens):
-            if form is at:
-                return Token("(", text.count("\n", 0, pos) + 1,
-                             pos - text.rfind("\n", 0, pos))
-        return None
 
     def unsupported(self, feature: str, at=None) -> UnsupportedFeatureError:
         return self.fail(feature, at, UnsupportedFeatureError)
@@ -239,14 +235,6 @@ def _first_token(node):
             if tok is not None:
                 return tok
     return None
-
-
-def _forms(node):
-    """The forms within ``node``, each before those inside it."""
-    for item in node:
-        if isinstance(item, list):
-            yield item
-            yield from _forms(item)
 
 
 def _word(node, ctx: _Ctx, what: str) -> str:
@@ -420,7 +408,7 @@ def _read_define(text: str, filename: str, kind: str):
     """Read ``(define (<kind> <name>) <section>...)`` into the error context,
     the name and a generator of (keyword, section) pairs."""
     forms = read_sexps(text, filename)
-    ctx = _Ctx(filename, text, forms)
+    ctx = _Ctx(filename)
     if len(forms) != 1 or not isinstance(forms[0], list):
         raise ctx.fail("expected a single (define ...) form", forms)
     top = forms[0]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -194,6 +195,38 @@ def test_external_planner_error_exit_4(triangle_files, capsys):
                  "--det-mlo", "--external", failing])
     assert code == 4
     assert "external planner exited with 1" in capsys.readouterr().err
+
+
+def test_external_planner_output_not_utf8_exit_4(triangle_files, capsys):
+    domain, problem = triangle_files
+    planner = shlex.join([sys.executable, "-c", "import sys; "
+                          "sys.stdout.buffer.write(b'\\xff\\xfe(step)\\n')"])
+    code = main(["detplan", "solve", "--domain", domain, "--problem", problem,
+                 "--det-mlo", "--external", planner])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: external planner output is not UTF-8 at byte 0\n"
+
+
+# outside files are decoded as UTF-8 whatever the locale; a byte that is
+# not UTF-8, here in a comment, is a parse error at its line and column,
+# which counts characters (the two bytes c3 a9 are one)
+@pytest.mark.parametrize("which", ["problem", "det-file"])
+def test_file_not_utf8_is_a_positioned_parse_error(tmp_path, triangle_files,
+                                                   capsys, which):
+    domain, problem = triangle_files
+    bad = tmp_path / "bad"
+    if which == "problem":
+        bad.write_bytes(b"\n  ; caf\xc3\xa9 \xff\n" + Path(problem).read_bytes())
+        args, where = ["--problem", str(bad), "--det-mlo"], "2:10"
+    else:
+        bad.write_bytes(b"# caf\xc3\xa9 \xff\n")
+        args, where = ["--problem", problem, "--det-file", str(bad)], "1:8"
+    code = main(["plan", "--domain", domain, *args])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: {bad}:{where}: byte 0xff is not UTF-8\n")
 
 
 def test_external_planner_rejects_optimal(triangle_files, capsys, tmp_path):
@@ -800,6 +833,25 @@ def test_simulate_serve_stdio(tmp_path):
     assert lines[0]["type"] == "hello"
     assert lines[-1]["type"] == "eval"
     assert lines[-1]["successes"] == 1
+
+
+def test_serve_stdio_survives_a_line_that_is_not_utf8(tmp_path):
+    # outside the C/POSIX locale and UTF-8 mode stdin decodes strictly
+    domain_text, problem_text = gen_chain(2)
+    domain = tmp_path / "d.ppddl"
+    problem = tmp_path / "p.ppddl"
+    domain.write_text(domain_text)
+    problem.write_text(problem_text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sspkit.cli", "simulate", "--domain",
+         str(domain), "--problem", str(problem),
+         "--serve-stdio", "--rounds", "1", "--seed", "0"],
+        input=b"\xff\xfe\n", capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    lines = [json.loads(l) for l in proc.stdout.splitlines()]
+    assert [l["type"] for l in lines] == ["hello", "state", "round-end", "eval"]
+    assert lines[2]["outcome"] == "invalid_action"
 
 
 # the client chooses the actions, so the server has no determinization,

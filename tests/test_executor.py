@@ -253,3 +253,17 @@ def test_protocol_invalid_and_forfeit(chain2, bad_line):
     assert ends[1]["outcome"] == OUTCOME_DEAD_END
     assert lines[-1]["type"] == "eval"
     assert stats.successes == 0
+
+
+def test_protocol_undecodable_line_ends_round_invalid(chain2):
+    # a stdin that decodes strictly raises on a line that is not UTF-8
+    _, _, grounded = chain2
+    reader = io.TextIOWrapper(io.BytesIO(
+        b"\xff\xfe\n" + json.dumps({"action": None}).encode() + b"\n"),
+        encoding="utf-8")
+    writer = io.StringIO()
+    serve_rounds(grounded, reader, writer, rounds=2, seed=0)
+    lines = [json.loads(l) for l in writer.getvalue().splitlines()]
+    ends = [l for l in lines if l["type"] == "round-end"]
+    assert [e["outcome"] for e in ends] == [OUTCOME_INVALID, OUTCOME_DEAD_END]
+    assert lines[-1]["type"] == "eval"

@@ -12,6 +12,8 @@ import pytest
 from sspkit import (SspkitError, ground, mlo_determinization, parse_domain,
                     parse_problem, serve_rounds)
 from sspkit.domains import gen_chain, gen_retry, gen_trap, gen_triangle_tireworld
+from sspkit.errors import ParseError
+from sspkit.ppddl import _TOKEN_RE
 from sspkit.reduction import Determinization
 
 from conftest import load
@@ -51,20 +53,41 @@ def mutate(rng: random.Random, text: str) -> str:
     return text
 
 
+def token_starts(text: str) -> set[tuple[int, int]]:
+    """The (line, col) of every token the reader's pattern finds in text."""
+    starts, line, line_start = set(), 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.group() == "\n":
+            line, line_start = line + 1, m.end()
+        else:
+            starts.add((line, m.start() - line_start + 1))
+    return starts
+
+
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_mutated_ppddl_raises_only_sspkit_errors(name):
+    # a parse error names the file being parsed and points at a token of it
     rng = random.Random(f"ppddl/{name}")
     domain_text, problem_text = SOURCES[name]
+    parse_errors = 0
     for trial in range(250):
         if trial % 2:
             domain_text_m, problem_text_m = mutate(rng, domain_text), problem_text
         else:
             domain_text_m, problem_text_m = domain_text, mutate(rng, problem_text)
+        files = {"domain.ppddl": domain_text_m, "problem.ppddl": problem_text_m}
+        parsing = "domain.ppddl"
         try:
-            schema = parse_domain(domain_text_m)
-            ground(schema, parse_problem(problem_text_m, schema))
+            schema = parse_domain(domain_text_m, parsing)
+            parsing = "problem.ppddl"
+            ground(schema, parse_problem(problem_text_m, schema, parsing))
+        except ParseError as exc:
+            assert exc.filename == parsing
+            assert (exc.line, exc.col) in token_starts(files[parsing]), str(exc)
+            parse_errors += 1
         except SspkitError:
             pass
+    assert parse_errors
 
 
 def test_mutated_determinization_raises_only_named_errors():
