@@ -187,11 +187,12 @@ def _delta_text(delta: Determinization) -> str:
 
 
 def _write_output(text: str, path: str | Path | None) -> None:
-    """Write ``text`` to ``path`` as UTF-8, or to stdout without a path."""
+    """Write ``text`` as UTF-8 to ``path``, or to stdout without a path,
+    whatever the stdio encoding."""
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 def _json_dump(obj) -> str:
@@ -243,9 +244,9 @@ def _rounds_csv(reports, timings: bool) -> str:
 def cmd_simulate(args) -> int:
     grounded = _load_grounded(args)
     if args.serve_stdio:
-        serve_rounds(grounded, sys.stdin, sys.stdout, rounds=args.rounds,
-                     seed=args.seed, max_actions=args.max_actions,
-                     m_cap=args.m_cap)
+        serve_rounds(grounded, sys.stdin.buffer, sys.stdout,
+                     rounds=args.rounds, seed=args.seed,
+                     max_actions=args.max_actions, m_cap=args.m_cap)
         return EXIT_OK
     delta = _resolve_delta(args, grounded.schema)
     stats, reports = monte_carlo_evaluate(
@@ -408,7 +409,7 @@ def cmd_gen(args) -> int:
     for part, text in zip(("domain", "problem"), generator(*sizes)):
         path = out_dir / f"{tag}-{part}.ppddl"
         _write_output(text, path)
-        print(path)
+        _write_output(f"{path}\n", None)
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -22,9 +21,9 @@ from pathlib import Path
 
 from .errors import ExternalPlannerError
 from .model import ApplicabilityIndex, iter_bits, predicate_of
-from .ppddl import (ROOT_TYPE, ActionSchema, Atom, DomainSchema, Literal,
-                    Outcome, Predicate, ProbabilisticClause, ProblemDef,
-                    domain_to_text, problem_to_text)
+from .ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
+                    Predicate, ProbabilisticClause, ProblemDef, domain_to_text,
+                    problem_to_text)
 
 INF = math.inf
 DEFAULT_EXPANSION_BUDGET = 100_000  # per solve_deterministic call
@@ -425,58 +424,38 @@ def solve_deterministic(d: DeterministicProblem, bits0: int, *,
 
 # ── external planner hook (off by default) ───────────────────────────────────
 #
-# Plan-text format: one action per line, parenthesized sanitized name, e.g.
-# "(move-car__l-1-1__l-2-1)"; ';' starts a comment. Exit status 0 means a
-# plan follows on stdout, 10 means the planner proved unsolvability.
-
-_SANITIZE_RE = re.compile(r"[^a-z0-9_\-]")
-
-
-def sanitize_action_name(name: str) -> str:
-    inner = name.strip("()").strip()
-    return _SANITIZE_RE.sub("", inner.replace(" ", "__"))
+# The task is written propositionally: atom ``i`` of ``atom_names`` is the
+# nullary predicate ``(p<i>)`` and the ``j``-th action of ``actions`` is the
+# parameterless ``(a<j>)``, so every name is valid PDDL and unique. The plan
+# text names one action per line, e.g. "(a3)", in any case; ';' starts a
+# comment. Exit status 0 means a plan follows on stdout, 10 means the
+# planner proved unsolvability.
 
 
 def det_to_pddl(d: DeterministicProblem, initial_bits: int) -> tuple[str, str]:
-    """Render a deterministic problem as ground classical PDDL, through the
+    """Render a deterministic problem as propositional PDDL, through the
     PPDDL printer."""
-    atoms = [Atom(parts[0], tuple(parts[1:]))
-             for parts in (atom.strip("()").split() for atom in d.atom_names)]
 
     def atoms_of(mask: int) -> tuple[Atom, ...]:
-        return tuple(atoms[i] for i in iter_bits(mask))
+        return tuple(Atom(f"p{i}") for i in iter_bits(mask))
 
-    arity = {atom.pred: len(atom.args) for atom in atoms}
-    predicates = tuple(
-        Predicate(pred, tuple((f"?x{i}", ROOT_TYPE) for i in range(arity[pred])))
-        for pred in sorted(arity))
     actions = tuple(
-        ActionSchema(sanitize_action_name(a.name), (),
+        ActionSchema(f"a{j}", (),
                      tuple(Literal(atom) for atom in atoms_of(a.pre_pos_mask))
                      + tuple(Literal(atom, True)
                              for atom in atoms_of(a.pre_neg_mask)),
                      (ProbabilisticClause((Outcome(
                          Fraction(1), atoms_of(a.add_mask),
                          atoms_of(a.del_mask)),)),))
-        for a in d.actions)
+        for j, a in enumerate(d.actions))
     domain = DomainSchema("task-domain",
                           (":strips", ":negative-preconditions"), {},
-                          predicates, actions)
-    problem = ProblemDef("task", domain.name,
-                         tuple((obj, ROOT_TYPE) for obj in
-                               sorted({arg for atom in atoms for arg in atom.args})),
-                         atoms_of(initial_bits), atoms_of(d.goal_mask))
+                          tuple(Predicate(f"p{i}", ())
+                                for i in range(len(d.atom_names))),
+                          actions)
+    problem = ProblemDef("task", domain.name, (), atoms_of(initial_bits),
+                         atoms_of(d.goal_mask))
     return domain_to_text(domain), problem_to_text(problem)
-
-
-def parse_plan_text(text: str) -> list[str]:
-    names = []
-    for raw in text.splitlines():
-        line = raw.split(";", 1)[0].strip().lower()
-        if not line:
-            continue
-        names.append(sanitize_action_name(line))
-    return names
 
 
 def solve_with_external(d: DeterministicProblem, bits: int,
@@ -507,14 +486,18 @@ def solve_with_external(d: DeterministicProblem, bits: int,
     except UnicodeDecodeError as exc:
         raise ExternalPlannerError(
             f"external planner output is not UTF-8 at byte {exc.start}") from None
-    by_sanitized = {sanitize_action_name(a.name): a for a in d.actions}
+    by_name = {f"a{j}": a for j, a in enumerate(d.actions)}
     chain: list[tuple[int, DetAction]] = []
-    for token in parse_plan_text(stdout):
-        a = by_sanitized.get(token)
+    for line in stdout.splitlines():
+        token = line.split(";", 1)[0].strip().strip("()").strip().lower()
+        if not token:
+            continue
+        a = by_name.get(token)
         if a is None:
             raise ExternalPlannerError(f"unknown action {token!r} in plan")
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
-            raise ExternalPlannerError(f"inapplicable action {token!r} in plan")
+            raise ExternalPlannerError(
+                f"inapplicable action {token!r} ({a.name}) in plan")
         chain.append((bits, a))
         bits = d.apply(bits, a)
     if not d.is_goal(bits):

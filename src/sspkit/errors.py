@@ -38,8 +38,9 @@ class TypeMismatchError(ParseError):
 
 
 class GroundingBlowupError(SspkitError):
-    """The bindings the grounding join visits, partial ones included,
-    exceeded the configured cap; it fires before any action is built."""
+    """The bindings the grounding join visits, partial ones included, or
+    the joint outcomes of the ground actions exceeded their cap; it fires
+    before any action is built."""
 
 
 class NotApplicableError(SspkitError):

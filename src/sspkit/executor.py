@@ -199,7 +199,8 @@ def monte_carlo_evaluate(problem: GroundedProblem, delta: Determinization,
 # ── stdio state/action protocol ──────────────────────────────────────────────
 #
 # One JSON object per line. The server (this side) simulates the problem;
-# the client chooses actions:
+# the client chooses actions. Each client line is read as bytes and decoded
+# as UTF-8 on its own, so a line that is not UTF-8 costs only its round:
 #   -> {"schema_version": 1, "type": "hello", ...}
 #   -> {"type": "state", "round": r, "step": t, "atoms": [...], "goal": bool}
 #   <- {"action": "(name args)"}        null action forfeits the round
@@ -214,7 +215,10 @@ PROTOCOL_VERSION = 1
 def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
                  seed: int, max_actions: int = DEFAULT_ACTION_CAP,
                  m_cap: float = DEFAULT_M_CAP) -> EvalStats:
-    """Drive the stdio protocol: the remote side supplies the actions."""
+    """Drive the stdio protocol: the remote side supplies the actions.
+
+    ``reader`` yields the client's lines as bytes (``sys.stdin.buffer``);
+    ``writer`` takes text."""
 
     def send(obj: dict) -> None:
         writer.write(json.dumps(obj) + "\n")
@@ -231,17 +235,14 @@ def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
         nonlocal hung_up
         send({"type": "state", "round": r, "step": step,
               "atoms": problem.atom_names(bits), "goal": False})
-        try:
-            line = reader.readline()
-        except UnicodeDecodeError:  # not in the reader's encoding
-            return OUTCOME_INVALID
+        line = reader.readline()
         if not line:
             hung_up = True
             return OUTCOME_DEAD_END
         try:
-            msg = json.loads(line)
-        except (json.JSONDecodeError, RecursionError):  # or nested too deep
-            return OUTCOME_INVALID
+            msg = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            return OUTCOME_INVALID  # not UTF-8, not JSON, or nested too deep
         if not isinstance(msg, dict):
             return OUTCOME_INVALID
         name = msg.get("action")

@@ -4,7 +4,9 @@ Bindings come from a depth-first join of each schema's parameters with the
 static facts of ``:init`` (atoms of predicates no outcome adds); only they
 are instantiated, filtered by equality constraints and pruned with a
 delete-relaxation reachability check. The binding cap bounds the bindings
-the join visits, partial ones included.
+the join visits, partial ones included; ``OUTCOME_CAP`` bounds the joint
+outcomes of the ground actions kept, counted from their clauses before
+any is built.
 Outcome distributions are exact rationals and sum to 1 per ground action
 (residual probability mass becomes an explicit no-op outcome).
 """
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import prod
 
 from .detplan import RelaxedTask
 from .errors import GroundingBlowupError
@@ -22,6 +25,9 @@ from .model import ApplicabilityIndex
 from .ppddl import ActionSchema, Atom, DomainSchema, ProblemDef
 
 DEFAULT_BINDING_CAP = 10 ** 6
+# joint outcomes over all ground actions; an action has one per combination
+# of its clauses' outcomes
+OUTCOME_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -227,7 +233,9 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     relaxed-reachable iff it is in ``:init``, so the result is the one the
     full product would give. Raises GroundingBlowupError as soon as the
     join has visited more than ``max_bindings`` bindings over all schemas,
-    partial ones included, before any of them is instantiated.
+    partial ones included, before any of them is instantiated, and when
+    the actions kept would have more than ``OUTCOME_CAP`` joint outcomes
+    in all, before any is built.
     """
     objects = sorted(problem.objects)
     visited = 0
@@ -262,6 +270,11 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     init_keys = {_atom_key(a) for a in problem.init}
     reached = _relaxed_reachable(candidates, init_keys)
     candidates = [c for c in candidates if c.pre_pos <= reached]
+    outcomes = sum(prod(map(len, cand.clause_outcomes)) for cand in candidates)
+    if outcomes > OUTCOME_CAP:
+        raise GroundingBlowupError(
+            f"the ground actions have {outcomes} joint outcomes, over the "
+            f"cap of {OUTCOME_CAP}")
 
     universe: set[str] = set(init_keys)
     universe.update(_atom_key(a) for a in problem.goal)

@@ -100,7 +100,9 @@ def learning_det(schema: DomainSchema, training_problem: ProblemDef, *,
                        rounds=rounds, seed=seed, max_actions=max_actions,
                        time_budget=per_budget, cfg=cfg)
     indices = range(len(deltas))
-    # both maps yield the candidates in enumeration order
+    # both maps yield the candidates in enumeration order; a pool starts
+    # all its workers at once, so it gets no more than there are candidates
+    workers = min(workers, len(deltas))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             candidates = list(pool.map(evaluate, deltas, indices))

@@ -292,6 +292,25 @@ def test_grounding_blowup_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_joint_outcome_blowup_exit_3(tmp_path, capsys):
+    # 2^21 joint outcomes of one nullary action, over the cap of 10^6
+    flips = " ".join(f"(probabilistic 1/2 (q{i}))" for i in range(21))
+    domain = tmp_path / "flips-domain.ppddl"
+    problem = tmp_path / "flips-problem.ppddl"
+    domain.write_text(f"""
+    (define (domain flips)
+      (:requirements :probabilistic-effects)
+      (:predicates (g) {" ".join(f"(q{i})" for i in range(21))})
+      (:action flip :parameters () :precondition (and) :effect (and {flips})))
+    """)
+    problem.write_text("(define (problem p) (:domain flips) (:init) (:goal (g)))")
+    code = main(["plan", "--domain", str(domain), "--problem", str(problem),
+                 "--det-mlo"])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: the ground actions have 2097152 "
+                                       "joint outcomes, over the cap of 1000000\n")
+
+
 @pytest.mark.parametrize("source", ["file", "mlo", "index", "learn"])
 def test_plan_config_echo(tmp_path, triangle_files, capsys, source):
     domain, problem = triangle_files
@@ -836,22 +855,51 @@ def test_simulate_serve_stdio(tmp_path):
 
 
 def test_serve_stdio_survives_a_line_that_is_not_utf8(tmp_path):
-    # outside the C/POSIX locale and UTF-8 mode stdin decodes strictly
+    # outside the C/POSIX locale and UTF-8 mode stdin decodes strictly; the
+    # server reads byte lines, so the lines after the bad one still count
     domain_text, problem_text = gen_chain(2)
     domain = tmp_path / "d.ppddl"
     problem = tmp_path / "p.ppddl"
     domain.write_text(domain_text)
     problem.write_text(problem_text)
+    actions = "".join(json.dumps({"action": a}) + "\n"
+                      for a in ["(step p0 p1)", "(step p1 p2)"])
     proc = subprocess.run(
         [sys.executable, "-m", "sspkit.cli", "simulate", "--domain",
          str(domain), "--problem", str(problem),
-         "--serve-stdio", "--rounds", "1", "--seed", "0"],
-        input=b"\xff\xfe\n", capture_output=True,
+         "--serve-stdio", "--rounds", "2", "--seed", "0"],
+        input=b"\xff\xfe\n" + actions.encode(), capture_output=True,
         env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"})
     assert (proc.returncode, proc.stderr) == (0, b"")
     lines = [json.loads(l) for l in proc.stdout.splitlines()]
-    assert [l["type"] for l in lines] == ["hello", "state", "round-end", "eval"]
-    assert lines[2]["outcome"] == "invalid_action"
+    assert [l["type"] for l in lines] == [
+        "hello", "state", "round-end", "state", "state", "round-end", "eval"]
+    assert [l["outcome"] for l in lines if l["type"] == "round-end"] == [
+        "invalid_action", "goal"]
+
+
+# a report or path on stdout is UTF-8 whatever the stdio encoding
+@pytest.mark.parametrize("command", ["detplan", "gen"])
+def test_stdout_is_utf8_whatever_the_stdio_encoding(tmp_path, command):
+    domain = tmp_path / "d.ppddl"
+    problem = tmp_path / "p.ppddl"
+    if command == "detplan":
+        for path, text in zip((domain, problem), gen_chain(2)):
+            path.write_text(text.replace("p2", "p\u00e9"), encoding="utf-8")
+        args = ["detplan", "solve", "--domain", str(domain),
+                "--problem", str(problem), "--det-mlo"]
+        expected = ("; status = plan\n; cost = 2.0\n"
+                    "(step p0 p1)\n(step p1 p\u00e9)\n")
+    else:
+        out_dir = tmp_path / "d\u00e9"
+        args = ["gen", "chain", "--length", "1", "--out-dir", str(out_dir)]
+        expected = (f"{out_dir}/chain-1-domain.ppddl\n"
+                    f"{out_dir}/chain-1-problem.ppddl\n")
+    proc = subprocess.run([sys.executable, "-m", "sspkit.cli", *args],
+                          capture_output=True,
+                          env={**os.environ, "PYTHONIOENCODING": "ascii"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode("utf-8") == expected
 
 
 # the client chooses the actions, so the server has no determinization,

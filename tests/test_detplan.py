@@ -5,6 +5,7 @@ completeness fallback, and the external planner hook."""
 import math
 import os
 import random
+import re
 import stat
 import sys
 
@@ -12,7 +13,7 @@ import pytest
 
 from sspkit import ground, make_reduction
 from sspkit.detplan import (DetAction, DeterministicProblem, RelaxedTask,
-                            det_to_pddl, sanitize_action_name, solve_deterministic,
+                            det_to_pddl, solve_deterministic,
                             solve_with_external)
 from sspkit.domains import gen_triangle_tireworld
 from sspkit.errors import EnumerationBlowupError, ExternalPlannerError
@@ -443,31 +444,40 @@ def test_optimal_mode_matches_oracle():
 
 
 def assert_pddl_matches(det, initial_bits):
-    """Both ``det_to_pddl`` texts parse, and say what ``det`` says: every
+    """Both ``det_to_pddl`` texts parse, and say what ``det`` says, with atom
+    ``i`` written ``(p<i>)`` and action ``j`` written ``(a<j>)``: every
     action's preconditions, adds and deletes, the init and the goal."""
     domain_text, problem_text = det_to_pddl(det, initial_bits)
     schema = parse_domain(domain_text)
     problem = parse_problem(problem_text, schema)
 
     def names(mask):
-        return sorted(det.atom_names[i] for i in range(len(det.atom_names))
-                      if mask >> i & 1)
+        return sorted(det.atom_names[i] for i in iter_bits(mask))
 
+    def unindexed(atoms):
+        assert all(not atom.args for atom in atoms)
+        return sorted(det.atom_names[int(atom.pred.removeprefix("p"))]
+                      for atom in atoms)
+
+    assert [p.name for p in schema.predicates] == [
+        f"p{i}" for i in range(len(det.atom_names))]
+    assert all(p.params == () for p in schema.predicates)
     assert [a.name for a in schema.action_schemas] == [
-        sanitize_action_name(a.name) for a in det.actions]
+        f"a{j}" for j in range(len(det.actions))]
+    assert problem.objects == ()
     for parsed, a in zip(schema.action_schemas, det.actions):
         assert parsed.parameters == () and parsed.equalities == ()
-        assert sorted(str(lit.atom) for lit in parsed.precondition
-                      if not lit.negated) == names(a.pre_pos_mask)
-        assert sorted(str(lit.atom) for lit in parsed.precondition
-                      if lit.negated) == names(a.pre_neg_mask)
+        assert unindexed([lit.atom for lit in parsed.precondition
+                          if not lit.negated]) == names(a.pre_pos_mask)
+        assert unindexed([lit.atom for lit in parsed.precondition
+                          if lit.negated]) == names(a.pre_neg_mask)
         (clause,) = parsed.clauses
         (outcome,) = clause.outcomes
         assert outcome.probability == 1
-        assert sorted(map(str, outcome.add)) == names(a.add_mask)
-        assert sorted(map(str, outcome.delete)) == names(a.del_mask)
-    assert sorted(map(str, problem.init)) == names(initial_bits)
-    assert sorted(map(str, problem.goal)) == names(det.goal_mask)
+        assert unindexed(outcome.add) == names(a.add_mask)
+        assert unindexed(outcome.delete) == names(a.del_mask)
+    assert unindexed(problem.init) == names(initial_bits)
+    assert unindexed(problem.goal) == names(det.goal_mask)
 
 
 def assert_det_at_k0_matches(instance):
@@ -506,18 +516,45 @@ def test_external_planner_hook(tmp_path, chain2):
     _, _, grounded = chain2
     delta = Determinization({("step", 0): 0})
     det = make_reduction(grounded, delta, 0).det_problem
-    plan = "\\n".join(sanitize_action_name(a.name)
-                      for a in sorted(det.actions, key=lambda a: a.name))
+    # in plan order, and in upper case: a planner may print names so
+    plan = " ".join(f"(A{j})" for j, _ in sorted(enumerate(det.actions),
+                                                  key=lambda ja: ja[1].name))
     script = _write_script(tmp_path, f"""
-import sys
 print("; external plan")
-for name in "{plan}".split("\\\\n"):
-    print("(" + name + ")")
+for name in "{plan}".split():
+    print("  " + name + "  ; a step")
 """)
     result = solve_with_external(det, grounded.initial_state,
                                  [sys.executable, script])
     assert result.found
     assert validate_plan(det, grounded.initial_state, result)
+
+
+DOTTED_DOMAIN = """(define (domain dotted)
+  (:requirements :strips)
+  (:predicates (ready ?x) (done ?x))
+  (:action step :parameters (?x) :precondition (ready ?x) :effect (done ?x)))
+"""
+DOTTED_PROBLEM = """(define (problem dotted-1) (:domain dotted)
+  (:objects p.1 p1)
+  (:init (ready p.1) (ready p1))
+  (:goal (done p.1)))
+"""
+
+
+def test_external_planner_names_are_unique(tmp_path):
+    """Ground actions whose names differ only in punctuation get names of
+    their own: the written files parse back, and a plan naming ``(step
+    p.1)`` replays to the goal."""
+    schema, _, grounded = load(DOTTED_DOMAIN, DOTTED_PROBLEM)
+    det = make_reduction(grounded, mlo_determinization(schema), 0).det_problem
+    assert [a.name for a in det.actions] == ["(step p.1)", "(step p1)"]
+    assert_pddl_matches(det, grounded.initial_state)
+    script = _write_script(tmp_path, 'print("(a0)")')
+    result = solve_with_external(det, grounded.initial_state,
+                                 [sys.executable, script])
+    assert result.found
+    assert [grounded.actions[i].name for _, i in result.steps] == ["(step p.1)"]
 
 
 def test_external_planner_failure_and_garbage(tmp_path, chain2):
@@ -534,15 +571,17 @@ def test_external_planner_failure_and_garbage(tmp_path, chain2):
                             [sys.executable, garbage])
 
 
-@pytest.mark.parametrize("plan, message", [
-    ("(step__p1__p2)", "inapplicable action 'step__p1__p2' in plan"),
-    ("(step__p0__p1)", "external plan does not reach the goal"),
+@pytest.mark.parametrize("action, message", [
+    ("(step p1 p2)", "inapplicable action 'a{j}' ((step p1 p2)) in plan"),
+    ("(step p0 p1)", "external plan does not reach the goal"),
 ], ids=["inapplicable", "short-of-goal"])
-def test_external_plan_is_replayed(tmp_path, chain2, plan, message):
+def test_external_plan_is_replayed(tmp_path, chain2, action, message):
     _, _, grounded = chain2
     delta = Determinization({("step", 0): 0})
     det = make_reduction(grounded, delta, 0).det_problem
-    script = _write_script(tmp_path, f'print("{plan}")')
-    with pytest.raises(ExternalPlannerError, match=message):
+    j = [a.name for a in det.actions].index(action)
+    script = _write_script(tmp_path, f'print("(a{j})")')
+    with pytest.raises(ExternalPlannerError,
+                       match=re.escape(message.format(j=j))):
         solve_with_external(det, grounded.initial_state,
                             [sys.executable, script])

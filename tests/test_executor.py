@@ -221,8 +221,8 @@ def test_protocol_round_trip(chain2):
     _, _, grounded = chain2
     # scripted client: solve the 2-step chain in both rounds
     actions = ["(step p0 p1)", "(step p1 p2)"] * 2
-    reader = io.StringIO("".join(json.dumps({"action": a}) + "\n"
-                                 for a in actions))
+    reader = io.BytesIO("".join(json.dumps({"action": a}) + "\n"
+                                for a in actions).encode())
     writer = io.StringIO()
     stats = serve_rounds(grounded, reader, writer, rounds=2, seed=0)
     assert stats.successes == 2
@@ -244,7 +244,7 @@ def test_protocol_round_trip(chain2):
 def test_protocol_invalid_and_forfeit(chain2, bad_line):
     _, _, grounded = chain2
     msgs = [bad_line + "\n", json.dumps({"action": None}) + "\n"]
-    reader = io.StringIO("".join(msgs))
+    reader = io.BytesIO("".join(msgs).encode())
     writer = io.StringIO()
     stats = serve_rounds(grounded, reader, writer, rounds=2, seed=0)
     lines = [json.loads(l) for l in writer.getvalue().splitlines()]
@@ -255,15 +255,16 @@ def test_protocol_invalid_and_forfeit(chain2, bad_line):
     assert stats.successes == 0
 
 
-def test_protocol_undecodable_line_ends_round_invalid(chain2):
-    # a stdin that decodes strictly raises on a line that is not UTF-8
-    _, _, grounded = chain2
-    reader = io.TextIOWrapper(io.BytesIO(
-        b"\xff\xfe\n" + json.dumps({"action": None}).encode() + b"\n"),
-        encoding="utf-8")
+def test_protocol_undecodable_line_ends_round_invalid():
+    # a line that is not UTF-8 ends its round, and the lines after it are
+    # read all the same
+    _, _, grounded = load(*gen_chain(1))
+    reader = io.BytesIO(b"\xff\xfe\n" + b'{"action": "(step p0 p1)"}\n' * 3)
     writer = io.StringIO()
-    serve_rounds(grounded, reader, writer, rounds=2, seed=0)
+    stats = serve_rounds(grounded, reader, writer, rounds=2, seed=0)
     lines = [json.loads(l) for l in writer.getvalue().splitlines()]
     ends = [l for l in lines if l["type"] == "round-end"]
-    assert [e["outcome"] for e in ends] == [OUTCOME_INVALID, OUTCOME_DEAD_END]
+    assert [(e["outcome"], e["actions"]) for e in ends] == [
+        (OUTCOME_INVALID, 0), (OUTCOME_GOAL, 1)]
+    assert stats.successes == 1
     assert lines[-1]["type"] == "eval"

@@ -111,5 +111,6 @@ def test_mutated_client_lines_never_break_the_protocol():
         sent = "".join(mutate(rng, rng.choice(lines)) + "\n"
                        for _ in range(rng.randint(1, 4)))
         writer = io.StringIO()
-        serve_rounds(grounded, io.StringIO(sent), writer, rounds=2, seed=0)
+        serve_rounds(grounded, io.BytesIO(sent.encode()), writer,
+                     rounds=2, seed=0)
         assert json.loads(writer.getvalue().splitlines()[-1])["type"] == "eval"

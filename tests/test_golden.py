@@ -169,10 +169,14 @@ def _snapshot(root: Path) -> dict[str, str]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _run(argv: list[str], stdin: str | None) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
+def _run(argv: list[str], stdin: str | None) -> tuple[int, bytes, str]:
+    # the CLI reads and writes the byte streams under stdin and stdout
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="",
+                           write_through=True)
+    err = io.StringIO()
     saved_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin or "")
+    sys.stdin = io.TextIOWrapper(io.BytesIO((stdin or "").encode()),
+                                 encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -181,7 +185,7 @@ def _run(argv: list[str], stdin: str | None) -> tuple[int, str, str]:
                 code = exc.code
     finally:
         sys.stdin = saved_stdin
-    return code, out.getvalue(), err.getvalue()
+    return code, out.buffer.getvalue(), err.getvalue()
 
 
 def run_all(workdir: Path) -> dict[str, dict]:

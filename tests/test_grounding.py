@@ -2,6 +2,7 @@
 and the static join's equivalence with the exhaustive binding product."""
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -122,6 +123,34 @@ def test_grounding_blowup_cap():
         "(:init) (:goal (and)))", schema)
     with pytest.raises(GroundingBlowupError):
         ground(schema, problem, max_bindings=1000)
+
+
+def coin_flips(n: int) -> list[ProbabilisticClause]:
+    """``n`` independent clauses, each adding ``(q<i>)`` with probability
+    1/2: their joint outcomes number ``2 ** n``."""
+    return [ProbabilisticClause((Outcome(Fraction(1, 2), (Atom(f"q{i}"),), ()),))
+            for i in range(n)]
+
+
+def test_grounding_caps_joint_outcomes():
+    # one nullary action, so one binding, but 2^21 joint outcomes: the cap
+    # fires before any of them is built
+    schema, problem = nullary_domain(coin_flips(21))
+    start = time.perf_counter()
+    with pytest.raises(GroundingBlowupError,
+                       match="2097152 joint outcomes, over the cap of 1000000"):
+        ground(schema, problem)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_outcome_cap_admits_exactly_its_count(monkeypatch):
+    schema, problem = nullary_domain(coin_flips(3))
+    monkeypatch.setattr(grounding, "OUTCOME_CAP", 8)
+    (action,) = ground(schema, problem).actions
+    assert len(action.outcomes) == 8
+    monkeypatch.setattr(grounding, "OUTCOME_CAP", 7)
+    with pytest.raises(GroundingBlowupError, match="8 joint outcomes"):
+        ground(schema, problem)
 
 
 def test_grounding_cap_counts_the_join_not_the_product():

@@ -208,3 +208,36 @@ def test_parallel_workers_match_sequential(retry):
     assert par_delta == seq_delta
     assert [(c.index, c.stats) for c in par_ranked] == \
         [(c.index, c.stats) for c in seq_ranked]
+
+
+def test_workers_are_clamped_to_the_candidate_count(triangle1, chain2,
+                                                   monkeypatch):
+    # a pool starts all its workers at once, so it must not get more than
+    # there are candidates; the stand-in pool starts no process at all
+    from sspkit import learner
+
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(learner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(learner, "monte_carlo_evaluate",
+                        lambda problem, delta, k, epsilon, rounds, seed, **_:
+                        (EvalStats(rounds, 0, 0.0, 0.0), []))
+    for (schema, problem, _), count in ((triangle1, 2), (chain2, 1)):
+        assert len(enumerate_determinizations(schema)) == count
+        _, ranked = learning_det(schema, problem, rounds=1, workers=10_000)
+        assert [c.index for c in ranked] == list(range(count))
+    # one candidate needs no pool
+    assert made == [2]
