@@ -139,7 +139,7 @@ def _resolve_delta(args, schema: DomainSchema) -> Determinization:
                          f"({', '.join(offered)} or {last})")
     source, value = given
     if source == "file":
-        delta = Determinization.from_text(_read(value))
+        delta = Determinization.from_text(_read(value), value)
         delta.validate(schema)
         return delta
     if source == "mlo":
@@ -199,6 +199,13 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _csv(columns, rows) -> str:
+    """A CSV report: the schema line, the header, then one line per row."""
+    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(columns)]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 # ── plan ─────────────────────────────────────────────────────────────────────
 
 def cmd_plan(args) -> int:
@@ -231,16 +238,6 @@ def cmd_plan(args) -> int:
 
 # ── simulate ────────────────────────────────────────────────────────────────
 
-def _rounds_csv(reports, timings: bool) -> str:
-    """One row per round: its index, then the fields of its report."""
-    names = [f.name for f in fields(RoundReport)
-             if timings or f.name != "wall_time"]
-    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(["round", *names])]
-    for i, r in enumerate(reports):
-        lines.append(",".join(map(str, [i, *r.as_dict(timings=timings).values()])))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_simulate(args) -> int:
     grounded = _load_grounded(args)
     if args.serve_stdio:
@@ -264,7 +261,12 @@ def cmd_simulate(args) -> int:
     }
     _write_output(_json_dump(payload), args.out)
     if args.csv:
-        _write_output(_rounds_csv(reports, args.timings), args.csv)
+        # one row per round: its index, then the fields of its report
+        names = [f.name for f in fields(RoundReport)
+                 if args.timings or f.name != "wall_time"]
+        rows = [[i, *r.as_dict(timings=args.timings).values()]
+                for i, r in enumerate(reports)]
+        _write_output(_csv(["round", *names], rows), args.csv)
     return EXIT_OK
 
 
@@ -280,14 +282,13 @@ def cmd_learn_det(args) -> int:
         time_budget=args.time_budget, workers=args.workers)
     if args.out:
         _write_output(delta.to_text(), args.out)
-    lines = [f"# schema_version: {SCHEMA_VERSION}",
-             "rank,index,determinization,success_probability,expected_cost,solve_time"]
-    for rank, cand in enumerate(ranked):
-        t = repr(cand.solve_time) if args.timings else ""
-        lines.append(f"{rank},{cand.index},{_delta_text(cand.delta)},"
-                     f"{cand.stats.success_probability!r},"
-                     f"{cand.stats.expected_cost!r},{t}")
-    _write_output("\n".join(lines) + "\n", args.report_csv)
+    columns = ["rank", "index", "determinization", "success_probability",
+               "expected_cost", "solve_time"]
+    rows = [[rank, cand.index, _delta_text(cand.delta),
+             cand.stats.success_probability, cand.stats.expected_cost,
+             cand.solve_time if args.timings else ""]
+            for rank, cand in enumerate(ranked)]
+    _write_output(_csv(columns, rows), args.report_csv)
     return EXIT_OK
 
 
@@ -322,11 +323,9 @@ def cmd_bench(args) -> int:
         _write_output(_json_dump(payload), args.json)
     columns = ["problem", "rounds_solved", "rounds_total", "success_probability",
                "expected_cost", *(["wall_time"] if args.timings else [])]
-    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(columns)]
     # a row whose evaluation failed has no wall time
-    lines += [",".join(str(row.get(column, 0.0)) for column in columns)
-              for row in rows]
-    _write_output("\n".join(lines) + "\n", args.csv)
+    _write_output(_csv(columns, [[row.get(column, 0.0) for column in columns]
+                                 for row in rows]), args.csv)
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ class SspkitError(Exception):
 
 
 class ParseError(SspkitError):
-    """Malformed PPDDL input. Carries a file:line:col position, or only the
-    file (line 0) when no token is at hand."""
+    """Malformed PPDDL or determinization-file input. Carries a
+    file:line:col position, or only the file (line 0) when no token is at
+    hand."""
 
     def __init__(self, message: str, filename: str = "<input>",
                  line: int = 0, col: int = 0):

@@ -86,7 +86,7 @@ def play_round(problem: GroundedProblem, choose, rng: random.Random,
     ``choose(bits, step)`` gets the state as its ``int`` bitset and names
     the next action: an action id, or an outcome string that ends the
     round. The round also ends on goal entry, on the action cap, once
-    ``time.monotonic()`` has passed ``deadline``, or on an action that is
+    ``time.monotonic()`` has reached ``deadline``, or on an action that is
     not applicable (``invalid_action``).
     """
     start = time.monotonic()
@@ -100,7 +100,7 @@ def play_round(problem: GroundedProblem, choose, rng: random.Random,
         if taken >= max_actions:
             outcome = OUTCOME_ACTION_CAP
             break
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             outcome = OUTCOME_TIMEOUT
             break
         action_id = choose(s, taken)
@@ -179,8 +179,9 @@ def monte_carlo_evaluate(problem: GroundedProblem, delta: Determinization,
     """Run seeded rounds sharing solver tables and aggregate the results.
 
     The solver runs with ``cfg`` (default ``SolverConfig()``) at
-    ``epsilon``. ``time_budget`` bounds the whole evaluation; rounds that
-    do not finish in time are recorded as timeouts and count as failures.
+    ``epsilon``. ``time_budget`` bounds the whole evaluation: every round
+    plays to one deadline, so a round still short of the goal when it
+    passes ends as a timeout and counts as a failure.
     """
     session = ReplanSession(problem, delta, k,
                             replace(cfg or SolverConfig(), epsilon=epsilon))
@@ -188,9 +189,6 @@ def monte_carlo_evaluate(problem: GroundedProblem, delta: Determinization,
     reports: list[RoundReport] = []
     for r in range(rounds):
         rng, label = round_rng(seed, r)
-        if deadline is not None and time.monotonic() >= deadline:
-            reports.append(RoundReport(OUTCOME_TIMEOUT, 0, 0.0, 0, label))
-            continue
         reports.append(session.run_round(
             rng, label, max_actions=max_actions, deadline=deadline))
     return aggregate(reports, session.cfg.m_cap), reports

@@ -3,7 +3,7 @@
 Bindings come from a depth-first join of each schema's parameters with the
 static facts of ``:init`` (atoms of predicates no outcome adds); only they
 are instantiated, filtered by equality constraints and pruned with a
-delete-relaxation reachability check. The binding cap bounds the bindings
+delete-relaxation reachability check. ``BINDING_CAP`` bounds the bindings
 the join visits, partial ones included; ``OUTCOME_CAP`` bounds the joint
 outcomes of the ground actions kept, counted from their clauses before
 any is built.
@@ -24,7 +24,8 @@ from .errors import GroundingBlowupError
 from .model import ApplicabilityIndex
 from .ppddl import ActionSchema, Atom, DomainSchema, ProblemDef
 
-DEFAULT_BINDING_CAP = 10 ** 6
+# bindings the grounding join visits over all schemas, partial ones included
+BINDING_CAP = 10 ** 6
 # joint outcomes over all ground actions; an action has one per combination
 # of its clauses' outcomes
 OUTCOME_CAP = 10 ** 6
@@ -223,8 +224,7 @@ def _relaxed_reachable(candidates: list[_Candidate], init: set[str]) -> set[str]
     return reached
 
 
-def ground(schema: DomainSchema, problem: ProblemDef, *,
-           max_bindings: int = DEFAULT_BINDING_CAP) -> GroundedProblem:
+def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
     """Ground a domain/problem pair into a GroundedProblem.
 
     Action order is deterministic: lexicographic by schema name, then by
@@ -232,7 +232,7 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     instantiated (see ``_static_bindings``); an atom no outcome adds is
     relaxed-reachable iff it is in ``:init``, so the result is the one the
     full product would give. Raises GroundingBlowupError as soon as the
-    join has visited more than ``max_bindings`` bindings over all schemas,
+    join has visited more than ``BINDING_CAP`` bindings over all schemas,
     partial ones included, before any of them is instantiated, and when
     the actions kept would have more than ``OUTCOME_CAP`` joint outcomes
     in all, before any is built.
@@ -243,9 +243,9 @@ def ground(schema: DomainSchema, problem: ProblemDef, *,
     def visit(n: int) -> None:
         nonlocal visited
         visited += n
-        if visited > max_bindings:
+        if visited > BINDING_CAP:
             raise GroundingBlowupError(
-                f"the grounding join exceeds its cap of {max_bindings} "
+                f"the grounding join exceeds its cap of {BINDING_CAP} "
                 f"candidate bindings")
 
     added = {atom.pred for action in schema.action_schemas

@@ -23,7 +23,7 @@ from .ppddl import DomainSchema, ProblemDef
 from .reduction import Determinization
 from .solver import DEFAULT_EPSILON, SolverConfig
 
-DEFAULT_ENUMERATION_CAP = 4096
+ENUMERATION_CAP = 4096
 
 
 @dataclass
@@ -39,14 +39,12 @@ class DetCandidate:
                 self.index)
 
 
-def enumerate_determinizations(schema: DomainSchema, *,
-                               cap: int = DEFAULT_ENUMERATION_CAP
-                               ) -> list[Determinization]:
+def enumerate_determinizations(schema: DomainSchema) -> list[Determinization]:
     """All primary-outcome assignments, in clause declaration order.
 
     The residual no-op outcome of a clause is a candidate primary like any
     other. Raises EnumerationBlowupError (with per-clause branching) when
-    the product exceeds ``cap``.
+    the product exceeds ``ENUMERATION_CAP``.
     """
     keys: list[tuple[str, int]] = []
     counts: list[int] = []
@@ -55,8 +53,9 @@ def enumerate_determinizations(schema: DomainSchema, *,
             keys.append((action.name, c))
             counts.append(clause.effective_count())
     total = prod(counts) if counts else 1
-    if total > cap:
-        raise EnumerationBlowupError(total, cap, dict(zip(keys, counts)))
+    if total > ENUMERATION_CAP:
+        raise EnumerationBlowupError(total, ENUMERATION_CAP,
+                                     dict(zip(keys, counts)))
     out = []
     for combo in product(*(range(n) for n in counts)):
         out.append(Determinization(dict(zip(keys, combo))))

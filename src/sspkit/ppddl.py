@@ -168,12 +168,6 @@ class DomainSchema:
                 return p
         return None
 
-    def schema(self, name: str) -> ActionSchema | None:
-        for a in self.action_schemas:
-            if a.name == name:
-                return a
-        return None
-
     def is_subtype(self, t: str, ancestor: str) -> bool:
         if ancestor == ROOT_TYPE:
             return True

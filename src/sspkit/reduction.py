@@ -9,15 +9,19 @@ bound it drops the exceptions and gives the primary outcome probability 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .detplan import DetAction, DeterministicProblem
-from .errors import IncompleteDeterminizationError
+from .errors import IncompleteDeterminizationError, ParseError
 from .grounding import GroundedProblem
 from .model import applicable_actions, is_goal, outcome_bits
 from .ppddl import DomainSchema
+
+# one determinization entry, ``name/clause -> outcome``, in ASCII digits
+_ENTRY_RE = re.compile(r"(\S+)/([0-9]+)[ \t]*->[ \t]*([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -30,32 +34,32 @@ class Determinization:
 
     choices: dict[tuple[str, int], int]
 
-    def primary_tuple(self, schema_name: str, clause_count: int) -> tuple[int, ...]:
-        return tuple(self.choices[(schema_name, c)] for c in range(clause_count))
-
     def to_text(self) -> str:
         lines = [f"{name}/{clause} -> {idx}"
                  for (name, clause), idx in sorted(self.choices.items())]
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "Determinization":
+    def from_text(cls, text: str,
+                  filename: str = "<input>") -> "Determinization":
+        """Read one ``name/clause -> outcome`` entry per line; ``#`` starts
+        a comment that runs to the next newline. A malformed or repeated
+        entry is a ParseError at its ``filename:line:col``."""
         choices: dict[tuple[str, int], int] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            try:
-                lhs, rhs = line.split("->")
-                name, clause = lhs.strip().rsplit("/", 1)
-                key, idx = (name, int(clause)), int(rhs.strip())
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad determinization entry "
-                                 f"{raw!r}") from exc
-            if key in choices:
-                raise ValueError(f"line {lineno}: repeated determinization "
-                                 f"entry for {name}/{key[1]}")
-            choices[key] = idx
+            col = len(raw) - len(raw.lstrip()) + 1
+            m = _ENTRY_RE.fullmatch(line)
+            if m is None:
+                raise ParseError(f"bad determinization entry {line!r}",
+                                 filename, lineno, col)
+            name, clause, idx = m.group(1), int(m.group(2)), int(m.group(3))
+            if (name, clause) in choices:
+                raise ParseError(f"repeated determinization entry for "
+                                 f"{name}/{clause}", filename, lineno, col)
+            choices[name, clause] = idx
         return cls(choices)
 
     def validate(self, schema: DomainSchema) -> None:
@@ -181,22 +185,15 @@ def make_reduction(problem: GroundedProblem, delta: Determinization,
                    k: int) -> ReducedModel:
     """Build the reduced model for a schema-level determinization.
 
-    The per-ground-action primary outcome is the unique joint outcome whose
-    per-clause choices all match the determinization.
+    A ground action's primary outcome is the joint outcome whose
+    per-clause choices are the determinization's for its schema. Once
+    ``validate`` has passed there is exactly one: ``ground`` builds one
+    joint outcome per combination of clause outcomes.
     """
     delta.validate(problem.schema)
-    primary: list[int] = []
-    targets: dict[str, tuple[int, ...]] = {}
-    for a in problem.actions:
-        target = targets.get(a.schema_name)
-        if target is None:
-            schema = problem.schema.schema(a.schema_name)
-            target = delta.primary_tuple(a.schema_name, len(schema.clauses))
-            targets[a.schema_name] = target
-        matches = [i for i, o in enumerate(a.outcomes) if o.choice == target]
-        if len(matches) != 1:
-            raise IncompleteDeterminizationError(
-                f"determinization selects {len(matches)} primary outcomes "
-                f"for {a.name}")
-        primary.append(matches[0])
+    target = {s.name: tuple(delta.choices[s.name, c]
+                            for c in range(len(s.clauses)))
+              for s in problem.schema.action_schemas}
+    primary = [[o.choice for o in a.outcomes].index(target[a.schema_name])
+               for a in problem.actions]
     return ReducedModel(problem, k, primary)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from sspkit.grounding import GroundedProblem, ground
 from sspkit.oracle import enumerate_model
@@ -63,6 +64,12 @@ def random_domain(rng: random.Random, *, n_atoms: int = 5,
     goal = tuple(rng.sample(atoms, n_goal))
     problem = ProblemDef("rand-p", "rand", (), init, goal)
     return schema, problem
+
+
+def determinization_count(schema: DomainSchema) -> int:
+    """How many determinizations ``enumerate_determinizations`` lists."""
+    return prod(clause.effective_count() for action in schema.action_schemas
+                for clause in action.clauses)
 
 
 def random_determinization(rng: random.Random,

@@ -229,6 +229,25 @@ def test_file_not_utf8_is_a_positioned_parse_error(tmp_path, triangle_files,
         "", f"error: {bad}:{where}: byte 0xff is not UTF-8\n")
 
 
+# a determinization entry is name/clause -> outcome in ASCII digits; any
+# other entry is a parse error at the entry's file, line and column
+@pytest.mark.parametrize("entry", [
+    "move-car/0 => 1", "move-car/0 -> 1_0", "move-car/+0 -> 1",
+    "move-car/0 -> -0", "move-car/\u0660 -> \u0661", "move-car -> 1",
+], ids=["arrow", "underscore", "plus", "minus", "arabic-indic", "no-clause"])
+def test_bad_det_file_entry_is_a_positioned_parse_error(
+        tmp_path, triangle_files, capsys, entry):
+    domain, problem = triangle_files
+    det = tmp_path / "bad.det"
+    det.write_text(f"# one entry per line\n  {entry}  # note\n",
+                   encoding="utf-8")
+    code = main(["plan", "--domain", domain, "--problem", problem,
+                 "--det-file", str(det)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: {det}:2:3: bad determinization entry {entry!r}\n")
+
+
 def test_external_planner_rejects_optimal(triangle_files, capsys, tmp_path):
     # the external planner's search is its own, so --optimal would be ignored
     domain, problem = triangle_files

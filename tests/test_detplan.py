@@ -16,7 +16,7 @@ from sspkit.detplan import (DetAction, DeterministicProblem, RelaxedTask,
                             det_to_pddl, solve_deterministic,
                             solve_with_external)
 from sspkit.domains import gen_triangle_tireworld
-from sspkit.errors import EnumerationBlowupError, ExternalPlannerError
+from sspkit.errors import ExternalPlannerError
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import enumerate_determinizations
 from sspkit.model import iter_bits, predicate_of
@@ -25,7 +25,7 @@ from sspkit.ppddl import parse_domain, parse_problem
 from sspkit.reduction import Determinization, mlo_determinization
 
 from conftest import FLAT_DELTA, load, optimal_plan, validate_plan
-from randmodels import random_domain
+from randmodels import determinization_count, random_domain
 
 
 def det_problem(atoms, actions, goal):
@@ -218,10 +218,9 @@ def random_domain_tasks(count: int):
     domains = 0
     while domains < count:
         schema, prob = random_domain(rng, n_atoms=6)
-        try:
-            deltas = enumerate_determinizations(schema, cap=64)
-        except EnumerationBlowupError:
+        if determinization_count(schema) > 64:
             continue
+        deltas = enumerate_determinizations(schema)
         grounded = ground(schema, prob)
         states = enumerate_model(grounded).labels
         if len(states) < 4:

@@ -17,12 +17,17 @@ from conftest import FLAT_DELTA, NOFLAT_DELTA, load
 from sspkit.domains import gen_chain
 
 
-def test_initial_state_is_goal():
-    schema, problem, grounded = load(
+@pytest.fixture(scope="module")
+def goal_at_start():
+    _, _, grounded = load(
         "(define (domain d) (:predicates (p)) (:action a :parameters () "
         ":precondition (p) :effect (p)))",
         "(define (problem p) (:domain d) (:init (p)) (:goal (p)))")
-    delta = Determinization({("a", 0): 0})
+    return grounded, Determinization({("a", 0): 0})
+
+
+def test_initial_state_is_goal(goal_at_start):
+    grounded, delta = goal_at_start
     report = ReplanSession(grounded, delta, 0).run_round(*round_rng(0, 0))
     assert report.outcome == OUTCOME_GOAL
     assert report.actions_taken == 0
@@ -167,7 +172,18 @@ def test_time_budget_diagnostic(retry):
     stats, reports = monte_carlo_evaluate(grounded, delta, 0, 1e-3, 5,
                                           seed=0, time_budget=0.0)
     assert all(r.outcome == "timeout" for r in reports)
+    assert all(r.actions_taken == 0 and r.replans == 0 for r in reports)
     assert stats.success_probability == 0.0
+
+
+def test_goal_at_start_is_reached_after_the_deadline(goal_at_start):
+    # a round checks the goal before the deadline, so one whose initial
+    # state satisfies the goal needs no time
+    grounded, delta = goal_at_start
+    stats, reports = monte_carlo_evaluate(grounded, delta, 0, 1e-3, 3,
+                                          seed=0, time_budget=1e-9)
+    assert [r.outcome for r in reports] == [OUTCOME_GOAL] * 3
+    assert stats.success_probability == 1.0
 
 
 def test_one_deadline_per_evaluation(triangle1, monkeypatch):

@@ -107,7 +107,7 @@ def test_grounding_deterministic_order(triangle1):
     assert grounded.atoms == again.atoms
 
 
-def test_grounding_blowup_cap():
+def test_grounding_blowup_cap(monkeypatch):
     text = """
     (define (domain big)
       (:predicates (p ?a - object ?b - object ?c - object))
@@ -121,8 +121,9 @@ def test_grounding_blowup_cap():
     problem = parse_problem(
         f"(define (problem p) (:domain big) (:objects {objects} - object)"
         "(:init) (:goal (and)))", schema)
+    monkeypatch.setattr(grounding, "BINDING_CAP", 1000)
     with pytest.raises(GroundingBlowupError):
-        ground(schema, problem, max_bindings=1000)
+        ground(schema, problem)
 
 
 def coin_flips(n: int) -> list[ProbabilisticClause]:
@@ -160,7 +161,7 @@ def test_grounding_cap_counts_the_join_not_the_product():
     assert len(grounded.actions) == 103
 
 
-def test_grounding_cap_counts_partial_bindings():
+def test_grounding_cap_counts_partial_bindings(monkeypatch):
     # (pit ?z) holds for no object, so the join yields no binding at all,
     # yet it visits the 40 + 40 * 40 bindings of ?x and ?y on the way
     schema = parse_domain("""
@@ -175,9 +176,11 @@ def test_grounding_cap_counts_partial_bindings():
     problem = parse_problem(
         f"(define (problem p) (:domain pits) (:objects {objects} - object)"
         "(:init (at o0)) (:goal (at o1)))", schema)
+    monkeypatch.setattr(grounding, "BINDING_CAP", 1639)
     with pytest.raises(GroundingBlowupError, match="cap of 1639 "):
-        ground(schema, problem, max_bindings=1639)
-    assert ground(schema, problem, max_bindings=1640).actions == []
+        ground(schema, problem)
+    monkeypatch.setattr(grounding, "BINDING_CAP", 1640)
+    assert ground(schema, problem).actions == []
 
 
 def test_grounding_cap_fires_before_listing_unchecked_bindings():

@@ -63,8 +63,9 @@ def test_enumeration_blowup():
         tuple(ActionSchema(f"a{j}", (), (), (clause, clause))
               for j in range(4)))
     with pytest.raises(EnumerationBlowupError) as err:
-        enumerate_determinizations(schema, cap=1000)
+        enumerate_determinizations(schema)
     assert err.value.count == 4 ** 8
+    assert err.value.cap == 4096
     assert err.value.branching[("a0", 0)] == 4
 
 

@@ -37,7 +37,7 @@ def test_triangle_domain_shape():
     schema = parse_domain(domain_text)
     assert [a.name for a in schema.action_schemas] == [
         "move-car", "loadtire", "changetire"]
-    move = schema.schema("move-car")
+    move = next(a for a in schema.action_schemas if a.name == "move-car")
     assert len(move.clauses) == 1
     outcomes = move.clauses[0].outcomes
     assert len(outcomes) == 2
@@ -52,7 +52,7 @@ def test_triangle_domain_shape():
 def test_negative_precondition_parsed():
     domain_text, _ = gen_triangle_tireworld(1)
     schema = parse_domain(domain_text)
-    load = schema.schema("loadtire")
+    load = next(a for a in schema.action_schemas if a.name == "loadtire")
     negs = [lit for lit in load.precondition if lit.negated]
     assert [str(l.atom) for l in negs] == ["(not-flattire)"]
 

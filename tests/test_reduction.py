@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from sspkit import (IncompleteDeterminizationError, make_reduction,
-                    mlo_determinization)
+from sspkit import (IncompleteDeterminizationError, ParseError, ground,
+                    make_reduction, mlo_determinization)
+from sspkit.learner import enumerate_determinizations
 from sspkit.reduction import AugmentedState, Determinization, State
 
 from conftest import FLAT_DELTA, action_by_name, state_from_atoms
-from randmodels import random_reduced_setup
+from randmodels import (determinization_count, random_domain,
+                        random_reduced_setup)
 
 
 def test_transition_below_bound(triangle1):
@@ -108,16 +110,49 @@ def test_determinization_serialization_round_trip():
     text = delta.to_text()
     assert Determinization.from_text(text) == delta
     assert "move-car/0 -> 1" in text
-    with pytest.raises(ValueError):
-        Determinization.from_text("garbage line\n")
+    with pytest.raises(ParseError) as err:
+        Determinization.from_text("garbage line\n", "x.det")
+    assert str(err.value) == "x.det:1:1: bad determinization entry 'garbage line'"
 
 
 def test_determinization_repeated_entry_rejected():
-    text = "move-car/0 -> 0\n# comment\nloadtire/0 -> 0\nmove-car/0 -> 1\n"
-    with pytest.raises(ValueError,
-                       match="line 4: repeated determinization entry for "
-                             "move-car/0"):
+    text = "move-car/0 -> 0\n# comment\nloadtire/0 -> 0\n  move-car/0 -> 1\n"
+    with pytest.raises(ParseError) as err:
         Determinization.from_text(text)
+    assert str(err.value) == (
+        "<input>:4:3: repeated determinization entry for move-car/0")
+
+
+def test_determinization_comment_runs_to_the_newline():
+    # a form feed or a line separator ends no line: the comment goes on
+    text = "# flat\x0cmove-car/0 -> 9\u2028loadtire/0 -> 9\nmove-car/0 -> 1\nbad"
+    with pytest.raises(ParseError) as err:
+        Determinization.from_text(text)
+    assert str(err.value) == "<input>:3:1: bad determinization entry 'bad'"
+    assert Determinization.from_text(text[:-3]).choices == {("move-car", 0): 1}
+
+
+def assert_primary_is_the_chosen_outcome(grounded, delta):
+    """Each ground action's primary outcome is its one joint outcome built
+    from the clause outcomes the determinization chooses."""
+    model = make_reduction(grounded, delta, 0)
+    for a in grounded.actions:
+        chosen = tuple(delta.choices[a.schema_name, c]
+                       for c in range(len(a.outcomes[0].choice)))
+        matches = [i for i, o in enumerate(a.outcomes) if o.choice == chosen]
+        assert matches == [model.primary[a.id]], a.name
+
+
+def test_primary_outcome_of_every_determinization(triangle1, trap):
+    rng = random.Random(31)
+    cases = [(schema, grounded) for schema, _, grounded in (triangle1, trap)]
+    while len(cases) < 32:
+        schema, problem = random_domain(rng, max_clauses=2)
+        if determinization_count(schema) <= 64:
+            cases.append((schema, ground(schema, problem)))
+    for schema, grounded in cases:
+        for delta in enumerate_determinizations(schema):
+            assert_primary_is_the_chosen_outcome(grounded, delta)
 
 
 def test_mlo_determinization(trap):

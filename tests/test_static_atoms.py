@@ -18,14 +18,13 @@ from sspkit import (NotApplicableError, State, ground, make_reduction,
                     mlo_determinization, parse_domain, parse_problem)
 from sspkit.detplan import RelaxedTask
 from sspkit.domains import gen_trap, gen_triangle_tireworld
-from sspkit.errors import EnumerationBlowupError
 from sspkit.learner import enumerate_determinizations
 from sspkit.model import successors
 from sspkit.reduction import AugmentedState
 from sspkit.solver import SolverTables, _backup_record
 
 from conftest import FLAT_DELTA, load
-from randmodels import random_domain
+from randmodels import determinization_count, random_domain
 
 INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
 
@@ -94,10 +93,9 @@ def random_cases(count: int):
     cases = 0
     while cases < count:
         schema, prob = random_domain(rng, n_atoms=6)
-        try:
-            deltas = enumerate_determinizations(schema, cap=64)
-        except EnumerationBlowupError:
+        if determinization_count(schema) > 64:
             continue
+        deltas = enumerate_determinizations(schema)
         grounded = ground(schema, prob)
         cases += 1
         yield grounded, deltas, reachable(grounded, 10_000), rng
