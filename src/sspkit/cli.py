@@ -18,7 +18,6 @@ import math
 import os
 import shlex
 import sys
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .domains import GENERATORS
 from .errors import (CapExceededError, ExternalPlannerError,
                      GroundingBlowupError, IterationLimitError, ParseError,
                      SspkitError)
-from .executor import (DEFAULT_ACTION_CAP, DEFAULT_TIME_BUDGET, RoundReport,
+from .executor import (DEFAULT_ACTION_CAP, DEFAULT_TIME_BUDGET,
                        monte_carlo_evaluate, serve_rounds)
 from .grounding import GroundedProblem, ground
 from .learner import enumerate_determinizations, learning_det
@@ -262,11 +261,9 @@ def cmd_simulate(args) -> int:
     _write_output(_json_dump(payload), args.out)
     if args.csv:
         # one row per round: its index, then the fields of its report
-        names = [f.name for f in fields(RoundReport)
-                 if args.timings or f.name != "wall_time"]
-        rows = [[i, *r.as_dict(timings=args.timings).values()]
-                for i, r in enumerate(reports)]
-        _write_output(_csv(["round", *names], rows), args.csv)
+        rounds = payload["rounds"]
+        rows = [[i, *r.values()] for i, r in enumerate(rounds)]
+        _write_output(_csv(["round", *rounds[0]], rows), args.csv)
     return EXIT_OK
 
 

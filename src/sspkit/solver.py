@@ -81,15 +81,6 @@ def _heuristic(model: ReducedModel, cfg: SolverConfig, bits: int) -> float:
     return min(h, cfg.m_cap)
 
 
-def _value(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
-           aug: AugmentedState) -> float:
-    v = tables.v.get(aug)
-    if v is None:
-        v = 0.0 if model.is_goal(aug) else _heuristic(model, cfg, aug.state.bits)
-        tables.v[aug] = v
-    return v
-
-
 def _backup_record(tables: SolverTables, model: ReducedModel,
                    aug: AugmentedState):
     """Every applicable action of ``aug`` as (action id, cost,
@@ -113,27 +104,26 @@ def _store(tables: SolverTables, aug: AugmentedState, value: float,
 def ff_bellman_update(tables: SolverTables, model: ReducedModel,
                       cfg: SolverConfig, aug: AugmentedState,
                       report: SolveReport) -> float:
-    """One value/policy update; returns the residual |V_new - V_old|.
+    """One value/policy update; returns the residual |V_new - V_old|,
+    where a state with no stored value has V_old = 0.
 
     Goals short-circuit to value 0. At the exception bound the greedy
     sub-planner runs on every call (sweeps make one only at a bound state
     without an entry), and ``report`` counts its calls and failures: a
     successful plan writes capped suffix costs and actions for every plan
     state (keeping cheaper existing entries); failure or budget exhaustion
-    writes the cap value and a NOP policy. A bound state with no entry yet
-    is not valued first, since the sub-planner always writes one; its
-    residual is taken against 0.
+    writes the cap value and a NOP policy.
     Below the bound this is the capped Bellman operator over the state's
-    backup record, with argmin tie-breaking by lowest action id.
+    backup record, with argmin tie-breaking by lowest action id; a
+    successor with no stored value gets 0 at a goal, else the capped
+    heuristic.
     """
     s, j = aug
     v = tables.v
-    v_prev = v.get(aug)
+    v_prev = v.get(aug, 0.0)
     if model.is_goal(aug):
         _store(tables, aug, 0.0, NOP)
-        return abs(v_prev or 0.0)
-
-    if j >= model.k:
+    elif j >= model.k:
         result = solve_deterministic(model.det_problem, s.bits,
                                      budget=cfg.subplanner_budget)
         report.subplanner_calls += 1
@@ -148,25 +138,24 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
             if result.status == "timeout":
                 report.subplanner_timeouts += 1
             _store(tables, aug, cfg.m_cap, NOP)
-        return abs(v[aug] - (v_prev or 0.0))
-
-    if v_prev is None:
-        v_prev = _value(tables, model, cfg, aug)
-    best_q = INF
-    best_a = NOP
-    for action_id, q, succs in _backup_record(tables, model, aug):
-        for succ, p in succs:
-            value = v.get(succ)
-            if value is None:
-                value = _value(tables, model, cfg, succ)
-            q += p * value
-        if q < best_q:
-            best_q = q
-            best_a = action_id
-    # best_a stays NOP at a dead end, a state with no applicable action
-    value = cfg.m_cap if best_a == NOP else min(cfg.m_cap, best_q)
-    _store(tables, aug, value, best_a)
-    return abs(value - v_prev)
+    else:
+        best_q = INF
+        best_a = NOP
+        for action_id, q, succs in _backup_record(tables, model, aug):
+            for succ, p in succs:
+                value = v.get(succ)
+                if value is None:
+                    value = v[succ] = (
+                        0.0 if model.is_goal(succ)
+                        else _heuristic(model, cfg, succ.state.bits))
+                q += p * value
+            if q < best_q:
+                best_q = q
+                best_a = action_id
+        # best_a stays NOP at a dead end, a state with no applicable action
+        _store(tables, aug,
+               cfg.m_cap if best_a == NOP else min(cfg.m_cap, best_q), best_a)
+    return abs(v[aug] - v_prev)
 
 
 def _policy_walk(tables: SolverTables, model: ReducedModel,
@@ -271,7 +260,8 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
                 root: AugmentedState | None = None) -> tuple[SolverTables, SolveReport]:
     """Solve a reduced model from ``root`` (default: its initial state).
 
-    New states are valued by FF's relaxed-plan estimate, capped. Sweeps
+    A successor that no update has valued yet gets FF's relaxed-plan
+    estimate, capped, when a backup first reads it. Sweeps
     (``ff_sweep``) run until one's error drops below epsilon, and
     ``residual_trace`` holds each sweep's error; a sweep that expands a tip
     or changes a policy has error infinity. So the last sweep walked the

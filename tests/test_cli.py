@@ -148,6 +148,23 @@ def test_non_finite_numeric_option_exit_2(triangle_files, capsys, option,
     assert "must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option", [
+    (["simulate", "--problem", "{problem}", "--det-mlo"], "--rounds"),
+    (["simulate", "--problem", "{problem}", "--det-mlo"], "--max-actions"),
+    (["simulate", "--problem", "{problem}", "--det-mlo"],
+     "--subplanner-budget"),
+    (["learn-det", "--training-problem", "{problem}"], "--workers"),
+])
+def test_zero_count_option_exit_2(triangle_files, capsys, command, option):
+    domain, problem = triangle_files
+    argv = [command[0], "--domain", domain,
+            *(arg.format(problem=problem) for arg in command[1:]), option, "0"]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: 0 must be > 0" in capsys.readouterr().err
+
+
 # the message names the sources the subcommand offers, and only those
 @pytest.mark.parametrize("command,offered", [
     (["simulate"], "(--det-file, --det-mlo, --det-index or --det-learn)"),

@@ -69,6 +69,12 @@ def test_chain_plan_and_suffix_costs():
     assert result.cost >= optimal.cost
 
 
+def test_unknown_mode_rejected():
+    d, mask = det_problem(*CHAIN)
+    with pytest.raises(ValueError, match="unknown mode 'astar'"):
+        solve_deterministic(d, mask(["s"]), mode="astar")
+
+
 def test_unreachable_goal_is_provable_failure():
     atoms = ["s", "g"]
     actions = [("noop", ["s"], [], ["s"], [], 1.0)]

@@ -60,6 +60,8 @@ def test_triangle_determinization_count():
 def test_invalid_triangle_size():
     with pytest.raises(ValueError):
         gen_triangle_tireworld(0)
+    with pytest.raises(ValueError, match="chain length must be >= 1"):
+        gen_chain(0)
 
 
 def test_chain_optimal_cost_equals_length():

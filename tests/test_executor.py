@@ -8,9 +8,9 @@ import time
 import pytest
 
 from sspkit.executor import (OUTCOME_ACTION_CAP, OUTCOME_DEAD_END,
-                             OUTCOME_GOAL, OUTCOME_INVALID, ReplanSession,
-                             monte_carlo_evaluate, play_round, round_rng,
-                             serve_rounds)
+                             OUTCOME_GOAL, OUTCOME_INVALID, EvalStats,
+                             ReplanSession, monte_carlo_evaluate, play_round,
+                             round_rng, serve_rounds)
 from sspkit.reduction import Determinization
 
 from conftest import FLAT_DELTA, NOFLAT_DELTA, load
@@ -50,6 +50,14 @@ def test_deterministic_cost_is_exact():
     stats, _ = monte_carlo_evaluate(grounded, delta, 0, 1e-3, 20, seed=42)
     assert stats.success_probability == 1.0
     assert stats.expected_cost == 7.0
+
+
+def test_zero_rounds_give_empty_stats(chain2):
+    _, _, grounded = chain2
+    stats, reports = monte_carlo_evaluate(
+        grounded, Determinization({("step", 0): 0}), 0, 1e-3, 0, seed=0)
+    assert reports == []
+    assert stats == EvalStats(0, 0, 0.0, 0.0)
 
 
 def test_retry_expected_cost_and_replan_audit(retry):

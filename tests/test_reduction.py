@@ -7,7 +7,8 @@ import pytest
 from sspkit import (IncompleteDeterminizationError, ParseError, ground,
                     make_reduction, mlo_determinization)
 from sspkit.learner import enumerate_determinizations
-from sspkit.reduction import AugmentedState, Determinization, State
+from sspkit.reduction import (AugmentedState, Determinization,
+                              ReducedModel, State)
 
 from conftest import FLAT_DELTA, action_by_name, state_from_atoms
 from randmodels import (determinization_count, random_domain,
@@ -102,6 +103,10 @@ def test_negative_k_rejected(triangle1):
     _, _, grounded = triangle1
     with pytest.raises(ValueError):
         make_reduction(grounded, FLAT_DELTA, -1)
+    # and a primary list that misses an action
+    primary = make_reduction(grounded, FLAT_DELTA, 0).primary
+    with pytest.raises(ValueError, match="one primary outcome per ground"):
+        ReducedModel(grounded, 0, primary[:-1])
 
 
 def test_determinization_serialization_round_trip():

@@ -20,7 +20,7 @@ from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 from sspkit.reduction import AugmentedState, Determinization, State
-from sspkit.solver import INF, _policy_walk, _value
+from sspkit.solver import INF, _policy_walk
 
 from conftest import FLAT_DELTA, action_by_name, state_from_atoms
 from randmodels import random_proper_reduced_setup, random_reduced_setup
@@ -61,11 +61,16 @@ def chain_model(k=0):
 
 
 def q_value(tables, model, cfg, aug, action_id):
-    """Action cost plus probability-weighted successor values; successors
-    without a stored value are valued by the configured heuristic."""
+    """Action cost plus probability-weighted successor values; a successor
+    without a stored value is valued as a backup values it: 0 at a goal,
+    else the solver's heuristic."""
     total = model.cost(action_id)
     for succ, p in model.reduced_successors(aug, action_id):
-        total += p * _value(tables, model, cfg, succ)
+        value = tables.v.get(succ)
+        if value is None:
+            value = (0.0 if model.is_goal(succ)
+                     else solver._heuristic(model, cfg, succ.state.bits))
+        total += p * value
     return total
 
 
@@ -157,6 +162,26 @@ def test_bellman_goal_short_circuits(exact_solver):
     assert ff_bellman_update(tables, model, cfg, goal, report) == 7.0
     assert tables.v[goal] == 0.0
     assert tables.pi[goal] == NOP
+
+
+def test_first_update_below_bound_reads_no_estimate_of_its_state(monkeypatch):
+    """A tip's update overwrites its value at once, so the heuristic is
+    computed only for the successors its backup reads, and the residual
+    is taken against 0."""
+    grounded, model = chain_model(1)
+    evaluated = []
+    heuristic = solver._heuristic
+
+    def recording(model, cfg, bits):
+        evaluated.append(bits)
+        return heuristic(model, cfg, bits)
+
+    monkeypatch.setattr(solver, "_heuristic", recording)
+    tables = SolverTables()
+    residual = ff_bellman_update(tables, model, SolverConfig(),
+                                 model.initial, SolveReport())
+    assert evaluated == [state_from_atoms(grounded, ["(m)"])]
+    assert residual == tables.v[model.initial] == 2.0
 
 
 def converge(tables, model, cfg, report):

@@ -48,5 +48,5 @@ def test_tracer_wraps_every_traced_name_and_sees_its_calls():
     assert {name: metrics[name] for name in (
         "detplan.h_calls", "detplan.h_states", "detplan.plan_calls",
         "detplan.plan_expansions")} == {
-        "detplan.h_calls": 71, "detplan.h_states": 53,
+        "detplan.h_calls": 65, "detplan.h_states": 52,
         "detplan.plan_calls": 7, "detplan.plan_expansions": 21}
