@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse/config failure, 3 grounding failure,
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import os
@@ -108,8 +109,9 @@ def _det_source(args) -> tuple[str, str | int | bool] | None:
 
 
 def _read(path: str) -> str:
-    """The file's text, decoded as UTF-8 whatever the locale."""
-    data = Path(path).read_bytes()
+    """The file's text, decoded as UTF-8 whatever the locale, without a
+    leading byte-order mark; positions count from after the mark."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

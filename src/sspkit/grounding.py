@@ -8,7 +8,8 @@ the join visits, partial ones included; ``OUTCOME_CAP`` bounds the joint
 outcomes of the ground actions kept, counted from their clauses before
 any is built.
 Outcome distributions are exact rationals and sum to 1 per ground action
-(residual probability mass becomes an explicit no-op outcome).
+(residual probability mass becomes an explicit no-op outcome). Every
+action costs 1.
 """
 
 from __future__ import annotations
@@ -297,9 +298,6 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
 
     actions: list[GroundAction] = []
     for cand in candidates:
-        if cand.schema.cost <= 0:
-            raise ValueError(
-                f"action schema {cand.schema.name!r} has non-positive cost")
         outcomes: list[GroundOutcome] = []
         for combo in product(*cand.clause_outcomes):
             p = Fraction(1)
@@ -321,7 +319,7 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
             schema_name=cand.schema.name,
             pre_pos_mask=mask(cand.pre_pos),
             pre_neg_mask=mask(cand.pre_neg),
-            cost_f=float(cand.schema.cost),
+            cost_f=1.0,
             outcomes=outcomes,
         ))
 

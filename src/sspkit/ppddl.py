@@ -151,7 +151,6 @@ class ActionSchema:
     clauses: tuple[ProbabilisticClause, ...]
     # (a, b, must_equal) filters from :equality; a/b are variables or objects
     equalities: tuple[tuple[str, str, bool], ...] = ()
-    cost: Fraction = Fraction(1)
 
 
 @dataclass(frozen=True)

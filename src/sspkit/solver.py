@@ -1,14 +1,14 @@
 """Heuristic search solver for single-primary reduced models.
 
 The solver repeats one kind of sweep over the greedy policy graph: a
-depth-first walk that expands each tip it reaches, descends through it,
-and updates every other state in post-order. One sweep grows the graph as
-deep as the new greedy actions reach, and a sweep that expands nothing is
-the convergence test. States at the exception bound are solved by the
-built-in classical planner; the whole returned plan is memoized (cheapest
-suffix kept) so those states act as terminals afterwards. Dead ends,
-planner failures and all stored values are bounded by the cost cap, which
-guarantees convergence.
+depth-first walk that expands each tip it reaches, stops at final leaves,
+and updates in post-order every state it descends through. One sweep grows
+the graph as deep as the new greedy actions reach, and a sweep that expands
+nothing is the convergence test. States at the exception bound are solved
+by the built-in classical planner; the whole returned plan is memoized
+(cheapest suffix kept) so those states act as terminals afterwards. Dead
+ends, planner failures and all stored values are bounded by the cost cap,
+which guarantees convergence.
 """
 
 from __future__ import annotations
@@ -158,91 +158,57 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     return abs(v[aug] - v_prev)
 
 
-def _policy_walk(tables: SolverTables, model: ReducedModel,
-                 root: AugmentedState, past_bound: bool = False):
-    """Depth-first walk of the greedy policy graph from ``root``.
-
-    Yields ``(aug, None)`` at a tip (a state with no policy entry) and
-    ``(aug, action_id)`` in post-order for every other reached state,
-    with the entry it had when reached. The walk goes on through policy
-    actions below the bound, whose successors it takes from the backup
-    record, or everywhere with ``past_bound``; callers may update the
-    tables between yields. A tip that the caller gave a policy action
-    below the bound is then walked like any other such state, so it is
-    yielded again in post-order; a tip at the bound or with ``NOP`` is
-    not. An explicit stack keeps policy-graph depth unbounded by the
-    interpreter.
-    """
-    visited: set[AugmentedState] = set()
-    # (state, None) enters a state; (state, action) leaves it
-    stack: list[tuple[AugmentedState, int | None]] = [(root, None)]
-    push = stack.append
-    policy = tables.pi.get
-    records = tables.records
-    k = model.k
-    while stack:
-        aug, action_id = stack.pop()
-        if action_id is not None:
-            yield aug, action_id
-            continue
-        if aug in visited:
-            continue
-        visited.add(aug)
-        action_id = policy(aug)
-        if action_id is None:  # a tip; descend if the caller expanded it
-            yield aug, None
-            action_id = policy(aug)
-            if action_id is None or action_id == NOP or aug[1] >= k:
-                continue
-        elif action_id == NOP:  # a leaf
-            yield aug, action_id
-            continue
-        if aug[1] < k:
-            for a, _, succs in records[aug]:  # the policy entry came from it
-                if a == action_id:
-                    break
-        elif past_bound:
-            succs = model.reduced_successors(aug, action_id)
-        else:  # a leaf: it is left as soon as it is entered
-            yield aug, action_id
-            continue
-        push((aug, action_id))
-        for succ, _ in reversed(succs):
-            push((succ, None))
-
-
 def ff_sweep(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
              root: AugmentedState, report: SolveReport) -> float:
     """One depth-first sweep over the greedy policy graph from ``root``.
 
-    Each tip is updated as it is reached and counts as one expansion; the
-    walk then descends through the policy action it got below the bound.
-    Every other reached state gets a post-order update, apart from final
-    leaves (a ``NOP`` entry or an entry at the bound), whose update would
-    leave them as they are. Returns infinity if a tip was expanded or a
-    policy changed, otherwise the largest residual. Below epsilon, the
-    sweep walked the final greedy graph, and its zero-exception states
-    join ``tables.solved``.
+    Each tip (a state with no policy entry) is updated as it is reached
+    and counts as one expansion. Final leaves (a ``NOP`` entry or an entry
+    at the bound) end the walk there, since an update would leave them as
+    they are. The walk descends through every other state's policy
+    action, whose successors it takes from the backup record, and updates
+    the state again in post-order. Returns infinity if a tip was expanded
+    or a policy changed, otherwise the largest residual. Below epsilon,
+    the sweep walked the final greedy graph, and its zero-exception states
+    join ``tables.solved``. An explicit stack keeps policy-graph depth
+    unbounded by the interpreter.
     """
     error = 0.0
     changed = False  # a tip expanded or a policy changed
-    reached = []  # the zero-exception states
+    visited: set[AugmentedState] = set()
+    # (state, None) enters a state; (state, action) leaves it
+    stack: list[tuple[AugmentedState, int | None]] = [(root, None)]
+    push = stack.append
+    pi = tables.pi
     k = model.k
-    for aug, action_id in _policy_walk(tables, model, root):
-        if aug[1] == 0:
-            reached.append(aug)
+    while stack:
+        aug, action_id = stack.pop()
+        if action_id is not None:
+            error = max(error,
+                        ff_bellman_update(tables, model, cfg, aug, report))
+            changed = changed or pi[aug] != action_id
+            continue
+        if aug in visited:
+            continue
+        visited.add(aug)
+        action_id = pi.get(aug)
         if action_id is None:
             ff_bellman_update(tables, model, cfg, aug, report)
             report.expansions += 1
             changed = True
-        elif action_id != NOP and aug[1] < k:
-            error = max(error,
-                        ff_bellman_update(tables, model, cfg, aug, report))
-            changed = changed or tables.pi[aug] != action_id
+            action_id = pi[aug]
+        if action_id == NOP or aug[1] >= k:
+            continue
+        for a, _, succs in tables.records[aug]:  # the entry came from it
+            if a == action_id:
+                break
+        push((aug, action_id))
+        for succ, _ in reversed(succs):
+            push((succ, None))
     if changed:
         return INF
     if error < cfg.epsilon:
-        tables.solved.update(reached)
+        tables.solved.update(aug for aug in visited if aug[1] == 0)
     return error
 
 
@@ -250,9 +216,22 @@ def policy_size(tables: SolverTables, model: ReducedModel,
                 root: AugmentedState) -> int:
     """Number of states with a policy entry reachable from ``root`` under
     the policy, following sub-planner plans past the bound."""
-    return sum(1 for _, action_id in
-               _policy_walk(tables, model, root, past_bound=True)
-               if action_id is not None)
+    seen = {root}
+    stack = [root]
+    count = 0
+    while stack:
+        aug = stack.pop()
+        action_id = tables.pi.get(aug)
+        if action_id is None:
+            continue
+        count += 1
+        if action_id == NOP:
+            continue
+        for succ, _ in model.reduced_successors(aug, action_id):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return count
 
 
 def ff_lao_star(model: ReducedModel, cfg: SolverConfig,

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, output formats, and reproducibility."""
 
+import codecs
 import io
 import json
 import os
@@ -244,6 +245,29 @@ def test_file_not_utf8_is_a_positioned_parse_error(tmp_path, triangle_files,
     assert code == 2
     assert capsys.readouterr() == (
         "", f"error: {bad}:{where}: byte 0xff is not UTF-8\n")
+
+
+# a UTF-8 byte-order mark opening an input file is skipped, so a domain,
+# problem or determinization file gives the same plan with or without one
+@pytest.mark.parametrize("marked", ["domain.ppddl", "problem.ppddl",
+                                    "det.txt"])
+def test_byte_order_mark_is_skipped(tmp_path, monkeypatch, capsys, marked):
+    domain_text, problem_text = gen_chain(2)
+    files = {"domain.ppddl": domain_text, "problem.ppddl": problem_text,
+             "det.txt": "step/0 -> 0\n"}
+    outputs = []
+    for mark in (b"", codecs.BOM_UTF8):
+        run = tmp_path / ("bom" if mark else "plain")
+        run.mkdir()
+        for name, text in files.items():
+            prefix = mark if name == marked else b""
+            (run / name).write_bytes(prefix + text.encode("utf-8"))
+        monkeypatch.chdir(run)
+        code = main(["plan", "--domain", "domain.ppddl", "--problem",
+                     "problem.ppddl", "--det-file", "det.txt"])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
 
 
 # a determinization entry is name/clause -> outcome in ASCII digits; any

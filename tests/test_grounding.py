@@ -243,16 +243,6 @@ def test_goal_atoms_kept_in_universe():
     assert "(unreachable)" in grounded.atoms
 
 
-def test_zero_cost_schema_rejected():
-    clause = ProbabilisticClause((Outcome(Fraction(1), (Atom("g"),), ()),))
-    schema, problem = nullary_domain([clause])
-    bad = DomainSchema(
-        schema.name, schema.requirements, schema.types, schema.predicates,
-        (ActionSchema("act", (), (), (clause,), cost=Fraction(0)),))
-    with pytest.raises(ValueError):
-        ground(bad, problem)
-
-
 # ── the static join against the exhaustive binding product ──────────────────
 
 def product_ground(schema, problem):

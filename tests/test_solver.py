@@ -12,7 +12,7 @@ import pytest
 from sspkit import (NOP, SolveReport, SolverConfig, SolverTables,
                     ff_bellman_update, ff_lao_star, ff_sweep, ground,
                     make_reduction, mlo_determinization, parse_domain,
-                    parse_problem, solver)
+                    parse_problem, policy_size, solver)
 from sspkit.detplan import solve_deterministic
 from sspkit.executor import sample_successor
 from sspkit.model import successors
@@ -20,7 +20,7 @@ from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProbabilisticClause, ProblemDef)
 from sspkit.reduction import AugmentedState, Determinization, State
-from sspkit.solver import INF, _policy_walk
+from sspkit.solver import INF
 
 from conftest import FLAT_DELTA, action_by_name, state_from_atoms
 from randmodels import random_proper_reduced_setup, random_reduced_setup
@@ -317,6 +317,34 @@ def test_lao_matches_vi_on_random_proper_models(exact_solver):
         assert report.v_root == pytest.approx(values[0], abs=1e-3)
 
 
+def test_policy_size_counts_the_states_the_policy_reaches():
+    """``policy_size`` matches a count over the enumerated model that
+    follows the policy from the initial state, past the bound too."""
+    rng = random.Random(29)
+    cfg = SolverConfig()
+    for _ in range(60):
+        _, _, _, model, explicit = random_proper_reduced_setup(rng)
+        tables, _ = ff_lao_star(model, cfg)
+        reached = {explicit.initial}
+        stack = [explicit.initial]
+        count = 0
+        while stack:
+            i = stack.pop()
+            action_id = tables.pi.get(explicit.labels[i])
+            if action_id is None:
+                continue
+            count += 1
+            if action_id == NOP:
+                continue
+            succs, = [succs for a, succs, _ in explicit.actions[i]
+                      if a == action_id]
+            for t, _ in succs:
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+        assert policy_size(tables, model, model.initial) == count
+
+
 def test_values_capped_and_plan_cache_consistent(exact_solver):
     rng = random.Random(7)
     cfg = SolverConfig()
@@ -419,10 +447,27 @@ INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
 
 def assert_policy_below_bound_from_records(model, tables):
     """Every policy action below the bound names an action of the state's
-    backup record, where ``_policy_walk`` takes its successors from."""
+    backup record, where ``ff_sweep`` takes its successors from."""
     for aug, action_id in tables.pi.items():
         if aug.j < model.k and action_id != NOP:
             assert action_id in [a for a, _, _ in tables.records[aug]]
+
+
+def greedy_graph(tables, model, root):
+    """The states that a sweep from ``root`` reaches: the walk follows the
+    policy and stops at tips, at ``NOP`` entries and at the bound."""
+    reached = {root}
+    stack = [root]
+    while stack:
+        aug = stack.pop()
+        action_id = tables.pi.get(aug)
+        if action_id is None or action_id == NOP or aug.j >= model.k:
+            continue
+        for succ, _ in model.reduced_successors(aug, action_id):
+            if succ not in reached:
+                reached.add(succ)
+                stack.append(succ)
+    return reached
 
 
 def assert_solves(model, roots_of, plant=lambda tables: None):
@@ -436,7 +481,7 @@ def assert_solves(model, roots_of, plant=lambda tables: None):
     for root in roots_of(model, tables):
         ff_lao_star(model, cfg, tables, root)
         assert_policy_below_bound_from_records(model, tables)
-        assert {aug for aug, _ in _policy_walk(tables, model, root)
+        assert {aug for aug in greedy_graph(tables, model, root)
                 if aug.j == 0} <= tables.solved
         assert set(vars(model)) <= {"problem", "k", "primary", "initial",
                                     "det_problem"}
