@@ -79,6 +79,17 @@ def _pos_float(text: str) -> float:
     return value
 
 
+def _command(text: str) -> list[str]:
+    """The words of a command line, split as a POSIX shell splits them."""
+    try:
+        words = shlex.split(text)
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not words:
+        raise argparse.ArgumentTypeError("the command is blank")
+    return words
+
+
 class _Given(argparse.Action):
     """Store the value (``const`` for a flag) and append the first flag to
     ``args.given``: an option set to its default value is given all the same."""
@@ -336,7 +347,7 @@ def cmd_detplan_solve(args) -> int:
     det = make_reduction(grounded, delta, args.k).det_problem
     if args.external:
         result = solve_with_external(det, grounded.initial_state,
-                                     shlex.split(args.external))
+                                     args.external)
     else:
         result = solve_deterministic(det, grounded.initial_state,
                                      budget=args.subplanner_budget,
@@ -386,9 +397,9 @@ def cmd_oracle_enumerate(args) -> int:
               {"index": i, "atoms": grounded.atom_names(label), "goal": goal}
               for i, (label, goal) in enumerate(zip(explicit.labels, explicit.goal))]
     transitions = [{"state": i, "action": grounded.actions[action_id].name,
-                    "successors": [[s2, p] for s2, p in succs], "cost": cost}
+                    "successors": [[s2, p] for s2, p in succs], "cost": 1.0}
                    for i, rows in enumerate(explicit.actions)
-                   for action_id, succs, cost in rows]
+                   for action_id, succs in rows]
     payload = {"schema_version": SCHEMA_VERSION,
                "problem": grounded.problem_name,
                "states": states, "transitions": transitions}
@@ -483,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     planning = ("--k", "--epsilon", "--m-cap", "--subplanner-budget", "--seed",
                 "--timings")
 
-    def take(parser, *flags):
+    def take(parser, *flags, **overrides):
         for flag in flags:
-            parser.add_argument(flag, **shared[flag])
+            parser.add_argument(flag, **{**shared[flag], **overrides})
 
     parser = _Parser(
         prog="sspkit",
@@ -515,12 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     take(p, "--domain")
     p.add_argument("--training-problem", required=True,
                    help="problem the candidates are scored on")
-    take(p, "--k", "--epsilon", "--rounds", "--max-actions", "--time-budget",
-         "--seed", "--timings")
+    take(p, "--k", "--epsilon", "--rounds", "--max-actions")
+    take(p, "--time-budget", default=None,
+         help="seconds for all candidates, split evenly among them "
+              "(default: no budget)")
+    take(p, "--seed", "--timings")
     p.add_argument("--workers", type=_pos_int, default=1, help="worker processes")
     p.add_argument("--out", help="winning determinization file")
     p.add_argument("--report-csv", help="ranked CSV path (default stdout)")
-    p.set_defaults(func=cmd_learn_det, time_budget=None)
+    p.set_defaults(func=cmd_learn_det)
 
     p = sub.add_parser("bench", help="run an ordered list of problems")
     take(p, "--domain", *planning, "--rounds", "--max-actions", "--time-budget")
@@ -538,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
          "--seed")
     take(ps.add_mutually_exclusive_group(required=True), *DET_FLAGS)
     ps.add_argument("--optimal", action="store_true",
-                    help="uniform-cost search (minimal-cost plans)")
-    ps.add_argument("--external", metavar="CMD",
+                    help="breadth-first search (shortest plans)")
+    ps.add_argument("--external", metavar="CMD", type=_command,
                     help="shell out to an external planner command")
     ps.add_argument("--out", help="plan text path (default stdout)")
     ps.set_defaults(func=cmd_detplan_solve)

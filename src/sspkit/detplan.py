@@ -1,11 +1,11 @@
 """Built-in classical planner and relaxed-plan heuristic.
 
-The default search is greedy best-first on the relaxed-plan heuristic,
-expanding helpful-action successors first; if that phase exhausts without
-finding a plan, a uniform-cost restart guarantees completeness within the
-remaining budget. ``mode="optimal"`` skips the greedy phase and returns
-minimal-cost plans (used by ``detplan solve --optimal`` and by the tests'
-``exact_solver`` fixture).
+Every action costs 1, so a plan costs its length. The default search is
+greedy best-first on the relaxed-plan heuristic, expanding helpful-action
+successors first; if that phase exhausts without finding a plan, a
+breadth-first restart guarantees completeness within the remaining budget.
+``mode="optimal"`` skips the greedy phase and returns shortest plans (used
+by ``detplan solve --optimal`` and by the tests' ``exact_solver`` fixture).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import heapq
 import math
 import subprocess
 import tempfile
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +38,6 @@ class DetAction:
     pre_neg_mask: int
     add_mask: int
     del_mask: int
-    cost: float
 
 
 @dataclass
@@ -73,7 +73,7 @@ class DeterministicProblem:
     @cached_property
     def relaxed_task(self) -> "RelaxedTask":
         """Delete relaxation of this task, built on first use."""
-        entries = [(a.id, a.cost, a.pre_pos_mask, a.add_mask)
+        entries = [(a.id, a.pre_pos_mask, a.add_mask)
                    for a in self.actions if a.add_mask]
         return RelaxedTask(self.atom_names, entries, self.goal_mask,
                            self.static_mask, self.init_bits)
@@ -84,24 +84,20 @@ class PlanResult:
     """Outcome of one deterministic solve.
 
     ``steps`` pairs each visited state, as its ``int`` bitset, with the id
-    of the action taken from it; ``suffix_costs[i]`` is the remaining plan
-    cost from ``steps[i]`` on.
+    of the action taken from it; ``cost`` is the plan's length, as a float.
     Status ``timeout`` (budget exhausted) is distinct from ``failure``
     (search space exhausted, goal provably unreachable).
     """
 
     status: str  # plan | failure | timeout
     steps: list[tuple[int, int]]
-    suffix_costs: list[float]
     expansions: int = 0
+
+    cost = property(lambda self: float(len(self.steps)))
 
     @property
     def found(self) -> bool:
         return self.status == "plan"
-
-    @property
-    def cost(self) -> float:
-        return self.suffix_costs[0] if self.suffix_costs else 0.0
 
 
 class RelaxedTask:
@@ -117,8 +113,9 @@ class RelaxedTask:
     in ``held[k - 2]`` and moves the others up one row, so an entry enters
     at the layer of its last precondition after a few bitset operations
     per atom, whatever the number of dependants. Construction stops when
-    the goal holds (then a relaxed plan is extracted) or a layer adds no
-    atom (then the estimate is inf).
+    the goal holds (then a relaxed plan is extracted, and the estimate
+    ``h`` is the number of achievers it selects) or a layer adds no atom
+    (then ``h`` is inf).
 
     Layer 0 is not reached atom by atom. The precondition atoms are grouped
     by predicate, and the group with the most atoms true in ``init_bits``
@@ -153,14 +150,14 @@ class RelaxedTask:
     """
 
     def __init__(self, atom_names: tuple[str, ...],
-                 entries: list[tuple[int, float, int, int]],
+                 entries: list[tuple[int, int, int]],
                  goal_mask: int, static_mask: int = 0, init_bits: int = 0):
         self.atom_names = atom_names
         self.goal_mask = goal_mask
         self.static_mask = static_mask
-        self.entries = entries  # (orig id, cost, pre_pos_mask, add_mask)
-        self.adds = [add for _, _, _, add in entries]
-        self.pre_masks = [pre & ~static_mask for _, _, pre, _ in entries]
+        self.entries = entries  # (orig id, pre_pos_mask, add_mask)
+        self.adds = [add for _, _, add in entries]
+        self.pre_masks = [pre & ~static_mask for _, pre, _ in entries]
         self.k = k = max(2, max((pre.bit_count() for pre in self.pre_masks),
                                 default=0))
         n_atoms = len(atom_names)
@@ -194,7 +191,7 @@ class RelaxedTask:
         self._cache: dict[int, tuple[float, int]] = {}
 
     def evaluate(self, bits: int) -> tuple[float, int]:
-        """Relaxed-plan cost from ``bits`` and the helpful actions, as a
+        """Relaxed-plan length from ``bits`` and the helpful actions, as a
         bitmask with bit ``id`` set for each helpful action id.
 
         Returns (0, 0) when the goal already holds, (inf, 0) when it is
@@ -288,7 +285,6 @@ class RelaxedTask:
         entries = self.entries
         pre_masks = self.pre_masks
         wanted_anywhere = goal_mask
-        cost = 0.0
         selected = 0
         helpful = 0
         for lvl in range(len(fired_at), 0, -1):
@@ -303,12 +299,10 @@ class RelaxedTask:
                     continue
                 selected |= achiever
                 ei = achiever.bit_length() - 1
-                orig_id, act_cost, _, _ = entries[ei]
-                cost += act_cost
                 if lvl == 1:
-                    helpful |= 1 << orig_id
+                    helpful |= 1 << entries[ei][0]
                 wanted_anywhere |= pre_masks[ei]
-        return cost, helpful
+        return float(selected.bit_count()), helpful
 
 
 def _thermometer_sum(a: list[int], b: list[int]) -> list[int]:
@@ -324,26 +318,13 @@ def _thermometer_sum(a: list[int], b: list[int]) -> list[int]:
     return total
 
 
-def _plan(chain: list[tuple[int, DetAction]],
-          expansions: int = 0) -> PlanResult:
-    """The plan whose steps are ``chain``'s (state bits, action) pairs."""
-    suffix_costs = []
-    total = 0.0
-    for _, action in reversed(chain):
-        total += action.cost
-        suffix_costs.append(total)
-    suffix_costs.reverse()
-    return PlanResult("plan", [(b, a.id) for b, a in chain], suffix_costs,
-                      expansions)
-
-
 def _reconstruct(parents: dict, goal_bits: int, expansions: int) -> PlanResult:
-    chain: list[tuple[int, DetAction]] = []
+    steps: list[tuple[int, int]] = []
     bits = goal_bits
     while parents[bits] is not None:
-        chain.append(parents[bits])
+        steps.append(parents[bits])
         bits = parents[bits][0]
-    return _plan(chain[::-1], expansions)
+    return PlanResult("plan", steps[::-1], expansions)
 
 
 def solve_deterministic(d: DeterministicProblem, bits0: int, *,
@@ -352,33 +333,31 @@ def solve_deterministic(d: DeterministicProblem, bits0: int, *,
     """Find a plan from the state ``bits0`` to the goal, or prove there is
     none; ``budget`` bounds the expansions.
 
-    Plans from the default mode are valid but not necessarily optimal;
-    ``mode="optimal"`` runs plain uniform-cost search.
+    Plans from the default mode are valid but not necessarily shortest;
+    ``mode="optimal"`` runs plain breadth-first search.
 
-    Neither phase keeps a closed set: the greedy phase pushes a state only
-    when it enters ``parents``, and with positive action costs the entries
-    the uniform-cost phase finds superseded in ``best_g`` are exactly those
-    of states already expanded.
+    Neither phase keeps a closed set: each queues a state only when it
+    enters ``parents``, so no state is expanded twice.
     """
     if d.is_goal(bits0):
-        return PlanResult("plan", [], [])
+        return PlanResult("plan", [])
     expansions = 0
 
     if mode == "greedy":
         task = d.relaxed_task
         h0, _ = task.evaluate(bits0)
         if h0 == INF:
-            return PlanResult("failure", [], [], expansions)
+            return PlanResult("failure", [], expansions)
         counter = 0
         open_heap: list[tuple[float, int, int]] = [(h0, counter, bits0)]
-        parents: dict[int, tuple[int, DetAction] | None] = {bits0: None}
+        parents: dict[int, tuple[int, int] | None] = {bits0: None}
         while open_heap:
             _, _, bits = heapq.heappop(open_heap)
             if d.is_goal(bits):
                 return _reconstruct(parents, bits, expansions)
             expansions += 1
             if expansions >= budget:
-                return PlanResult("timeout", [], [], expansions)
+                return PlanResult("timeout", [], expansions)
             _, helpful = task.evaluate(bits)
             apps = d.applicable(bits)
             use = [a for a in apps if helpful >> a.id & 1] or apps
@@ -389,37 +368,29 @@ def solve_deterministic(d: DeterministicProblem, bits0: int, *,
                 hn, _ = task.evaluate(nb)
                 if hn == INF:
                     continue
-                parents[nb] = (bits, a)
+                parents[nb] = (bits, a.id)
                 counter += 1
                 heapq.heappush(open_heap, (hn, counter, nb))
         # Greedy phase exhausted under helpful-action pruning: restart as
-        # uniform-cost search to preserve completeness.
+        # breadth-first search to preserve completeness.
     elif mode != "optimal":
         raise ValueError(f"unknown mode {mode!r}")
 
-    counter = 0
-    open_heap = [(0.0, counter, bits0)]
+    queue = deque([bits0])
     parents = {bits0: None}
-    best_g: dict[int, float] = {bits0: 0.0}
-    while open_heap:
-        g, _, bits = heapq.heappop(open_heap)
-        if g > best_g[bits]:
-            continue
+    while queue:
+        bits = queue.popleft()
         if d.is_goal(bits):
             return _reconstruct(parents, bits, expansions)
         expansions += 1
         if expansions >= budget:
-            return PlanResult("timeout", [], [], expansions)
+            return PlanResult("timeout", [], expansions)
         for a in d.applicable(bits):
             nb = d.apply(bits, a)
-            ng = g + a.cost
-            if best_g.get(nb, INF) <= ng:
-                continue
-            best_g[nb] = ng
-            parents[nb] = (bits, a)
-            counter += 1
-            heapq.heappush(open_heap, (ng, counter, nb))
-    return PlanResult("failure", [], [], expansions)
+            if nb not in parents:
+                parents[nb] = (bits, a.id)
+                queue.append(nb)
+    return PlanResult("failure", [], expansions)
 
 
 # ── external planner hook (off by default) ───────────────────────────────────
@@ -475,7 +446,7 @@ def solve_with_external(d: DeterministicProblem, bits: int,
         proc = subprocess.run(command + [str(domain_path), str(problem_path)],
                               capture_output=True)
     if proc.returncode == 10:
-        return PlanResult("failure", [], [])
+        return PlanResult("failure", [])
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", "replace")
         raise ExternalPlannerError(
@@ -487,7 +458,7 @@ def solve_with_external(d: DeterministicProblem, bits: int,
         raise ExternalPlannerError(
             f"external planner output is not UTF-8 at byte {exc.start}") from None
     by_name = {f"a{j}": a for j, a in enumerate(d.actions)}
-    chain: list[tuple[int, DetAction]] = []
+    steps: list[tuple[int, int]] = []
     for line in stdout.splitlines():
         token = line.split(";", 1)[0].strip().strip("()").strip().lower()
         if not token:
@@ -498,8 +469,8 @@ def solve_with_external(d: DeterministicProblem, bits: int,
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
             raise ExternalPlannerError(
                 f"inapplicable action {token!r} ({a.name}) in plan")
-        chain.append((bits, a))
+        steps.append((bits, a.id))
         bits = d.apply(bits, a)
     if not d.is_goal(bits):
         raise ExternalPlannerError("external plan does not reach the goal")
-    return _plan(chain)
+    return PlanResult("plan", steps)

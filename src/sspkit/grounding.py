@@ -55,7 +55,6 @@ class GroundAction:
     schema_name: str
     pre_pos_mask: int
     pre_neg_mask: int
-    cost_f: float
     outcomes: list[GroundOutcome]
 
 
@@ -91,7 +90,7 @@ class GroundedProblem:
     def relaxed_task(self) -> RelaxedTask:
         """All-outcomes delete relaxation (every outcome a separate action),
         built on first use by the heuristic and kept with the problem."""
-        entries = [(a.id, a.cost_f, a.pre_pos_mask, o.add_mask)
+        entries = [(a.id, a.pre_pos_mask, o.add_mask)
                    for a in self.actions for o in a.outcomes if o.add_mask]
         return RelaxedTask(self.atoms, entries, self.goal_mask,
                            self.static_mask, self.initial_state)
@@ -319,7 +318,6 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
             schema_name=cand.schema.name,
             pre_pos_mask=mask(cand.pre_pos),
             pre_neg_mask=mask(cand.pre_neg),
-            cost_f=1.0,
             outcomes=outcomes,
         ))
 

@@ -22,15 +22,15 @@ MAX_SWEEPS = 1_000_000  # value iteration's safety bound
 class ExplicitModel:
     """Dense enumeration of the states reachable from the initial state.
 
-    ``actions[i]`` lists (action id, [(successor index, probability)], cost)
-    for state index ``i``; goal states keep their action lists but are
-    treated as absorbing by the solvers.
+    ``actions[i]`` lists (action id, [(successor index, probability)])
+    for state index ``i``; every action costs 1. Goal states keep their
+    action lists but are treated as absorbing by the solvers.
     """
 
     labels: list
     initial: int
     goal: list[bool]
-    actions: list[list[tuple[int, list[tuple[int, float]], float]]]
+    actions: list[list[tuple[int, list[tuple[int, float]]]]]
 
     @property
     def n_states(self) -> int:
@@ -45,18 +45,16 @@ def enumerate_model(source: GroundedProblem | ReducedModel, *,
         goal_test = source.is_goal
         act = source.applicable
         succ = source.reduced_successors
-        cost = source.cost
     else:
         initial = source.initial_state
         goal_test = lambda s: is_goal(s, source)
         act = lambda s: applicable_actions(s, source)
         succ = lambda s, a: successors(s, a, source)
-        cost = lambda a: source.actions[a].cost_f
 
     labels = [initial]
     index = {initial: 0}
     goal = [goal_test(initial)]
-    rows: list[list[tuple[int, list[tuple[int, float]], float]]] = []
+    rows: list[list[tuple[int, list[tuple[int, float]]]]] = []
     frontier = 0
     while frontier < len(labels):
         state = labels[frontier]
@@ -75,7 +73,7 @@ def enumerate_model(source: GroundedProblem | ReducedModel, *,
                     labels.append(nxt)
                     goal.append(goal_test(nxt))
                 entries.append((idx, p))
-            state_rows.append((action_id, entries, cost(action_id)))
+            state_rows.append((action_id, entries))
         rows.append(state_rows)
     return ExplicitModel(labels, 0, goal, rows)
 
@@ -97,8 +95,8 @@ def value_iteration(m: ExplicitModel, *, epsilon: float = 1e-9,
                 continue
             best = float("inf")
             best_a = -1
-            for action_id, succs, cost in m.actions[i]:
-                q = cost + sum(p * values[s2] for s2, p in succs)
+            for action_id, succs in m.actions[i]:
+                q = 1.0 + sum(p * values[s2] for s2, p in succs)
                 if q < best:
                     best = q
                     best_a = action_id

@@ -132,9 +132,6 @@ class ReducedModel:
     def is_goal(self, aug: AugmentedState) -> bool:
         return is_goal(aug.state.bits, self.problem)
 
-    def cost(self, action_id: int) -> float:
-        return self.problem.actions[action_id].cost_f
-
     def applicable(self, aug: AugmentedState) -> list[int]:
         """Applicable actions at an augmented state (the same at every j)."""
         return applicable_actions(aug.state.bits, self.problem)
@@ -172,7 +169,7 @@ class ReducedModel:
             det_actions.append(DetAction(
                 id=a.id, name=a.name,
                 pre_pos_mask=a.pre_pos_mask, pre_neg_mask=a.pre_neg_mask,
-                add_mask=o.add_mask, del_mask=o.del_mask, cost=a.cost_f))
+                add_mask=o.add_mask, del_mask=o.del_mask))
         return DeterministicProblem(
             atom_names=self.problem.atoms,
             actions=det_actions,

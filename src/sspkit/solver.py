@@ -6,9 +6,9 @@ and updates in post-order every state it descends through. One sweep grows
 the graph as deep as the new greedy actions reach, and a sweep that expands
 nothing is the convergence test. States at the exception bound are solved
 by the built-in classical planner; the whole returned plan is memoized
-(cheapest suffix kept) so those states act as terminals afterwards. Dead
-ends, planner failures and all stored values are bounded by the cost cap,
-which guarantees convergence.
+(shortest suffix kept) so those states act as terminals afterwards. Every
+action costs 1. Dead ends, planner failures and all stored values are
+bounded by the cost cap, which guarantees convergence.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class SolverTables:
 
     A bound state with a policy entry is solved: no sweep updates it again,
     nor a state whose entry is ``NOP``. ``records`` holds each state's
-    backup record below the bound, built on its first update. ``solved``
+    backup record below the bound, built on its first update: a tuple of
+    (action id, successors) pairs in applicable order. ``solved``
     holds the zero-exception states on the greedy graph of a converged
     solve whose entries no write has changed since. Callers must not mutate
     a record.
@@ -59,7 +60,6 @@ class SolverTables:
 
     v: dict[AugmentedState, float] = field(default_factory=dict)
     pi: dict[AugmentedState, int] = field(default_factory=dict)
-    # aug -> ((action id, cost, successors), ...) in applicable order
     records: dict[AugmentedState, tuple] = field(default_factory=dict)
     solved: set[AugmentedState] = field(default_factory=set)
 
@@ -83,11 +83,11 @@ def _heuristic(model: ReducedModel, cfg: SolverConfig, bits: int) -> float:
 
 def _backup_record(tables: SolverTables, model: ReducedModel,
                    aug: AugmentedState):
-    """Every applicable action of ``aug`` as (action id, cost,
-    successors), in applicable order; built on the first call."""
+    """Every applicable action of ``aug`` as (action id, successors), in
+    applicable order; built on the first call."""
     record = tables.records.get(aug)
     if record is None:
-        record = tuple((a, model.cost(a), model.reduced_successors(aug, a))
+        record = tuple((a, model.reduced_successors(aug, a))
                        for a in model.applicable(aug))
         tables.records[aug] = record
     return record
@@ -110,13 +110,13 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     Goals short-circuit to value 0. At the exception bound the greedy
     sub-planner runs on every call (sweeps make one only at a bound state
     without an entry), and ``report`` counts its calls and failures: a
-    successful plan writes capped suffix costs and actions for every plan
+    successful plan writes capped suffix lengths and actions for every plan
     state (keeping cheaper existing entries); failure or budget exhaustion
     writes the cap value and a NOP policy.
     Below the bound this is the capped Bellman operator over the state's
-    backup record, with argmin tie-breaking by lowest action id; a
-    successor with no stored value gets 0 at a goal, else the capped
-    heuristic.
+    backup record, every action at cost 1, with argmin tie-breaking by
+    lowest action id; a successor with no stored value gets 0 at a goal,
+    else the capped heuristic.
     """
     s, j = aug
     v = tables.v
@@ -128,9 +128,10 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
                                      budget=cfg.subplanner_budget)
         report.subplanner_calls += 1
         if result.found:
-            for (bits, ai), suffix in zip(result.steps, result.suffix_costs):
+            n = len(result.steps)
+            for i, (bits, ai) in enumerate(result.steps):
                 aug_i = AugmentedState(State(bits), model.k)
-                capped = min(suffix, cfg.m_cap)
+                capped = min(float(n - i), cfg.m_cap)
                 if aug_i not in tables.pi or capped < v[aug_i]:
                     _store(tables, aug_i, capped, ai)
         else:
@@ -141,7 +142,8 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     else:
         best_q = INF
         best_a = NOP
-        for action_id, q, succs in _backup_record(tables, model, aug):
+        for action_id, succs in _backup_record(tables, model, aug):
+            q = 1.0
             for succ, p in succs:
                 value = v.get(succ)
                 if value is None:
@@ -199,7 +201,7 @@ def ff_sweep(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
             action_id = pi[aug]
         if action_id == NOP or aug[1] >= k:
             continue
-        for a, _, succs in tables.records[aug]:  # the entry came from it
+        for a, succs in tables.records[aug]:  # the entry came from it
             if a == action_id:
                 break
         push((aug, action_id))

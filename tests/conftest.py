@@ -26,29 +26,25 @@ def action_by_name(grounded, name: str):
 
 
 def validate_plan(d, bits: int, result) -> bool:
-    """Replay a plan from the state ``bits``: every action applicable, final
-    state satisfies the goal, and suffix costs equal the remaining step-cost
-    sums."""
+    """Replay a plan from the state ``bits``: every action applicable, and
+    the final state satisfies the goal."""
     by_id = {a.id: a for a in d.actions}
-    for i, (state, action_id) in enumerate(result.steps):
+    for state, action_id in result.steps:
         if state != bits:
             return False
         a = by_id[action_id]
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
-            return False
-        expect = sum(by_id[aid].cost for _, aid in result.steps[i:])
-        if abs(result.suffix_costs[i] - expect) > 1e-9:
             return False
         bits = d.apply(bits, a)
     return d.is_goal(bits)
 
 
 def is_deterministic(m) -> bool:
-    return all(len(succs) == 1 for rows in m.actions for _, succs, _ in rows)
+    return all(len(succs) == 1 for rows in m.actions for _, succs in rows)
 
 
 def optimal_plan(m, start: int | None = None):
-    """Minimal-cost plan in a deterministic explicit model.
+    """Shortest plan in a deterministic explicit model.
 
     Returns (cost, [(state index, action id), ...]) or None when the goal
     is unreachable.
@@ -74,9 +70,9 @@ def optimal_plan(m, start: int | None = None):
                 at = prev
             steps.reverse()
             return d, steps
-        for action_id, succs, cost in m.actions[i]:
+        for action_id, succs in m.actions[i]:
             (s2, _), = succs
-            nd = d + cost
+            nd = d + 1.0
             if s2 not in dist or nd < dist[s2]:
                 dist[s2] = nd
                 parent[s2] = (i, action_id)
@@ -101,7 +97,7 @@ def almost_sure_winning(m) -> set[int]:
             for i in universe:
                 if i in reach:
                     continue
-                for _, succs, _ in m.actions[i]:
+                for _, succs in m.actions[i]:
                     targets = [s2 for s2, _ in succs]
                     if all(t in universe for t in targets) and any(
                             t in reach for t in targets):

@@ -33,7 +33,8 @@ def run_cli(args):
     return proc
 
 
-# a help text that formats a default the parser does not hold crashes
+# a help text that formats a default the parser does not hold crashes, and
+# one that prints "(default None)" promises a default the option lacks
 @pytest.mark.parametrize("command", [
     ["plan"], ["simulate"], ["learn-det"], ["bench"], ["detplan", "solve"],
     ["oracle", "vi"], ["oracle", "enumerate"], ["gen"],
@@ -42,6 +43,7 @@ def test_help_exit_0(command):
     proc = run_cli([*command, "--help"])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith(f"usage: sspkit {' '.join(command)} ")
+    assert "(default None)" not in proc.stdout
 
 
 @pytest.mark.parametrize("args,stem", [
@@ -300,6 +302,21 @@ def test_external_planner_rejects_optimal(triangle_files, capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == "" and err == "error: --external does not take --optimal\n"
     assert not ran.exists()  # rejected before the planner runs
+
+
+@pytest.mark.parametrize("command", ["", "  "], ids=["empty", "spaces"])
+def test_external_planner_blank_command_exit_2(tmp_path, capsys, command):
+    # rejected while the options are read, before the (missing) domain is
+    # opened or anything is run
+    missing = str(tmp_path / "missing.ppddl")
+    with pytest.raises(SystemExit) as exc:
+        main(["detplan", "solve", "--domain", missing, "--problem", missing,
+              "--det-mlo", "--optimal", "--external", command])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(
+        "error: argument --external: the command is blank\n")
 
 
 def test_unsupported_feature_exit_2(tmp_path):

@@ -2,20 +2,23 @@
 equivalence with the layered reference construction, budgets, the
 completeness fallback, and the external planner hook."""
 
+import heapq
 import math
 import os
 import random
 import re
 import stat
 import sys
+from collections import Counter
 
 import pytest
 
 from sspkit import ground, make_reduction
-from sspkit.detplan import (DetAction, DeterministicProblem, RelaxedTask,
+from sspkit.detplan import (DEFAULT_EXPANSION_BUDGET, DetAction,
+                            DeterministicProblem, PlanResult, RelaxedTask,
                             det_to_pddl, solve_deterministic,
                             solve_with_external)
-from sspkit.domains import gen_triangle_tireworld
+from sspkit.domains import gen_trap, gen_triangle_tireworld
 from sspkit.errors import ExternalPlannerError
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import enumerate_determinizations
@@ -38,14 +41,14 @@ def det_problem(atoms, actions, goal):
         return bits
 
     det_actions = [
-        DetAction(i, name, mask(pre), mask(npre), mask(add), mask(dele), cost)
-        for i, (name, pre, npre, add, dele, cost) in enumerate(actions)]
+        DetAction(i, name, mask(pre), mask(npre), mask(add), mask(dele))
+        for i, (name, pre, npre, add, dele) in enumerate(actions)]
     return DeterministicProblem(tuple(atoms), det_actions, mask(goal)), mask
 
 
 CHAIN = ( ["s", "m", "g"],
-          [("step1", ["s"], [], ["m"], ["s"], 1.0),
-           ("step2", ["m"], [], ["g"], ["m"], 1.0)],
+          [("step1", ["s"], [], ["m"], ["s"]),
+           ("step2", ["m"], [], ["g"], ["m"])],
           ["g"] )
 
 
@@ -55,15 +58,15 @@ def test_goal_already_satisfied():
     assert result.found and len(result.steps) == 0 and result.cost == 0.0
 
 
-def test_chain_plan_and_suffix_costs():
+def test_chain_plan_and_cost():
     d, mask = det_problem(*CHAIN)
     start = mask(["s"])
     result = solve_deterministic(d, start)
     assert result.found
     assert [aid for _, aid in result.steps] == [0, 1]
-    assert result.suffix_costs == [2.0, 1.0]
+    assert result.cost == 2.0
     assert validate_plan(d, start, result)
-    # greedy plans cost at least the uniform-cost optimum
+    # greedy plans are at least as long as the breadth-first optimum
     optimal = solve_deterministic(d, start, mode="optimal")
     assert optimal.cost == 2.0
     assert result.cost >= optimal.cost
@@ -77,7 +80,7 @@ def test_unknown_mode_rejected():
 
 def test_unreachable_goal_is_provable_failure():
     atoms = ["s", "g"]
-    actions = [("noop", ["s"], [], ["s"], [], 1.0)]
+    actions = [("noop", ["s"], [], ["s"], [])]
     d, mask = det_problem(atoms, actions, ["g"])
     result = solve_deterministic(d, mask(["s"]))
     assert result.status == "failure"
@@ -91,7 +94,7 @@ def test_budget_exceeded_is_timeout():
     for i in range(n):
         pre = [f"b{j}" for j in range(i)]
         actions.append((f"inc{i}", pre, [f"b{i}"], [f"b{i}"],
-                        [f"b{j}" for j in range(i)], 1.0))
+                        [f"b{j}" for j in range(i)]))
     d, mask = det_problem(atoms, actions, [f"b{i}" for i in range(n)])
     result = solve_deterministic(d, 0, budget=50, mode="optimal")
     assert result.status == "timeout"
@@ -102,7 +105,7 @@ def test_budget_exceeded_in_the_greedy_phase_is_timeout():
     # the greedy phase walks a 10-step chain one expansion a step, so it
     # meets the budget before the goal and never gets to the restart
     atoms = [f"p{i}" for i in range(11)]
-    actions = [(f"step{i}", [f"p{i}"], [], [f"p{i + 1}"], [f"p{i}"], 1.0)
+    actions = [(f"step{i}", [f"p{i}"], [], [f"p{i + 1}"], [f"p{i}"])
                for i in range(10)]
     d, mask = det_problem(atoms, actions, ["p10"])
     start = mask(["p0"])
@@ -110,21 +113,6 @@ def test_budget_exceeded_in_the_greedy_phase_is_timeout():
     assert (result.status, result.expansions) == ("timeout", 3)
     result = solve_deterministic(d, start, budget=11)
     assert result.found and result.expansions == 10
-
-
-def test_uniform_cost_search_skips_superseded_heap_entries():
-    # b is pushed at cost 5 from s0, then at 2 through a and expanded; the
-    # cost-5 entry, popped later, stands for no state still to expand
-    atoms = ["s0", "a", "b", "g"]
-    actions = [("s0-a", ["s0"], [], ["a"], ["s0"], 1.0),
-               ("s0-b", ["s0"], [], ["b"], ["s0"], 5.0),
-               ("a-b", ["a"], [], ["b"], ["a"], 1.0),
-               ("b-g", ["b"], [], ["g"], ["b"], 10.0)]
-    d, mask = det_problem(atoms, actions, ["g"])
-    result = solve_deterministic(d, mask(["s0"]), mode="optimal")
-    assert result.cost == 12.0
-    assert [aid for _, aid in result.steps] == [0, 2, 3]
-    assert result.expansions == 3
 
 
 def test_heuristic_values():
@@ -167,7 +155,7 @@ def layered_reference(task: RelaxedTask, bits: int):
         new_bits = reached
         remaining = []
         for ei in pending:
-            _, _, pre, add = task.entries[ei]
+            _, pre, add = task.entries[ei]
             if reached & pre == pre:
                 entry_level[ei] = level
                 new_bits |= add
@@ -190,25 +178,25 @@ def layered_reference(task: RelaxedTask, bits: int):
     for atom in goal_atoms:
         if level_of[atom] > 0:
             subgoals[level_of[atom]].add(atom)
-    cost = 0.0
+    h = 0.0
     selected = set()
     helpful = 0
     for lvl in range(max_level, 0, -1):
         for atom in sorted(subgoals[lvl]):
-            achiever = next((ei for ei, (_, _, _, add) in enumerate(task.entries)
+            achiever = next((ei for ei, (_, _, add) in enumerate(task.entries)
                              if add >> atom & 1
                              and entry_level.get(ei) == lvl - 1), None)
             if achiever is None or (achiever, lvl - 1) in selected:
                 continue
             selected.add((achiever, lvl - 1))
-            orig_id, act_cost, pre, _ = task.entries[achiever]
-            cost += act_cost
+            orig_id, pre, _ = task.entries[achiever]
+            h += 1.0
             if lvl == 1:
                 helpful |= 1 << orig_id
             for pre_atom in range(n_atoms):
                 if pre >> pre_atom & 1 and level_of[pre_atom] > 0:
                     subgoals[level_of[pre_atom]].add(pre_atom)
-    return cost, helpful
+    return h, helpful
 
 
 def assert_matches_reference(task: RelaxedTask, states) -> int:
@@ -251,7 +239,7 @@ def predicate_groups(task: RelaxedTask) -> list[int]:
     """The atoms outside the static mask that some entry needs, one mask
     per predicate: the heuristic's layer-0 groups."""
     groups: dict[str, int] = {}
-    for _, _, pre, _ in task.entries:
+    for _, pre, _ in task.entries:
         for atom in iter_bits(pre & ~task.static_mask):
             name = predicate_of(task.atom_names[atom])
             groups[name] = groups.get(name, 0) | 1 << atom
@@ -340,44 +328,42 @@ def test_heuristic_matches_reference_on_wide_triangle(monkeypatch):
 
 @pytest.mark.parametrize("atoms,actions,start,expected", [
     # both achievers of g enter at layer 0: the lower index is counted and
-    # helpful, though the other is cheaper
-    (["s", "g"], [("dear", ["s"], [], ["g"], [], 3.0),
-                  ("cheap", ["s"], [], ["g"], [], 1.0)],
-     ["s"], (3.0, 1 << 0)),
-    (["m", "g"], [("use", ["m"], [], ["g"], [], 1.0),
-                  ("free", [], [], ["m"], [], 2.0)],
-     [], (3.0, 1 << 1)),
+    # helpful
+    (["s", "g"], [("first", ["s"], [], ["g"], []),
+                  ("second", ["s"], [], ["g"], [])],
+     ["s"], (1.0, 1 << 0)),
+    (["m", "g"], [("use", ["m"], [], ["g"], []),
+                  ("free", [], [], ["m"], [])],
+     [], (2.0, 1 << 1)),
     # "again" enters at layer 0 and adds no new atom; it is never chosen
-    (["s", "m", "g"], [("again", ["s"], [], ["s"], [], 1.0),
-                       ("step1", ["s"], [], ["m"], [], 1.0),
-                       ("step2", ["m"], [], ["g"], [], 1.0)],
+    (["s", "m", "g"], [("again", ["s"], [], ["s"], []),
+                       ("step1", ["s"], [], ["m"], []),
+                       ("step2", ["m"], [], ["g"], [])],
      ["s"], (2.0, 1 << 1)),
     (*CHAIN[:2], [], (math.inf, 0)),
     (*CHAIN[:2], ["s", "g"], (0.0, 0)),
     # three preconditions: "finish" enters once "make-b" and "make-c" have
     # added the last two
-    (["a", "b", "c", "g"], [("make-a", [], [], ["a"], [], 1.0),
-                            ("make-b", ["a"], [], ["b"], [], 2.0),
-                            ("make-c", ["a"], [], ["c"], [], 3.0),
-                            ("finish", ["a", "b", "c"], [], ["g"], [], 4.0)],
-     [], (10.0, 1 << 0)),
+    (["a", "b", "c", "g"], [("make-a", [], [], ["a"], []),
+                            ("make-b", ["a"], [], ["b"], []),
+                            ("make-c", ["a"], [], ["c"], []),
+                            ("finish", ["a", "b", "c"], [], ["g"], [])],
+     [], (4.0, 1 << 0)),
     # three preconditions of one predicate, two of them true at layer 0
     (["(on a)", "(on b)", "(on c)", "g"],
-     [("put-c", ["(on a)"], [], ["(on c)"], [], 1.0),
-      ("stack", ["(on a)", "(on b)", "(on c)"], [], ["g"], [], 2.0)],
-     ["(on a)", "(on b)"], (3.0, 1 << 0)),
+     [("put-c", ["(on a)"], [], ["(on c)"], []),
+      ("stack", ["(on a)", "(on b)", "(on c)"], [], ["g"], [])],
+     ["(on a)", "(on b)"], (2.0, 1 << 0)),
     # one to four preconditions: each entry enters one layer later
-    (["p", "q", "r", "s", "g"], [("q", ["p"], [], ["q"], [], 1.0),
-                                 ("r", ["p", "q"], [], ["r"], [], 1.0),
-                                 ("s", ["p", "q", "r"], [], ["s"], [], 1.0),
-                                 ("g", ["p", "q", "r", "s"], [], ["g"], [],
-                                  1.0)],
+    (["p", "q", "r", "s", "g"], [("q", ["p"], [], ["q"], []),
+                                 ("r", ["p", "q"], [], ["r"], []),
+                                 ("s", ["p", "q", "r"], [], ["s"], []),
+                                 ("g", ["p", "q", "r", "s"], [], ["g"], [])],
      ["p"], (4.0, 1 << 0)),
     # four preconditions, all but one true at layer 0
-    (["p", "q", "r", "s", "g"], [("s", ["p"], [], ["s"], [], 2.0),
-                                 ("g", ["p", "q", "r", "s"], [], ["g"], [],
-                                  1.0)],
-     ["p", "q", "r"], (3.0, 1 << 0)),
+    (["p", "q", "r", "s", "g"], [("s", ["p"], [], ["s"], []),
+                                 ("g", ["p", "q", "r", "s"], [], ["g"], [])],
+     ["p", "q", "r"], (2.0, 1 << 0)),
 ], ids=["same-layer-achievers", "no-preconditions", "adds-only-reached",
         "unreachable-goal", "satisfied-goal", "three-preconditions",
         "three-in-one-predicate", "one-to-four-preconditions",
@@ -390,14 +376,14 @@ def test_heuristic_hand_built_cases(atoms, actions, start, expected):
     assert layered_reference(d.relaxed_task, bits) == expected
 
 
-def test_greedy_fallback_to_uniform_cost():
+def test_greedy_fallback_to_breadth_first():
     # helpful actions lead into a dead branch; the fallback still solves it
     atoms = ["s", "m", "y", "m2", "g"]
     actions = [
-        ("trap", ["s"], [], ["m"], ["s", "y"], 1.0),
-        ("use-m", ["m", "y"], [], ["g"], [], 1.0),
-        ("side", ["s"], [], ["m2"], ["s"], 5.0),
-        ("use-m2", ["m2"], [], ["g"], [], 1.0),
+        ("trap", ["s"], [], ["m"], ["s", "y"]),
+        ("use-m", ["m", "y"], [], ["g"], []),
+        ("side", ["s"], [], ["m2"], ["s"]),
+        ("use-m2", ["m2"], [], ["g"], []),
     ]
     d, mask = det_problem(atoms, actions, ["g"])
     start = mask(["s", "y"])
@@ -405,6 +391,138 @@ def test_greedy_fallback_to_uniform_cost():
     assert result.found
     assert validate_plan(d, start, result)
     assert [aid for _, aid in result.steps] == [2, 3]
+
+
+def uniform_cost_reference(d: DeterministicProblem, bits0: int, *,
+                           budget: int = DEFAULT_EXPANSION_BUDGET,
+                           mode: str = "greedy") -> tuple[PlanResult, bool]:
+    """The sub-planner as it was when its restart was a uniform-cost search:
+    the same greedy phase, then a ``(g, counter)`` heap with ``best_g`` and
+    a skip of superseded entries, every action at cost 1. Returns the
+    result and whether the restart ran."""
+    if d.is_goal(bits0):
+        return PlanResult("plan", []), False
+    expansions = 0
+
+    def plan(parents, bits):
+        steps = []
+        while parents[bits] is not None:
+            steps.append(parents[bits])
+            bits = parents[bits][0]
+        return PlanResult("plan", steps[::-1], expansions)
+
+    if mode == "greedy":
+        task = d.relaxed_task
+        h0, _ = task.evaluate(bits0)
+        if h0 == math.inf:
+            return PlanResult("failure", [], expansions), False
+        counter = 0
+        open_heap = [(h0, counter, bits0)]
+        parents = {bits0: None}
+        while open_heap:
+            _, _, bits = heapq.heappop(open_heap)
+            if d.is_goal(bits):
+                return plan(parents, bits), False
+            expansions += 1
+            if expansions >= budget:
+                return PlanResult("timeout", [], expansions), False
+            _, helpful = task.evaluate(bits)
+            apps = d.applicable(bits)
+            for a in [a for a in apps if helpful >> a.id & 1] or apps:
+                nb = d.apply(bits, a)
+                if nb in parents:
+                    continue
+                hn, _ = task.evaluate(nb)
+                if hn == math.inf:
+                    continue
+                parents[nb] = (bits, a.id)
+                counter += 1
+                heapq.heappush(open_heap, (hn, counter, nb))
+
+    counter = 0
+    open_heap = [(0.0, counter, bits0)]
+    parents = {bits0: None}
+    best_g = {bits0: 0.0}
+    while open_heap:
+        g, _, bits = heapq.heappop(open_heap)
+        if g > best_g[bits]:
+            continue
+        if d.is_goal(bits):
+            return plan(parents, bits), True
+        expansions += 1
+        if expansions >= budget:
+            return PlanResult("timeout", [], expansions), True
+        for a in d.applicable(bits):
+            nb = d.apply(bits, a)
+            ng = g + 1.0
+            if best_g.get(nb, math.inf) <= ng:
+                continue
+            best_g[nb] = ng
+            parents[nb] = (bits, a.id)
+            counter += 1
+            heapq.heappush(open_heap, (ng, counter, nb))
+    return PlanResult("failure", [], expansions), True
+
+
+def assert_restarts_match_reference(det, states, budgets) -> Counter:
+    """``solve_deterministic`` in both modes equals the uniform-cost
+    reference, status, steps and expansions, from every state under every
+    budget; returns how often the restart ran, by mode and status."""
+    ran = Counter()
+    for bits in states:
+        for budget in budgets:
+            for mode in ("optimal", "greedy"):
+                expected, restarted = uniform_cost_reference(
+                    det, bits, budget=budget, mode=mode)
+                result = solve_deterministic(det, bits, budget=budget,
+                                             mode=mode)
+                assert result == expected, (mode, budget, bin(bits))
+                ran[mode, expected.status] += restarted
+    return ran
+
+
+def assert_restarts_ran(ran: Counter) -> None:
+    """The restart ran in both modes, found plans, proved failures and met
+    the budget."""
+    for mode in ("optimal", "greedy"):
+        for status in ("plan", "failure", "timeout"):
+            assert ran[mode, status] >= 10, (mode, status, ran)
+
+
+def test_breadth_first_matches_uniform_cost_on_random_domains():
+    rng = random.Random(30)
+    ran = Counter()
+    domains = 0
+    while domains < 30:
+        schema, prob = random_domain(rng, n_atoms=6)
+        if determinization_count(schema) > 64:
+            continue
+        grounded = ground(schema, prob)
+        states = enumerate_model(grounded).labels
+        domains += 1
+        for delta in enumerate_determinizations(schema):
+            det = make_reduction(grounded, delta, 0).det_problem
+            ran += assert_restarts_match_reference(
+                det, states, (1, 2, 3, 5, 8, 13, 21, DEFAULT_EXPANSION_BUDGET))
+    assert_restarts_ran(ran)
+
+
+def test_breadth_first_matches_uniform_cost_on_bundled_domains():
+    """From every reachable state of triangle-2 and trap-10, and every
+    fourth of triangle-3, under the most-likely-outcome and the second
+    enumerated determinization."""
+    ran = Counter()
+    for generator, size, stride in ((gen_triangle_tireworld, 2, 1),
+                                    (gen_triangle_tireworld, 3, 4),
+                                    (gen_trap, 10, 1)):
+        schema, _, grounded = load(*generator(size))
+        states = enumerate_model(grounded).labels[::stride]
+        for delta in (mlo_determinization(schema),
+                      enumerate_determinizations(schema)[1]):
+            det = make_reduction(grounded, delta, 0).det_problem
+            ran += assert_restarts_match_reference(
+                det, states, (1, 7, 40, DEFAULT_EXPANSION_BUDGET))
+    assert_restarts_ran(ran)
 
 
 def test_plans_valid_and_no_cheaper_than_oracle():
@@ -503,8 +621,8 @@ def test_det_to_pddl_reparses_on_triangle_1(triangle1):
 def test_det_to_pddl_keeps_negative_preconditions_and_empty_lists():
     d, mask = det_problem(
         ["(at a)", "(at b)", "(lit)", "(road a b)"],
-        [("go a b", ["(at a)", "(road a b)"], ["(lit)"], ["(at b)"], ["(at a)"], 1.0),
-         ("flip", [], [], ["(lit)"], [], 1.0)],
+        [("go a b", ["(at a)", "(road a b)"], ["(lit)"], ["(at b)"], ["(at a)"]),
+         ("flip", [], [], ["(lit)"], [])],
         ["(at b)"])
     assert_pddl_matches(d, mask(["(at a)", "(road a b)"]))
     assert_pddl_matches(d, 0)

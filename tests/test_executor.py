@@ -4,13 +4,15 @@ table reuse, and the stdio protocol."""
 import io
 import json
 import time
+from itertools import accumulate
 
 import pytest
 
 from sspkit.executor import (OUTCOME_ACTION_CAP, OUTCOME_DEAD_END,
                              OUTCOME_GOAL, OUTCOME_INVALID, EvalStats,
                              ReplanSession, monte_carlo_evaluate, play_round,
-                             round_rng, serve_rounds)
+                             round_rng, sample_successor, serve_rounds)
+from sspkit.model import successors
 from sspkit.reduction import Determinization
 
 from conftest import FLAT_DELTA, NOFLAT_DELTA, load
@@ -163,6 +165,30 @@ def test_shared_tables_match_fresh_on_random_fixpoints(exact_solver):
                 *round_rng(1000 + m, r), max_actions=200)
             assert (a.outcome, a.actions_taken, a.accumulated_cost) == \
                 (b.outcome, b.actions_taken, b.accumulated_cost)
+
+
+def test_draw_above_the_rounded_sum_takes_the_last_successor():
+    # ten outcomes of 1/10, added one by one in floats, sum to
+    # 0.9999999999999999, so a draw of 1 - 2**-53 passes every partial sum
+    # and falls back to the last successor (the builtin sum() rounds to 1.0
+    # from Python 3.12 on)
+    atoms = " ".join(f"(p{i})" for i in range(10))
+    outcomes = " ".join(f"0.1 (p{i})" for i in range(10))
+    _, _, grounded = load(
+        f"(define (domain d) (:predicates {atoms}) (:action a :parameters () "
+        f":effect (probabilistic {outcomes})))",
+        "(define (problem p) (:domain d) (:init) (:goal (p0)))")
+    dist = successors(grounded.initial_state, 0, grounded)
+    assert len(dist) == 10
+    *_, total = accumulate(p for _, p in dist)
+    assert total == 1 - 2 ** -53
+
+    class LastDraw:
+        def random(self):
+            return 1 - 2 ** -53
+
+    assert sample_successor(grounded, grounded.initial_state, 0,
+                            LastDraw()) == dist[-1][0]
 
 
 def test_inapplicable_action_reports_invalid_action(chain2):

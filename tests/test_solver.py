@@ -61,10 +61,10 @@ def chain_model(k=0):
 
 
 def q_value(tables, model, cfg, aug, action_id):
-    """Action cost plus probability-weighted successor values; a successor
-    without a stored value is valued as a backup values it: 0 at a goal,
-    else the solver's heuristic."""
-    total = model.cost(action_id)
+    """The action's cost 1 plus probability-weighted successor values; a
+    successor without a stored value is valued as a backup values it: 0 at
+    a goal, else the solver's heuristic."""
+    total = 1.0
     for succ, p in model.reduced_successors(aug, action_id):
         value = tables.v.get(succ)
         if value is None:
@@ -214,9 +214,9 @@ def test_states_are_bitsets_outside_the_reduced_model(triangle1):
     assert report.subplanner_calls == 1
     assert model.initial == AugmentedState(State(start), 0)
     assert {aug: (tables.v[aug], tables.pi[aug]) for aug in tables.pi} == {
-        AugmentedState(State(bits), 0): (suffix, action_id)
-        for (bits, action_id), suffix in zip(result.steps,
-                                             result.suffix_costs)}
+        AugmentedState(State(bits), 0): (float(len(result.steps) - i),
+                                         action_id)
+        for i, (bits, action_id) in enumerate(result.steps)}
     assert all(type(aug.state) is State for aug in tables.pi)
 
 
@@ -336,7 +336,7 @@ def test_policy_size_counts_the_states_the_policy_reaches():
             count += 1
             if action_id == NOP:
                 continue
-            succs, = [succs for a, succs, _ in explicit.actions[i]
+            succs, = [succs for a, succs in explicit.actions[i]
                       if a == action_id]
             for t, _ in succs:
                 if t not in reached:
@@ -367,7 +367,7 @@ def test_values_capped_and_plan_cache_consistent(exact_solver):
                 if model.is_goal(current) or tables.pi[current] == NOP:
                     break
                 step = tables.pi[current]
-                cost += model.cost(step)
+                cost += 1.0
                 (current, p), = model.reduced_successors(current, step)
                 assert current in tables.pi or model.is_goal(current)
             assert model.is_goal(current)
@@ -450,7 +450,7 @@ def assert_policy_below_bound_from_records(model, tables):
     backup record, where ``ff_sweep`` takes its successors from."""
     for aug, action_id in tables.pi.items():
         if aug.j < model.k and action_id != NOP:
-            assert action_id in [a for a, _, _ in tables.records[aug]]
+            assert action_id in [a for a, _ in tables.records[aug]]
 
 
 def greedy_graph(tables, model, root):

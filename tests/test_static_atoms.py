@@ -195,8 +195,8 @@ def reduced_cases():
 
 
 def test_memoized_successors_equal_a_fresh_computation():
-    """Each backup record holds every applicable action's cost and fresh
-    successor list, and is built once."""
+    """Each backup record holds every applicable action's fresh successor
+    list, and is built once."""
     checked = 0
     for model, states in reduced_cases():
         tables = SolverTables()
@@ -204,9 +204,8 @@ def test_memoized_successors_equal_a_fresh_computation():
             for j in range(model.k + 1):
                 aug = AugmentedState(State(bits), j)
                 record = _backup_record(tables, model, aug)
-                assert [a for a, _, _ in record] == model.applicable(aug)
-                for action_id, cost, succs in record:
-                    assert cost == model.cost(action_id)
+                assert [a for a, _ in record] == model.applicable(aug)
+                for action_id, succs in record:
                     assert succs == model.reduced_successors(aug, action_id)
                     checked += 1
                 # a repeated call returns the stored record itself
@@ -221,7 +220,7 @@ def test_memoized_applicable_equals_a_fresh_computation():
             for j in range(model.k + 1):
                 aug = AugmentedState(State(bits), j)
                 assert model.applicable(aug) == expected
-                assert [a for a, _, _ in _backup_record(
+                assert [a for a, _ in _backup_record(
                     SolverTables(), model, aug)] == expected
 
 
