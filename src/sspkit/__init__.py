@@ -20,9 +20,8 @@ from .learner import (DetCandidate, enumerate_determinizations, learning_det)
 from .model import applicable_actions, is_goal, successors
 from .oracle import ExplicitModel, enumerate_model, value_iteration
 from .ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
-                    Predicate, ProbabilisticClause, ProblemDef,
-                    domain_to_text, parse_domain, parse_problem,
-                    problem_to_text)
+                    Predicate, ProbabilisticClause, ProblemDef, parse_domain,
+                    parse_problem)
 from .reduction import (AugmentedState, Determinization, ReducedModel, State,
                         make_reduction, mlo_determinization)
 from .solver import (NOP, SolveReport, SolverConfig, SolverTables,

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import csv
+import io
 import json
 import math
 import os
@@ -212,10 +214,14 @@ def _json_dump(obj) -> str:
 
 
 def _csv(columns, rows) -> str:
-    """A CSV report: the schema line, the header, then one line per row."""
-    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(columns)]
-    lines += [",".join(map(str, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """A CSV report: the schema line, the header, then one line per row,
+    with a cell quoted where it holds a comma, a quote or a line break."""
+    out = io.StringIO()
+    out.write(f"# schema_version: {SCHEMA_VERSION}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 # ── plan ─────────────────────────────────────────────────────────────────────

@@ -16,15 +16,11 @@ import subprocess
 import tempfile
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
 from .errors import ExternalPlannerError
 from .model import ApplicabilityIndex, iter_bits, predicate_of
-from .ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
-                    Predicate, ProbabilisticClause, ProblemDef, domain_to_text,
-                    problem_to_text)
 
 INF = math.inf
 DEFAULT_EXPANSION_BUDGET = 100_000  # per solve_deterministic call
@@ -404,29 +400,32 @@ def solve_deterministic(d: DeterministicProblem, bits0: int, *,
 
 
 def det_to_pddl(d: DeterministicProblem, initial_bits: int) -> tuple[str, str]:
-    """Render a deterministic problem as propositional PDDL, through the
-    PPDDL printer."""
+    """Write a deterministic problem as STRIPS domain and problem texts,
+    straight from its bitsets."""
 
-    def atoms_of(mask: int) -> tuple[Atom, ...]:
-        return tuple(Atom(f"p{i}") for i in iter_bits(mask))
+    def atoms(mask: int, form: str = "(p{})") -> list[str]:
+        return [form.format(i) for i in iter_bits(mask)]
 
-    actions = tuple(
-        ActionSchema(f"a{j}", (),
-                     tuple(Literal(atom) for atom in atoms_of(a.pre_pos_mask))
-                     + tuple(Literal(atom, True)
-                             for atom in atoms_of(a.pre_neg_mask)),
-                     (ProbabilisticClause((Outcome(
-                         Fraction(1), atoms_of(a.add_mask),
-                         atoms_of(a.del_mask)),)),))
-        for j, a in enumerate(d.actions))
-    domain = DomainSchema("task-domain",
-                          (":strips", ":negative-preconditions"), {},
-                          tuple(Predicate(f"p{i}", ())
-                                for i in range(len(d.atom_names))),
-                          actions)
-    problem = ProblemDef("task", domain.name, (), atoms_of(initial_bits),
-                         atoms_of(d.goal_mask))
-    return domain_to_text(domain), problem_to_text(problem)
+    def conj(parts: list[str]) -> str:
+        if len(parts) == 1:
+            return parts[0]
+        return "(and" + "".join(" " + part for part in parts) + ")"
+
+    lines = ["(define (domain task-domain)",
+             "  (:requirements :strips :negative-preconditions)"]
+    predicates = atoms((1 << len(d.atom_names)) - 1)
+    if predicates:
+        lines.append("  (:predicates " + " ".join(predicates) + ")")
+    for j, a in enumerate(d.actions):
+        pre = atoms(a.pre_pos_mask) + atoms(a.pre_neg_mask, "(not (p{}))")
+        eff = atoms(a.add_mask) + atoms(a.del_mask, "(not (p{}))")
+        lines += [f"  (:action a{j}", "    :parameters ()",
+                  "    :precondition " + conj(pre),
+                  "    :effect " + conj(eff) + ")"]
+    problem = ["(define (problem task)", "  (:domain task-domain)",
+               "  (:init " + " ".join(atoms(initial_bits)) + ")",
+               "  (:goal " + conj(atoms(d.goal_mask)) + ")"]
+    return "\n".join(lines + [")", ""]), "\n".join(problem + [")", ""])
 
 
 def solve_with_external(d: DeterministicProblem, bits: int,

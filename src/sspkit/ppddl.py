@@ -1,4 +1,4 @@
-"""PPDDL-subset front end: reader, domain/problem parser, pretty printer.
+"""PPDDL-subset front end: reader and domain/problem parser.
 
 Supported subset: :strips, :typing, :equality, :negative-preconditions and
 flat :probabilistic-effects. Conditional effects, quantifiers, rewards,
@@ -613,69 +613,3 @@ def _check_problem(problem: ProblemDef, schema: DomainSchema, ctx: _Ctx,
                     raise fail(
                         f"object {arg!r} of type {obj_types[arg]!r} where "
                         f"{ptype!r} expected in {where}")
-
-
-# ── pretty printing ──────────────────────────────────────────────────────────
-
-def _typed_list_text(pairs) -> str:
-    return " ".join(f"{name} - {tname}" for name, tname in pairs)
-
-
-def _effect_literals_text(outcome: Outcome) -> list[str]:
-    return [str(a) for a in outcome.add] + [f"(not {a})" for a in outcome.delete]
-
-
-def _conj(parts: list[str]) -> str:
-    if len(parts) == 1:
-        return parts[0]
-    return "(and" + "".join(" " + part for part in parts) + ")"
-
-
-def domain_to_text(schema: DomainSchema) -> str:
-    """Render a DomainSchema as PPDDL text that re-parses to an equal schema."""
-    lines = [f"(define (domain {schema.name})"]
-    if schema.requirements:
-        lines.append("  (:requirements " + " ".join(schema.requirements) + ")")
-    if schema.types:
-        lines.append("  (:types " + _typed_list_text(schema.types.items()) + ")")
-    if schema.predicates:
-        decls = " ".join(
-            f"({p.name} {_typed_list_text(p.params)})" if p.params else f"({p.name})"
-            for p in schema.predicates)
-        lines.append("  (:predicates " + decls + ")")
-    for action in schema.action_schemas:
-        lines.append(f"  (:action {action.name}")
-        lines.append(f"    :parameters ({_typed_list_text(action.parameters)})")
-        pre = [str(lit) for lit in action.precondition]
-        pre += [f"(= {a} {b})" if eq else f"(not (= {a} {b}))"
-                for a, b, eq in action.equalities]
-        lines.append("    :precondition " + _conj(pre))
-        lines.append("    :effect " + _effect_text(action) + ")")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def _effect_text(action: ActionSchema) -> str:
-    parts = []
-    for clause in action.clauses:
-        if len(clause.outcomes) == 1 and clause.outcomes[0].probability == 1:
-            parts.extend(_effect_literals_text(clause.outcomes[0]))
-        else:
-            alt = []
-            for o in clause.outcomes:
-                alt.append(str(o.probability))
-                alt.append(_conj(_effect_literals_text(o)))
-            parts.append("(probabilistic " + " ".join(alt) + ")")
-    return _conj(parts)
-
-
-def problem_to_text(problem: ProblemDef) -> str:
-    """Render a ProblemDef as PPDDL text."""
-    lines = [f"(define (problem {problem.name})",
-             f"  (:domain {problem.domain_name})"]
-    if problem.objects:
-        lines.append("  (:objects " + _typed_list_text(problem.objects) + ")")
-    lines.append("  (:init " + " ".join(str(a) for a in problem.init) + ")")
-    lines.append("  (:goal " + _conj([str(a) for a in problem.goal]) + ")")
-    lines.append(")")
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, output formats, and reproducibility."""
 
 import codecs
+import csv
 import io
 import json
 import os
@@ -157,15 +158,22 @@ def test_non_finite_numeric_option_exit_2(triangle_files, capsys, option,
     (["simulate", "--problem", "{problem}", "--det-mlo"],
      "--subplanner-budget"),
     (["learn-det", "--training-problem", "{problem}"], "--workers"),
+    (["plan", "--problem", "{problem}", "--det-mlo"], "--k"),
+    (["plan", "--problem", "{problem}"], "--det-index"),
 ])
 def test_zero_count_option_exit_2(triangle_files, capsys, command, option):
     domain, problem = triangle_files
+    # --k and --det-index may be 0, so their first bad value is -1
+    value, bound = (("-1", ">= 0") if option in ("--k", "--det-index")
+                    else ("0", "> 0"))
     argv = [command[0], "--domain", domain,
-            *(arg.format(problem=problem) for arg in command[1:]), option, "0"]
+            *(arg.format(problem=problem) for arg in command[1:]), option,
+            value]
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
-    assert f"argument {option}: 0 must be > 0" in capsys.readouterr().err
+    assert f"argument {option}: {value} must be {bound}" in \
+        capsys.readouterr().err
 
 
 # the message names the sources the subcommand offers, and only those
@@ -304,8 +312,13 @@ def test_external_planner_rejects_optimal(triangle_files, capsys, tmp_path):
     assert not ran.exists()  # rejected before the planner runs
 
 
-@pytest.mark.parametrize("command", ["", "  "], ids=["empty", "spaces"])
-def test_external_planner_blank_command_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,message", [
+    ("", "the command is blank"),
+    ("  ", "the command is blank"),
+    ('planner "x', "No closing quotation"),
+], ids=["empty", "spaces", "unclosed-quote"])
+def test_external_planner_blank_command_exit_2(tmp_path, capsys, command,
+                                               message):
     # rejected while the options are read, before the (missing) domain is
     # opened or anything is run
     missing = str(tmp_path / "missing.ppddl")
@@ -315,8 +328,7 @@ def test_external_planner_blank_command_exit_2(tmp_path, capsys, command):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.endswith(
-        "error: argument --external: the command is blank\n")
+    assert err.endswith(f"error: argument --external: {message}\n")
 
 
 def test_unsupported_feature_exit_2(tmp_path):
@@ -634,6 +646,31 @@ def test_bench_empty_problem_list(tmp_path):
     assert code == 0
     lines = csv.read_text().splitlines()
     assert len(lines) == 2  # schema comment + header, no rows
+
+
+def test_csv_cells_holding_a_comma_read_back_whole(tmp_path):
+    """Names may hold a comma: every row of both CSVs is as wide as its
+    header, and the name cells read back whole."""
+    domain_text, problem_text = gen_retry()
+    domain, problem = tmp_path / "d.ppddl", tmp_path / "p.ppddl"
+    domain.write_text(domain_text.replace("attempt", "go,fast"))
+    problem.write_text(problem_text.replace("retry-once", "p,1"))
+    rank, bench = tmp_path / "rank.csv", tmp_path / "bench.csv"
+    assert main(["learn-det", "--domain", str(domain), "--training-problem",
+                 str(problem), "--rounds", "2", "--report-csv", str(rank)]) == 0
+    assert main(["bench", "--domain", str(domain), "--problems", str(problem),
+                 "--det-mlo", "--rounds", "2", "--csv", str(bench)]) == 0
+    tables = []
+    for path in (rank, bench):
+        schema_line, *lines = path.read_text().splitlines()
+        assert schema_line == "# schema_version: 1"
+        header, *rows = csv.reader(lines)
+        assert rows and all(len(row) == len(header) for row in rows)
+        tables.append([dict(zip(header, row)) for row in rows])
+    ranked, benched = tables
+    assert sorted(row["determinization"] for row in ranked) == [
+        "go,fast/0=0", "go,fast/0=1"]
+    assert [row["problem"] for row in benched] == ["p,1"]
 
 
 def test_seed_defaults_from_environment(tmp_path, triangle_files):

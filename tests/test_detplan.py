@@ -18,7 +18,7 @@ from sspkit.detplan import (DEFAULT_EXPANSION_BUDGET, DetAction,
                             DeterministicProblem, PlanResult, RelaxedTask,
                             det_to_pddl, solve_deterministic,
                             solve_with_external)
-from sspkit.domains import gen_trap, gen_triangle_tireworld
+from sspkit.domains import gen_chain, gen_trap, gen_triangle_tireworld
 from sspkit.errors import ExternalPlannerError
 from sspkit.executor import monte_carlo_evaluate
 from sspkit.learner import enumerate_determinizations
@@ -626,6 +626,48 @@ def test_det_to_pddl_keeps_negative_preconditions_and_empty_lists():
         ["(at b)"])
     assert_pddl_matches(d, mask(["(at a)", "(road a b)"]))
     assert_pddl_matches(d, 0)
+
+
+CHAIN_1_TASK = ("""\
+(define (domain task-domain)
+  (:requirements :strips :negative-preconditions)
+  (:predicates (p0) (p1) (p2))
+  (:action a0
+    :parameters ()
+    :precondition (and (p0) (p2))
+    :effect (and (p1) (not (p0))))
+)
+""", """\
+(define (problem task)
+  (:domain task-domain)
+  (:init (p0) (p2))
+  (:goal (p1))
+)
+""")
+# the second determinization of retry keeps only the no-op outcome, so the
+# task has no action and an empty init
+RETRY_INDEX_1_TASK = ("""\
+(define (domain task-domain)
+  (:requirements :strips :negative-preconditions)
+  (:predicates (p0))
+)
+""", """\
+(define (problem task)
+  (:domain task-domain)
+  (:init )
+  (:goal (p0))
+)
+""")
+
+
+def test_det_to_pddl_text_on_chain_1_and_retry(retry):
+    schema, _, grounded = load(*gen_chain(1))
+    det = make_reduction(grounded, mlo_determinization(schema), 0).det_problem
+    assert det_to_pddl(det, grounded.initial_state) == CHAIN_1_TASK
+    schema, _, grounded = retry
+    delta = enumerate_determinizations(schema)[1]
+    det = make_reduction(grounded, delta, 0).det_problem
+    assert det_to_pddl(det, grounded.initial_state) == RETRY_INDEX_1_TASK
 
 
 def _write_script(tmp_path, body: str) -> str:

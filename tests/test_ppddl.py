@@ -1,14 +1,12 @@
-"""Parser tests: subset coverage, diagnostics, and printing round-trips."""
+"""Parser tests: subset coverage and diagnostics."""
 
 from fractions import Fraction
 
 import pytest
 
 from sspkit import (ParseError, TypeMismatchError, UnsupportedFeatureError,
-                    domain_to_text, parse_domain, parse_problem,
-                    problem_to_text)
-from sspkit.domains import (gen_chain, gen_retry, gen_trap,
-                            gen_triangle_tireworld)
+                    parse_domain, parse_problem)
+from sspkit.domains import gen_triangle_tireworld
 
 MINIMAL = """
 (define (domain mini)
@@ -431,23 +429,6 @@ def test_constants_rejected():
         """)
 
 
-@pytest.mark.parametrize("texts", [
-    gen_triangle_tireworld(1),
-    gen_triangle_tireworld(2),
-    gen_chain(3),
-    gen_retry(),
-    gen_trap(),
-])
-def test_print_parse_round_trip(texts):
-    domain_text, problem_text = texts
-    schema = parse_domain(domain_text)
-    problem = parse_problem(problem_text, schema)
-    schema2 = parse_domain(domain_to_text(schema))
-    problem2 = parse_problem(problem_to_text(problem), schema2)
-    assert schema2 == schema
-    assert problem2 == problem
-
-
 def test_equality_constraint_parsed():
     schema = parse_domain("""
     (define (domain eq)
@@ -460,5 +441,3 @@ def test_equality_constraint_parsed():
     """)
     action = schema.action_schemas[0]
     assert action.equalities == (("?a", "?b", False),)
-    # round-trips through the printer as well
-    assert parse_domain(domain_to_text(schema)) == schema
