@@ -2,12 +2,23 @@
 newline-delimited JSON state/action protocol for external planners.
 
 A round executes the solver's policy on the original problem, sampling
-its true transitions (``sample_successor``). It re-invokes the solver from the
-observed state, warm-starting the shared tables, when that state has no
-zero-exception policy entry or, below the bound (``k > 0``), an entry that
-is not ``solved``: a sweep may write one on a greedy graph that a later
-sweep abandons. A round ends on goal entry, on the action cap, on a
-dead-end policy entry, on an invalid action, or on the wall-time budget.
+its true transitions (``sample_successor``), and follows the planned-for
+exceptions, as in the continual planning of Pineda & Zilberstein (2014).
+After acting from the key ``(bits, j)`` with action ``a``, it reads the
+observed ``bits'`` as ``a``'s primary outcome when they equal that
+outcome's bits, and as an exception otherwise; so a non-primary outcome
+whose bits equal the primary's counts as primary. The next key is
+``(bits', j)`` or ``(bits', j + 1)``, and the round acts from it when its
+count is below the bound ``k`` and it is ``solved``. In every other case,
+an exception that brings the count to ``k`` among them, the round looks
+the state up at ``(bits', 0)``, as at its start, and re-invokes the solver
+from there, warm-starting the shared tables, when that key has no policy
+entry or, at ``k > 0``, an entry that is not ``solved``: a sweep may write
+one on a greedy graph that a later sweep abandons. No key at the bound is
+acted from, since there the plan is the sub-planner's deterministic one,
+which guards against no exception. A round ends on goal entry, on the
+action cap, on a dead-end policy entry, on an invalid action, or on the
+wall-time budget.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import NotApplicableError
 from .grounding import GroundedProblem
-from .model import is_goal, successors
+from .model import is_goal, outcome_bits, successors
 from .reduction import AugmentedState, Determinization, State, make_reduction
 from .solver import DEFAULT_M_CAP, NOP, SolverConfig, SolverTables, ff_lao_star
 
@@ -129,20 +140,37 @@ class ReplanSession:
     def run_round(self, rng: random.Random, seed_label: str, *,
                   max_actions: int = DEFAULT_ACTION_CAP,
                   deadline: float | None = None) -> RoundReport:
+        problem, model, tables = self.problem, self.model, self.tables
+        k = model.k
         replans = 0
+        acted: tuple[AugmentedState, int] | None = None  # key and action
 
         def policy(bits: int, _step: int) -> int | str:
-            nonlocal replans
-            aug = AugmentedState(State(bits), 0)
-            tables = self.tables
-            if aug not in tables.pi or (self.model.k > 0
-                                        and aug not in tables.solved):
-                ff_lao_star(self.model, self.cfg, tables, root=aug)
-                replans += 1
+            nonlocal replans, acted
+            aug = None
+            if acted is not None:
+                (s, j), a = acted
+                if bits != outcome_bits(s.bits, a, problem)[model.primary[a]]:
+                    j += 1  # an exception
+                nxt = AugmentedState(State(bits), j)
+                if j < k and nxt in tables.solved:
+                    aug = nxt
+            if aug is None:
+                aug = AugmentedState(State(bits), 0)
+                if aug not in tables.pi or (k > 0 and aug not in tables.solved):
+                    ff_lao_star(model, self.cfg, tables, root=aug)
+                    replans += 1
             action_id = tables.pi[aug]
-            return OUTCOME_DEAD_END if action_id == NOP else action_id
+            if action_id == NOP:
+                # a followed key lies below the bound, where only a state
+                # with no applicable action has a NOP entry: a replan from
+                # (bits, 0) would end at the same dead end
+                return OUTCOME_DEAD_END
+            if k > 0:  # at k = 0 no key is below the bound
+                acted = (aug, action_id)
+            return action_id
 
-        report = play_round(self.problem, policy, rng, seed_label,
+        report = play_round(problem, policy, rng, seed_label,
                             max_actions=max_actions, deadline=deadline)
         report.replans = replans
         return report

@@ -22,6 +22,9 @@ from .ppddl import DomainSchema
 
 # one determinization entry, ``name/clause -> outcome``, in ASCII digits
 _ENTRY_RE = re.compile(r"(\S+)/([0-9]+)[ \t]*->[ \t]*([0-9]+)")
+# a comment's ``#`` starts its line or follows a space or a tab, so a
+# schema name may hold ``#``
+_COMMENT_RE = re.compile(r"(?:^|[ \t])#")
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,14 @@ class Determinization:
     @classmethod
     def from_text(cls, text: str,
                   filename: str = "<input>") -> "Determinization":
-        """Read one ``name/clause -> outcome`` entry per line; ``#`` starts
-        a comment that runs to the next newline. A malformed or repeated
-        entry is a ParseError at its ``filename:line:col``."""
+        """Read one ``name/clause -> outcome`` entry per line. A ``#`` at
+        the start of a line or after a space or a tab starts a comment that
+        runs to the next newline; any other ``#`` is part of the entry. A
+        malformed or repeated entry is a ParseError at its
+        ``filename:line:col``."""
         choices: dict[tuple[str, int], int] = {}
         for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT_RE.split(raw, 1)[0].strip()
             if not line:
                 continue
             col = len(raw) - len(raw.lstrip()) + 1

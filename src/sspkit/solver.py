@@ -53,9 +53,9 @@ class SolverTables:
     nor a state whose entry is ``NOP``. ``records`` holds each state's
     backup record below the bound, built on its first update: a tuple of
     (action id, successors) pairs in applicable order. ``solved``
-    holds the zero-exception states on the greedy graph of a converged
-    solve whose entries no write has changed since. Callers must not mutate
-    a record.
+    holds every state, at any exception count, on the greedy graph of a
+    converged solve whose entry no write has changed since; the executor
+    acts from those below the bound. Callers must not mutate a record.
     """
 
     v: dict[AugmentedState, float] = field(default_factory=dict)
@@ -171,8 +171,8 @@ def ff_sweep(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
     action, whose successors it takes from the backup record, and updates
     the state again in post-order. Returns infinity if a tip was expanded
     or a policy changed, otherwise the largest residual. Below epsilon,
-    the sweep walked the final greedy graph, and its zero-exception states
-    join ``tables.solved``. An explicit stack keeps policy-graph depth
+    the sweep walked the final greedy graph, and every state it reached
+    joins ``tables.solved``. An explicit stack keeps policy-graph depth
     unbounded by the interpreter.
     """
     error = 0.0
@@ -210,7 +210,7 @@ def ff_sweep(tables: SolverTables, model: ReducedModel, cfg: SolverConfig,
     if changed:
         return INF
     if error < cfg.epsilon:
-        tables.solved.update(aug for aug in visited if aug[1] == 0)
+        tables.solved.update(visited)
     return error
 
 
@@ -246,10 +246,9 @@ def ff_lao_star(model: ReducedModel, cfg: SolverConfig,
     (``ff_sweep``) run until one's error drops below epsilon, and
     ``residual_trace`` holds each sweep's error; a sweep that expands a tip
     or changes a policy has error infinity. So the last sweep walked the
-    final greedy graph, whose zero-exception states it adds to
-    ``tables.solved``. Existing tables are reused, which warm-starts
-    replanning calls. Raises IterationLimitError when ``MAX_SWEEPS`` sweeps
-    have not converged.
+    final greedy graph, whose states it adds to ``tables.solved``. Existing
+    tables are reused, which warm-starts replanning calls. Raises
+    IterationLimitError when ``MAX_SWEEPS`` sweeps have not converged.
     """
     if tables is None:
         tables = SolverTables()

@@ -12,8 +12,8 @@ from sspkit.executor import (OUTCOME_ACTION_CAP, OUTCOME_DEAD_END,
                              OUTCOME_GOAL, OUTCOME_INVALID, EvalStats,
                              ReplanSession, monte_carlo_evaluate, play_round,
                              round_rng, sample_successor, serve_rounds)
-from sspkit.model import successors
-from sspkit.reduction import Determinization
+from sspkit.model import outcome_bits, successors
+from sspkit.reduction import Determinization, mlo_determinization
 
 from conftest import FLAT_DELTA, NOFLAT_DELTA, load
 from sspkit.domains import gen_chain
@@ -165,6 +165,100 @@ def test_shared_tables_match_fresh_on_random_fixpoints(exact_solver):
                 *round_rng(1000 + m, r), max_actions=200)
             assert (a.outcome, a.actions_taken, a.accumulated_cost) == \
                 (b.outcome, b.actions_taken, b.accumulated_cost)
+
+
+# ── following the planned-for exceptions ─────────────────────────────────────
+
+def round_events(monkeypatch, session, seed):
+    """Play round 0 of ``seed`` on fresh tables. Return the report and the
+    round's events in order: ``("solve", root)`` for each replan and
+    ``("act", key, action id)`` for each key the round acts from."""
+    from sspkit import executor
+    from sspkit.solver import SolverTables
+
+    events = []
+    solving = False
+
+    class PolicyTable(dict):  # logs the reads made outside a solve
+        def __getitem__(self, key):
+            action_id = super().__getitem__(key)
+            if not solving:
+                events.append(("act", key, action_id))
+            return action_id
+
+    solve = executor.ff_lao_star
+
+    def recording(model, cfg, tables, root):
+        nonlocal solving
+        events.append(("solve", root))
+        solving = True
+        try:
+            return solve(model, cfg, tables, root=root)
+        finally:
+            solving = False
+
+    monkeypatch.setattr(executor, "ff_lao_star", recording)
+    session.tables = SolverTables(pi=PolicyTable())
+    return session.run_round(*round_rng(seed, 0)), events
+
+
+def event_counts(events):
+    """Each event as ``solve j`` or ``act j``, by the key's exception count."""
+    return [f"{event[0]} {event[1].j}" for event in events]
+
+
+def test_exception_below_the_bound_is_followed_without_a_replan(
+        triangle1, monkeypatch):
+    # with the MLO determinization a flat tire is primary, so the exception
+    # is a move that keeps the tire; seed 2's round meets it once, after
+    # four actions, and acts on from the j = 1 keys of its first solve
+    _, _, grounded = triangle1
+    session = ReplanSession(grounded, mlo_determinization(grounded.schema), 2)
+    report, events = round_events(monkeypatch, session, 2)
+    assert (report.outcome, report.actions_taken, report.replans) == (
+        OUTCOME_GOAL, 8, 1)
+    assert event_counts(events) == ["solve 0"] + ["act 0"] * 4 + ["act 1"] * 4
+
+
+def test_exception_that_reaches_the_bound_replans_from_zero(
+        triangle1, monkeypatch):
+    # seed 0's round meets an exception at j = 0, then one at j = k - 1 = 1:
+    # that one replans from the observed state at j = 0, and no key at
+    # j = k is acted from
+    _, _, grounded = triangle1
+    session = ReplanSession(grounded, mlo_determinization(grounded.schema), 2)
+    report, events = round_events(monkeypatch, session, 0)
+    assert (report.outcome, report.replans) == (OUTCOME_GOAL, 2)
+    assert event_counts(events) == [
+        "solve 0", "act 0", "act 1", "solve 0", "act 0", "act 1"]
+    (_, (s, _), a), (_, root) = events[2:4]
+    primary = outcome_bits(s.bits, a, grounded)[session.model.primary[a]]
+    assert root.state.bits != primary
+
+
+def test_non_primary_outcome_with_the_primary_bits_keeps_the_count(
+        monkeypatch):
+    # both outcomes of hop give (t2), so the executor cannot tell them
+    # apart and reads either as primary: after go's exception the round
+    # acts from (t1, 1) and then (t2, 1), not from a (t2, 2) that would
+    # reach the bound k = 2 and replan
+    _, _, grounded = load(
+        "(define (domain echo) (:predicates (s0) (s1) (t1) (t2) (done))"
+        " (:action go :parameters () :precondition (s0)"
+        "  :effect (and (not (s0)) (probabilistic 0.1 (s1) 0.9 (t1))))"
+        " (:action hop :parameters () :precondition (t1)"
+        "  :effect (and (not (t1)) (probabilistic 0.5 (t2) 0.5 (t2))))"
+        " (:action walk :parameters () :precondition (s1) :effect (done))"
+        " (:action fin :parameters () :precondition (t2) :effect (done)))",
+        "(define (problem p) (:domain echo) (:init (s0)) (:goal (done)))")
+    delta = Determinization({("go", 0): 0, ("hop", 0): 0, ("walk", 0): 0,
+                             ("fin", 0): 0})
+    session = ReplanSession(grounded, delta, 2)
+    report, events = round_events(monkeypatch, session, 0)
+    assert (report.outcome, report.replans) == (OUTCOME_GOAL, 1)
+    assert [(grounded.actions[event[2]].name, event[1].j)
+            for event in events[1:]] == [("(go)", 0), ("(hop)", 1),
+                                          ("(fin)", 1)]
 
 
 def test_draw_above_the_rounded_sum_takes_the_last_successor():

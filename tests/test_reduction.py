@@ -137,6 +137,25 @@ def test_determinization_comment_runs_to_the_newline():
     assert Determinization.from_text(text[:-3]).choices == {("move-car", 0): 1}
 
 
+
+def test_determinization_name_with_hash_round_trips():
+    delta = Determinization({("attempt#fast", 0): 1, ("move#car", 0): 0})
+    text = delta.to_text()
+    assert text == "attempt#fast/0 -> 1\nmove#car/0 -> 0\n"
+    assert Determinization.from_text(text) == delta
+
+
+def test_determinization_comment_starts_a_line_or_follows_a_blank():
+    text = ("# header\n  # indented\nmove-car/0 -> 0  # note\n"
+            "loadtire/0 -> 1\t# tab\n")
+    assert Determinization.from_text(text).choices == {
+        ("move-car", 0): 0, ("loadtire", 0): 1}
+    # a # right after the outcome index is part of the entry
+    with pytest.raises(ParseError) as err:
+        Determinization.from_text("move-car/0 -> 0# note\n")
+    assert str(err.value) == (
+        "<input>:1:1: bad determinization entry 'move-car/0 -> 0# note'")
+
 def assert_primary_is_the_chosen_outcome(grounded, delta):
     """Each ground action's primary outcome is its one joint outcome built
     from the clause outcomes the determinization chooses."""

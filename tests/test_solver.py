@@ -526,6 +526,16 @@ def test_rollout_root_solves_on_instances(domain, problem, k):
     assert_solves(benchmark_input(domain, problem, k), rollout_roots(7, 12))
 
 
+
+def test_converged_solve_marks_its_whole_greedy_graph_solved():
+    # every exception count, the bound included: the executor follows the
+    # solved keys below the bound
+    model = benchmark_input("triangle", "triangle-4", 2)
+    tables, _ = ff_lao_star(model, SolverConfig())
+    graph = greedy_graph(tables, model, model.initial)
+    assert graph <= tables.solved
+    assert {aug.j for aug in graph} == {0, 1, 2}
+
 def test_rollout_root_solves_on_random_models():
     rng = random.Random(1)
     for _ in range(40):
