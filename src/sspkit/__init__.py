@@ -7,8 +7,7 @@ executes policies with replanning, and learns the best single-outcome
 determinization of a domain by exhaustive search with Monte-Carlo scoring.
 """
 
-from .detplan import (DetAction, DeterministicProblem, PlanResult,
-                      solve_deterministic)
+from .detplan import PlanResult, solve_deterministic
 from .errors import (CapExceededError, EnumerationBlowupError,
                      GroundingBlowupError, IncompleteDeterminizationError,
                      IterationLimitError, NotApplicableError, ParseError,

@@ -1,5 +1,11 @@
 """Built-in classical planner and relaxed-plan heuristic.
 
+A deterministic problem is a ``GroundedProblem`` with one outcome per
+action, such as a reduced model's ``det_problem``. Its actions keep their
+ids from the base problem, so a plan names actions by id, not position,
+and its ``static_mask`` is the base problem's: the atoms true in every
+state the sub-planner is started from or reaches.
+
 Every action costs 1, so a plan costs its length. The default search is
 greedy best-first on the relaxed-plan heuristic, expanding helpful-action
 successors first; if that phase exhausts without finding a plan, a
@@ -16,63 +22,17 @@ import subprocess
 import tempfile
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ExternalPlannerError
-from .model import ApplicabilityIndex, iter_bits, predicate_of
+from .model import is_goal, iter_bits, predicate_of
+
+if TYPE_CHECKING:
+    from .grounding import GroundedProblem
 
 INF = math.inf
 DEFAULT_EXPANSION_BUDGET = 100_000  # per solve_deterministic call
-
-
-@dataclass(frozen=True)
-class DetAction:
-    id: int
-    name: str
-    pre_pos_mask: int
-    pre_neg_mask: int
-    add_mask: int
-    del_mask: int
-
-
-@dataclass
-class DeterministicProblem:
-    """A classical planning problem over the grounded atom universe.
-
-    ``static_mask`` holds the atoms true in every state searched, and
-    ``init_bits`` an initial state. Both only steer: the applicability
-    index's key choice, the heuristic's stripping of static atoms and the
-    order of its layer-0 groups.
-    """
-
-    atom_names: tuple[str, ...]
-    actions: list[DetAction]
-    goal_mask: int
-    static_mask: int = 0
-    init_bits: int = 0
-
-    def is_goal(self, bits: int) -> bool:
-        return bits & self.goal_mask == self.goal_mask
-
-    @cached_property
-    def applicability(self) -> ApplicabilityIndex:
-        return ApplicabilityIndex(self.actions, self.atom_names,
-                                  self.static_mask, self.init_bits)
-
-    def applicable(self, bits: int) -> list[DetAction]:
-        return self.applicability.applicable(bits)
-
-    def apply(self, bits: int, action: DetAction) -> int:
-        return (bits & ~action.del_mask) | action.add_mask
-
-    @cached_property
-    def relaxed_task(self) -> "RelaxedTask":
-        """Delete relaxation of this task, built on first use."""
-        entries = [(a.id, a.pre_pos_mask, a.add_mask)
-                   for a in self.actions if a.add_mask]
-        return RelaxedTask(self.atom_names, entries, self.goal_mask,
-                           self.static_mask, self.init_bits)
 
 
 @dataclass
@@ -323,20 +283,24 @@ def _reconstruct(parents: dict, goal_bits: int, expansions: int) -> PlanResult:
     return PlanResult("plan", steps[::-1], expansions)
 
 
-def solve_deterministic(d: DeterministicProblem, bits0: int, *,
+def solve_deterministic(d: GroundedProblem, bits0: int, *,
                         budget: int = DEFAULT_EXPANSION_BUDGET,
                         mode: str = "greedy") -> PlanResult:
-    """Find a plan from the state ``bits0`` to the goal, or prove there is
-    none; ``budget`` bounds the expansions.
+    """Find a plan from the state ``bits0`` to the goal of ``d``, a problem
+    with one outcome per action, or prove there is none; ``budget`` bounds
+    the expansions. The plan's steps name actions by ``id``.
 
     Plans from the default mode are valid but not necessarily shortest;
     ``mode="optimal"`` runs plain breadth-first search.
 
     Neither phase keeps a closed set: each queues a state only when it
-    enters ``parents``, so no state is expanded twice.
+    enters ``parents``, so no state is expanded twice. The heuristic and
+    the applicability index skip ``d.static_mask``, so every state searched
+    must hold those atoms.
     """
-    if d.is_goal(bits0):
+    if is_goal(bits0, d):
         return PlanResult("plan", [])
+    applicable = d.applicability.applicable
     expansions = 0
 
     if mode == "greedy":
@@ -349,16 +313,17 @@ def solve_deterministic(d: DeterministicProblem, bits0: int, *,
         parents: dict[int, tuple[int, int] | None] = {bits0: None}
         while open_heap:
             _, _, bits = heapq.heappop(open_heap)
-            if d.is_goal(bits):
+            if is_goal(bits, d):
                 return _reconstruct(parents, bits, expansions)
             expansions += 1
             if expansions >= budget:
                 return PlanResult("timeout", [], expansions)
             _, helpful = task.evaluate(bits)
-            apps = d.applicable(bits)
+            apps = applicable(bits)
             use = [a for a in apps if helpful >> a.id & 1] or apps
             for a in use:
-                nb = d.apply(bits, a)
+                o = a.outcomes[0]
+                nb = (bits & ~o.del_mask) | o.add_mask
                 if nb in parents:
                     continue
                 hn, _ = task.evaluate(nb)
@@ -376,13 +341,14 @@ def solve_deterministic(d: DeterministicProblem, bits0: int, *,
     parents = {bits0: None}
     while queue:
         bits = queue.popleft()
-        if d.is_goal(bits):
+        if is_goal(bits, d):
             return _reconstruct(parents, bits, expansions)
         expansions += 1
         if expansions >= budget:
             return PlanResult("timeout", [], expansions)
-        for a in d.applicable(bits):
-            nb = d.apply(bits, a)
+        for a in applicable(bits):
+            o = a.outcomes[0]
+            nb = (bits & ~o.del_mask) | o.add_mask
             if nb not in parents:
                 parents[nb] = (bits, a.id)
                 queue.append(nb)
@@ -391,7 +357,7 @@ def solve_deterministic(d: DeterministicProblem, bits0: int, *,
 
 # ── external planner hook (off by default) ───────────────────────────────────
 #
-# The task is written propositionally: atom ``i`` of ``atom_names`` is the
+# The task is written propositionally: atom ``i`` of ``atoms`` is the
 # nullary predicate ``(p<i>)`` and the ``j``-th action of ``actions`` is the
 # parameterless ``(a<j>)``, so every name is valid PDDL and unique. The plan
 # text names one action per line, e.g. "(a3)", in any case; ';' starts a
@@ -399,9 +365,9 @@ def solve_deterministic(d: DeterministicProblem, bits0: int, *,
 # planner proved unsolvability.
 
 
-def det_to_pddl(d: DeterministicProblem, initial_bits: int) -> tuple[str, str]:
-    """Write a deterministic problem as STRIPS domain and problem texts,
-    straight from its bitsets."""
+def det_to_pddl(d: GroundedProblem, initial_bits: int) -> tuple[str, str]:
+    """Write a problem with one outcome per action as STRIPS domain and
+    problem texts, straight from its bitsets."""
 
     def atoms(mask: int, form: str = "(p{})") -> list[str]:
         return [form.format(i) for i in iter_bits(mask)]
@@ -413,12 +379,13 @@ def det_to_pddl(d: DeterministicProblem, initial_bits: int) -> tuple[str, str]:
 
     lines = ["(define (domain task-domain)",
              "  (:requirements :strips :negative-preconditions)"]
-    predicates = atoms((1 << len(d.atom_names)) - 1)
+    predicates = atoms((1 << len(d.atoms)) - 1)
     if predicates:
         lines.append("  (:predicates " + " ".join(predicates) + ")")
     for j, a in enumerate(d.actions):
+        o = a.outcomes[0]
         pre = atoms(a.pre_pos_mask) + atoms(a.pre_neg_mask, "(not (p{}))")
-        eff = atoms(a.add_mask) + atoms(a.del_mask, "(not (p{}))")
+        eff = atoms(o.add_mask) + atoms(o.del_mask, "(not (p{}))")
         lines += [f"  (:action a{j}", "    :parameters ()",
                   "    :precondition " + conj(pre),
                   "    :effect " + conj(eff) + ")"]
@@ -428,9 +395,10 @@ def det_to_pddl(d: DeterministicProblem, initial_bits: int) -> tuple[str, str]:
     return "\n".join(lines + [")", ""]), "\n".join(problem + [")", ""])
 
 
-def solve_with_external(d: DeterministicProblem, bits: int,
+def solve_with_external(d: GroundedProblem, bits: int,
                         command: list[str]) -> PlanResult:
-    """Shell out to an external classical planner.
+    """Shell out to an external classical planner on ``d``, a problem with
+    one outcome per action.
 
     The command is invoked as ``command + [domain.pddl, problem.pddl]`` and
     must follow the plan-text format described above. The returned plan is
@@ -469,7 +437,8 @@ def solve_with_external(d: DeterministicProblem, bits: int,
             raise ExternalPlannerError(
                 f"inapplicable action {token!r} ({a.name}) in plan")
         steps.append((bits, a.id))
-        bits = d.apply(bits, a)
-    if not d.is_goal(bits):
+        o = a.outcomes[0]
+        bits = (bits & ~o.del_mask) | o.add_mask
+    if not is_goal(bits, d):
         raise ExternalPlannerError("external plan does not reach the goal")
     return PlanResult("plan", steps)

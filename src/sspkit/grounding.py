@@ -61,7 +61,15 @@ class GroundAction:
 @dataclass
 class GroundedProblem:
     """A factored stochastic shortest path problem over ground atoms; a
-    state, ``initial_state`` included, is an ``int`` bitset over ``atoms``."""
+    state, ``initial_state`` included, is an ``int`` bitset over ``atoms``.
+
+    ``static_mask`` holds the ``:init`` atoms that no outcome of ``ground``'s
+    actions adds or deletes: they are true in every state reachable under
+    any outcomes. An action's ``id`` is its index in the grounded problem's
+    ``actions``. A problem derived by ``dataclasses.replace``, such as a
+    reduced model's ``det_problem``, keeps both: its actions keep their ids,
+    which need not be their positions there, and it keeps the base mask.
+    """
 
     domain_name: str
     problem_name: str
@@ -70,16 +78,7 @@ class GroundedProblem:
     actions: list[GroundAction]
     initial_state: int
     goal_mask: int
-
-    @cached_property
-    def static_mask(self) -> int:
-        """The ``:init`` atoms no outcome adds or deletes: true in every
-        reachable state."""
-        changed = 0
-        for a in self.actions:
-            for o in a.outcomes:
-                changed |= o.add_mask | o.del_mask
-        return self.initial_state & ~changed
+    static_mask: int
 
     @cached_property
     def applicability(self) -> ApplicabilityIndex:
@@ -89,7 +88,8 @@ class GroundedProblem:
     @cached_property
     def relaxed_task(self) -> RelaxedTask:
         """All-outcomes delete relaxation (every outcome a separate action),
-        built on first use by the heuristic and kept with the problem."""
+        built on first use and kept with the problem: the solver's heuristic
+        on a base problem, the sub-planner's on a ``det_problem``."""
         entries = [(a.id, a.pre_pos_mask, o.add_mask)
                    for a in self.actions for o in a.outcomes if o.add_mask]
         return RelaxedTask(self.atoms, entries, self.goal_mask,
@@ -296,6 +296,7 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
         return bits
 
     actions: list[GroundAction] = []
+    changed = 0  # the atoms some outcome adds or deletes
     for cand in candidates:
         outcomes: list[GroundOutcome] = []
         for combo in product(*cand.clause_outcomes):
@@ -309,6 +310,7 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
                 del_mask |= mask(dele)
                 choice.append(idx)
             del_mask &= ~add_mask  # add wins when clauses conflict
+            changed |= add_mask | del_mask
             outcomes.append(GroundOutcome(p, float(p), add_mask, del_mask,
                                           tuple(choice)))
         assert sum(o.probability for o in outcomes) == 1
@@ -321,12 +323,14 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
             outcomes=outcomes,
         ))
 
+    initial_state = mask(init_keys)
     return GroundedProblem(
         domain_name=schema.name,
         problem_name=problem.name,
         schema=schema,
         atoms=atoms,
         actions=actions,
-        initial_state=mask(init_keys),
+        initial_state=initial_state,
         goal_mask=mask(_atom_key(a) for a in problem.goal),
+        static_mask=initial_state & ~changed,
     )

@@ -52,7 +52,7 @@ def enumerate_determinizations(schema: DomainSchema) -> list[Determinization]:
         for c, clause in enumerate(action.clauses):
             keys.append((action.name, c))
             counts.append(clause.effective_count())
-    total = prod(counts) if counts else 1
+    total = prod(counts)
     if total > ENUMERATION_CAP:
         raise EnumerationBlowupError(total, ENUMERATION_CAP,
                                      dict(zip(keys, counts)))

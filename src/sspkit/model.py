@@ -89,7 +89,8 @@ def applicable_actions(bits: int, p: GroundedProblem) -> list[int]:
 def outcome_bits(bits: int, action_id: int, p: GroundedProblem) -> list[int]:
     """The successor bits of each outcome of one action in ``bits``,
     delete-then-add, in outcome order; raises if the action is not
-    applicable."""
+    applicable. ``p`` is a grounded base problem, whose action ids are
+    positions; a ``det_problem`` leaves actions out, so its are not."""
     a = p.actions[action_id]
     if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
         raise NotApplicableError(f"action {a.name} not applicable")
@@ -98,8 +99,8 @@ def outcome_bits(bits: int, action_id: int, p: GroundedProblem) -> list[int]:
 
 def successors(bits: int, action_id: int,
                p: GroundedProblem) -> SuccessorDistribution:
-    """Successor distribution of one action, with outcomes mapping to the
-    same state merged by summing probabilities."""
+    """Successor distribution of one action of a base problem, with
+    outcomes mapping to the same state merged by summing probabilities."""
     merged: dict[int, float] = {}
     for o, succ in zip(p.actions[action_id].outcomes,
                        outcome_bits(bits, action_id, p)):

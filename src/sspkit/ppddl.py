@@ -86,7 +86,7 @@ def read_sexps(text: str, filename: str = "<input>") -> list:
 
 # ── schema-level AST ─────────────────────────────────────────────────────────
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Atom:
     """A (possibly lifted) predicate application."""
 
@@ -99,13 +99,10 @@ class Atom:
         return f"({self.pred} {' '.join(self.args)})"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Literal:
     atom: Atom
     negated: bool = False
-
-    def __str__(self) -> str:
-        return f"(not {self.atom})" if self.negated else str(self.atom)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ bound it drops the exceptions and gives the primary outcome probability 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .detplan import DetAction, DeterministicProblem
 from .errors import IncompleteDeterminizationError, ParseError
 from .grounding import GroundedProblem
 from .model import applicable_actions, is_goal, outcome_bits
@@ -159,28 +159,24 @@ class ReducedModel:
                 for (bits, j2), p in merged.items()]
 
     @cached_property
-    def det_problem(self) -> DeterministicProblem:
-        """The deterministic problem induced at the exception bound.
+    def det_problem(self) -> GroundedProblem:
+        """The deterministic problem induced at the exception bound: the
+        base problem with each action reduced to its primary outcome, at
+        probability 1.
 
         Actions whose primary outcome is a universal no-op (strict
         self-loops) are excluded: they can never appear in a finite-cost
-        plan.
+        plan. So an action's ``id`` is its id in the base problem, not its
+        position here. ``static_mask`` stays the base problem's, since the
+        sub-planner also starts from states reached under exceptions.
         """
-        det_actions = []
+        actions = []
         for a in self.problem.actions:
             o = a.outcomes[self.primary[a.id]]
-            if not o.add_mask and not o.del_mask:
-                continue
-            det_actions.append(DetAction(
-                id=a.id, name=a.name,
-                pre_pos_mask=a.pre_pos_mask, pre_neg_mask=a.pre_neg_mask,
-                add_mask=o.add_mask, del_mask=o.del_mask))
-        return DeterministicProblem(
-            atom_names=self.problem.atoms,
-            actions=det_actions,
-            goal_mask=self.problem.goal_mask,
-            static_mask=self.problem.static_mask,
-            init_bits=self.problem.initial_state)
+            if o.add_mask or o.del_mask:
+                actions.append(replace(a, outcomes=[replace(
+                    o, probability=Fraction(1), probability_f=1.0)]))
+        return replace(self.problem, actions=actions)
 
 
 def make_reduction(problem: GroundedProblem, delta: Determinization,

@@ -11,6 +11,7 @@ import pytest
 
 from sspkit import detplan, ground, parse_domain, parse_problem, solver
 from sspkit.domains import gen_chain, gen_retry, gen_trap, gen_triangle_tireworld
+from sspkit.model import is_goal
 from sspkit.reduction import Determinization
 
 
@@ -26,8 +27,9 @@ def action_by_name(grounded, name: str):
 
 
 def validate_plan(d, bits: int, result) -> bool:
-    """Replay a plan from the state ``bits``: every action applicable, and
-    the final state satisfies the goal."""
+    """Replay a plan of ``d``, a problem with one outcome per action, from
+    the state ``bits``: every action applicable, and the final state
+    satisfies the goal."""
     by_id = {a.id: a for a in d.actions}
     for state, action_id in result.steps:
         if state != bits:
@@ -35,8 +37,9 @@ def validate_plan(d, bits: int, result) -> bool:
         a = by_id[action_id]
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
             return False
-        bits = d.apply(bits, a)
-    return d.is_goal(bits)
+        o = a.outcomes[0]
+        bits = (bits & ~o.del_mask) | o.add_mask
+    return is_goal(bits, d)
 
 
 def is_deterministic(m) -> bool:

@@ -10,21 +10,22 @@ import re
 import stat
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from sspkit import ground, make_reduction
-from sspkit.detplan import (DEFAULT_EXPANSION_BUDGET, DetAction,
-                            DeterministicProblem, PlanResult, RelaxedTask,
-                            det_to_pddl, solve_deterministic,
+from sspkit.detplan import (DEFAULT_EXPANSION_BUDGET, PlanResult,
+                            RelaxedTask, det_to_pddl, solve_deterministic,
                             solve_with_external)
 from sspkit.domains import gen_chain, gen_trap, gen_triangle_tireworld
 from sspkit.errors import ExternalPlannerError
 from sspkit.executor import monte_carlo_evaluate
+from sspkit.grounding import GroundAction, GroundedProblem, GroundOutcome
 from sspkit.learner import enumerate_determinizations
-from sspkit.model import iter_bits, predicate_of
+from sspkit.model import is_goal, iter_bits, predicate_of
 from sspkit.oracle import enumerate_model
-from sspkit.ppddl import parse_domain, parse_problem
+from sspkit.ppddl import DomainSchema, parse_domain, parse_problem
 from sspkit.reduction import Determinization, mlo_determinization
 
 from conftest import FLAT_DELTA, load, optimal_plan, validate_plan
@@ -41,9 +42,12 @@ def det_problem(atoms, actions, goal):
         return bits
 
     det_actions = [
-        DetAction(i, name, mask(pre), mask(npre), mask(add), mask(dele))
+        GroundAction(i, name, name, mask(pre), mask(npre), [GroundOutcome(
+            Fraction(1), 1.0, mask(add), mask(dele), (0,))])
         for i, (name, pre, npre, add, dele) in enumerate(actions)]
-    return DeterministicProblem(tuple(atoms), det_actions, mask(goal)), mask
+    schema = DomainSchema("test", (), {}, (), ())
+    return GroundedProblem("test", "test", schema, tuple(atoms), det_actions,
+                           0, mask(goal), 0), mask
 
 
 CHAIN = ( ["s", "m", "g"],
@@ -393,14 +397,14 @@ def test_greedy_fallback_to_breadth_first():
     assert [aid for _, aid in result.steps] == [2, 3]
 
 
-def uniform_cost_reference(d: DeterministicProblem, bits0: int, *,
+def uniform_cost_reference(d: GroundedProblem, bits0: int, *,
                            budget: int = DEFAULT_EXPANSION_BUDGET,
                            mode: str = "greedy") -> tuple[PlanResult, bool]:
     """The sub-planner as it was when its restart was a uniform-cost search:
     the same greedy phase, then a ``(g, counter)`` heap with ``best_g`` and
     a skip of superseded entries, every action at cost 1. Returns the
     result and whether the restart ran."""
-    if d.is_goal(bits0):
+    if is_goal(bits0, d):
         return PlanResult("plan", []), False
     expansions = 0
 
@@ -421,15 +425,16 @@ def uniform_cost_reference(d: DeterministicProblem, bits0: int, *,
         parents = {bits0: None}
         while open_heap:
             _, _, bits = heapq.heappop(open_heap)
-            if d.is_goal(bits):
+            if is_goal(bits, d):
                 return plan(parents, bits), False
             expansions += 1
             if expansions >= budget:
                 return PlanResult("timeout", [], expansions), False
             _, helpful = task.evaluate(bits)
-            apps = d.applicable(bits)
+            apps = d.applicability.applicable(bits)
             for a in [a for a in apps if helpful >> a.id & 1] or apps:
-                nb = d.apply(bits, a)
+                o = a.outcomes[0]
+                nb = (bits & ~o.del_mask) | o.add_mask
                 if nb in parents:
                     continue
                 hn, _ = task.evaluate(nb)
@@ -447,13 +452,14 @@ def uniform_cost_reference(d: DeterministicProblem, bits0: int, *,
         g, _, bits = heapq.heappop(open_heap)
         if g > best_g[bits]:
             continue
-        if d.is_goal(bits):
+        if is_goal(bits, d):
             return plan(parents, bits), True
         expansions += 1
         if expansions >= budget:
             return PlanResult("timeout", [], expansions), True
-        for a in d.applicable(bits):
-            nb = d.apply(bits, a)
+        for a in d.applicability.applicable(bits):
+            o = a.outcomes[0]
+            nb = (bits & ~o.del_mask) | o.add_mask
             ng = g + 1.0
             if best_g.get(nb, math.inf) <= ng:
                 continue
@@ -575,15 +581,15 @@ def assert_pddl_matches(det, initial_bits):
     problem = parse_problem(problem_text, schema)
 
     def names(mask):
-        return sorted(det.atom_names[i] for i in iter_bits(mask))
+        return sorted(det.atoms[i] for i in iter_bits(mask))
 
     def unindexed(atoms):
         assert all(not atom.args for atom in atoms)
-        return sorted(det.atom_names[int(atom.pred.removeprefix("p"))]
+        return sorted(det.atoms[int(atom.pred.removeprefix("p"))]
                       for atom in atoms)
 
     assert [p.name for p in schema.predicates] == [
-        f"p{i}" for i in range(len(det.atom_names))]
+        f"p{i}" for i in range(len(det.atoms))]
     assert all(p.params == () for p in schema.predicates)
     assert [a.name for a in schema.action_schemas] == [
         f"a{j}" for j in range(len(det.actions))]
@@ -597,8 +603,9 @@ def assert_pddl_matches(det, initial_bits):
         (clause,) = parsed.clauses
         (outcome,) = clause.outcomes
         assert outcome.probability == 1
-        assert unindexed(outcome.add) == names(a.add_mask)
-        assert unindexed(outcome.delete) == names(a.del_mask)
+        (o,) = a.outcomes
+        assert unindexed(outcome.add) == names(o.add_mask)
+        assert unindexed(outcome.delete) == names(o.del_mask)
     assert unindexed(problem.init) == names(initial_bits)
     assert unindexed(problem.goal) == names(det.goal_mask)
 
@@ -608,6 +615,23 @@ def assert_det_at_k0_matches(instance):
     det = make_reduction(grounded, mlo_determinization(schema), 0).det_problem
     assert det.actions
     assert_pddl_matches(det, grounded.initial_state)
+
+
+def test_grounded_det_task_is_a_subplanner_input(triangle2):
+    """The triangle-2 MLO det problem, written by ``det_to_pddl``, parsed
+    and grounded, is a problem the sub-planner takes, with shortest plans
+    as long as the det problem's own."""
+    schema, _, grounded = triangle2
+    det = make_reduction(grounded, mlo_determinization(schema), 0).det_problem
+    domain_text, problem_text = det_to_pddl(det, grounded.initial_state)
+    task_schema = parse_domain(domain_text)
+    task = ground(task_schema, parse_problem(problem_text, task_schema))
+    assert all(len(a.outcomes) == 1 for a in task.actions)
+    result = solve_deterministic(task, task.initial_state, mode="optimal")
+    assert result.found and len(result.steps) == 22
+    assert validate_plan(task, task.initial_state, result)
+    own = solve_deterministic(det, grounded.initial_state, mode="optimal")
+    assert len(own.steps) == len(result.steps)
 
 
 def test_det_to_pddl_reparses(chain2):

@@ -194,6 +194,34 @@ def test_mlo_tie_breaks_to_lowest_index(retry):
     assert delta.choices[("attempt", 0)] == 0
 
 
+@pytest.mark.parametrize("instance", ["triangle2", "chain2", "retry", "trap"])
+def test_det_problem_is_the_base_problem_reduced_to_its_primaries(
+        instance, request):
+    """Under every determinization the det problem keeps the base problem's
+    atoms, states and masks, and each action whose primary outcome changes
+    something, with its base id and that one outcome at probability 1; its
+    relaxed task has one entry per kept action whose primary adds atoms."""
+    schema, _, grounded = request.getfixturevalue(instance)
+    for delta in enumerate_determinizations(schema):
+        model = make_reduction(grounded, delta, 0)
+        det = model.det_problem
+        assert (det.atoms, det.initial_state, det.goal_mask,
+                det.static_mask) == (grounded.atoms, grounded.initial_state,
+                                     grounded.goal_mask, grounded.static_mask)
+        kept = [(a, a.outcomes[model.primary[a.id]]) for a in grounded.actions]
+        kept = [(a, o) for a, o in kept if o.add_mask or o.del_mask]
+        assert len(det.actions) == len(kept)
+        for d, (a, o) in zip(det.actions, kept):
+            (only,) = d.outcomes
+            assert only.probability == 1 and only.probability_f == 1.0
+            assert (d.id, d.name, d.pre_pos_mask, d.pre_neg_mask) == (
+                a.id, a.name, a.pre_pos_mask, a.pre_neg_mask)
+            assert (only.add_mask, only.del_mask, only.choice) == (
+                o.add_mask, o.del_mask, o.choice)
+        assert det.relaxed_task.entries == [
+            (a.id, a.pre_pos_mask, o.add_mask) for a, o in kept if o.add_mask]
+
+
 def test_null_primary_excluded_from_det_problem(retry):
     _, _, grounded = retry
     null_delta = Determinization({("attempt", 0): 1})

@@ -68,7 +68,8 @@ def assert_index_matches_scan(grounded, deltas, states) -> None:
         assert grounded.applicability.applicable(bits) == expected, bin(bits)
     for det in det_problems(grounded, deltas):
         for bits in states:
-            assert det.applicable(bits) == scan(det.actions, bits), bin(bits)
+            assert (det.applicability.applicable(bits)
+                    == scan(det.actions, bits)), bin(bits)
 
 
 def assert_stripping_exact(grounded, deltas, states) -> int:
