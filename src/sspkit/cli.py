@@ -233,7 +233,7 @@ def cmd_plan(args) -> int:
     tables, report = ff_lao_star(model, _solver_config(args))
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "domain": grounded.domain_name,
+        "domain": grounded.schema.name,
         "problem": grounded.problem_name,
         "determinization": _delta_text(delta),
         "config": _config_echo(args),
@@ -270,7 +270,7 @@ def cmd_simulate(args) -> int:
         cfg=_solver_config(args))
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "domain": grounded.domain_name,
+        "domain": grounded.schema.name,
         "problem": grounded.problem_name,
         "determinization": _delta_text(delta),
         "config": _config_echo(args),
@@ -312,7 +312,7 @@ def cmd_learn_det(args) -> int:
 
 def cmd_bench(args) -> int:
     schema = _load_domain(args.domain)
-    delta = _resolve_delta(args, schema) if args.problems else None
+    delta = _resolve_delta(args, schema)
     rows = []
     for path in args.problems:
         problem = parse_problem(_read(path), schema, filename=path)

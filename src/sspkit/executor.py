@@ -250,7 +250,7 @@ def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
 
     action_ids = {a.name: a.id for a in problem.actions}
     send({"schema_version": PROTOCOL_VERSION, "type": "hello",
-          "domain": problem.domain_name, "problem": problem.problem_name,
+          "domain": problem.schema.name, "problem": problem.problem_name,
           "rounds": rounds, "max_actions": max_actions})
     reports: list[RoundReport] = []
     hung_up = False

@@ -7,9 +7,9 @@ delete-relaxation reachability check. ``BINDING_CAP`` bounds the bindings
 the join visits, partial ones included; ``OUTCOME_CAP`` bounds the joint
 outcomes of the ground actions kept, counted from their clauses before
 any is built.
-Outcome distributions are exact rationals and sum to 1 per ground action
-(residual probability mass becomes an explicit no-op outcome). Every
-action costs 1.
+Outcome distributions are exact rationals and sum to 1 per ground action,
+as each clause's do (a clause's residual no-op is one of its outcomes).
+Every action costs 1.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class GroundOutcome:
     """One joint outcome of a ground action.
 
     ``choice`` holds the per-clause outcome indices this outcome was built
-    from (indices into each clause's effective outcome list, so the residual
-    no-op outcome of a clause is addressable).
+    from (indices into each clause's outcomes, the residual no-op of a
+    clause among them).
     """
 
     probability: Fraction
@@ -71,7 +71,6 @@ class GroundedProblem:
     which need not be their positions there, and it keeps the base mask.
     """
 
-    domain_name: str
     problem_name: str
     schema: DomainSchema
     atoms: tuple[str, ...]
@@ -188,7 +187,7 @@ def _instantiate(schema: ActionSchema, binding: tuple[str, ...]) -> _Candidate |
     clause_outcomes = []
     for clause in schema.clauses:
         rows = []
-        for idx, outcome in enumerate(clause.effective_outcomes()):
+        for idx, outcome in enumerate(clause):
             add = tuple(_bind(a, env) for a in outcome.add)
             dele = tuple(_bind(a, env) for a in outcome.delete)
             rows.append((idx, outcome.probability, add, dele))
@@ -249,7 +248,7 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
                 f"candidate bindings")
 
     added = {atom.pred for action in schema.action_schemas
-             for clause in action.clauses for o in clause.outcomes
+             for clause in action.clauses for o in clause
              for atom in o.add}
     static = {lit.atom.pred for action in schema.action_schemas
               for lit in action.precondition} - added
@@ -325,7 +324,6 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
 
     initial_state = mask(init_keys)
     return GroundedProblem(
-        domain_name=schema.name,
         problem_name=problem.name,
         schema=schema,
         atoms=atoms,

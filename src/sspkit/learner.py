@@ -51,7 +51,7 @@ def enumerate_determinizations(schema: DomainSchema) -> list[Determinization]:
     for action in schema.action_schemas:
         for c, clause in enumerate(action.clauses):
             keys.append((action.name, c))
-            counts.append(clause.effective_count())
+            counts.append(len(clause))
     total = prod(counts)
     if total > ENUMERATION_CAP:
         raise EnumerationBlowupError(total, ENUMERATION_CAP,

@@ -5,7 +5,9 @@ flat :probabilistic-effects. Conditional effects, quantifiers, rewards,
 fluents, axioms and domain constants are rejected with a named-feature error.
 ``(= a b)`` and ``(not (= a b))`` take two terms, in preconditions only; a
 type declared twice must name the same parent. Probabilities are kept as
-exact rationals end to end.
+exact rationals end to end. Each clause of an action's effect is parsed
+into a complete distribution: mass its outcomes leave unassigned becomes
+an explicit empty (no-op) outcome, listed last.
 """
 
 from __future__ import annotations
@@ -115,26 +117,6 @@ class Outcome:
 
 
 @dataclass(frozen=True)
-class ProbabilisticClause:
-    """A flat probabilistic effect: a list of mutually exclusive outcomes.
-
-    Explicit probabilities may sum to less than 1; the residual mass is an
-    implicit no-op outcome materialized by ``effective_outcomes``.
-    """
-
-    outcomes: tuple[Outcome, ...]
-
-    def effective_outcomes(self) -> tuple[Outcome, ...]:
-        residual = 1 - sum((o.probability for o in self.outcomes), Fraction(0))
-        if residual > 0:
-            return self.outcomes + (Outcome(residual),)
-        return self.outcomes
-
-    def effective_count(self) -> int:
-        return len(self.effective_outcomes())
-
-
-@dataclass(frozen=True)
 class Predicate:
     name: str
     params: tuple[tuple[str, str], ...]  # (variable, type) pairs
@@ -142,10 +124,14 @@ class Predicate:
 
 @dataclass(frozen=True)
 class ActionSchema:
+    """A lifted action. Each clause is a tuple of mutually exclusive
+    outcomes whose probabilities sum to exactly 1; a residual no-op, when
+    there is one, is an explicit empty outcome, and last."""
+
     name: str
     parameters: tuple[tuple[str, str], ...]  # (variable, type) pairs
     precondition: tuple[Literal, ...]
-    clauses: tuple[ProbabilisticClause, ...]
+    clauses: tuple[tuple[Outcome, ...], ...]
     # (a, b, must_equal) filters from :equality; a/b are variables or objects
     equalities: tuple[tuple[str, str, bool], ...] = ()
 
@@ -153,7 +139,6 @@ class ActionSchema:
 @dataclass(frozen=True)
 class DomainSchema:
     name: str
-    requirements: tuple[str, ...]
     types: dict[str, str]  # type -> parent type
     predicates: tuple[Predicate, ...]
     action_schemas: tuple[ActionSchema, ...]
@@ -241,7 +226,8 @@ def _head(node) -> str:
 
 
 def _parse_typed_list(items: list, ctx: _Ctx, *, variables: bool) -> list[tuple[str, str]]:
-    """Parse ``a b - t c d - u e`` into (name, type) pairs; default type object."""
+    """Parse ``a b - t c d - u e`` into (name, type) pairs; default type
+    object. Each ``-`` needs one or more names before it."""
     out: list[tuple[str, str]] = []
     pending: list[str] = []
     nodes = iter(items)
@@ -250,6 +236,8 @@ def _parse_typed_list(items: list, ctx: _Ctx, *, variables: bool) -> list[tuple[
             raise ctx.unsupported("either", node)
         word = node.value
         if word == "-":
+            if not pending:
+                raise ctx.fail("expected a name before '-'", node)
             tnode = next(nodes, None)
             if tnode is None:
                 raise ctx.fail("expected type after '-'", node)
@@ -361,25 +349,26 @@ def _outcome(p: Fraction, adds: list[Atom], dels: list[Atom]) -> Outcome:
     return Outcome(p, add, tuple(a for a in dict.fromkeys(dels) if a not in add))
 
 
-def _parse_effect(node, ctx: _Ctx) -> tuple[ProbabilisticClause, ...]:
-    """Parse an action effect into probabilistic clauses.
+def _parse_effect(node, ctx: _Ctx) -> tuple[tuple[Outcome, ...], ...]:
+    """Parse an action effect into clauses, each a complete distribution.
 
-    Deterministic conjuncts are folded into the first clause's outcomes
-    (materializing the residual outcome when needed) so that, e.g., a move
-    action with one 0.5-probability side effect presents as a single clause
-    with two 0.5 outcomes. A fully deterministic effect becomes one clause
-    with a single probability-1 outcome.
+    A clause whose probabilities sum below 1 gets the residual mass as a
+    last, empty outcome. Deterministic conjuncts are then folded into every
+    outcome of the first clause, so that, e.g., a move action with one
+    0.5-probability side effect presents as a single clause with two 0.5
+    outcomes. A fully deterministic effect becomes one clause with a single
+    probability-1 outcome.
     """
     clauses: list[list[tuple]] = []
     det_adds, det_dels = _effect_literals(node, ctx, clauses)
-    if det_adds or det_dels or not clauses:
-        first = clauses[0] if clauses else []
-        explicit = sum((p for p, _, _ in first), Fraction(0))
-        folded = [(p, adds + det_adds, dels + det_dels) for p, adds, dels in first]
-        if explicit < 1:
-            folded.append((1 - explicit, det_adds, det_dels))
-        clauses[:1] = [folded]
-    return tuple(ProbabilisticClause(tuple(_outcome(*o) for o in c)) for c in clauses)
+    for outcomes in clauses:
+        residual = 1 - sum((p for p, _, _ in outcomes), Fraction(0))
+        if residual:
+            outcomes.append((residual, [], []))
+    first = clauses[0] if clauses else [(Fraction(1), [], [])]
+    clauses[:1] = [[(p, adds + det_adds, dels + det_dels)
+                    for p, adds, dels in first]]
+    return tuple(tuple(_outcome(*o) for o in c) for c in clauses)
 
 
 def _check_atom(schema: DomainSchema, atom: Atom, where: str, fail) -> Predicate:
@@ -427,7 +416,6 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
     UnsupportedFeatureError on constructs outside the subset.
     """
     ctx, name, sections = _read_define(text, filename, "domain")
-    requirements: tuple[str, ...] = ()
     types: dict[str, str] = {}
     predicates: list[Predicate] = []
     actions: list[ActionSchema] = []
@@ -436,7 +424,8 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
     for key, section in sections:
         if key == ":requirements":
             ctx.once(f"{key} section", section[0])
-            requirements = tuple(_word(t, ctx, "requirement") for t in section[1:])
+            for t in section[1:]:
+                _word(t, ctx, "requirement")
         elif key == ":types":
             for tname, parent in _parse_typed_list(section[1:], ctx, variables=False):
                 if types.setdefault(tname, parent) != parent:
@@ -457,7 +446,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSchema:
         else:
             raise ctx.unsupported(key, section)
 
-    schema = DomainSchema(name, requirements, types, tuple(predicates), tuple(actions))
+    schema = DomainSchema(name, types, tuple(predicates), tuple(actions))
     _check_schema(schema, ctx, action_sections)
     return schema
 
@@ -481,7 +470,7 @@ def _parse_action(section: list, ctx: _Ctx, types: dict[str, str]) -> ActionSche
     params: tuple[tuple[str, str], ...] = ()
     precondition: tuple[Literal, ...] = ()
     equalities: tuple[tuple[str, str, bool], ...] = ()
-    clauses = (ProbabilisticClause((Outcome(Fraction(1)),)),)
+    clauses = ((Outcome(Fraction(1)),),)
     for i in range(2, len(section), 2):
         key = _word(section[i], ctx, "action keyword")
         if i + 1 >= len(section):
@@ -526,7 +515,7 @@ def _check_schema(schema: DomainSchema, ctx: _Ctx, sections: list[list]) -> None
         for a, b, _ in action.equalities:
             check_bound((a, b))
         for clause in action.clauses:
-            for outcome in clause.outcomes:
+            for outcome in clause:
                 for atom in outcome.add + outcome.delete:
                     _check_atom(schema, atom, where, fail)
                     check_bound(atom.args)

@@ -31,8 +31,8 @@ _COMMENT_RE = re.compile(r"(?:^|[ \t])#")
 class Determinization:
     """Primary outcome index per (schema name, clause index).
 
-    Indices address each clause's effective outcome list, so a clause's
-    residual no-op outcome is a valid choice.
+    Indices address each clause's outcomes, so a clause's residual no-op
+    outcome is a valid choice.
     """
 
     choices: dict[tuple[str, int], int]
@@ -78,10 +78,10 @@ class Determinization:
                 if idx is None:
                     raise IncompleteDeterminizationError(
                         f"no primary outcome for {action.name}/{c}")
-                if not 0 <= idx < clause.effective_count():
+                if not 0 <= idx < len(clause):
                     raise IncompleteDeterminizationError(
                         f"outcome index {idx} out of range for {action.name}/{c} "
-                        f"({clause.effective_count()} outcomes)")
+                        f"({len(clause)} outcomes)")
         unknown = sorted(self.choices.keys() - clauses)
         if unknown:
             name, c = unknown[0]
@@ -94,9 +94,8 @@ def mlo_determinization(schema: DomainSchema) -> Determinization:
     choices: dict[tuple[str, int], int] = {}
     for action in schema.action_schemas:
         for c, clause in enumerate(action.clauses):
-            outcomes = clause.effective_outcomes()
-            best = max(range(len(outcomes)),
-                       key=lambda i: (outcomes[i].probability, -i))
+            best = max(range(len(clause)),
+                       key=lambda i: (clause[i].probability, -i))
             choices[(action.name, c)] = best
     return Determinization(choices)
 

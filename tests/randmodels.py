@@ -15,7 +15,7 @@ from math import prod
 from sspkit.grounding import GroundedProblem, ground
 from sspkit.oracle import enumerate_model
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
-                    Predicate, ProbabilisticClause, ProblemDef)
+                    Predicate, ProblemDef)
 from sspkit.reduction import Determinization, ReducedModel, make_reduction
 
 from conftest import proper_policy_exists
@@ -45,8 +45,7 @@ def random_domain(rng: random.Random, *, n_atoms: int = 5,
         for _ in range(n_clauses):
             if deterministic:
                 add, dele = effect_pair()
-                clauses.append(ProbabilisticClause(
-                    (Outcome(Fraction(1), add, dele),)))
+                clauses.append((Outcome(Fraction(1), add, dele),))
                 continue
             m = rng.randint(1, max_outcomes)
             weights = [rng.randint(1, 5) for _ in range(m)]
@@ -55,10 +54,12 @@ def random_domain(rng: random.Random, *, n_atoms: int = 5,
             for w in weights:
                 add, dele = effect_pair()
                 outcomes.append(Outcome(Fraction(w, total), add, dele))
-            clauses.append(ProbabilisticClause(tuple(outcomes)))
+            if total > sum(weights):  # the residual mass is a last no-op
+                outcomes.append(Outcome(Fraction(total - sum(weights), total)))
+            clauses.append(tuple(outcomes))
         schemas.append(ActionSchema(f"act{i}", (), pre, tuple(clauses)))
 
-    schema = DomainSchema("rand", (":strips",), {}, predicates, tuple(schemas))
+    schema = DomainSchema("rand", {}, predicates, tuple(schemas))
     init = tuple(a for a in atoms if rng.random() < 0.4)
     n_goal = rng.randint(1, max(1, n_atoms // 2))
     goal = tuple(rng.sample(atoms, n_goal))
@@ -68,7 +69,7 @@ def random_domain(rng: random.Random, *, n_atoms: int = 5,
 
 def determinization_count(schema: DomainSchema) -> int:
     """How many determinizations ``enumerate_determinizations`` lists."""
-    return prod(clause.effective_count() for action in schema.action_schemas
+    return prod(len(clause) for action in schema.action_schemas
                 for clause in action.clauses)
 
 
@@ -77,7 +78,7 @@ def random_determinization(rng: random.Random,
     choices = {}
     for action in schema.action_schemas:
         for c, clause in enumerate(action.clauses):
-            choices[(action.name, c)] = rng.randrange(clause.effective_count())
+            choices[(action.name, c)] = rng.randrange(len(clause))
     return Determinization(choices)
 
 

@@ -648,6 +648,25 @@ def test_bench_empty_problem_list(tmp_path):
     assert len(lines) == 2  # schema comment + header, no rows
 
 
+@pytest.mark.parametrize("source", [
+    ["--det-file", "missing.det"],
+    ["--det-index", "99"],
+    ["--det-learn", "missing.ppddl"],
+], ids=["file", "index", "learn"])
+def test_bench_bad_det_source_exit_2_with_or_without_problems(
+        tmp_path, monkeypatch, triangle_files, capsys, source):
+    """``bench`` resolves its determinization before any problem: a bad
+    source exits 2 with no CSV written, even when no problem is given."""
+    domain, problem = triangle_files
+    monkeypatch.chdir(tmp_path)  # where the missing files are missing
+    csv = tmp_path / "bench.csv"
+    for problems in ([], [problem]):
+        assert main(["bench", "--domain", domain, "--problems", *problems,
+                     *source, "--csv", str(csv)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists()
+
+
 def test_csv_cells_holding_a_comma_read_back_whole(tmp_path):
     """Names may hold a comma: every row of both CSVs is as wide as its
     header, and the name cells read back whole."""

@@ -45,8 +45,8 @@ def det_problem(atoms, actions, goal):
         GroundAction(i, name, name, mask(pre), mask(npre), [GroundOutcome(
             Fraction(1), 1.0, mask(add), mask(dele), (0,))])
         for i, (name, pre, npre, add, dele) in enumerate(actions)]
-    schema = DomainSchema("test", (), {}, (), ())
-    return GroundedProblem("test", "test", schema, tuple(atoms), det_actions,
+    schema = DomainSchema("test", {}, (), ())
+    return GroundedProblem("test", schema, tuple(atoms), det_actions,
                            0, mask(goal), 0), mask
 
 
@@ -600,8 +600,7 @@ def assert_pddl_matches(det, initial_bits):
                           if not lit.negated]) == names(a.pre_pos_mask)
         assert unindexed([lit.atom for lit in parsed.precondition
                           if lit.negated]) == names(a.pre_neg_mask)
-        (clause,) = parsed.clauses
-        (outcome,) = clause.outcomes
+        ((outcome,),) = parsed.clauses
         assert outcome.probability == 1
         (o,) = a.outcomes
         assert unindexed(outcome.add) == names(o.add_mask)

@@ -15,7 +15,7 @@ from sspkit import (GroundingBlowupError, grounding, ground, parse_domain,
 from sspkit.domains import GENERATORS, gen_trap
 from sspkit.oracle import enumerate_model
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Outcome,
-                          Predicate, ProbabilisticClause, ProblemDef)
+                          Predicate, ProblemDef)
 
 from conftest import action_by_name, load
 from randmodels import random_domain
@@ -25,9 +25,9 @@ INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
 
 def nullary_domain(clauses, name="d") -> tuple[DomainSchema, ProblemDef]:
     atoms = sorted({a.pred for clause in clauses
-                    for o in clause.outcomes for a in o.add + o.delete} | {"g"})
+                    for o in clause for a in o.add + o.delete} | {"g"})
     schema = DomainSchema(
-        name, (":strips",), {},
+        name, {},
         tuple(Predicate(p, ()) for p in atoms),
         (ActionSchema("act", (), (), tuple(clauses)),))
     problem = ProblemDef("p", name, (), (), (Atom("g"),))
@@ -35,10 +35,11 @@ def nullary_domain(clauses, name="d") -> tuple[DomainSchema, ProblemDef]:
 
 
 def test_residual_mass_becomes_null_outcome():
-    clause = ProbabilisticClause((
+    clause = (
         Outcome(Fraction(2, 5), (Atom("x"),), ()),
         Outcome(Fraction(2, 5), (Atom("y"),), ()),
-    ))
+        Outcome(Fraction(1, 5)),
+    )
     schema, problem = nullary_domain([clause])
     grounded = ground(schema, problem)
     (action,) = grounded.actions
@@ -50,14 +51,14 @@ def test_residual_mass_becomes_null_outcome():
 
 
 def test_cross_product_outcomes():
-    c1 = ProbabilisticClause((
+    c1 = (
         Outcome(Fraction(1, 2), (Atom("x"),), ()),
         Outcome(Fraction(1, 2), (Atom("y"),), ()),
-    ))
-    c2 = ProbabilisticClause((
+    )
+    c2 = (
         Outcome(Fraction(9, 10), (Atom("u"),), ()),
         Outcome(Fraction(1, 10), (Atom("v"),), ()),
-    ))
+    )
     schema, problem = nullary_domain([c1, c2])
     grounded = ground(schema, problem)
     (action,) = grounded.actions
@@ -126,10 +127,10 @@ def test_grounding_blowup_cap(monkeypatch):
         ground(schema, problem)
 
 
-def coin_flips(n: int) -> list[ProbabilisticClause]:
+def coin_flips(n: int) -> list[tuple[Outcome, ...]]:
     """``n`` independent clauses, each adding ``(q<i>)`` with probability
-    1/2: their joint outcomes number ``2 ** n``."""
-    return [ProbabilisticClause((Outcome(Fraction(1, 2), (Atom(f"q{i}"),), ()),))
+    1/2 and else doing nothing: their joint outcomes number ``2 ** n``."""
+    return [(Outcome(Fraction(1, 2), (Atom(f"q{i}"),), ()), Outcome(Fraction(1, 2)))
             for i in range(n)]
 
 

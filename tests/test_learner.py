@@ -8,8 +8,7 @@ from sspkit import (EnumerationBlowupError, enumerate_determinizations,
                     learning_det, parse_domain, parse_problem)
 from sspkit.executor import EvalStats
 from sspkit.learner import DetCandidate
-from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Outcome,
-                          Predicate, ProbabilisticClause)
+from sspkit.ppddl import ActionSchema, Atom, DomainSchema, Outcome, Predicate
 from sspkit.reduction import Determinization
 
 from conftest import FLAT_DELTA
@@ -31,17 +30,17 @@ def test_deterministic_domain_single_determinization(chain2):
 
 
 def test_product_rule_two_by_three():
-    c2 = ProbabilisticClause((
+    c2 = (
         Outcome(Fraction(1, 2), (Atom("x"),), ()),
         Outcome(Fraction(1, 2), (Atom("y"),), ()),
-    ))
-    c3 = ProbabilisticClause((
+    )
+    c3 = (
         Outcome(Fraction(1, 3), (Atom("x"),), ()),
         Outcome(Fraction(1, 3), (Atom("y"),), ()),
         Outcome(Fraction(1, 3), (Atom("z"),), ()),
-    ))
+    )
     schema = DomainSchema(
-        "d", (), {}, (Predicate("x", ()), Predicate("y", ()), Predicate("z", ())),
+        "d", {}, (Predicate("x", ()), Predicate("y", ()), Predicate("z", ())),
         (ActionSchema("a", (), (), (c2, c3)),))
     deltas = enumerate_determinizations(schema)
     assert len(deltas) == 6
@@ -56,10 +55,10 @@ def test_residual_outcome_is_a_candidate_primary(retry):
 
 
 def test_enumeration_blowup():
-    clause = ProbabilisticClause(tuple(
-        Outcome(Fraction(1, 4), (Atom(f"x{i}"),), ()) for i in range(4)))
+    clause = tuple(
+        Outcome(Fraction(1, 4), (Atom(f"x{i}"),), ()) for i in range(4))
     schema = DomainSchema(
-        "big", (), {}, tuple(Predicate(f"x{i}", ()) for i in range(4)),
+        "big", {}, tuple(Predicate(f"x{i}", ()) for i in range(4)),
         tuple(ActionSchema(f"a{j}", (), (), (clause, clause))
               for j in range(4)))
     with pytest.raises(EnumerationBlowupError) as err:

@@ -8,7 +8,7 @@ import pytest
 from sspkit import (NotApplicableError, State, applicable_actions, ground,
                     is_goal, successors)
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
-                          Predicate, ProbabilisticClause, ProblemDef)
+                          Predicate, ProblemDef)
 
 from conftest import action_by_name, state_from_atoms
 from randmodels import random_domain
@@ -16,11 +16,11 @@ from randmodels import random_domain
 
 def build(schemas, init=(), goal=("g",)):
     preds = sorted({a.pred for s in schemas for c in s.clauses
-                    for o in c.outcomes for a in o.add + o.delete}
+                    for o in c for a in o.add + o.delete}
                    | {a.pred for s in schemas for l in s.precondition
                       for a in [l.atom]}
                    | set(init) | set(goal))
-    schema = DomainSchema("m", (), {}, tuple(Predicate(p, ()) for p in preds),
+    schema = DomainSchema("m", {}, tuple(Predicate(p, ()) for p in preds),
                           tuple(schemas))
     problem = ProblemDef("p", "m", (), tuple(Atom(a) for a in init),
                          tuple(Atom(a) for a in goal))
@@ -35,9 +35,8 @@ def act(name, pre, clauses):
 
 
 def det_clause(add=(), delete=()):
-    return ProbabilisticClause((Outcome(Fraction(1),
-                                        tuple(Atom(a) for a in add),
-                                        tuple(Atom(a) for a in delete)),))
+    return (Outcome(Fraction(1), tuple(Atom(a) for a in add),
+                    tuple(Atom(a) for a in delete)),)
 
 
 def test_applicable_actions_two_action_state():
@@ -89,10 +88,10 @@ def test_move_car_two_successors(triangle1):
 
 
 def test_identical_outcomes_merge():
-    clause = ProbabilisticClause((
+    clause = (
         Outcome(Fraction(1, 2), (Atom("g"),), ()),
         Outcome(Fraction(1, 2), (Atom("g"),), ()),
-    ))
+    )
     grounded = build([act("a", [], [clause])])
     dist = successors(grounded.initial_state, 0, grounded)
     assert len(dist) == 1
@@ -126,8 +125,7 @@ def test_successor_probabilities_sum_to_one_random():
 
 def test_delete_before_add_semantics():
     # same atom added and deleted in one outcome: add wins
-    clause = ProbabilisticClause((
-        Outcome(Fraction(1), (Atom("g"),), (Atom("g"),)),))
+    clause = (Outcome(Fraction(1), (Atom("g"),), (Atom("g"),)),)
     grounded = build([act("a", [], [clause])])
     (state, p), = successors(grounded.initial_state, 0, grounded)
     assert is_goal(state, grounded)

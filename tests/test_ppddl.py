@@ -6,7 +6,9 @@ import pytest
 
 from sspkit import (ParseError, TypeMismatchError, UnsupportedFeatureError,
                     parse_domain, parse_problem)
-from sspkit.domains import gen_triangle_tireworld
+from sspkit.domains import (gen_chain, gen_retry, gen_trap,
+                            gen_triangle_tireworld)
+from sspkit.ppddl import Atom, Outcome
 
 MINIMAL = """
 (define (domain mini)
@@ -24,7 +26,7 @@ def test_minimal_deterministic_domain():
     assert len(schema.action_schemas) == 1
     action = schema.action_schemas[0]
     assert len(action.clauses) == 1
-    (outcome,) = action.clauses[0].outcomes
+    (outcome,) = action.clauses[0]
     assert outcome.probability == 1
     assert [str(a) for a in outcome.add] == ["(q)"]
     assert [str(a) for a in outcome.delete] == ["(p)"]
@@ -37,7 +39,7 @@ def test_triangle_domain_shape():
         "move-car", "loadtire", "changetire"]
     move = next(a for a in schema.action_schemas if a.name == "move-car")
     assert len(move.clauses) == 1
-    outcomes = move.clauses[0].outcomes
+    outcomes = move.clauses[0]
     assert len(outcomes) == 2
     assert [o.probability for o in outcomes] == [Fraction(1, 2), Fraction(1, 2)]
     # both outcomes move the vehicle; only the first flattens the tire
@@ -179,8 +181,27 @@ def test_zero_probability_outcome_dropped():
         :effect (probabilistic 0 (q) 0.5 (p))))
     """)
     (clause,) = schema.action_schemas[0].clauses
-    assert len(clause.outcomes) == 1
-    assert clause.outcomes[0].probability == Fraction(1, 2)
+    # the 0.5 of (p), then the residual 0.5 as an empty outcome
+    assert clause == (Outcome(Fraction(1, 2), (Atom("p"),)),
+                      Outcome(Fraction(1, 2)))
+
+
+def test_residual_mass_is_an_explicit_last_outcome():
+    (action,) = parse_domain(gen_retry()[0]).action_schemas
+    (clause,) = action.clauses
+    assert clause == (Outcome(Fraction(1, 2), (Atom("done"),)),
+                      Outcome(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("domain_text", [
+    gen_triangle_tireworld(1)[0], gen_chain()[0], gen_retry()[0], gen_trap()[0],
+], ids=["triangle", "chain", "retry", "trap"])
+def test_bundled_clauses_sum_to_one_with_any_residual_last(domain_text):
+    for action in parse_domain(domain_text).action_schemas:
+        for clause in action.clauses:
+            assert sum(o.probability for o in clause) == 1
+            # an empty outcome is a residual no-op, and only ever the last
+            assert all(o.add or o.delete for o in clause[:-1])
 
 
 def test_problem_triangle1(triangle1):
@@ -378,6 +399,18 @@ DEEP = 2_000  # past the interpreter's default recursion limit
                  id="stray-vertical-tab"),
     pytest.param("(define (domain d)\n  (:types a -))",
                  "expected type after '-'", 2, 13, id="type-after-dash"),
+    # a typed list needs one or more names before each '-'
+    pytest.param("(define (domain d) (:types loc) (:predicates (p))\n"
+                 "  (:action a :parameters (- loc) :effect (p)))",
+                 "expected a name before '-'", 2, 27, id="dash-first-parameters"),
+    pytest.param("(define (domain d)\n  (:types a - loc - loc b))",
+                 "expected a name before '-'", 2, 19, id="dash-after-type-types"),
+    pytest.param("(define (problem p) (:domain mini)\n"
+                 "  (:objects a - loc - loc b))",
+                 "expected a name before '-'", 2, 21, id="dash-after-type-objects"),
+    # the requirements are not kept, but each must still be a word
+    pytest.param("(define (domain d)\n  (:requirements (strips)))",
+                 "expected requirement", 2, 19, id="requirement-form"),
     pytest.param("(define (domain d)\n  (:types a - (either b c)))",
                  "unsupported construct: either", 2, 16, id="either-type"),
     pytest.param("(define (problem p) (:domain mini)\n  (:objects o ?x))",

@@ -18,7 +18,7 @@ from sspkit.executor import sample_successor
 from sspkit.model import successors
 from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
-                          Predicate, ProbabilisticClause, ProblemDef)
+                          Predicate, ProblemDef)
 from sspkit.reduction import AugmentedState, Determinization, State
 from sspkit.solver import INF
 
@@ -28,10 +28,10 @@ from randmodels import random_proper_reduced_setup, random_reduced_setup
 
 def build_problem(schemas, init, goal):
     preds = sorted({a.pred for s in schemas for c in s.clauses
-                    for o in c.outcomes for a in o.add + o.delete}
+                    for o in c for a in o.add + o.delete}
                    | {l.atom.pred for s in schemas for l in s.precondition}
                    | set(init) | set(goal))
-    schema = DomainSchema("s", (), {}, tuple(Predicate(p, ()) for p in preds),
+    schema = DomainSchema("s", {}, tuple(Predicate(p, ()) for p in preds),
                           tuple(schemas))
     problem = ProblemDef("p", "s", (), tuple(Atom(a) for a in init),
                          tuple(Atom(a) for a in goal))
@@ -41,9 +41,8 @@ def build_problem(schemas, init, goal):
 def det_action(name, pre, add, delete=()):
     return ActionSchema(
         name, (), tuple(Literal(Atom(p)) for p in pre),
-        (ProbabilisticClause((Outcome(Fraction(1),
-                                      tuple(Atom(a) for a in add),
-                                      tuple(Atom(a) for a in delete)),)),))
+        ((Outcome(Fraction(1), tuple(Atom(a) for a in add),
+                  tuple(Atom(a) for a in delete)),),))
 
 
 def trivial_delta(grounded):
@@ -94,10 +93,10 @@ def test_q_value_k0_chain_with_stored_value(exact_solver):
 
 
 def test_q_value_split_successors(exact_solver):
-    clause = ProbabilisticClause((
+    clause = (
         Outcome(Fraction(1, 2), (Atom("x"),), (Atom("s"),)),
         Outcome(Fraction(1, 2), (Atom("y"),), (Atom("s"),)),
-    ))
+    )
     schemas = [ActionSchema("split", (), (Literal(Atom("s")),), (clause,))]
     grounded = build_problem(schemas, init=["s"], goal=["g"])
     model = make_reduction(grounded, trivial_delta(grounded), 2)
@@ -550,9 +549,9 @@ def test_rollout_root_solves_when_a_plan_lowers_a_read_entry():
     first; expanding it plans from ``c`` through ``b`` and lowers ``b`` to
     1, which only ``s``'s next update sees."""
     def split(primary, exception):
-        return ProbabilisticClause((
+        return (
             Outcome(Fraction(4, 5), (Atom(primary),), (Atom("s"),)),
-            Outcome(Fraction(1, 5), (Atom(exception),), (Atom("s"),))))
+            Outcome(Fraction(1, 5), (Atom(exception),), (Atom("s"),)))
     grounded = build_problem(
         [ActionSchema("go", (), (Literal(Atom("s")),), (split("m", "b"),)),
          ActionSchema("go2", (), (Literal(Atom("s")),), (split("m2", "c"),)),
