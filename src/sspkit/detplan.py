@@ -2,9 +2,7 @@
 
 A deterministic problem is a ``GroundedProblem`` with one outcome per
 action, such as a reduced model's ``det_problem``. Its actions keep their
-ids from the base problem, so a plan names actions by id, not position,
-and its ``static_mask`` is the base problem's: the atoms true in every
-state the sub-planner is started from or reaches.
+ids from the base problem, so a plan names actions by id, not position.
 
 Every action costs 1, so a plan costs its length. The default search is
 greedy best-first on the relaxed-plan heuristic, expanding helpful-action
@@ -96,24 +94,16 @@ class RelaxedTask:
 
     Evaluations are cached per state bitset; negative preconditions are
     ignored, which keeps an infinite estimate sound for real unreachability.
-
-    The atoms of ``static_mask`` are left out of every precondition and out
-    of layer 0. Such an atom holds at layer 0 and is never a subgoal, so
-    stripping it leaves ``(h, helpful)`` unchanged, but only on states in
-    which every static atom holds. The static atoms of a grounded problem
-    (``GroundedProblem.static_mask``) hold in every state reachable from
-    ``:init``.
     """
 
     def __init__(self, atom_names: tuple[str, ...],
                  entries: list[tuple[int, int, int]],
-                 goal_mask: int, static_mask: int = 0, init_bits: int = 0):
+                 goal_mask: int, init_bits: int):
         self.atom_names = atom_names
         self.goal_mask = goal_mask
-        self.static_mask = static_mask
         self.entries = entries  # (orig id, pre_pos_mask, add_mask)
         self.adds = [add for _, _, add in entries]
-        self.pre_masks = [pre & ~static_mask for _, pre, _ in entries]
+        self.pre_masks = [pre for _, pre, _ in entries]
         self.k = k = max(2, max((pre.bit_count() for pre in self.pre_masks),
                                 default=0))
         n_atoms = len(atom_names)
@@ -294,9 +284,7 @@ def solve_deterministic(d: GroundedProblem, bits0: int, *,
     ``mode="optimal"`` runs plain breadth-first search.
 
     Neither phase keeps a closed set: each queues a state only when it
-    enters ``parents``, so no state is expanded twice. The heuristic and
-    the applicability index skip ``d.static_mask``, so every state searched
-    must hold those atoms.
+    enters ``parents``, so no state is expanded twice.
     """
     if is_goal(bits0, d):
         return PlanResult("plan", [])

@@ -265,8 +265,10 @@ def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
             return OUTCOME_DEAD_END
         try:
             msg = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
-            return OUTCOME_INVALID  # not UTF-8, not JSON, or nested too deep
+        except (ValueError, RecursionError):
+            # not UTF-8, not JSON, an integer past the interpreter's digit
+            # limit, or nested too deep
+            return OUTCOME_INVALID
         if not isinstance(msg, dict):
             return OUTCOME_INVALID
         name = msg.get("action")

@@ -63,12 +63,12 @@ class GroundedProblem:
     """A factored stochastic shortest path problem over ground atoms; a
     state, ``initial_state`` included, is an ``int`` bitset over ``atoms``.
 
-    ``static_mask`` holds the ``:init`` atoms that no outcome of ``ground``'s
-    actions adds or deletes: they are true in every state reachable under
-    any outcomes. An action's ``id`` is its index in the grounded problem's
-    ``actions``. A problem derived by ``dataclasses.replace``, such as a
-    reduced model's ``det_problem``, keeps both: its actions keep their ids,
-    which need not be their positions there, and it keeps the base mask.
+    Preconditions omit the static atoms, the ``:init`` atoms that no
+    outcome adds or deletes: they hold in every state reachable from
+    ``:init``, so every layer is exact on those states. An action's ``id``
+    is its index in the grounded problem's ``actions``. A problem derived
+    by ``dataclasses.replace``, such as a reduced model's ``det_problem``,
+    keeps the ids: they need not be its actions' positions there.
     """
 
     problem_name: str
@@ -77,12 +77,10 @@ class GroundedProblem:
     actions: list[GroundAction]
     initial_state: int
     goal_mask: int
-    static_mask: int
 
     @cached_property
     def applicability(self) -> ApplicabilityIndex:
-        return ApplicabilityIndex(self.actions, self.atoms, self.static_mask,
-                                  self.initial_state)
+        return ApplicabilityIndex(self.actions, self.atoms, self.initial_state)
 
     @cached_property
     def relaxed_task(self) -> RelaxedTask:
@@ -92,7 +90,7 @@ class GroundedProblem:
         entries = [(a.id, a.pre_pos_mask, o.add_mask)
                    for a in self.actions for o in a.outcomes if o.add_mask]
         return RelaxedTask(self.atoms, entries, self.goal_mask,
-                           self.static_mask, self.initial_state)
+                           self.initial_state)
 
     def atom_names(self, bits: int) -> list[str]:
         """True atoms of a state, in universe (sorted-name) order."""
@@ -277,13 +275,16 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
 
     universe: set[str] = set(init_keys)
     universe.update(_atom_key(a) for a in problem.goal)
+    changed: set[str] = set()  # the atoms some outcome adds or deletes
     for cand in candidates:
         universe.update(cand.pre_pos)
         universe.update(cand.pre_neg)
         for rows in cand.clause_outcomes:
             for _, _, add, dele in rows:
-                universe.update(add)
-                universe.update(dele)
+                changed.update(add)
+                changed.update(dele)
+    universe |= changed
+    static_atoms = init_keys - changed
 
     atoms = tuple(sorted(universe))
     index = {name: i for i, name in enumerate(atoms)}
@@ -295,7 +296,6 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
         return bits
 
     actions: list[GroundAction] = []
-    changed = 0  # the atoms some outcome adds or deletes
     for cand in candidates:
         outcomes: list[GroundOutcome] = []
         for combo in product(*cand.clause_outcomes):
@@ -309,7 +309,6 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
                 del_mask |= mask(dele)
                 choice.append(idx)
             del_mask &= ~add_mask  # add wins when clauses conflict
-            changed |= add_mask | del_mask
             outcomes.append(GroundOutcome(p, float(p), add_mask, del_mask,
                                           tuple(choice)))
         assert sum(o.probability for o in outcomes) == 1
@@ -317,18 +316,16 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
             id=len(actions),
             name=cand.name,
             schema_name=cand.schema.name,
-            pre_pos_mask=mask(cand.pre_pos),
+            pre_pos_mask=mask(cand.pre_pos - static_atoms),
             pre_neg_mask=mask(cand.pre_neg),
             outcomes=outcomes,
         ))
 
-    initial_state = mask(init_keys)
     return GroundedProblem(
         problem_name=problem.name,
         schema=schema,
         atoms=atoms,
         actions=actions,
-        initial_state=initial_state,
+        initial_state=mask(init_keys),
         goal_mask=mask(_atom_key(a) for a in problem.goal),
-        static_mask=initial_state & ~changed,
     )

@@ -31,30 +31,28 @@ def predicate_of(atom_name: str) -> str:
 class ApplicabilityIndex:
     """Finds the actions applicable in a state without scanning them all.
 
-    Each action is keyed by one positive precondition atom outside
-    ``static_mask``; a static atom holds in every reachable state, so it
-    would select its actions everywhere. The key is the atom whose
+    Each action is keyed by one positive precondition atom: the atom whose
     predicate has the fewest true atoms in ``init_bits``, then the one
     fewest actions use, then the lowest index: a predicate with one true
     atom in ``:init``, such as a position, usually keeps one true atom, so
-    its actions are the ones worth checking. Actions without such an atom
-    are always checked. A lookup gathers the actions keyed by the atoms
-    true in ``bits``, puts them back in list order and checks each full
-    precondition, so it returns exactly what a scan of ``actions`` would,
-    on any bitset.
+    its actions are the ones worth checking. Actions without a positive
+    precondition are always checked. A lookup gathers the actions keyed by
+    the atoms true in ``bits``, puts them back in list order and checks
+    each full precondition, so it returns exactly what a scan of
+    ``actions`` would, on any bitset.
     """
 
     def __init__(self, actions: list, atom_names: tuple[str, ...],
-                 static_mask: int = 0, init_bits: int = 0):
+                 init_bits: int):
         self.actions = actions
         predicate = [predicate_of(name) for name in atom_names]
         in_init = Counter(predicate[atom] for atom in iter_bits(init_bits))
         users = Counter(atom for a in actions
-                        for atom in iter_bits(a.pre_pos_mask & ~static_mask))
+                        for atom in iter_bits(a.pre_pos_mask))
         self.unkeyed: list[int] = []
         self.keyed: dict[int, list[int]] = {}
         for i, a in enumerate(actions):
-            fluents = list(iter_bits(a.pre_pos_mask & ~static_mask))
+            fluents = list(iter_bits(a.pre_pos_mask))
             if not fluents:
                 self.unkeyed.append(i)
                 continue

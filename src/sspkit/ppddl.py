@@ -306,7 +306,11 @@ def _parse_probability(tok, ctx: _Ctx) -> Fraction:
     word = _word(tok, ctx, "probability")
     if not _NUMBER_RE.match(word):
         raise ctx.fail(f"expected probability, got {word!r}", tok)
-    p = Fraction(word)
+    try:
+        p = Fraction(word)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise ctx.fail(f"probability of {len(word)} characters has too many "
+                       f"digits", tok) from None
     if p > 1:  # the pattern admits no sign
         raise ctx.fail(f"probability {word} outside [0, 1]", tok)
     return p

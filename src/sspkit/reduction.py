@@ -60,7 +60,12 @@ class Determinization:
             if m is None:
                 raise ParseError(f"bad determinization entry {line!r}",
                                  filename, lineno, col)
-            name, clause, idx = m.group(1), int(m.group(2)), int(m.group(3))
+            name = m.group(1)
+            try:
+                clause, idx = int(m.group(2)), int(m.group(3))
+            except ValueError:  # past the interpreter's limit on digits
+                raise ParseError("determinization entry has a number with too "
+                                 "many digits", filename, lineno, col) from None
             if (name, clause) in choices:
                 raise ParseError(f"repeated determinization entry for "
                                  f"{name}/{clause}", filename, lineno, col)
@@ -166,8 +171,7 @@ class ReducedModel:
         Actions whose primary outcome is a universal no-op (strict
         self-loops) are excluded: they can never appear in a finite-cost
         plan. So an action's ``id`` is its id in the base problem, not its
-        position here. ``static_mask`` stays the base problem's, since the
-        sub-planner also starts from states reached under exceptions.
+        position here.
         """
         actions = []
         for a in self.problem.actions:

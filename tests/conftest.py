@@ -5,6 +5,7 @@ reference searches on explicit models, and an exact-solver setup."""
 from __future__ import annotations
 
 import heapq
+import sys
 from functools import partial
 
 import pytest
@@ -145,6 +146,16 @@ def trap():
 @pytest.fixture(scope="session")
 def chain2():
     return load(*gen_chain(2))
+
+
+@pytest.fixture()
+def int_digit_limit():
+    """Python's default limit on the digits of an int/str conversion, 4,300,
+    set for one test whatever the interpreter's setting, and restored."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture()

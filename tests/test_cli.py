@@ -299,6 +299,22 @@ def test_bad_det_file_entry_is_a_positioned_parse_error(
         "", f"error: {det}:2:3: bad determinization entry {entry!r}\n")
 
 
+@pytest.mark.parametrize("entry", [
+    "move-car/" + "1" * 5_000 + " -> 0", "move-car/0 -> " + "1" * 5_000,
+], ids=["clause", "outcome"])
+def test_det_file_number_past_the_digit_limit_is_positioned(
+        tmp_path, triangle_files, capsys, int_digit_limit, entry):
+    domain, problem = triangle_files
+    det = tmp_path / "long.det"
+    det.write_text(f"# one entry per line\n  {entry}\n", encoding="utf-8")
+    code = main(["plan", "--domain", domain, "--problem", problem,
+                 "--det-file", str(det)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: {det}:2:3: determinization entry has a number with too "
+            f"many digits\n")
+
+
 def test_external_planner_rejects_optimal(triangle_files, capsys, tmp_path):
     # the external planner's search is its own, so --optimal would be ignored
     domain, problem = triangle_files

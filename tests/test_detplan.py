@@ -47,7 +47,7 @@ def det_problem(atoms, actions, goal):
         for i, (name, pre, npre, add, dele) in enumerate(actions)]
     schema = DomainSchema("test", {}, (), ())
     return GroundedProblem("test", schema, tuple(atoms), det_actions,
-                           0, mask(goal), 0), mask
+                           0, mask(goal)), mask
 
 
 CHAIN = ( ["s", "m", "g"],
@@ -240,11 +240,11 @@ def test_heuristic_matches_reference_on_random_domains():
 
 
 def predicate_groups(task: RelaxedTask) -> list[int]:
-    """The atoms outside the static mask that some entry needs, one mask
-    per predicate: the heuristic's layer-0 groups."""
+    """The atoms that some entry needs, one mask per predicate: the
+    heuristic's layer-0 groups."""
     groups: dict[str, int] = {}
     for _, pre, _ in task.entries:
-        for atom in iter_bits(pre & ~task.static_mask):
+        for atom in iter_bits(pre):
             name = predicate_of(task.atom_names[atom])
             groups[name] = groups.get(name, 0) | 1 << atom
     return list(groups.values())
@@ -259,7 +259,7 @@ def assert_every_group_last_matches_reference(task: RelaxedTask, states) -> int:
     checked = 0
     for group in predicate_groups(task):
         ordered = RelaxedTask(task.atom_names, task.entries, task.goal_mask,
-                              task.static_mask, init_bits=group)
+                              init_bits=group)
         assert ordered.last_mask == group
         for bits in states:
             for probe in (bits & ~group, bits):
@@ -289,7 +289,7 @@ def test_heuristic_memo_is_order_independent():
     states = enumerate_model(grounded).labels
     task = grounded.relaxed_task
     forward, backward = (RelaxedTask(task.atom_names, task.entries,
-                                     task.goal_mask, task.static_mask)
+                                     task.goal_mask, 0)
                          for _ in range(2))
     results = {bits: forward.evaluate(bits) for bits in states}
     assert {bits: backward.evaluate(bits)
@@ -657,7 +657,7 @@ CHAIN_1_TASK = ("""\
   (:predicates (p0) (p1) (p2))
   (:action a0
     :parameters ()
-    :precondition (and (p0) (p2))
+    :precondition (p0)
     :effect (and (p1) (not (p0))))
 )
 """, """\

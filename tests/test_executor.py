@@ -380,12 +380,14 @@ def test_protocol_round_trip(chain2):
     assert "(at p0)" in states[0]["atoms"]
 
 
+# json.loads raises a plain ValueError on an integer past the digit limit
 @pytest.mark.parametrize("bad_line", [
     json.dumps({"action": "(bogus)"}), "[1]", "not json",
-    json.dumps({"action": ["x"]}), "[" * 100_000],
+    json.dumps({"action": ["x"]}), "[" * 100_000,
+    '{"action": ' + "1" * 5_000 + "}"],
     ids=["unknown-action", "non-object", "not-json", "unhashable-action",
-         "too-deep"])
-def test_protocol_invalid_and_forfeit(chain2, bad_line):
+         "too-deep", "long-integer"])
+def test_protocol_invalid_and_forfeit(chain2, int_digit_limit, bad_line):
     _, _, grounded = chain2
     msgs = [bad_line + "\n", json.dumps({"action": None}) + "\n"]
     reader = io.BytesIO("".join(msgs).encode())

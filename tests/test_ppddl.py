@@ -363,6 +363,13 @@ DEEP = 2_000  # past the interpreter's default recursion limit
     pytest.param(PROBABILITY.format("0/0"),
                  "expected probability, got '0/0'", 2, 52,
                  id="zero-over-zero"),
+    # past the interpreter's default limit of 4,300 digits
+    pytest.param(PROBABILITY.format("0." + "0" * 4_999 + "5"),
+                 "probability of 5002 characters has too many digits", 2, 52,
+                 id="long-decimal-probability"),
+    pytest.param(PROBABILITY.format("1/" + "1" * 5_000),
+                 "probability of 5002 characters has too many digits", 2, 52,
+                 id="long-fraction-probability"),
     # the form opened at depth 101 is reported
     pytest.param("(define (domain d) " + "(" * DEEP + ")" * DEEP + ")",
                  "form nested deeper than 100 levels", 1, 20 + 99,
@@ -432,7 +439,8 @@ DEEP = 2_000  # past the interpreter's default recursion limit
                  "unsupported construct: negative goal", 2, 20,
                  id="negative-goal"),
 ])
-def test_malformed_form_is_positioned(text, message, line, col):
+def test_malformed_form_is_positioned(int_digit_limit, text, message, line,
+                                      col):
     with pytest.raises(ParseError) as err:
         if "(problem" in text:
             parse_problem(text, parse_domain(MINIMAL), filename="m.ppddl")

@@ -205,9 +205,8 @@ def test_det_problem_is_the_base_problem_reduced_to_its_primaries(
     for delta in enumerate_determinizations(schema):
         model = make_reduction(grounded, delta, 0)
         det = model.det_problem
-        assert (det.atoms, det.initial_state, det.goal_mask,
-                det.static_mask) == (grounded.atoms, grounded.initial_state,
-                                     grounded.goal_mask, grounded.static_mask)
+        assert (det.atoms, det.initial_state, det.goal_mask) == (
+            grounded.atoms, grounded.initial_state, grounded.goal_mask)
         kept = [(a, a.outcomes[model.primary[a.id]]) for a in grounded.actions]
         kept = [(a, o) for a, o in kept if o.add_mask or o.del_mask]
         assert len(det.actions) == len(kept)

@@ -1,8 +1,10 @@
-"""Static atoms out of the hot loops: the applicability index against a
-plain scan, the static-stripped relaxed task against an unstripped one, and
+"""Static atoms out of the preconditions: ``ground`` leaves out the
+``:init`` atoms no outcome adds or deletes, and on the reachable states the
+applicability index and the relaxed tasks give what the schemas' whole
+preconditions give. Also the applicability index against a plain scan, and
 the reduced model's backup records against a fresh computation.
 
-The references are built here from the actions' masks alone, as
+The references are built here from the actions' masks and schemas, as
 ``tests/test_detplan.py`` does for the layered heuristic, on the 300
 ``randmodels`` domains, the benchmark inputs and generated triangle and
 trap instances. States are enumerated with the reference scan, never with
@@ -20,6 +22,7 @@ from sspkit.detplan import RelaxedTask
 from sspkit.domains import gen_trap, gen_triangle_tireworld
 from sspkit.learner import enumerate_determinizations
 from sspkit.model import successors
+from sspkit.ppddl import Atom
 from sspkit.reduction import AugmentedState
 from sspkit.solver import SolverTables, _backup_record
 
@@ -34,6 +37,34 @@ def scan(actions, bits: int) -> list:
     return [a for a in actions
             if bits & a.pre_pos_mask == a.pre_pos_mask
             and not bits & a.pre_neg_mask]
+
+
+def static_atoms(grounded) -> int:
+    """The ``:init`` atoms that no outcome adds or deletes."""
+    changed = 0
+    for a in grounded.actions:
+        for o in a.outcomes:
+            changed |= o.add_mask | o.del_mask
+    return grounded.initial_state & ~changed
+
+
+def schema_preconditions(grounded) -> dict[int, tuple[int, int]]:
+    """Per action id, the positive and negative precondition masks of its
+    schema instantiated with its name's arguments, static atoms included."""
+    schemas = {s.name: s for s in grounded.schema.action_schemas}
+    index = {name: i for i, name in enumerate(grounded.atoms)}
+    result = {}
+    for a in grounded.actions:
+        schema = schemas[a.schema_name]
+        args = a.name.strip("()").split()[1:]
+        env = {var: obj for (var, _), obj in zip(schema.parameters, args)}
+        masks = [0, 0]
+        for lit in schema.precondition:
+            atom = Atom(lit.atom.pred,
+                        tuple(env.get(arg, arg) for arg in lit.atom.args))
+            masks[lit.negated] |= 1 << index[str(atom)]
+        result[a.id] = tuple(masks)
+    return result
 
 
 def reachable(grounded, cap: int) -> list[int]:
@@ -73,18 +104,39 @@ def assert_index_matches_scan(grounded, deltas, states) -> None:
 
 
 def assert_stripping_exact(grounded, deltas, states) -> int:
-    """Every state holds the static atoms, and there the stripped tasks give
-    the unstripped ones' whole ``(h, helpful)``; returns the states checked."""
-    static = grounded.static_mask
-    tasks = [grounded.relaxed_task]
-    tasks += [det.relaxed_task for det in det_problems(grounded, deltas)]
-    for task in tasks:
-        assert task.static_mask == static
-        plain = RelaxedTask(task.atom_names, task.entries, task.goal_mask)
+    """Every state holds the static atoms, and there the grounded problem and
+    each det problem give what their actions' schema preconditions give:
+    the applicable actions and the relaxed task's whole ``(h, helpful)``;
+    returns the states checked per problem."""
+    static = static_atoms(grounded)
+    whole = schema_preconditions(grounded)
+    problems = [grounded] + det_problems(grounded, deltas)
+    for problem in problems:
+        task = problem.relaxed_task
+        plain = RelaxedTask(task.atom_names,
+                            [(i, whole[i][0], add) for i, _, add in task.entries],
+                            task.goal_mask, grounded.initial_state)
         for bits in states:
             assert bits & static == static
+            assert problem.applicability.applicable(bits) == [
+                a for a in problem.actions
+                if bits & whole[a.id][0] == whole[a.id][0]
+                and not bits & whole[a.id][1]], bin(bits)
             assert task.evaluate(bits) == plain.evaluate(bits), bin(bits)
-    return len(tasks) * len(states)
+    return len(problems) * len(states)
+
+
+def assert_no_static_precondition(grounded) -> int:
+    """No positive precondition holds a static atom, and each is its
+    schema's with exactly the static atoms left out; returns the actions
+    that lost one."""
+    static = static_atoms(grounded)
+    whole = schema_preconditions(grounded)
+    for a in grounded.actions:
+        assert not a.pre_pos_mask & static, a.name
+        assert (a.pre_pos_mask, a.pre_neg_mask) == (
+            whole[a.id][0] & ~static, whole[a.id][1]), a.name
+    return sum(whole[a.id][0] != a.pre_pos_mask for a in grounded.actions)
 
 
 def random_cases(count: int):
@@ -153,18 +205,39 @@ def test_stripped_task_matches_unstripped_on_random_domains():
 
 def test_stripped_task_matches_unstripped_on_instances(instance):
     grounded, deltas, states = instance
-    assert grounded.static_mask  # roads, spares or pits
+    assert static_atoms(grounded)  # roads, spares or pits
     assert assert_stripping_exact(grounded, deltas, states) >= len(states)
 
 
-def test_static_mask_is_the_untouched_init_atoms(triangle1):
+def test_no_precondition_holds_a_static_atom_on_random_domains():
+    stripped = 0
+    for grounded, _, _, _ in random_cases(300):
+        stripped += assert_no_static_precondition(grounded)
+    assert stripped > 10
+
+
+def test_no_precondition_holds_a_static_atom_on_instances(instance):
+    grounded, _, _ = instance
+    assert assert_no_static_precondition(grounded) > 0
+
+
+def test_static_atoms_are_the_untouched_init_roads(triangle1):
     _, _, grounded = triangle1
-    static = {name for i, name in enumerate(grounded.atoms)
-              if grounded.static_mask >> i & 1}
+    static = set(grounded.atom_names(static_atoms(grounded)))
     # the roads and nothing else; spares are loaded, the car moves, tires go flat
     assert static and all(name.startswith("(road ") for name in static)
     assert {name for name in grounded.atom_names(grounded.initial_state)
             if name.startswith("(road ")} == static
+
+
+def test_each_move_loses_exactly_its_road(triangle1):
+    _, _, grounded = triangle1
+    whole = schema_preconditions(grounded)
+    moves = [a for a in grounded.actions if a.schema_name == "move-car"]
+    assert moves
+    for a in moves:
+        lost = grounded.atom_names(whole[a.id][0] & ~a.pre_pos_mask)
+        assert lost == [a.name.replace("(move-car ", "(road ")], a.name
 
 
 def test_index_keys_moves_on_the_car_position():
