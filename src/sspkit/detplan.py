@@ -1,8 +1,7 @@
 """Built-in classical planner and relaxed-plan heuristic.
 
 A deterministic problem is a ``GroundedProblem`` with one outcome per
-action, such as a reduced model's ``det_problem``. Its actions keep their
-ids from the base problem, so a plan names actions by id, not position.
+action, such as a reduced model's ``det_problem``.
 
 Every action costs 1, so a plan costs its length. The default search is
 greedy best-first on the relaxed-plan heuristic, expanding helpful-action

@@ -76,7 +76,7 @@ class EvalStats:
 
 def sample_successor(problem: GroundedProblem, bits: int, action_id: int,
                      rng: random.Random) -> int:
-    """One successor of the state ``bits`` under the base problem's true
+    """One successor of the state ``bits`` under the problem's
     transitions; raises NotApplicableError if the action is not
     applicable."""
     dist = successors(bits, action_id, problem)

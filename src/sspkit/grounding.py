@@ -34,18 +34,20 @@ OUTCOME_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class GroundOutcome:
-    """One joint outcome of a ground action.
+    """One joint outcome of a ground action: one outcome of each of its
+    clauses, a clause's residual no-op among them.
 
-    ``choice`` holds the per-clause outcome indices this outcome was built
-    from (indices into each clause's outcomes, the residual no-op of a
-    clause among them).
+    ``ground`` lists an action's joint outcomes in ``itertools.product``
+    order over its clauses' outcomes. So the joint outcome that takes
+    outcome ``c_i`` of each clause ``i`` is at the position that the digits
+    ``c_0 c_1 ...`` spell as a mixed-radix number, with clause ``i``'s
+    outcome count as digit ``i``'s radix.
     """
 
     probability: Fraction
     probability_f: float
     add_mask: int
     del_mask: int
-    choice: tuple[int, ...]
 
 
 @dataclass
@@ -66,9 +68,8 @@ class GroundedProblem:
     Preconditions omit the static atoms, the ``:init`` atoms that no
     outcome adds or deletes: they hold in every state reachable from
     ``:init``, so every layer is exact on those states. An action's ``id``
-    is its index in the grounded problem's ``actions``. A problem derived
-    by ``dataclasses.replace``, such as a reduced model's ``det_problem``,
-    keeps the ids: they need not be its actions' positions there.
+    is its position in ``actions``, here and in every problem derived from
+    this one, such as a reduced model's ``det_problem``.
     """
 
     problem_name: str
@@ -170,8 +171,8 @@ class _Candidate:
     name: str
     pre_pos: frozenset[str]
     pre_neg: frozenset[str]
-    # per clause: list of (choice index, probability, add keys, del keys)
-    clause_outcomes: list[list[tuple[int, Fraction, tuple[str, ...], tuple[str, ...]]]]
+    # per clause: list of (probability, add keys, del keys)
+    clause_outcomes: list[list[tuple[Fraction, tuple[str, ...], tuple[str, ...]]]]
 
 
 def _instantiate(schema: ActionSchema, binding: tuple[str, ...]) -> _Candidate | None:
@@ -182,14 +183,11 @@ def _instantiate(schema: ActionSchema, binding: tuple[str, ...]) -> _Candidate |
             return None
     pre_pos = frozenset(_bind(l.atom, env) for l in schema.precondition if not l.negated)
     pre_neg = frozenset(_bind(l.atom, env) for l in schema.precondition if l.negated)
-    clause_outcomes = []
-    for clause in schema.clauses:
-        rows = []
-        for idx, outcome in enumerate(clause):
-            add = tuple(_bind(a, env) for a in outcome.add)
-            dele = tuple(_bind(a, env) for a in outcome.delete)
-            rows.append((idx, outcome.probability, add, dele))
-        clause_outcomes.append(rows)
+    clause_outcomes = [[(outcome.probability,
+                         tuple(_bind(a, env) for a in outcome.add),
+                         tuple(_bind(a, env) for a in outcome.delete))
+                        for outcome in clause]
+                       for clause in schema.clauses]
     args = " ".join(binding)
     name = f"({schema.name} {args})" if args else f"({schema.name})"
     return _Candidate(schema, name, pre_pos, pre_neg, clause_outcomes)
@@ -210,7 +208,7 @@ def _relaxed_reachable(candidates: list[_Candidate], init: set[str]) -> set[str]
         for cand in pending:
             if cand.pre_pos <= reached:
                 for rows in cand.clause_outcomes:
-                    for _, _, add, _ in rows:
+                    for _, add, _ in rows:
                         for key in add:
                             if key not in reached:
                                 reached.add(key)
@@ -225,7 +223,8 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
     """Ground a domain/problem pair into a GroundedProblem.
 
     Action order is deterministic: lexicographic by schema name, then by
-    binding. Only bindings that satisfy the static preconditions are
+    binding; each action's outcomes are in the order ``GroundOutcome``
+    states. Only bindings that satisfy the static preconditions are
     instantiated (see ``_static_bindings``); an atom no outcome adds is
     relaxed-reachable iff it is in ``:init``, so the result is the one the
     full product would give. Raises GroundingBlowupError as soon as the
@@ -280,7 +279,7 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
         universe.update(cand.pre_pos)
         universe.update(cand.pre_neg)
         for rows in cand.clause_outcomes:
-            for _, _, add, dele in rows:
+            for _, add, dele in rows:
                 changed.update(add)
                 changed.update(dele)
     universe |= changed
@@ -302,15 +301,12 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
             p = Fraction(1)
             add_mask = 0
             del_mask = 0
-            choice = []
-            for idx, prob, add, dele in combo:
+            for prob, add, dele in combo:
                 p *= prob
                 add_mask |= mask(add)
                 del_mask |= mask(dele)
-                choice.append(idx)
             del_mask &= ~add_mask  # add wins when clauses conflict
-            outcomes.append(GroundOutcome(p, float(p), add_mask, del_mask,
-                                          tuple(choice)))
+            outcomes.append(GroundOutcome(p, float(p), add_mask, del_mask))
         assert sum(o.probability for o in outcomes) == 1
         actions.append(GroundAction(
             id=len(actions),

@@ -24,8 +24,8 @@ ROOT_TYPE = "object"
 # a newline, a parenthesis, a comment, a word, or (last) any whitespace
 # character other than space, tab and carriage return, which is stray
 _TOKEN_RE = re.compile(r"\n|[()]|;[^\n]*|[^\s();]+|[^ \t\r]")
-# a decimal, or a fraction whose denominator is not zero
-_NUMBER_RE = re.compile(r"^\d+(\.\d+)?$|^\d+/0*[1-9]\d*$")
+# a decimal, or a fraction whose denominator is not zero, in ASCII digits
+_NUMBER_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$|^[0-9]+/0*[1-9][0-9]*$")
 MAX_NESTING = 100  # bounds the depth of the recursive walks over a form
 
 

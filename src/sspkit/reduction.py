@@ -166,35 +166,29 @@ class ReducedModel:
     def det_problem(self) -> GroundedProblem:
         """The deterministic problem induced at the exception bound: the
         base problem with each action reduced to its primary outcome, at
-        probability 1.
-
-        Actions whose primary outcome is a universal no-op (strict
-        self-loops) are excluded: they can never appear in a finite-cost
-        plan. So an action's ``id`` is its id in the base problem, not its
-        position here.
-        """
-        actions = []
-        for a in self.problem.actions:
-            o = a.outcomes[self.primary[a.id]]
-            if o.add_mask or o.del_mask:
-                actions.append(replace(a, outcomes=[replace(
-                    o, probability=Fraction(1), probability_f=1.0)]))
-        return replace(self.problem, actions=actions)
+        probability 1. An action whose primary outcome is a no-op stays,
+        as a self-loop that no plan takes."""
+        return replace(self.problem, actions=[
+            replace(a, outcomes=[replace(a.outcomes[p], probability=Fraction(1),
+                                         probability_f=1.0)])
+            for a, p in zip(self.problem.actions, self.primary)])
 
 
 def make_reduction(problem: GroundedProblem, delta: Determinization,
                    k: int) -> ReducedModel:
     """Build the reduced model for a schema-level determinization.
 
-    A ground action's primary outcome is the joint outcome whose
-    per-clause choices are the determinization's for its schema. Once
-    ``validate`` has passed there is exactly one: ``ground`` builds one
-    joint outcome per combination of clause outcomes.
+    A ground action's primary outcome is the joint outcome that takes the
+    determinization's choice in each clause of its schema. Its position
+    reads those choices as a mixed-radix number over the clauses' outcome
+    counts, the order ``ground`` lists the joint outcomes in.
     """
     delta.validate(problem.schema)
-    target = {s.name: tuple(delta.choices[s.name, c]
-                            for c in range(len(s.clauses)))
-              for s in problem.schema.action_schemas}
-    primary = [[o.choice for o in a.outcomes].index(target[a.schema_name])
-               for a in problem.actions]
-    return ReducedModel(problem, k, primary)
+    position = {}
+    for s in problem.schema.action_schemas:
+        pos = 0
+        for c, clause in enumerate(s.clauses):
+            pos = pos * len(clause) + delta.choices[s.name, c]
+        position[s.name] = pos
+    return ReducedModel(problem, k,
+                        [position[a.schema_name] for a in problem.actions])

@@ -43,7 +43,7 @@ def det_problem(atoms, actions, goal):
 
     det_actions = [
         GroundAction(i, name, name, mask(pre), mask(npre), [GroundOutcome(
-            Fraction(1), 1.0, mask(add), mask(dele), (0,))])
+            Fraction(1), 1.0, mask(add), mask(dele))])
         for i, (name, pre, npre, add, dele) in enumerate(actions)]
     schema = DomainSchema("test", {}, (), ())
     return GroundedProblem("test", schema, tuple(atoms), det_actions,
@@ -668,11 +668,16 @@ CHAIN_1_TASK = ("""\
 )
 """)
 # the second determinization of retry keeps only the no-op outcome, so the
-# task has no action and an empty init
+# task's one action has an empty precondition and effect, and its init is
+# empty
 RETRY_INDEX_1_TASK = ("""\
 (define (domain task-domain)
   (:requirements :strips :negative-preconditions)
   (:predicates (p0))
+  (:action a0
+    :parameters ()
+    :precondition (and)
+    :effect (and))
 )
 """, """\
 (define (problem task)

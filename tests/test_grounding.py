@@ -17,7 +17,7 @@ from sspkit.oracle import enumerate_model
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Outcome,
                           Predicate, ProblemDef)
 
-from conftest import action_by_name, load
+from conftest import action_by_name, load, state_from_atoms
 from randmodels import random_domain
 
 INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
@@ -45,9 +45,10 @@ def test_residual_mass_becomes_null_outcome():
     (action,) = grounded.actions
     probs = [o.probability for o in action.outcomes]
     assert probs == [Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)]
-    null = action.outcomes[-1]
-    assert null.add_mask == 0 and null.del_mask == 0
-    assert null.choice == (2,)
+    x, y = (state_from_atoms(grounded, [a]) for a in ("(x)", "(y)"))
+    # the residual no-op is the clause's last outcome, so the last joint one
+    assert [(o.add_mask, o.del_mask) for o in action.outcomes] == [
+        (x, 0), (y, 0), (0, 0)]
 
 
 def test_cross_product_outcomes():
@@ -64,8 +65,11 @@ def test_cross_product_outcomes():
     (action,) = grounded.actions
     assert [float(o.probability) for o in action.outcomes] == [
         0.45, 0.05, 0.45, 0.05]
-    assert [o.choice for o in action.outcomes] == [
-        (0, 0), (0, 1), (1, 0), (1, 1)]
+    x, y, u, v = (state_from_atoms(grounded, [a])
+                  for a in ("(x)", "(y)", "(u)", "(v)"))
+    # itertools.product order: the last clause's outcome varies fastest
+    assert [o.add_mask for o in action.outcomes] == [
+        x | u, x | v, y | u, y | v]
     assert sum(o.probability for o in action.outcomes) == 1
 
 

@@ -363,6 +363,10 @@ DEEP = 2_000  # past the interpreter's default recursion limit
     pytest.param(PROBABILITY.format("0/0"),
                  "expected probability, got '0/0'", 2, 52,
                  id="zero-over-zero"),
+    # a probability takes the ASCII digits only, as a determinization does
+    pytest.param(PROBABILITY.format("0.\u0665"),
+                 "expected probability, got '0.\u0665'", 2, 52,
+                 id="non-ascii-digit"),
     # past the interpreter's default limit of 4,300 digits
     pytest.param(PROBABILITY.format("0." + "0" * 4_999 + "5"),
                  "probability of 5002 characters has too many digits", 2, 52,

@@ -1,12 +1,15 @@
 """Reduced-model tests: the augmented transition, determinization handling."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from sspkit import (IncompleteDeterminizationError, ParseError, ground,
                     make_reduction, mlo_determinization)
+from sspkit.detplan import solve_deterministic
 from sspkit.learner import enumerate_determinizations
+from sspkit.ppddl import Atom
 from sspkit.reduction import (AugmentedState, Determinization,
                               ReducedModel, State)
 
@@ -157,14 +160,31 @@ def test_determinization_comment_starts_a_line_or_follows_a_blank():
         "<input>:1:1: bad determinization entry 'move-car/0 -> 0# note'")
 
 def assert_primary_is_the_chosen_outcome(grounded, delta):
-    """Each ground action's primary outcome is its one joint outcome built
-    from the clause outcomes the determinization chooses."""
+    """Each ground action's primary outcome is the joint outcome of the
+    clause outcomes the determinization chooses, instantiated here from
+    the action's name: its probability is their product, it adds what they
+    add, and it deletes what they delete and do not add."""
     model = make_reduction(grounded, delta, 0)
+    schemas = {s.name: s for s in grounded.schema.action_schemas}
     for a in grounded.actions:
-        chosen = tuple(delta.choices[a.schema_name, c]
-                       for c in range(len(a.outcomes[0].choice)))
-        matches = [i for i, o in enumerate(a.outcomes) if o.choice == chosen]
-        assert matches == [model.primary[a.id]], a.name
+        schema = schemas[a.schema_name]
+        env = dict(zip([v for v, _ in schema.parameters],
+                       a.name.strip("()").split()[1:]))
+
+        def mask(atoms):
+            return state_from_atoms(grounded, [
+                str(Atom(x.pred, tuple(env.get(t, t) for t in x.args)))
+                for x in atoms])
+
+        probability, add, delete = Fraction(1), 0, 0
+        for c, clause in enumerate(schema.clauses):
+            chosen = clause[delta.choices[a.schema_name, c]]
+            probability *= chosen.probability
+            add |= mask(chosen.add)
+            delete |= mask(chosen.delete)
+        primary = a.outcomes[model.primary[a.id]]
+        assert (primary.probability, primary.add_mask, primary.del_mask) == (
+            probability, add, delete & ~add), a.name
 
 
 def test_primary_outcome_of_every_determinization(triangle1, trap):
@@ -198,9 +218,9 @@ def test_mlo_tie_breaks_to_lowest_index(retry):
 def test_det_problem_is_the_base_problem_reduced_to_its_primaries(
         instance, request):
     """Under every determinization the det problem keeps the base problem's
-    atoms, states and masks, and each action whose primary outcome changes
-    something, with its base id and that one outcome at probability 1; its
-    relaxed task has one entry per kept action whose primary adds atoms."""
+    atoms, states and masks, and every action at its position, with its
+    base id and its primary outcome alone at probability 1; its relaxed
+    task has one entry per action whose primary adds atoms."""
     schema, _, grounded = request.getfixturevalue(instance)
     for delta in enumerate_determinizations(schema):
         model = make_reduction(grounded, delta, 0)
@@ -208,23 +228,31 @@ def test_det_problem_is_the_base_problem_reduced_to_its_primaries(
         assert (det.atoms, det.initial_state, det.goal_mask) == (
             grounded.atoms, grounded.initial_state, grounded.goal_mask)
         kept = [(a, a.outcomes[model.primary[a.id]]) for a in grounded.actions]
-        kept = [(a, o) for a, o in kept if o.add_mask or o.del_mask]
         assert len(det.actions) == len(kept)
-        for d, (a, o) in zip(det.actions, kept):
+        for i, (d, (a, o)) in enumerate(zip(det.actions, kept)):
             (only,) = d.outcomes
             assert only.probability == 1 and only.probability_f == 1.0
-            assert (d.id, d.name, d.pre_pos_mask, d.pre_neg_mask) == (
-                a.id, a.name, a.pre_pos_mask, a.pre_neg_mask)
-            assert (only.add_mask, only.del_mask, only.choice) == (
-                o.add_mask, o.del_mask, o.choice)
+            assert d.id == a.id == i
+            assert (d.name, d.pre_pos_mask, d.pre_neg_mask) == (
+                a.name, a.pre_pos_mask, a.pre_neg_mask)
+            assert (only.add_mask, only.del_mask) == (o.add_mask, o.del_mask)
         assert det.relaxed_task.entries == [
             (a.id, a.pre_pos_mask, o.add_mask) for a, o in kept if o.add_mask]
 
 
-def test_null_primary_excluded_from_det_problem(retry):
+def test_null_primary_kept_in_det_problem(retry):
+    """An action whose primary is the no-op stays, as a self-loop that no
+    plan takes: both sub-planner modes prove the goal unreachable."""
     _, _, grounded = retry
     null_delta = Determinization({("attempt", 0): 1})
-    model = make_reduction(grounded, null_delta, 0)
-    assert model.det_problem.actions == []
-    success = make_reduction(grounded, Determinization({("attempt", 0): 0}), 0)
-    assert len(success.det_problem.actions) == 1
+    det = make_reduction(grounded, null_delta, 0).det_problem
+    (attempt,) = det.actions
+    (only,) = attempt.outcomes
+    assert (attempt.id, attempt.name) == (0, "(attempt)")
+    assert (only.probability, only.add_mask, only.del_mask) == (1, 0, 0)
+    assert det.relaxed_task.entries == []
+    greedy = solve_deterministic(det, grounded.initial_state)
+    optimal = solve_deterministic(det, grounded.initial_state, mode="optimal")
+    assert (greedy.status, greedy.steps, greedy.expansions) == ("failure", [], 0)
+    assert (optimal.status, optimal.steps, optimal.expansions) == (
+        "failure", [], 1)
