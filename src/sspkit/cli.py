@@ -387,7 +387,7 @@ def cmd_oracle_vi(args) -> int:
         "states": explicit.n_states,
         "epsilon": args.epsilon,
         "m_cap": args.m_cap,
-        "v_initial": values[explicit.initial],
+        "v_initial": values[0],
     }
     if args.full:
         payload["values"] = values

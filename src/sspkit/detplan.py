@@ -36,8 +36,8 @@ DEFAULT_EXPANSION_BUDGET = 100_000  # per solve_deterministic call
 class PlanResult:
     """Outcome of one deterministic solve.
 
-    ``steps`` pairs each visited state, as its ``int`` bitset, with the id
-    of the action taken from it; ``cost`` is the plan's length, as a float.
+    ``steps`` pairs each visited state, an ``int`` bitset, with the position of
+    the action taken from it; ``cost`` is the plan's length, as a float.
     Status ``timeout`` (budget exhausted) is distinct from ``failure``
     (search space exhausted, goal provably unreachable).
     """
@@ -88,7 +88,7 @@ class RelaxedTask:
     popped lowest first; the achiever of an atom at layer ``lvl`` is the
     lowest entry index among ``achievers[atom]`` that entered at layer
     ``lvl - 1``. The helpful actions, returned as a bitmask over action
-    ids, steer the greedy sub-planner, so this tie-break is what keeps its
+    positions, steer the greedy sub-planner, so this tie-break keeps its
     plans, and every output, byte-identical.
 
     Evaluations are cached per state bitset; negative preconditions are
@@ -100,7 +100,7 @@ class RelaxedTask:
                  goal_mask: int, init_bits: int):
         self.atom_names = atom_names
         self.goal_mask = goal_mask
-        self.entries = entries  # (orig id, pre_pos_mask, add_mask)
+        self.entries = entries  # (action position, pre_pos_mask, add_mask)
         self.adds = [add for _, _, add in entries]
         self.pre_masks = [pre for _, pre, _ in entries]
         self.k = k = max(2, max((pre.bit_count() for pre in self.pre_masks),
@@ -137,7 +137,7 @@ class RelaxedTask:
 
     def evaluate(self, bits: int) -> tuple[float, int]:
         """Relaxed-plan length from ``bits`` and the helpful actions, as a
-        bitmask with bit ``id`` set for each helpful action id.
+        bitmask with bit ``i`` set for the helpful action at position ``i``.
 
         Returns (0, 0) when the goal already holds, (inf, 0) when it is
         unreachable even ignoring deletes.
@@ -277,7 +277,7 @@ def solve_deterministic(d: GroundedProblem, bits0: int, *,
                         mode: str = "greedy") -> PlanResult:
     """Find a plan from the state ``bits0`` to the goal of ``d``, a problem
     with one outcome per action, or prove there is none; ``budget`` bounds
-    the expansions. The plan's steps name actions by ``id``.
+    the expansions. The plan's steps name actions by position.
 
     Plans from the default mode are valid but not necessarily shortest;
     ``mode="optimal"`` runs plain breadth-first search.
@@ -302,21 +302,21 @@ def solve_deterministic(d: GroundedProblem, bits0: int, *,
             _, _, bits = heapq.heappop(open_heap)
             if is_goal(bits, d):
                 return _reconstruct(parents, bits, expansions)
-            expansions += 1
             if expansions >= budget:
                 return PlanResult("timeout", [], expansions)
+            expansions += 1
             _, helpful = task.evaluate(bits)
             apps = applicable(bits)
-            use = [a for a in apps if helpful >> a.id & 1] or apps
-            for a in use:
-                o = a.outcomes[0]
+            use = [i for i in apps if helpful >> i & 1] or apps
+            for i in use:
+                o = d.actions[i].outcomes[0]
                 nb = (bits & ~o.del_mask) | o.add_mask
                 if nb in parents:
                     continue
                 hn, _ = task.evaluate(nb)
                 if hn == INF:
                     continue
-                parents[nb] = (bits, a.id)
+                parents[nb] = (bits, i)
                 counter += 1
                 heapq.heappush(open_heap, (hn, counter, nb))
         # Greedy phase exhausted under helpful-action pruning: restart as
@@ -330,14 +330,14 @@ def solve_deterministic(d: GroundedProblem, bits0: int, *,
         bits = queue.popleft()
         if is_goal(bits, d):
             return _reconstruct(parents, bits, expansions)
-        expansions += 1
         if expansions >= budget:
             return PlanResult("timeout", [], expansions)
-        for a in applicable(bits):
-            o = a.outcomes[0]
+        expansions += 1
+        for i in applicable(bits):
+            o = d.actions[i].outcomes[0]
             nb = (bits & ~o.del_mask) | o.add_mask
             if nb not in parents:
-                parents[nb] = (bits, a.id)
+                parents[nb] = (bits, i)
                 queue.append(nb)
     return PlanResult("failure", [], expansions)
 
@@ -411,19 +411,20 @@ def solve_with_external(d: GroundedProblem, bits: int,
     except UnicodeDecodeError as exc:
         raise ExternalPlannerError(
             f"external planner output is not UTF-8 at byte {exc.start}") from None
-    by_name = {f"a{j}": a for j, a in enumerate(d.actions)}
+    by_name = {f"a{j}": j for j in range(len(d.actions))}
     steps: list[tuple[int, int]] = []
     for line in stdout.splitlines():
         token = line.split(";", 1)[0].strip().strip("()").strip().lower()
         if not token:
             continue
-        a = by_name.get(token)
-        if a is None:
+        j = by_name.get(token)
+        if j is None:
             raise ExternalPlannerError(f"unknown action {token!r} in plan")
+        a = d.actions[j]
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
             raise ExternalPlannerError(
                 f"inapplicable action {token!r} ({a.name}) in plan")
-        steps.append((bits, a.id))
+        steps.append((bits, j))
         o = a.outcomes[0]
         bits = (bits & ~o.del_mask) | o.add_mask
     if not is_goal(bits, d):

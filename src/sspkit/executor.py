@@ -248,7 +248,7 @@ def serve_rounds(problem: GroundedProblem, reader, writer, *, rounds: int,
         writer.write(json.dumps(obj) + "\n")
         writer.flush()
 
-    action_ids = {a.name: a.id for a in problem.actions}
+    action_ids = {a.name: i for i, a in enumerate(problem.actions)}
     send({"schema_version": PROTOCOL_VERSION, "type": "hello",
           "domain": problem.schema.name, "problem": problem.problem_name,
           "rounds": rounds, "max_actions": max_actions})

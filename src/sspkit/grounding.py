@@ -52,7 +52,6 @@ class GroundOutcome:
 
 @dataclass
 class GroundAction:
-    id: int
     name: str
     schema_name: str
     pre_pos_mask: int
@@ -67,9 +66,9 @@ class GroundedProblem:
 
     Preconditions omit the static atoms, the ``:init`` atoms that no
     outcome adds or deletes: they hold in every state reachable from
-    ``:init``, so every layer is exact on those states. An action's ``id``
-    is its position in ``actions``, here and in every problem derived from
-    this one, such as a reduced model's ``det_problem``.
+    ``:init``, so every layer is exact on those states. An action is
+    addressed by its position in ``actions``, the same in every problem
+    derived from this one, such as a reduced model's ``det_problem``.
     """
 
     problem_name: str
@@ -88,8 +87,9 @@ class GroundedProblem:
         """All-outcomes delete relaxation (every outcome a separate action),
         built on first use and kept with the problem: the solver's heuristic
         on a base problem, the sub-planner's on a ``det_problem``."""
-        entries = [(a.id, a.pre_pos_mask, o.add_mask)
-                   for a in self.actions for o in a.outcomes if o.add_mask]
+        entries = [(i, a.pre_pos_mask, o.add_mask)
+                   for i, a in enumerate(self.actions)
+                   for o in a.outcomes if o.add_mask]
         return RelaxedTask(self.atoms, entries, self.goal_mask,
                            self.initial_state)
 
@@ -309,7 +309,6 @@ def ground(schema: DomainSchema, problem: ProblemDef) -> GroundedProblem:
             outcomes.append(GroundOutcome(p, float(p), add_mask, del_mask))
         assert sum(o.probability for o in outcomes) == 1
         actions.append(GroundAction(
-            id=len(actions),
             name=cand.name,
             schema_name=cand.schema.name,
             pre_pos_mask=mask(cand.pre_pos - static_atoms),

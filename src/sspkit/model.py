@@ -61,8 +61,8 @@ class ApplicabilityIndex:
             self.keyed.setdefault(1 << key, []).append(i)
         self.key_mask = sum(self.keyed)
 
-    def applicable(self, bits: int) -> list:
-        """The actions whose precondition holds in ``bits``, in list order."""
+    def applicable(self, bits: int) -> list[int]:
+        """Ascending positions of the actions applicable in ``bits``."""
         found = self.unkeyed[:]
         keys = bits & self.key_mask
         while keys:
@@ -75,13 +75,13 @@ class ApplicabilityIndex:
         for i in found:
             a = actions[i]
             if bits & a.pre_pos_mask == a.pre_pos_mask and not bits & a.pre_neg_mask:
-                result.append(a)
+                result.append(i)
         return result
 
 
 def applicable_actions(bits: int, p: GroundedProblem) -> list[int]:
-    """Ids of the actions applicable in ``bits``, in grounding order."""
-    return [a.id for a in p.applicability.applicable(bits)]
+    """Positions of the actions applicable in ``bits``, in grounding order."""
+    return p.applicability.applicable(bits)
 
 
 def outcome_bits(bits: int, action_id: int, p: GroundedProblem) -> list[int]:

@@ -20,15 +20,14 @@ MAX_SWEEPS = 1_000_000  # value iteration's safety bound
 
 @dataclass
 class ExplicitModel:
-    """Dense enumeration of the states reachable from the initial state.
+    """Dense enumeration of the reachable states; state 0 is the initial one.
 
-    ``actions[i]`` lists (action id, [(successor index, probability)])
+    ``actions[i]`` lists (action position, [(successor index, probability)])
     for state index ``i``; every action costs 1. Goal states keep their
     action lists but are treated as absorbing by the solvers.
     """
 
     labels: list
-    initial: int
     goal: list[bool]
     actions: list[list[tuple[int, list[tuple[int, float]]]]]
 
@@ -75,7 +74,7 @@ def enumerate_model(source: GroundedProblem | ReducedModel, *,
                 entries.append((idx, p))
             state_rows.append((action_id, entries))
         rows.append(state_rows)
-    return ExplicitModel(labels, 0, goal, rows)
+    return ExplicitModel(labels, goal, rows)
 
 
 def value_iteration(m: ExplicitModel, *, epsilon: float = 1e-9,

@@ -27,15 +27,19 @@ def action_by_name(grounded, name: str):
     return next((a for a in grounded.actions if a.name == name), None)
 
 
+def action_id(grounded, name: str) -> int:
+    """The position in ``grounded.actions`` of the action named ``name``."""
+    return next(i for i, a in enumerate(grounded.actions) if a.name == name)
+
+
 def validate_plan(d, bits: int, result) -> bool:
     """Replay a plan of ``d``, a problem with one outcome per action, from
     the state ``bits``: every action applicable, and the final state
     satisfies the goal."""
-    by_id = {a.id: a for a in d.actions}
-    for state, action_id in result.steps:
+    for state, position in result.steps:
         if state != bits:
             return False
-        a = by_id[action_id]
+        a = d.actions[position]
         if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
             return False
         o = a.outcomes[0]
@@ -47,18 +51,18 @@ def is_deterministic(m) -> bool:
     return all(len(succs) == 1 for rows in m.actions for _, succs in rows)
 
 
-def optimal_plan(m, start: int | None = None):
-    """Shortest plan in a deterministic explicit model.
+def optimal_plan(m):
+    """Shortest plan from the initial state, state 0, in a deterministic
+    explicit model.
 
-    Returns (cost, [(state index, action id), ...]) or None when the goal
-    is unreachable.
+    Returns (cost, [(state index, action position), ...]) or None when the
+    goal is unreachable.
     """
     if not is_deterministic(m):
         raise ValueError("optimal_plan requires a deterministic model")
-    start = m.initial if start is None else start
-    dist = {start: 0.0}
+    dist = {0: 0.0}
     parent: dict[int, tuple[int, int]] = {}
-    heap = [(0.0, start)]
+    heap = [(0.0, 0)]
     done: set[int] = set()
     while heap:
         d, i = heapq.heappop(heap)
@@ -68,7 +72,7 @@ def optimal_plan(m, start: int | None = None):
         if m.goal[i]:
             steps = []
             at = i
-            while at != start:
+            while at != 0:
                 prev, action_id = parent[at]
                 steps.append((prev, action_id))
                 at = prev
@@ -114,7 +118,7 @@ def almost_sure_winning(m) -> set[int]:
 
 
 def proper_policy_exists(m) -> bool:
-    return m.initial in almost_sure_winning(m)
+    return 0 in almost_sure_winning(m)
 
 
 def load(domain_text: str, problem_text: str):

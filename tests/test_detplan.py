@@ -42,9 +42,9 @@ def det_problem(atoms, actions, goal):
         return bits
 
     det_actions = [
-        GroundAction(i, name, name, mask(pre), mask(npre), [GroundOutcome(
+        GroundAction(name, name, mask(pre), mask(npre), [GroundOutcome(
             Fraction(1), 1.0, mask(add), mask(dele))])
-        for i, (name, pre, npre, add, dele) in enumerate(actions)]
+        for name, pre, npre, add, dele in actions]
     schema = DomainSchema("test", {}, (), ())
     return GroundedProblem("test", schema, tuple(atoms), det_actions,
                            0, mask(goal)), mask
@@ -102,7 +102,7 @@ def test_budget_exceeded_is_timeout():
     d, mask = det_problem(atoms, actions, [f"b{i}" for i in range(n)])
     result = solve_deterministic(d, 0, budget=50, mode="optimal")
     assert result.status == "timeout"
-    assert result.expansions >= 50
+    assert result.expansions == 50
 
 
 def test_budget_exceeded_in_the_greedy_phase_is_timeout():
@@ -117,6 +117,19 @@ def test_budget_exceeded_in_the_greedy_phase_is_timeout():
     assert (result.status, result.expansions) == ("timeout", 3)
     result = solve_deterministic(d, start, budget=11)
     assert result.found and result.expansions == 10
+    # a budget of N admits N expansions: the tenth reaches the goal
+    result = solve_deterministic(d, start, budget=10)
+    assert result.found and result.expansions == 10
+
+
+@pytest.mark.parametrize("mode", ["greedy", "optimal"])
+def test_budget_of_one_expands_one_state(mode):
+    # chain-1's plan is one step: one expansion, of the initial state
+    schema, _, grounded = load(*gen_chain(1))
+    det = make_reduction(grounded, mlo_determinization(schema), 0).det_problem
+    result = solve_deterministic(det, det.initial_state, budget=1, mode=mode)
+    assert (result.status, result.expansions) == ("plan", 1)
+    assert [det.actions[i].name for _, i in result.steps] == ["(step p0 p1)"]
 
 
 def test_heuristic_values():
@@ -427,20 +440,20 @@ def uniform_cost_reference(d: GroundedProblem, bits0: int, *,
             _, _, bits = heapq.heappop(open_heap)
             if is_goal(bits, d):
                 return plan(parents, bits), False
-            expansions += 1
             if expansions >= budget:
                 return PlanResult("timeout", [], expansions), False
+            expansions += 1
             _, helpful = task.evaluate(bits)
             apps = d.applicability.applicable(bits)
-            for a in [a for a in apps if helpful >> a.id & 1] or apps:
-                o = a.outcomes[0]
+            for i in [i for i in apps if helpful >> i & 1] or apps:
+                o = d.actions[i].outcomes[0]
                 nb = (bits & ~o.del_mask) | o.add_mask
                 if nb in parents:
                     continue
                 hn, _ = task.evaluate(nb)
                 if hn == math.inf:
                     continue
-                parents[nb] = (bits, a.id)
+                parents[nb] = (bits, i)
                 counter += 1
                 heapq.heappush(open_heap, (hn, counter, nb))
 
@@ -454,17 +467,17 @@ def uniform_cost_reference(d: GroundedProblem, bits0: int, *,
             continue
         if is_goal(bits, d):
             return plan(parents, bits), True
-        expansions += 1
         if expansions >= budget:
             return PlanResult("timeout", [], expansions), True
-        for a in d.applicability.applicable(bits):
-            o = a.outcomes[0]
+        expansions += 1
+        for i in d.applicability.applicable(bits):
+            o = d.actions[i].outcomes[0]
             nb = (bits & ~o.del_mask) | o.add_mask
             ng = g + 1.0
             if best_g.get(nb, math.inf) <= ng:
                 continue
             best_g[nb] = ng
-            parents[nb] = (bits, a.id)
+            parents[nb] = (bits, i)
             counter += 1
             heapq.heappush(open_heap, (ng, counter, nb))
     return PlanResult("failure", [], expansions), True

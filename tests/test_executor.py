@@ -15,7 +15,7 @@ from sspkit.executor import (OUTCOME_ACTION_CAP, OUTCOME_DEAD_END,
 from sspkit.model import outcome_bits, successors
 from sspkit.reduction import Determinization, mlo_determinization
 
-from conftest import FLAT_DELTA, NOFLAT_DELTA, load
+from conftest import FLAT_DELTA, NOFLAT_DELTA, action_id, load
 from sspkit.domains import gen_chain
 
 
@@ -288,7 +288,7 @@ def test_draw_above_the_rounded_sum_takes_the_last_successor():
 def test_inapplicable_action_reports_invalid_action(chain2):
     _, _, grounded = chain2
     # from (at p0), (step p1 p2) is not applicable
-    late = next(a.id for a in grounded.actions if a.name == "(step p1 p2)")
+    late = action_id(grounded, "(step p1 p2)")
     report = play_round(grounded, lambda bits, step: late, *round_rng(0, 0))
     assert report.outcome == OUTCOME_INVALID
     assert report.actions_taken == 0 and report.accumulated_cost == 0.0

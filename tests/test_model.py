@@ -10,7 +10,7 @@ from sspkit import (NotApplicableError, State, applicable_actions, ground,
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProblemDef)
 
-from conftest import action_by_name, state_from_atoms
+from conftest import action_id, state_from_atoms
 from randmodels import random_domain
 
 
@@ -76,8 +76,8 @@ def test_deterministic_action_single_successor(chain2):
 
 def test_move_car_two_successors(triangle1):
     _, _, grounded = triangle1
-    move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
-    dist = successors(grounded.initial_state, move.id, grounded)
+    move = action_id(grounded, "(move-car l-1-1 l-2-1)")
+    dist = successors(grounded.initial_state, move, grounded)
     assert len(dist) == 2
     assert [round(p, 12) for _, p in dist] == [0.5, 0.5]
     flats = [s for s, _ in dist
@@ -105,9 +105,9 @@ def test_not_applicable_raises():
         act("a1", ["p"], [det_clause(add=["g"])]),
         act("setup", [], [det_clause(add=["p"])]),
     ], init=[])
-    a1 = action_by_name(grounded, "(a1)")
+    a1 = action_id(grounded, "(a1)")
     with pytest.raises(NotApplicableError):
-        successors(grounded.initial_state, a1.id, grounded)
+        successors(grounded.initial_state, a1, grounded)
 
 
 def test_successor_probabilities_sum_to_one_random():

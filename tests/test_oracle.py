@@ -72,7 +72,7 @@ def test_vi_geometric_retry(retry):
     _, _, grounded = retry
     explicit = enumerate_model(grounded)
     values, policy = value_iteration(explicit, epsilon=1e-10)
-    assert values[explicit.initial] == pytest.approx(2.0, abs=1e-8)
+    assert values[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_vi_raises_at_its_sweep_bound(retry, monkeypatch):
@@ -131,7 +131,7 @@ def test_proper_policy_checks(retry, trap):
     # the trap's base problem is proper (walk around), but the pit is not
     explicit = enumerate_model(trap[2])
     winning = almost_sure_winning(explicit)
-    assert explicit.initial in winning
+    assert 0 in winning
     assert len(winning) < explicit.n_states
 
 
@@ -150,7 +150,7 @@ def test_vi_on_k0_reduction_equals_optimal_plan(triangle1):
     explicit = enumerate_model(make_reduction(grounded, FLAT_DELTA, 0))
     values, _ = value_iteration(explicit, epsilon=1e-10)
     cost, _ = optimal_plan(explicit)
-    assert values[explicit.initial] == pytest.approx(cost, abs=1e-8)
+    assert values[0] == pytest.approx(cost, abs=1e-8)
 
 
 def test_vi_greedy_policy_matches_simulation(retry):
@@ -173,4 +173,4 @@ def test_vi_greedy_policy_matches_simulation(retry):
         costs.append(total)
     mean = statistics.fmean(costs)
     se = statistics.stdev(costs) / len(costs) ** 0.5
-    assert abs(mean - values[explicit.initial]) <= 3 * se
+    assert abs(mean - values[0]) <= 3 * se

@@ -13,7 +13,7 @@ from sspkit.ppddl import Atom
 from sspkit.reduction import (AugmentedState, Determinization,
                               ReducedModel, State)
 
-from conftest import FLAT_DELTA, action_by_name, state_from_atoms
+from conftest import FLAT_DELTA, action_id, state_from_atoms
 from randmodels import (determinization_count, random_domain,
                         random_reduced_setup)
 
@@ -21,9 +21,9 @@ from randmodels import (determinization_count, random_domain,
 def test_transition_below_bound(triangle1):
     _, _, grounded = triangle1
     model = make_reduction(grounded, FLAT_DELTA, 3)
-    move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
+    move = action_id(grounded, "(move-car l-1-1 l-2-1)")
     aug = AugmentedState(State(grounded.initial_state), 1)
-    succs = model.reduced_successors(aug, move.id)
+    succs = model.reduced_successors(aug, move)
     assert len(succs) == 2
     by_j = {s.j: p for s, p in succs}
     # primary (flat tire) keeps j=1; the exception moves to j=2
@@ -35,9 +35,9 @@ def test_transition_below_bound(triangle1):
 def test_transition_at_bound_single_primary(triangle1):
     _, _, grounded = triangle1
     model = make_reduction(grounded, FLAT_DELTA, 2)
-    move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
+    move = action_id(grounded, "(move-car l-1-1 l-2-1)")
     aug = AugmentedState(State(grounded.initial_state), 2)
-    succs = model.reduced_successors(aug, move.id)
+    succs = model.reduced_successors(aug, move)
     assert len(succs) == 1
     (s, p), = succs
     assert p == 1.0 and s.j == 2
@@ -166,7 +166,7 @@ def assert_primary_is_the_chosen_outcome(grounded, delta):
     add, and it deletes what they delete and do not add."""
     model = make_reduction(grounded, delta, 0)
     schemas = {s.name: s for s in grounded.schema.action_schemas}
-    for a in grounded.actions:
+    for i, a in enumerate(grounded.actions):
         schema = schemas[a.schema_name]
         env = dict(zip([v for v, _ in schema.parameters],
                        a.name.strip("()").split()[1:]))
@@ -182,7 +182,7 @@ def assert_primary_is_the_chosen_outcome(grounded, delta):
             probability *= chosen.probability
             add |= mask(chosen.add)
             delete |= mask(chosen.delete)
-        primary = a.outcomes[model.primary[a.id]]
+        primary = a.outcomes[model.primary[i]]
         assert (primary.probability, primary.add_mask, primary.del_mask) == (
             probability, add, delete & ~add), a.name
 
@@ -218,26 +218,28 @@ def test_mlo_tie_breaks_to_lowest_index(retry):
 def test_det_problem_is_the_base_problem_reduced_to_its_primaries(
         instance, request):
     """Under every determinization the det problem keeps the base problem's
-    atoms, states and masks, and every action at its position, with its
-    base id and its primary outcome alone at probability 1; its relaxed
-    task has one entry per action whose primary adds atoms."""
+    atoms, states and masks, as many actions, each at its base position
+    with its base name and its primary outcome alone at probability 1; its
+    relaxed task has one entry per action whose primary adds atoms."""
     schema, _, grounded = request.getfixturevalue(instance)
     for delta in enumerate_determinizations(schema):
         model = make_reduction(grounded, delta, 0)
         det = model.det_problem
         assert (det.atoms, det.initial_state, det.goal_mask) == (
             grounded.atoms, grounded.initial_state, grounded.goal_mask)
-        kept = [(a, a.outcomes[model.primary[a.id]]) for a in grounded.actions]
-        assert len(det.actions) == len(kept)
-        for i, (d, (a, o)) in enumerate(zip(det.actions, kept)):
+        kept = [(a, a.outcomes[model.primary[i]])
+                for i, a in enumerate(grounded.actions)]
+        assert [d.name for d in det.actions] == [
+            a.name for a in grounded.actions]
+        for d, (a, o) in zip(det.actions, kept):
             (only,) = d.outcomes
             assert only.probability == 1 and only.probability_f == 1.0
-            assert d.id == a.id == i
             assert (d.name, d.pre_pos_mask, d.pre_neg_mask) == (
                 a.name, a.pre_pos_mask, a.pre_neg_mask)
             assert (only.add_mask, only.del_mask) == (o.add_mask, o.del_mask)
         assert det.relaxed_task.entries == [
-            (a.id, a.pre_pos_mask, o.add_mask) for a, o in kept if o.add_mask]
+            (i, a.pre_pos_mask, o.add_mask)
+            for i, (a, o) in enumerate(kept) if o.add_mask]
 
 
 def test_null_primary_kept_in_det_problem(retry):
@@ -248,7 +250,7 @@ def test_null_primary_kept_in_det_problem(retry):
     det = make_reduction(grounded, null_delta, 0).det_problem
     (attempt,) = det.actions
     (only,) = attempt.outcomes
-    assert (attempt.id, attempt.name) == (0, "(attempt)")
+    assert attempt.name == "(attempt)"
     assert (only.probability, only.add_mask, only.del_mask) == (1, 0, 0)
     assert det.relaxed_task.entries == []
     greedy = solve_deterministic(det, grounded.initial_state)

@@ -22,7 +22,7 @@ from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
 from sspkit.reduction import AugmentedState, Determinization, State
 from sspkit.solver import INF
 
-from conftest import FLAT_DELTA, action_by_name, state_from_atoms
+from conftest import FLAT_DELTA, action_id, state_from_atoms
 from randmodels import random_proper_reduced_setup, random_reduced_setup
 
 
@@ -88,8 +88,8 @@ def test_q_value_k0_chain_with_stored_value(exact_solver):
     cfg = SolverConfig()
     mid = AugmentedState(State(state_from_atoms(grounded, ["(m)"])), 0)
     tables.v[mid] = 1.0
-    step1 = action_by_name(grounded, "(step1)")
-    assert q_value(tables, model, cfg, model.initial, step1.id) == 2.0
+    step1 = action_id(grounded, "(step1)")
+    assert q_value(tables, model, cfg, model.initial, step1) == 2.0
 
 
 def test_q_value_split_successors(exact_solver):
@@ -119,10 +119,10 @@ def test_bellman_at_bound_memoizes_whole_plan(exact_solver):
     mid = AugmentedState(State(state_from_atoms(grounded, ["(m)"])), 0)
     assert tables.v[model.initial] == 2.0
     assert tables.v[mid] == 1.0
-    step1 = action_by_name(grounded, "(step1)")
-    step2 = action_by_name(grounded, "(step2)")
-    assert tables.pi[model.initial] == step1.id
-    assert tables.pi[mid] == step2.id
+    step1 = action_id(grounded, "(step1)")
+    step2 = action_id(grounded, "(step2)")
+    assert tables.pi[model.initial] == step1
+    assert tables.pi[mid] == step2
     # memoized: a second update does not change anything
     assert ff_bellman_update(tables, model, cfg, model.initial, report) == 0.0
 
@@ -197,11 +197,11 @@ def test_states_are_bitsets_outside_the_reduced_model(triangle1):
     _, _, grounded = triangle1
     start = grounded.initial_state
     assert type(start) is int
-    move = action_by_name(grounded, "(move-car l-1-1 l-2-1)")
+    move = action_id(grounded, "(move-car l-1-1 l-2-1)")
     assert all(type(bits) is int
-               for bits, _ in successors(start, move.id, grounded))
+               for bits, _ in successors(start, move, grounded))
     rng = random.Random(0)
-    assert all(type(sample_successor(grounded, start, move.id, rng)) is int
+    assert all(type(sample_successor(grounded, start, move, rng)) is int
                for _ in range(10))
     model = make_reduction(grounded, FLAT_DELTA, 0)
     result = solve_deterministic(model.det_problem, start)
@@ -271,10 +271,10 @@ def test_convergence_detects_policy_change(exact_solver):
     report = SolveReport()
     tables = SolverTables()
     converge(tables, model, cfg, report)
-    fast = action_by_name(grounded, "(fast)")
-    slow1 = action_by_name(grounded, "(slow1)")
-    assert tables.pi[model.initial] == fast.id
-    tables.pi[model.initial] = slow1.id
+    fast = action_id(grounded, "(fast)")
+    slow1 = action_id(grounded, "(slow1)")
+    assert tables.pi[model.initial] == fast
+    tables.pi[model.initial] = slow1
     tables.v[model.initial] = 0.0
     assert ff_sweep(tables, model, cfg, model.initial, report) == INF
 
@@ -324,8 +324,8 @@ def test_policy_size_counts_the_states_the_policy_reaches():
     for _ in range(60):
         _, _, _, model, explicit = random_proper_reduced_setup(rng)
         tables, _ = ff_lao_star(model, cfg)
-        reached = {explicit.initial}
-        stack = [explicit.initial]
+        reached = {0}
+        stack = [0]
         count = 0
         while stack:
             i = stack.pop()
@@ -565,8 +565,8 @@ def test_rollout_root_solves_when_a_plan_lowers_a_read_entry():
 
     def plant(tables):
         tables.v[b] = 5.0
-        tables.pi[b] = action_by_name(grounded, "(b2g)").id
+        tables.pi[b] = action_id(grounded, "(b2g)")
 
     tables = assert_solves(model, lambda model, _: [model.initial], plant)
     assert tables.v[b] == 1.0
-    assert tables.pi[model.initial] == action_by_name(grounded, "(go)").id
+    assert tables.pi[model.initial] == action_id(grounded, "(go)")

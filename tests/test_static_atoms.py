@@ -32,9 +32,10 @@ from randmodels import determinization_count, random_domain
 INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
 
 
-def scan(actions, bits: int) -> list:
-    """The reference: every action whose precondition holds, in list order."""
-    return [a for a in actions
+def scan(actions, bits: int) -> list[int]:
+    """The reference: the position of every action whose precondition
+    holds, in list order."""
+    return [i for i, a in enumerate(actions)
             if bits & a.pre_pos_mask == a.pre_pos_mask
             and not bits & a.pre_neg_mask]
 
@@ -48,12 +49,13 @@ def static_atoms(grounded) -> int:
     return grounded.initial_state & ~changed
 
 
-def schema_preconditions(grounded) -> dict[int, tuple[int, int]]:
-    """Per action id, the positive and negative precondition masks of its
-    schema instantiated with its name's arguments, static atoms included."""
+def schema_preconditions(grounded) -> list[tuple[int, int]]:
+    """Per action position, the positive and negative precondition masks of
+    its schema instantiated with its name's arguments, static atoms
+    included."""
     schemas = {s.name: s for s in grounded.schema.action_schemas}
     index = {name: i for i, name in enumerate(grounded.atoms)}
-    result = {}
+    result = []
     for a in grounded.actions:
         schema = schemas[a.schema_name]
         args = a.name.strip("()").split()[1:]
@@ -63,7 +65,7 @@ def schema_preconditions(grounded) -> dict[int, tuple[int, int]]:
             atom = Atom(lit.atom.pred,
                         tuple(env.get(arg, arg) for arg in lit.atom.args))
             masks[lit.negated] |= 1 << index[str(atom)]
-        result[a.id] = tuple(masks)
+        result.append(tuple(masks))
     return result
 
 
@@ -75,8 +77,8 @@ def reachable(grounded, cap: int) -> list[int]:
     frontier = [start]
     while frontier and len(seen) < cap:
         bits = frontier.pop(0)
-        for a in scan(grounded.actions, bits):
-            for succ, _ in successors(bits, a.id, grounded):
+        for i in scan(grounded.actions, bits):
+            for succ, _ in successors(bits, i, grounded):
                 if succ not in seen and len(seen) < cap:
                     seen[succ] = None
                     frontier.append(succ)
@@ -119,9 +121,8 @@ def assert_stripping_exact(grounded, deltas, states) -> int:
         for bits in states:
             assert bits & static == static
             assert problem.applicability.applicable(bits) == [
-                a for a in problem.actions
-                if bits & whole[a.id][0] == whole[a.id][0]
-                and not bits & whole[a.id][1]], bin(bits)
+                i for i, (pos, neg) in enumerate(whole)
+                if bits & pos == pos and not bits & neg], bin(bits)
             assert task.evaluate(bits) == plain.evaluate(bits), bin(bits)
     return len(problems) * len(states)
 
@@ -132,11 +133,11 @@ def assert_no_static_precondition(grounded) -> int:
     that lost one."""
     static = static_atoms(grounded)
     whole = schema_preconditions(grounded)
-    for a in grounded.actions:
+    for a, (pos, neg) in zip(grounded.actions, whole):
         assert not a.pre_pos_mask & static, a.name
-        assert (a.pre_pos_mask, a.pre_neg_mask) == (
-            whole[a.id][0] & ~static, whole[a.id][1]), a.name
-    return sum(whole[a.id][0] != a.pre_pos_mask for a in grounded.actions)
+        assert (a.pre_pos_mask, a.pre_neg_mask) == (pos & ~static, neg), a.name
+    return sum(pos != a.pre_pos_mask
+               for a, (pos, _) in zip(grounded.actions, whole))
 
 
 def random_cases(count: int):
@@ -233,10 +234,11 @@ def test_static_atoms_are_the_untouched_init_roads(triangle1):
 def test_each_move_loses_exactly_its_road(triangle1):
     _, _, grounded = triangle1
     whole = schema_preconditions(grounded)
-    moves = [a for a in grounded.actions if a.schema_name == "move-car"]
+    moves = [(a, pos) for a, (pos, _) in zip(grounded.actions, whole)
+             if a.schema_name == "move-car"]
     assert moves
-    for a in moves:
-        lost = grounded.atom_names(whole[a.id][0] & ~a.pre_pos_mask)
+    for a, pos in moves:
+        lost = grounded.atom_names(pos & ~a.pre_pos_mask)
         assert lost == [a.name.replace("(move-car ", "(road ")], a.name
 
 
@@ -290,7 +292,7 @@ def test_memoized_successors_equal_a_fresh_computation():
 def test_memoized_applicable_equals_a_fresh_computation():
     for model, states in reduced_cases():
         for bits in states:
-            expected = [a.id for a in scan(model.problem.actions, bits)]
+            expected = scan(model.problem.actions, bits)
             for j in range(model.k + 1):
                 aug = AugmentedState(State(bits), j)
                 assert model.applicable(aug) == expected
@@ -302,7 +304,8 @@ def test_memo_still_raises_on_every_inapplicable_call():
     for model, states in reduced_cases():
         bits = states[0]
         applicable = set(model.applicable(AugmentedState(State(bits), 0)))
-        bad = next(a.id for a in model.problem.actions if a.id not in applicable)
+        bad = next(i for i in range(len(model.problem.actions))
+                   if i not in applicable)
         good = min(applicable)
         aug = AugmentedState(State(bits), 0)
         for _ in range(2):
