@@ -31,11 +31,11 @@ def predicate_of(atom_name: str) -> str:
 class ApplicabilityIndex:
     """Finds the actions applicable in a state without scanning them all.
 
-    Each action is keyed by one positive precondition atom: the atom whose
-    predicate has the fewest true atoms in ``init_bits``, then the one
-    fewest actions use, then the lowest index: a predicate with one true
-    atom in ``:init``, such as a position, usually keeps one true atom, so
-    its actions are the ones worth checking. Actions without a positive
+    Each action is keyed by one positive precondition atom (``key``): the
+    atom whose predicate has the fewest true atoms in ``init_bits``, then
+    the one fewest actions use, then the lowest index: a predicate with one
+    true atom in ``:init``, such as a position, usually keeps one true atom,
+    so its actions are the ones worth checking. Actions without a positive
     precondition are always checked. A lookup gathers the actions keyed by
     the atoms true in ``bits``, puts them back in list order and checks
     each full precondition, so it returns exactly what a scan of
@@ -49,17 +49,17 @@ class ApplicabilityIndex:
         in_init = Counter(predicate[atom] for atom in iter_bits(init_bits))
         users = Counter(atom for a in actions
                         for atom in iter_bits(a.pre_pos_mask))
-        self.unkeyed: list[int] = []
+        self._rank = lambda atom: (in_init[predicate[atom]], users[atom], atom)
         self.keyed: dict[int, list[int]] = {}
         for i, a in enumerate(actions):
-            fluents = list(iter_bits(a.pre_pos_mask))
-            if not fluents:
-                self.unkeyed.append(i)
-                continue
-            key = min(fluents, key=lambda atom: (in_init[predicate[atom]],
-                                                 users[atom], atom))
-            self.keyed.setdefault(1 << key, []).append(i)
+            self.keyed.setdefault(self.key(a.pre_pos_mask), []).append(i)
+        self.unkeyed: list[int] = self.keyed.pop(0, [])
         self.key_mask = sum(self.keyed)
+
+    def key(self, pos_mask: int) -> int:
+        """The bit of the atom that keys a condition whose positive atoms
+        are ``pos_mask``, by the rule above; 0 when there is none."""
+        return pos_mask and 1 << min(iter_bits(pos_mask), key=self._rank)
 
     def applicable(self, bits: int) -> list[int]:
         """Ascending positions of the actions applicable in ``bits``."""

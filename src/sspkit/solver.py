@@ -4,21 +4,25 @@ The solver repeats one kind of sweep over the greedy policy graph: a
 depth-first walk that expands each tip it reaches, stops at final leaves,
 and updates in post-order every state it descends through. One sweep grows
 the graph as deep as the new greedy actions reach, and a sweep that expands
-nothing is the convergence test. States at the exception bound are solved
-by the built-in classical planner; the whole returned plan is memoized
-(shortest suffix kept) so those states act as terminals afterwards. Every
-action costs 1. Dead ends, planner failures and all stored values are
-bounded by the cost cap, which guarantees convergence.
+nothing is the convergence test. A state at the exception bound takes the
+shortest stored plan suffix whose goal-regressed condition holds there,
+else a new plan of the built-in classical planner; every step of the plan
+is memoized (cheaper entry kept) so those states act as terminals
+afterwards. Every action costs 1. Dead ends, planner failures and all
+stored values are bounded by the cost cap, which guarantees convergence.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
 
 from .detplan import DEFAULT_EXPANSION_BUDGET, solve_deterministic
 from .errors import IterationLimitError
+from .grounding import GroundedProblem
+from .model import iter_bits
 from .reduction import AugmentedState, ReducedModel, State
 
 NOP = -1  # policy entry for goals, dead ends and planner failures
@@ -45,6 +49,42 @@ class SolverConfig:
             raise ValueError("cost cap must be > 0")
 
 
+class PlanSuffixes:
+    """Every suffix of the sub-planner's plans, under the goal regressed
+    through it: a suffix runs to the goal from exactly the states where its
+    ``(pos, neg)`` holds. Each is keyed by one atom of ``pos`` by the rule
+    of ``ApplicabilityIndex.key`` (0 if none), points into its plan's one
+    action list, and sits in its key's list by length, newest plan first."""
+
+    def __init__(self):
+        self.keyed: dict[int, list[tuple]] = {}
+        self.key_mask = 0
+        self.plans = 0
+
+    def add(self, d: GroundedProblem, plan: list[int]) -> None:
+        self.plans += 1
+        pos, neg = d.goal_mask, 0
+        for start in reversed(range(len(plan))):
+            a = d.actions[plan[start]]
+            pos = (pos & ~a.outcomes[0].add_mask) | a.pre_pos_mask
+            neg = (neg & ~a.outcomes[0].del_mask) | a.pre_neg_mask
+            key = d.applicability.key(pos)
+            self.key_mask |= key
+            bisect.insort(self.keyed.setdefault(key, []), (
+                len(plan) - start, -self.plans, pos, neg, plan, start))
+
+    def find(self, bits: int) -> list[int] | None:
+        """The shortest stored suffix whose condition holds in ``bits``,
+        ties going to the newest plan; None if there is none."""
+        best = None
+        for key in (0, *(1 << i for i in iter_bits(bits & self.key_mask))):
+            for entry in self.keyed.get(key, ()):
+                if bits & entry[2] == entry[2] and not bits & entry[3]:
+                    best = min(best or entry, entry)
+                    break
+        return None if best is None else best[4][best[5]:]
+
+
 @dataclass
 class SolverTables:
     """Mutable per-solve state, reusable across replanning calls.
@@ -56,12 +96,14 @@ class SolverTables:
     holds every state, at any exception count, on the greedy graph of a
     converged solve whose entry no write has changed since; the executor
     acts from those below the bound. Callers must not mutate a record.
+    ``suffixes`` keeps the sub-planner's plans for reuse at the bound.
     """
 
     v: dict[AugmentedState, float] = field(default_factory=dict)
     pi: dict[AugmentedState, int] = field(default_factory=dict)
     records: dict[AugmentedState, tuple] = field(default_factory=dict)
     solved: set[AugmentedState] = field(default_factory=set)
+    suffixes: PlanSuffixes = field(default_factory=PlanSuffixes)
 
 
 @dataclass
@@ -107,12 +149,13 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     """One value/policy update; returns the residual |V_new - V_old|,
     where a state with no stored value has V_old = 0.
 
-    Goals short-circuit to value 0. At the exception bound the greedy
-    sub-planner runs on every call (sweeps make one only at a bound state
-    without an entry), and ``report`` counts its calls and failures: a
-    successful plan writes capped suffix lengths and actions for every plan
-    state (keeping cheaper existing entries); failure or budget exhaustion
-    writes the cap value and a NOP policy.
+    Goals short-circuit to value 0. At the exception bound (sweeps call
+    only at a bound state without an entry) the plan is the shortest
+    stored suffix that ``tables.suffixes`` finds; on a miss the greedy
+    sub-planner runs, its plan is stored, and ``report`` counts its calls
+    and failures. A plan writes capped suffix lengths and actions for every
+    plan state (keeping cheaper existing entries); failure or budget
+    exhaustion writes the cap value and a NOP policy.
     Below the bound this is the capped Bellman operator over the state's
     backup record, every action at cost 1, with argmin tie-breaking by
     lowest action id; a successor with no stored value gets 0 at a goal,
@@ -124,21 +167,28 @@ def ff_bellman_update(tables: SolverTables, model: ReducedModel,
     if model.is_goal(aug):
         _store(tables, aug, 0.0, NOP)
     elif j >= model.k:
-        result = solve_deterministic(model.det_problem, s.bits,
-                                     budget=cfg.subplanner_budget)
-        report.subplanner_calls += 1
-        if result.found:
-            n = len(result.steps)
-            for i, (bits, ai) in enumerate(result.steps):
-                aug_i = AugmentedState(State(bits), model.k)
-                capped = min(float(n - i), cfg.m_cap)
-                if aug_i not in tables.pi or capped < v[aug_i]:
-                    _store(tables, aug_i, capped, ai)
-        else:
-            report.subplanner_failures += 1
-            if result.status == "timeout":
-                report.subplanner_timeouts += 1
-            _store(tables, aug, cfg.m_cap, NOP)
+        d = model.det_problem
+        plan = tables.suffixes.find(s.bits)
+        if plan is None:
+            result = solve_deterministic(d, s.bits,
+                                         budget=cfg.subplanner_budget)
+            report.subplanner_calls += 1
+            plan = [ai for _, ai in result.steps]
+            if result.found:
+                tables.suffixes.add(d, plan)
+            else:
+                report.subplanner_failures += 1
+                if result.status == "timeout":
+                    report.subplanner_timeouts += 1
+                _store(tables, aug, cfg.m_cap, NOP)
+        bits, n = s.bits, len(plan)
+        for i, ai in enumerate(plan):
+            aug_i = AugmentedState(State(bits), model.k)
+            capped = min(float(n - i), cfg.m_cap)
+            if aug_i not in tables.pi or capped < v[aug_i]:
+                _store(tables, aug_i, capped, ai)
+            o = d.actions[ai].outcomes[0]
+            bits = (bits & ~o.del_mask) | o.add_mask
     else:
         best_q = INF
         best_a = NOP

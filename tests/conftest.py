@@ -165,11 +165,13 @@ def int_digit_limit():
 @pytest.fixture()
 def exact_solver(monkeypatch):
     """Make the search solver exact: new states are valued by the zero
-    heuristic, which is admissible, and the sub-planner returns optimal
-    plans at the exception bound."""
+    heuristic, which is admissible, and every state at the exception bound
+    gets an optimal plan from the sub-planner. A stored plan's suffix need
+    not be shortest from a new state, so the suffix lookup always misses."""
     monkeypatch.setattr(solver, "_heuristic", lambda model, cfg, s: 0.0)
     monkeypatch.setattr(solver, "solve_deterministic",
                         partial(detplan.solve_deterministic, mode="optimal"))
+    monkeypatch.setattr(solver.PlanSuffixes, "find", lambda self, bits: None)
 
 
 FLAT_DELTA = Determinization({("move-car", 0): 0, ("loadtire", 0): 0,

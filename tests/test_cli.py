@@ -64,7 +64,7 @@ def test_gen_writes_parseable_files(tmp_path, capsys, args, stem):
 
 
 @pytest.mark.parametrize("k,v_initial,subplanner_calls,policy_size", [
-    (0, 10.0, 1, 10), (1, 8.25, 3, 24), (2, 7.25, 3, 36)],
+    (0, 10.0, 1, 10), (1, 8.25, 3, 24), (2, 7.25, 2, 36)],
     ids=["k0", "k1", "k2"])
 def test_plan_report(tmp_path, triangle_files, capsys, k, v_initial,
                      subplanner_calls, policy_size):

@@ -20,10 +20,10 @@ from sspkit.detplan import (DEFAULT_EXPANSION_BUDGET, PlanResult,
                             solve_with_external)
 from sspkit.domains import gen_chain, gen_trap, gen_triangle_tireworld
 from sspkit.errors import ExternalPlannerError
-from sspkit.executor import monte_carlo_evaluate
 from sspkit.grounding import GroundAction, GroundedProblem, GroundOutcome
 from sspkit.learner import enumerate_determinizations
-from sspkit.model import is_goal, iter_bits, predicate_of
+from sspkit.model import (applicable_actions, is_goal, iter_bits,
+                          outcome_bits, predicate_of)
 from sspkit.oracle import enumerate_model
 from sspkit.ppddl import DomainSchema, parse_domain, parse_problem
 from sspkit.reduction import Determinization, mlo_determinization
@@ -310,36 +310,45 @@ def test_heuristic_memo_is_order_independent():
     assert len(states) > 100
 
 
-def evaluated_states(monkeypatch, n: int, k: int, rounds: int):
-    """The heuristic's tasks and the states each evaluated in a seeded
-    evaluation of triangle-n."""
-    visited: dict[int, tuple[RelaxedTask, set[int]]] = {}
-    evaluate = RelaxedTask.evaluate
+def breadth_first_states(grounded, limit: int) -> list[int]:
+    """The first ``limit`` states that breadth-first search over every
+    outcome reaches from the initial state, the initial state first."""
+    states = [grounded.initial_state]
+    seen = set(states)
+    for bits in states:
+        for i in applicable_actions(bits, grounded):
+            for succ in outcome_bits(bits, i, grounded):
+                if succ not in seen and len(states) < limit:
+                    seen.add(succ)
+                    states.append(succ)
+    return states
 
-    def recording(task, bits):
-        visited.setdefault(id(task), (task, set()))[1].add(bits)
-        return evaluate(task, bits)
 
-    monkeypatch.setattr(RelaxedTask, "evaluate", recording)
+def triangle_tasks(n: int, k: int):
+    """Triangle-n's all-outcomes task and the task of its det problem
+    under ``FLAT_DELTA``, as the solver and the sub-planner use them."""
     _, _, grounded = load(*gen_triangle_tireworld(n))
-    monte_carlo_evaluate(grounded, FLAT_DELTA, k, 1e-3, rounds, 1)
-    monkeypatch.undo()
-    return list(visited.values())
+    return grounded, (grounded.relaxed_task, make_reduction(
+        grounded, FLAT_DELTA, k).det_problem.relaxed_task)
 
 
-def test_heuristic_matches_reference_on_triangle_evaluation(monkeypatch):
-    visited = evaluated_states(monkeypatch, 2, 2, 3)
-    # the all-outcomes task and the determinized one
-    assert len(visited) == 2
-    for task, states in visited:
-        assert assert_matches_reference(task, sorted(states)) > 100
+# The states come from breadth-first search, not from the heuristic's calls
+# in an evaluation: the solver reuses stored plan suffixes at the bound, so
+# the sub-planner's task evaluates few states there.
+def test_heuristic_matches_reference_on_triangle_evaluation():
+    grounded, tasks = triangle_tasks(2, 2)
+    states = breadth_first_states(grounded, 10 ** 6)
+    for task in tasks:
+        assert assert_matches_reference(task, states) > 100
 
 
-def test_heuristic_matches_reference_on_wide_triangle(monkeypatch):
-    # triangle-10 at k=0: many locations and spares, long relaxed plans
+def test_heuristic_matches_reference_on_wide_triangle():
+    # triangle-10: many locations and spares, long relaxed plans
+    grounded, tasks = triangle_tasks(10, 0)
+    states = breadth_first_states(grounded, 640)[::4]
     checked = 0
-    for task, states in evaluated_states(monkeypatch, 10, 0, 4):
-        checked += assert_matches_reference(task, sorted(states)[::4])
+    for task in tasks:
+        checked += assert_matches_reference(task, states)
     assert checked >= 250
 
 

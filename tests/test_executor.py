@@ -13,7 +13,9 @@ from sspkit.executor import (OUTCOME_ACTION_CAP, OUTCOME_DEAD_END,
                              ReplanSession, monte_carlo_evaluate, play_round,
                              round_rng, sample_successor, serve_rounds)
 from sspkit.model import outcome_bits, successors
-from sspkit.reduction import Determinization, mlo_determinization
+from sspkit.reduction import (AugmentedState, Determinization, State,
+                              mlo_determinization)
+from sspkit.solver import NOP, ff_lao_star
 
 from conftest import FLAT_DELTA, NOFLAT_DELTA, action_id, load
 from sspkit.domains import gen_chain
@@ -165,6 +167,63 @@ def test_shared_tables_match_fresh_on_random_fixpoints(exact_solver):
                 *round_rng(1000 + m, r), max_actions=200)
             assert (a.outcome, a.actions_taken, a.accumulated_cost) == \
                 (b.outcome, b.actions_taken, b.accumulated_cost)
+
+
+# ── reusing stored plan suffixes at the bound ────────────────────────────────
+
+def primary_run(session, bits: int) -> list[int]:
+    """The actions the session's policy takes from ``(bits, 0)`` along
+    primary outcomes, until an entry is missing or ``NOP``."""
+    actions = []
+    pi, primary = session.tables.pi, session.model.primary
+    while pi.get(AugmentedState(State(bits), 0), NOP) != NOP:
+        a = pi[AugmentedState(State(bits), 0)]
+        actions.append(a)
+        bits = outcome_bits(bits, a, session.problem)[primary[a]]
+    return actions
+
+
+def solved_then_excepted(grounded):
+    """A triangle session at k = 0 under the flat-primary determinization,
+    solved from the initial state with one sub-planner call, its plan, and
+    the key of the exception to the plan's first move: the tire stays
+    whole."""
+    session = ReplanSession(grounded, FLAT_DELTA, 0)
+    model = session.model
+    _, report = ff_lao_star(model, session.cfg, session.tables)
+    assert report.subplanner_calls == 1
+    plan = primary_run(session, grounded.initial_state)
+    move = plan[0]
+    whole, = [bits for i, bits in enumerate(
+        outcome_bits(grounded.initial_state, move, grounded))
+        if i != model.primary[move]]
+    root = AugmentedState(State(whole), 0)
+    assert root not in session.tables.pi
+    return session, plan, root
+
+
+def test_a_replan_after_an_exception_reuses_the_old_plan_suffix(triangle1):
+    # the old plan moves, loads the spare and changes the flat; with the
+    # tire whole after the move, the rest of the old plan runs as it is
+    _, _, grounded = triangle1
+    session, plan, root = solved_then_excepted(grounded)
+    assert [grounded.actions[a].schema_name for a in plan[:3]] == [
+        "move-car", "loadtire", "changetire"]
+    _, report = ff_lao_star(session.model, session.cfg, session.tables, root)
+    assert report.subplanner_calls == 0
+    assert primary_run(session, root.state.bits) == plan[3:]
+
+
+def test_sessions_on_one_problem_keep_their_own_plans(triangle1):
+    # the first session reuses its plan at the exception; a second session
+    # on the same grounded problem has none stored, so it calls the planner
+    _, _, grounded = triangle1
+    first, _, root = solved_then_excepted(grounded)
+    _, report = ff_lao_star(first.model, first.cfg, first.tables, root)
+    assert report.subplanner_calls == 0
+    second = ReplanSession(grounded, FLAT_DELTA, 0)
+    _, report = ff_lao_star(second.model, second.cfg, second.tables, root)
+    assert report.subplanner_calls == 1
 
 
 # ── following the planned-for exceptions ─────────────────────────────────────

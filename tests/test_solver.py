@@ -4,6 +4,7 @@ many roots into shared tables."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from sspkit.oracle import enumerate_model, value_iteration
 from sspkit.ppddl import (ActionSchema, Atom, DomainSchema, Literal, Outcome,
                           Predicate, ProblemDef)
 from sspkit.reduction import AugmentedState, Determinization, State
-from sspkit.solver import INF
+from sspkit.solver import INF, PlanSuffixes
 
 from conftest import FLAT_DELTA, action_id, state_from_atoms
 from randmodels import random_proper_reduced_setup, random_reduced_setup
@@ -570,3 +571,56 @@ def test_rollout_root_solves_when_a_plan_lowers_a_read_entry():
     tables = assert_solves(model, lambda model, _: [model.initial], plant)
     assert tables.v[b] == 1.0
     assert tables.pi[model.initial] == action_id(grounded, "(go)")
+
+
+def runs_to_goal(d, bits: int, plan: list[int]) -> bool:
+    """Whether the actions ``plan`` of ``d`` apply in turn from ``bits`` and
+    end in a goal state."""
+    for i in plan:
+        a = d.actions[i]
+        if bits & a.pre_pos_mask != a.pre_pos_mask or bits & a.pre_neg_mask:
+            return False
+        o = a.outcomes[0]
+        bits = (bits & ~o.del_mask) | o.add_mask
+    return bits & d.goal_mask == d.goal_mask
+
+
+def add_over_delete(d):
+    """``d`` with each outcome deleting every atom it adds, which changes no
+    successor, since an add wins over a delete."""
+    return replace(d, actions=[
+        replace(a, outcomes=[replace(o, del_mask=o.del_mask | o.add_mask)
+                             for o in a.outcomes])
+        for a in d.actions])
+
+
+def test_regressed_conditions_hold_exactly_where_the_suffix_runs():
+    # plans of random det problems from random states; every stored
+    # condition is checked on every state, as grounded and with
+    # add-over-delete effects
+    rng = random.Random(38)
+    seen = Counter()
+    while seen["plans"] < 150:
+        _, _, _, model = random_reduced_setup(rng, n_atoms=rng.randint(3, 6))
+        d = model.det_problem
+        n_states = 1 << len(d.atoms)
+        result = solve_deterministic(d, rng.randrange(n_states))
+        if not result.steps:
+            continue
+        plan = [i for _, i in result.steps]
+        seen["plans"] += 1
+        seen["negative preconditions"] += any(d.actions[i].pre_neg_mask
+                                              for i in plan)
+        seen["longer than one step"] += len(plan) > 1
+        for problem in (d, add_over_delete(d)):
+            store = PlanSuffixes()
+            store.add(problem, plan)
+            entries = [e for keyed in store.keyed.values() for e in keyed]
+            assert sorted(e[5] for e in entries) == list(range(len(plan)))
+            for length, _, pos, neg, stored, start in entries:
+                assert stored is plan and length == len(plan) - start
+                for bits in range(n_states):
+                    assert (bits & pos == pos and not bits & neg) == \
+                        runs_to_goal(problem, bits, plan[start:])
+    assert seen["negative preconditions"] > 10
+    assert seen["longer than one step"] > 10
